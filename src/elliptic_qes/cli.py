@@ -341,11 +341,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+# argparse reads a value starting with '-' (such as -1/2) as a flag, so a
+# negative rational must be joined to its flag with '='.
+_A_HELP = "interaction coupling a, exact rational (default 0); write negatives as --a=-1/2"
+
 
 def _add_param_flags(sub: argparse.ArgumentParser, *, roots_default: str | None) -> None:
     sub.add_argument("--n", type=int, default=2, help="number of variables (default 2)")
-    sub.add_argument("--m", default="2", help="degree parameter, exact rational (default 2)")
-    sub.add_argument("--b", default="0", help="external coupling b, exact rational (default 0)")
+    sub.add_argument(
+        "--m",
+        default="2",
+        help="degree parameter, exact rational (default 2); write negatives as --m=-1/2",
+    )
+    sub.add_argument(
+        "--b",
+        default="0",
+        help="external coupling b, exact rational (default 0); write negatives as --b=-1/2",
+    )
     sub.add_argument(
         "--roots",
         default=roots_default,
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="print one sector matrix")
     _add_param_flags(p_matrix, roots_default="2,-1,-1")
-    p_matrix.add_argument("--a", default="0", help="interaction coupling a (default 0)")
+    p_matrix.add_argument("--a", default="0", help=_A_HELP)
     p_matrix.add_argument("--mask", default="none", help="gauge mask (default none)")
     p_matrix.add_argument("--format", choices=("json", "csv"), default="json")
     p_matrix.add_argument("--out", default=None, help="write to a file instead of stdout")
@@ -371,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of one or all sectors")
     _add_param_flags(p_spec, roots_default="2,-1,-1")
-    p_spec.add_argument("--a", default="0", help="interaction coupling a (default 0)")
+    p_spec.add_argument("--a", default="0", help=_A_HELP)
     p_spec.add_argument("--mask", default="all", help="gauge mask or 'all' (default all)")
     p_spec.add_argument("--format", choices=("json", "csv"), default="json")
     p_spec.add_argument("--out", default=None)
@@ -379,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="spectra along an exact parameter grid")
     _add_param_flags(p_sweep, roots_default=None)
-    p_sweep.add_argument("--a", default=None, help="interaction coupling a (epsilon sweeps only)")
+    p_sweep.add_argument(
+        "--a",
+        default=None,
+        help="interaction coupling a, epsilon sweeps only; write negatives as --a=-1/2",
+    )
     p_sweep.add_argument("--mask", default="all", help="gauge mask or 'all' (default all)")
     p_sweep.add_argument(
         "--sweep-var", choices=("epsilon", "a"), required=True, dest="sweep_var"
@@ -391,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_masks = sub.add_parser("masks", help="list the eight gauge sectors")
     _add_param_flags(p_masks, roots_default="2,-1,-1")
-    p_masks.add_argument("--a", default="0", help="interaction coupling a (default 0)")
+    p_masks.add_argument("--a", default="0", help=_A_HELP)
     p_masks.add_argument("--format", choices=("text", "json"), default="text")
     p_masks.add_argument("--out", default=None)
     p_masks.set_defaults(func=cmd_masks)
@@ -400,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eigenfunctions", help="gauge prefactor and polynomial factor per eigenvalue"
     )
     _add_param_flags(p_eig, roots_default="2,-1,-1")
-    p_eig.add_argument("--a", default="0", help="interaction coupling a (default 0)")
+    p_eig.add_argument("--a", default="0", help=_A_HELP)
     p_eig.add_argument("--mask", default="none", help="gauge mask (default none)")
     p_eig.add_argument("--out", default=None)
     p_eig.set_defaults(func=cmd_eigenfunctions)

@@ -1,10 +1,22 @@
 """Exact matrices of gauged operators on the tau-monomial basis.
 
 Columns are images: entry (i, j) is the coefficient of basis monomial i in
-the image of basis monomial j.  Assembling a matrix is itself the closure
-proof for its parameter point: any image component outside the basis raises
-OperatorNotClosed, so a constructed OperatorMatrix certifies that the sector's
-invariant space really is invariant.
+the image of basis monomial j.  On symmetric polynomials the gauged operator
+is a second-order differential operator in the elementary-symmetric
+coordinates tau,
+
+    L = sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C ,
+
+with polynomial coefficients.  Its images of 1, tau_i and tau_i tau_j (the
+probes, computed by `GaugedOperator.apply`) determine A, B and C exactly, and
+every higher column follows from them by exponent shifts in tau-space, with
+no further trip through z-space.
+
+Assembling a matrix is itself the closure proof for its parameter point.
+Every column, probe or formula-built, is the full exact image, components
+above the cutoff included, and any image component outside the basis raises
+OperatorNotClosed.  A constructed OperatorMatrix therefore certifies that the
+sector's invariant space really is invariant.
 """
 
 from __future__ import annotations
@@ -12,10 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, raising_coefficient
-from .polynomials import Poly, format_rational, parse_rational
+from .polynomials import Exponents, Poly, format_rational, parse_rational
 from .symmetric import BasisIndex, enumerate_basis
 
 
@@ -89,15 +102,24 @@ def _determinant(work: list[list[Fraction]]) -> Fraction:
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space.
 
-    Applies the operator to every basis monomial and reads the image off in
-    the same basis.  Raises OperatorNotClosed if any image has a component of
-    tau-degree above the sector cutoff.
+    Applies the operator only to the basis monomials of tau-degree <= 2 (the
+    probes, all of them when the cutoff is below 2), reads the coefficients
+    of L = sum A_ij d_i d_j + sum B_i d_i + C off their images, and builds
+    every other column from the tau-space formula for L(tau^l).  Each column
+    is the exact, untruncated image, so this raises OperatorNotClosed if any
+    image has a component of tau-degree above the sector cutoff.
     """
     basis = enumerate_basis(op.nvars, op.cutoff)
     dim = len(basis)
+    # the basis lists monomials degree by degree, so the probes come first
+    probes = [exps for exps in basis if sum(exps) <= 2]
+    images = [op.apply(Poly.monomial(exps)) for exps in probes]
+    if len(probes) < dim:
+        parts = _tau_coefficients(op.nvars, dict(zip(probes, images)))
+        images += [_image(exps, parts) for exps in basis.monomials[len(probes):]]
+
     columns: list[dict[int, Fraction]] = []
-    for j, exps in enumerate(basis):
-        image = op.apply(Poly.monomial(exps))
+    for exps, image in zip(basis, images):
         col: dict[int, Fraction] = {}
         for iexps, coeff in image.terms.items():
             if iexps not in basis:
@@ -111,6 +133,51 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
         tuple(columns[j].get(i, Fraction(0)) for j in range(dim)) for i in range(dim)
     )
     return OperatorMatrix(basis, rows)
+
+
+# One term of L in tau-space: the indices of its tau-derivatives (none, i, or
+# i <= j) and its polynomial coefficient.
+_Part = tuple[tuple[int, ...], Poly]
+
+
+def _tau_coefficients(nvars: int, probes: dict[Exponents, Poly]) -> list[_Part]:
+    """Coefficients of L as a second-order operator in tau, from the probes.
+
+    C = L(1), B_i = L(t_i) - t_i C and
+    A_ij = L(t_i t_j) - t_j B_i - t_i B_j - t_i t_j C, halved when i = j.
+    """
+    zero = (0,) * nvars
+    unit = [zero[:i] + (1,) + zero[i + 1 :] for i in range(nvars)]
+    tau = [Poly.monomial(e) for e in unit]
+    c = probes[zero]
+    b = [probes[unit[i]] - tau[i] * c for i in range(nvars)]
+    parts = [((), c)] + [((i,), b[i]) for i in range(nvars)]
+    for i in range(nvars):
+        for j in range(i, nvars):
+            pair = tuple(map(add, unit[i], unit[j]))
+            a = probes[pair] - tau[j] * b[i] - tau[i] * b[j] - Poly.monomial(pair) * c
+            parts.append(((i, j), a * Fraction(1, 2) if i == j else a))
+    return [(idx, p) for idx, p in parts if p]
+
+
+def _image(exps: Exponents, parts: list[_Part]) -> Poly:
+    """L(tau^l) = sum_{i<=j} A_ij d_i d_j tau^l + sum_i B_i d_i tau^l + C tau^l.
+
+    d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
+    d_i tau^l = l_i tau^(l - e_i), so each part shifts its coefficient's
+    exponents by the lowered l and scales it by the falling factor.
+    """
+    out: dict[Exponents, Fraction] = {}
+    for idx, coeff in parts:
+        weight, lowered = 1, list(exps)
+        for k in idx:
+            weight *= lowered[k]
+            lowered[k] -= 1
+        if weight:
+            for e, c in coeff.terms.items():
+                key = tuple(map(add, e, lowered))
+                out[key] = out.get(key, 0) + weight * c
+    return Poly(len(exps), out)
 
 
 def raising_coefficient_check(

@@ -4,6 +4,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import (
@@ -13,13 +15,15 @@ from elliptic_qes.matrices import (
     matrix_from_json,
     raising_coefficient_check,
 )
-from elliptic_qes.model import GaugeMask, ModelParams
-from elliptic_qes.operator import build_gauged_operator
+from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams
+from elliptic_qes.operator import GaugedOperator, build_gauged_operator
 from elliptic_qes.oracles import (
     mask_for_unmasked_index,
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
+from elliptic_qes.polynomials import Poly
+from elliptic_qes.symmetric import enumerate_basis
 
 EMPTY = GaugeMask(())
 
@@ -101,12 +105,78 @@ def test_raising_check_detects_tampering():
     assert raising_coefficient_check(op, 0, tampered) is False
 
 
-def test_closure_violation_detected():
-    op = build_gauged_operator(ModelParams(1, 0, 0, 2), EMPTY)
+@pytest.mark.parametrize(
+    ("nvars", "cutoff"),
+    [
+        # truncated to cutoff 1: every column is a probe
+        pytest.param(1, 2, id="probe-columns"),
+        # truncated to cutoff 3: only formula-built columns leave the space
+        pytest.param(2, 4, id="formula-columns"),
+    ],
+)
+def test_closure_violation_detected(nvars, cutoff):
+    op = build_gauged_operator(ModelParams(nvars, 0, 0, cutoff), EMPTY)
     # the same operator on a truncated space no longer closes
-    truncated = dataclasses.replace(op, cutoff=1)
+    truncated = dataclasses.replace(op, cutoff=cutoff - 1)
     with pytest.raises(OperatorNotClosed):
         build_matrix(truncated)
+
+
+def rationals(lo=-3, hi=3, dens=(1, 2, 4)):
+    return st.builds(Fraction, st.integers(lo, hi), st.sampled_from(dens))
+
+
+def oracle_rows(op: GaugedOperator) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the sector matrix with every column an applied image."""
+    basis = enumerate_basis(op.nvars, op.cutoff)
+    images = [op.apply(Poly.monomial(exps)) for exps in basis]
+    return tuple(tuple(image.coefficient(exps) for image in images) for exps in basis)
+
+
+def sector(nvars, a, b, roots, mask, cutoff) -> GaugedOperator:
+    m = cutoff + mask.n_f * (Fraction(1, 2) - b)
+    return build_gauged_operator(ModelParams(nvars, a, b, m, roots), mask)
+
+
+@given(
+    nvars=st.integers(1, 4),
+    cutoff=st.integers(0, 3),
+    mask=st.sampled_from(ALL_MASKS),
+    a=rationals(),
+    b=rationals(),
+    e1=rationals(),
+    e2=rationals(),
+)
+def test_matrix_equals_applied_images(nvars, cutoff, mask, a, b, e1, e2):
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3)
+    op = sector(nvars, a, b, roots, mask, cutoff)
+    assert build_matrix(op).rows == oracle_rows(op)
+
+
+def test_matrix_equals_applied_images_four_particles_cutoff_four():
+    roots = (Fraction(7, 6), Fraction(-1, 3), Fraction(-5, 6))
+    op = sector(4, Fraction(3, 2), Fraction(-1, 4), roots, GaugeMask((1, 3)), 4)
+    assert build_matrix(op).rows == oracle_rows(op)
+
+
+@pytest.mark.parametrize(
+    ("nvars", "cutoff", "probes"),
+    [(1, 0, 1), (1, 1, 2), (1, 5, 3), (2, 1, 3), (3, 2, 10), (4, 4, 15)],
+)
+def test_operator_applied_once_per_probe(monkeypatch, nvars, cutoff, probes):
+    op = build_gauged_operator(ModelParams(nvars, Fraction(1, 2), 0, cutoff), EMPTY)
+    applied: list[Poly] = []
+    apply = GaugedOperator.apply
+
+    def counting_apply(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(GaugedOperator, "apply", counting_apply)
+    build_matrix(op)
+    assert len(applied) == probes
+    assert applied == [Poly.monomial(e) for e in enumerate_basis(nvars, min(cutoff, 2))]
 
 
 def test_json_round_trip():
