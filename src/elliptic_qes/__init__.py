@@ -47,7 +47,6 @@ from .oracles import (
     epsilon_roots,
     oscillator_energy,
     oscillator_membership,
-    sector_spectra,
 )
 from .polynomials import Poly, format_rational, parse_rational, weierstrass_cubic
 from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of, to_float
@@ -98,7 +97,6 @@ __all__ = [
     "raising_coefficient_check",
     "report_json",
     "run_checks",
-    "sector_spectra",
     "spectrum_of",
     "tau_to_z",
     "to_float",

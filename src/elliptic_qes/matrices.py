@@ -17,6 +17,11 @@ Every column, probe or formula-built, is the full exact image, components
 above the cutoff included, and any image component outside the basis raises
 OperatorNotClosed.  A constructed OperatorMatrix therefore certifies that the
 sector's invariant space really is invariant.
+
+The exact linear algebra on these matrices (determinant, values of the
+characteristic polynomial, inverse) is one fraction Gauss-Jordan routine,
+`_gauss_jordan`, so the invariants that check the float solve are computed
+in exactly one place.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, raising_coefficient
@@ -58,8 +64,8 @@ class OperatorMatrix:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction Gaussian elimination."""
-        return _determinant([list(row) for row in self.rows])
+        """Exact determinant by fraction Gauss-Jordan elimination."""
+        return _gauss_jordan([list(row) for row in self.rows])
 
     def char_poly_eval(self, t: int | Fraction) -> Fraction:
         """Exact value of det(M - t*I); equal values at dim+1 points pin the
@@ -68,7 +74,7 @@ class OperatorMatrix:
         work = [list(row) for row in self.rows]
         for i in range(self.dim):
             work[i][i] -= tf
-        return _determinant(work)
+        return _gauss_jordan(work)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorMatrix):
@@ -76,9 +82,27 @@ class OperatorMatrix:
         return self.basis.monomials == other.basis.monomials and self.rows == other.rows
 
 
-def _determinant(work: list[list[Fraction]]) -> Fraction:
+def inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+    """Exact inverse of a square rational matrix, or None if it is singular."""
+    n = len(rows)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if not _gauss_jordan(work):
+        return None
+    return [row[n:] for row in work]
+
+
+def _gauss_jordan(work: list[list[Fraction]]) -> Fraction:
+    """Reduce the leading square block of ``work`` to the identity, in place.
+
+    Row operations act on whole rows, so columns past the block (an
+    augmented identity, say) end up multiplied by the block's inverse.
+    Returns the block's determinant; at the first column without a pivot it
+    stops and returns 0, leaving ``work`` partly reduced.
+    """
     n = len(work)
-    sign = 1
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
@@ -86,17 +110,17 @@ def _determinant(work: list[list[Fraction]]) -> Fraction:
             return Fraction(0)
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
+            det = -det
         pval = work[col][col]
         det *= pval
-        for r in range(col + 1, n):
-            factor = work[r][col] / pval
-            if factor:
-                row = work[r]
-                prow = work[col]
-                for c in range(col, n):
-                    row[c] -= factor * prow[c]
-    return sign * det
+        # columns left of col are already reduced in every row
+        prow = [x / pval for x in work[col][col:]]
+        work[col][col:] = prow
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r][col:] = [x - factor * y for x, y in zip(work[r][col:], prow)]
+    return det
 
 
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
@@ -180,41 +204,30 @@ def _image(exps: Exponents, parts: list[_Part]) -> Poly:
     return Poly(len(exps), out)
 
 
-def raising_coefficient_check(
-    op: GaugedOperator,
-    degree: int,
-    matrix: OperatorMatrix | None = None,
-) -> bool:
+def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:
     """Verify the closed-form degree-raising coefficient at one tau-degree.
 
     For every basis monomial t of the given degree, the degree-(degree+1)
-    component of its image must equal coeff * tau_1 * t exactly, with coeff
-    from `raising_coefficient`.  Passing a prebuilt matrix reads the
-    components from its columns instead of reapplying the operator; the two
-    paths check the same equality.
+    part of its image must equal coeff * tau_1 * t exactly, with coeff from
+    `raising_coefficient`.  The images are read from the columns of the
+    operator's matrix; at the cutoff there is no higher degree in the basis,
+    so the coefficient itself must vanish there.
     """
     if not 0 <= degree <= op.cutoff:
         raise ValueError(f"degree must lie in [0, {op.cutoff}], got {degree}")
     expected = raising_coefficient(op.params, op.mask, degree)
-    basis = matrix.basis if matrix is not None else enumerate_basis(op.nvars, op.cutoff)
-
+    if degree == op.cutoff:
+        return expected == 0
+    basis = matrix.basis
     for j, exps in enumerate(basis):
         if sum(exps) != degree:
             continue
         raised = (exps[0] + 1,) + exps[1:]
-        if matrix is not None:
-            for i, iexps in enumerate(basis):
-                if sum(iexps) != degree + 1:
-                    continue
-                want = expected if iexps == raised else Fraction(0)
-                if matrix.entry(i, j) != want:
-                    return False
-            if degree == op.cutoff and expected != 0:
-                return False
-        else:
-            image = op.apply(Poly.monomial(exps))
-            component = image.homogeneous_component(degree + 1)
-            if component != Poly(op.nvars, {raised: expected}):
+        for i, iexps in enumerate(basis):
+            if sum(iexps) != degree + 1:
+                continue
+            want = expected if iexps == raised else Fraction(0)
+            if matrix.entry(i, j) != want:
                 return False
     return True
 

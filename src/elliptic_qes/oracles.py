@@ -1,12 +1,16 @@
 """Independent cross-checks for the operator pipeline.
 
-Everything here is derived by a route that does not go through the operator
-engine: hand-computed reference matrices for the N=2, m=2 sectors, closed-form
-eigenvalue families for the degenerate root configuration (2, -1, -1), the
-decoupled-oscillator spectrum at a = b = 0, the algebraic-solution counting
-formulas, and the additive structure of two-particle spectra at a = 0.  Tests
-and the verification runner compare pipeline output against these oracles;
-the two sides share no code beyond scalar arithmetic.
+The reference data here is derived by a route that does not go through the
+operator engine: hand-computed reference matrices for the N=2, m=2 sectors,
+closed-form eigenvalue families for the degenerate root configuration
+(2, -1, -1), the decoupled-oscillator spectrum at a = b = 0, the
+algebraic-solution counting formulas, and the additive structure of
+two-particle spectra at a = 0.  Tests and the verification runner compare
+pipeline output against these oracles.  The oscillator and decoupling
+oracles diagonalize their sectors through the public pipeline
+(`build_gauged_operator`, `build_matrix`, `spectrum_of`) and then test the
+values against the independent structure; everything else shares no code
+with the engine beyond scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from .matrices import build_matrix
 from .model import GaugeMask, ModelParams, cubic_invariants, list_valid_masks
 from .operator import build_gauged_operator
 from .polynomials import RationalLike
-from .spectral import Spectrum, spectrum_of
+from .spectral import spectrum_of
 
 DEGENERATE_ROOTS: tuple[int, int, int] = (2, -1, -1)
+
+_OSCILLATOR_TOL = 1e-8  # absolute, on each eigenvalue
+_J_BOUND = 5  # largest oscillator quantum number searched
+_DECOUPLING_TOL = 1e-8  # relative to the largest two-particle value
 
 
 # -- counting ----------------------------------------------------------------
@@ -248,13 +256,14 @@ class OscillatorReport:
     witness: str | None
 
 
-def oscillator_membership(tol: float = 1e-8, j_bound: int = 5) -> OscillatorReport:
+def oscillator_membership() -> OscillatorReport:
     """Check that every algebraic eigenvalue at a=b=0, roots (2,-1,-1) is an
     even-parity two-oscillator level 3(j1^2+j2^2) - 40.
 
-    Searches j1 >= j2 >= 0 up to j_bound with j1 + j2 even.  Also records the
-    per-sector parity of the matched levels: the ungauged sector and the one
-    leaving root 1 unmasked land on even (j1, j2), the other two on odd.
+    Searches j1 >= j2 >= 0 up to 5 with j1 + j2 even, at absolute tolerance
+    1e-8.  Also records the per-sector parity of the matched levels: the
+    ungauged sector and the one leaving root 1 unmasked land on even
+    (j1, j2), the other two on odd.
     """
     params = ModelParams(2, 0, 0, 2, DEGENERATE_ROOTS)
     assignments: list[OscillatorAssignment] = []
@@ -266,11 +275,11 @@ def oscillator_membership(tol: float = 1e-8, j_bound: int = 5) -> OscillatorRepo
         kinds = set()
         for value in spectrum.values:
             match: tuple[int, int] | None = None
-            for j1 in range(j_bound + 1):
+            for j1 in range(_J_BOUND + 1):
                 for j2 in range(j1 + 1):
                     if (j1 + j2) % 2:
                         continue
-                    if abs(value - oscillator_energy(j1, j2)) <= tol:
+                    if abs(value - oscillator_energy(j1, j2)) <= _OSCILLATOR_TOL:
                         match = (j1, j2)
                         break
                 if match:
@@ -301,19 +310,15 @@ class DecouplingReport:
     max_defect: float
 
 
-def decoupling_check(
-    coupling_b: RationalLike,
-    degree_m: RationalLike,
-    roots: tuple[RationalLike, RationalLike, RationalLike] = DEGENERATE_ROOTS,
-    tol: float = 1e-8,
-) -> DecouplingReport:
+def decoupling_check(coupling_b: RationalLike, degree_m: RationalLike) -> DecouplingReport:
     """At a = 0 the two-particle ungauged spectrum is the multiset of pairwise
-    sums (with repetition) of the one-particle spectrum with the same b, m,
-    and roots; the interaction term is the only coupling between variables.
+    sums (with repetition) of the one-particle spectrum with the same b and m
+    at roots (2, -1, -1); the interaction term is the only coupling between
+    variables.  Tolerance 1e-8 relative to the largest two-particle value.
     """
     empty = GaugeMask(())
-    one = ModelParams(1, 0, coupling_b, degree_m, roots)
-    two = ModelParams(2, 0, coupling_b, degree_m, roots)
+    one = ModelParams(1, 0, coupling_b, degree_m, DEGENERATE_ROOTS)
+    two = ModelParams(2, 0, coupling_b, degree_m, DEGENERATE_ROOTS)
     s1 = spectrum_of(build_matrix(build_gauged_operator(one, empty)))
     s2 = spectrum_of(build_matrix(build_gauged_operator(two, empty)))
 
@@ -329,19 +334,11 @@ def decoupling_check(
     scale = max(1.0, max(abs(v) for v in two_vals))
     defect = max(abs(x - y) for x, y in zip(sorted(two_vals), sums))
     return DecouplingReport(
-        defect <= tol * scale, one_vals, two_vals, tuple(sums), defect
+        defect <= _DECOUPLING_TOL * scale, one_vals, two_vals, tuple(sums), defect
     )
 
 
-# -- sector spectra (shared by verification and the CLI) -------------------------
-
-
-def sector_spectra(params: ModelParams) -> list[tuple[GaugeMask, Spectrum]]:
-    """Diagonalize every valid sector of a parameter set, in canonical order."""
-    out = []
-    for mask in list_valid_masks(params):
-        out.append((mask, spectrum_of(build_matrix(build_gauged_operator(params, mask)))))
-    return out
+# -- root families -----------------------------------------------------------
 
 
 def epsilon_roots(epsilon: RationalLike) -> tuple[Fraction, Fraction, Fraction]:

@@ -246,13 +246,6 @@ class Poly:
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exponents), _ZERO)
 
-    def homogeneous_component(self, degree: int) -> Poly:
-        """Sub-polynomial of terms whose total degree equals ``degree``."""
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return result
-
     def items_canonical(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in the canonical listing order (deterministic serialization)."""
         return sorted(self.terms.items(), key=lambda item: listing_key(item[0]))
@@ -300,22 +293,6 @@ class Poly:
             quotient[texps] = quotient.get(texps, _ZERO) + tcoeff
             remainder = remainder - Poly(self.nvars, {texps: tcoeff}) * divisor
         return Poly(self.nvars, quotient)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_terms(self) -> list[list]:
-        """Canonically ordered ``[[exponents...], "p/q"]`` pairs (JSON-ready)."""
-        return [
-            [list(exps), format_rational(coeff)]
-            for exps, coeff in self.items_canonical()
-        ]
-
-    @classmethod
-    def from_json_terms(cls, nvars: int, data: Iterable) -> Poly:
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in data:
-            terms[tuple(int(e) for e in exps)] = parse_rational(str(coeff))
-        return cls(nvars, terms)
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.items_canonical())

@@ -23,6 +23,8 @@ from .matrices import OperatorMatrix
 _DEFLATION_TOL = 1e-14
 _TRACE_TOL = 1e-9
 _ITERATION_FACTOR = 100
+_INVERSE_ITERATIONS = 60
+_REAL_TOL = 1e-7
 
 
 def to_float(mat: OperatorMatrix) -> np.ndarray:
@@ -51,11 +53,12 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def real_values(self, tol: float = 1e-7) -> tuple[float, ...]:
-        """Real parts, insisting that imaginary parts are negligible."""
+    def real_values(self) -> tuple[float, ...]:
+        """Real parts, insisting that imaginary parts are negligible (1e-7
+        relative to 1 + |real part|)."""
         for v in self.values:
-            if abs(v.imag) > tol * (1.0 + abs(v.real)):
-                raise ValueError(f"eigenvalue {v} is not real within {tol}")
+            if abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real)):
+                raise ValueError(f"eigenvalue {v} is not real within {_REAL_TOL}")
         return tuple(v.real for v in self.values)
 
 
@@ -287,11 +290,12 @@ def _lu_solve(lu: np.ndarray, pivots: list[int], rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def eigenvector(matrix: np.ndarray, value: complex, *, max_iterations: int = 60) -> np.ndarray:
+def eigenvector(matrix: np.ndarray, value: complex) -> np.ndarray:
     """Unit eigenvector for an approximate eigenvalue, by inverse iteration.
 
     Deterministic seeded start; stops when the residual ||Av - value*v||
-    drops below 1e-8 times the Frobenius norm of the matrix.
+    drops below 1e-8 times the Frobenius norm of the matrix, and raises
+    NoConvergence after 60 steps without getting there.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -308,7 +312,7 @@ def eigenvector(matrix: np.ndarray, value: complex, *, max_iterations: int = 60)
 
     shifted = a.astype(complex) - lam * np.eye(n, dtype=complex)
     lu, pivots = _lu_factor(shifted)
-    for _ in range(max_iterations):
+    for _ in range(_INVERSE_ITERATIONS):
         w = _lu_solve(lu, pivots, v)
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0 or not math.isfinite(wnorm):
@@ -325,5 +329,5 @@ def eigenvector(matrix: np.ndarray, value: complex, *, max_iterations: int = 60)
                     v = v / renorm
             return v
     raise NoConvergence(
-        f"inverse iteration did not reach residual 1e-8 within {max_iterations} steps"
+        f"inverse iteration did not reach residual 1e-8 within {_INVERSE_ITERATIONS} steps"
     )

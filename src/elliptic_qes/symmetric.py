@@ -102,13 +102,9 @@ def _tau_monomial_in_z(nvars: int, exponents: Exponents) -> Poly:
     return result
 
 
-def tau_to_z(tau_poly: Poly, nvars: int | None = None) -> Poly:
+def tau_to_z(tau_poly: Poly) -> Poly:
     """Expand a tau-space polynomial into z-space by substituting each tau_k."""
-    n = tau_poly.nvars if nvars is None else nvars
-    if n != tau_poly.nvars:
-        raise ValueError(
-            f"tau polynomial has {tau_poly.nvars} variables, expected {n}"
-        )
+    n = tau_poly.nvars
     result = Poly.zero(n)
     for exps, coeff in tau_poly.terms.items():
         result = result + _tau_monomial_in_z(n, exps) * coeff

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidDegree, NonCancellingPole, OperatorNotClosed
-from .matrices import OperatorMatrix, build_matrix, raising_coefficient_check
+from .matrices import OperatorMatrix, build_matrix, inverse, raising_coefficient_check
 from .model import (
     ALL_MASKS,
     GaugeMask,
@@ -73,7 +73,7 @@ def report_json(results: list[CheckResult]) -> dict:
     }
 
 
-# -- shared randomness and caching ---------------------------------------------
+# -- shared randomness and the sector memo -------------------------------------
 
 
 def _random_fraction(rng: random.Random, lo: int, hi: int, dens: tuple[int, ...]) -> Fraction:
@@ -90,35 +90,20 @@ def _random_roots(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
             return (e1, e2, e3)
 
 
-class _SectorCache:
-    """Memoizes matrices and spectra keyed by full parameter content."""
+# One run's memo of built sectors.  It lives inside a single `run_checks` call
+# so that repeated runs in one process each do the full work.
+SectorMemo = dict[tuple[ModelParams, GaugeMask], tuple[OperatorMatrix, Spectrum]]
 
-    def __init__(self) -> None:
-        self._matrices: dict[tuple, OperatorMatrix] = {}
-        self._spectra: dict[tuple, Spectrum] = {}
 
-    @staticmethod
-    def _key(params: ModelParams, mask: GaugeMask) -> tuple:
-        return (
-            params.nvars,
-            params.coupling_a,
-            params.coupling_b,
-            params.degree_m,
-            params.roots,
-            mask.indices,
-        )
-
-    def matrix(self, params: ModelParams, mask: GaugeMask) -> OperatorMatrix:
-        key = self._key(params, mask)
-        if key not in self._matrices:
-            self._matrices[key] = build_matrix(build_gauged_operator(params, mask))
-        return self._matrices[key]
-
-    def spectrum(self, params: ModelParams, mask: GaugeMask) -> Spectrum:
-        key = self._key(params, mask)
-        if key not in self._spectra:
-            self._spectra[key] = spectrum_of(self.matrix(params, mask))
-        return self._spectra[key]
+def _sector(
+    memo: SectorMemo, params: ModelParams, mask: GaugeMask
+) -> tuple[OperatorMatrix, Spectrum]:
+    """The sector's exact matrix and its spectrum, built once per run."""
+    key = (params, mask)
+    if key not in memo:
+        mat = build_matrix(build_gauged_operator(params, mask))
+        memo[key] = (mat, spectrum_of(mat))
+    return memo[key]
 
 
 GridEntry = tuple[ModelParams, GaugeMask, GaugedOperator, OperatorMatrix]
@@ -189,7 +174,7 @@ def _check_matrices() -> CheckResult:
     )
 
 
-def _check_closed_forms(cache: _SectorCache) -> CheckResult:
+def _check_closed_forms(memo: SectorMemo) -> CheckResult:
     """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues follow
     nine closed linear-in-a forms (three values shared between two sectors,
     two sectors identical); relative tolerance 1e-9."""
@@ -200,7 +185,7 @@ def _check_closed_forms(cache: _SectorCache) -> CheckResult:
         forms = degenerate_closed_forms(a)
         for mask in list_valid_masks(params):
             exact = [float(x) for x in forms.sector_values(str(mask))]
-            got = sorted(cache.spectrum(params, mask).real_values())
+            got = _sorted_reals(memo, params, mask)
             for g, x in zip(got, exact):
                 defect = abs(g - x) / max(1.0, abs(x))
                 worst = max(worst, defect)
@@ -223,7 +208,7 @@ def _check_closed_forms(cache: _SectorCache) -> CheckResult:
 def _check_oscillator() -> CheckResult:
     """At a = b = 0 every algebraic eigenvalue is an even two-oscillator
     level 3(j1^2 + j2^2) - 40, absolute tolerance 1e-8."""
-    report = oscillator_membership(tol=1e-8)
+    report = oscillator_membership()
     if not report.ok:
         return CheckResult("oscillator", False, report.witness or "unmatched eigenvalue")
     parities = ", ".join(f"{k}:{v}" for k, v in sorted(report.sector_parities.items()))
@@ -395,7 +380,7 @@ def _check_decoupling() -> CheckResult:
     worst = 0.0
     for m in (1, 2):
         for b in (Fraction(0), Fraction(1, 4)):
-            report = decoupling_check(b, m, tol=1e-8)
+            report = decoupling_check(b, m)
             worst = max(worst, report.max_defect)
             if not report.ok:
                 return CheckResult(
@@ -412,23 +397,23 @@ def _check_decoupling() -> CheckResult:
     )
 
 
-def _sorted_reals(cache: _SectorCache, params: ModelParams, mask: GaugeMask) -> list[float]:
-    return sorted(cache.spectrum(params, mask).real_values())
+def _sorted_reals(memo: SectorMemo, params: ModelParams, mask: GaugeMask) -> list[float]:
+    return sorted(_sector(memo, params, mask)[1].real_values())
 
 
 def _min_cross_gap(xs: list[float], ys: list[float]) -> float:
     return min(abs(x - y) for x in xs for y in ys)
 
 
-def _check_figure_degeneracy(cache: _SectorCache) -> CheckResult:
+def _check_figure_degeneracy(memo: SectorMemo) -> CheckResult:
     """Along the root family (2, -1+eps, -1-eps) at b=0, N=m=2: at eps=0 the
     6-dimensional sector shares three eigenvalues with the sector leaving
     root 1 unmasked and the other two sectors are identical (tolerance 1e-6);
     at eps=1/2, a=5 every such coincidence is gone by more than 1e-3."""
     for a in (Fraction(0), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        big = _sorted_reals(cache, params, _EMPTY)
-        shared = _sorted_reals(cache, params, GaugeMask((2, 3)))
+        big = _sorted_reals(memo, params, _EMPTY)
+        shared = _sorted_reals(memo, params, GaugeMask((2, 3)))
         used: set[int] = set()
         for v in shared:
             best = min(
@@ -442,8 +427,8 @@ def _check_figure_degeneracy(cache: _SectorCache) -> CheckResult:
                     f"eps=0, a={a}: value {v} has no partner in the 6x6 sector",
                 )
             used.add(best)
-        pair_one = _sorted_reals(cache, params, GaugeMask((1, 3)))
-        pair_two = _sorted_reals(cache, params, GaugeMask((1, 2)))
+        pair_one = _sorted_reals(memo, params, GaugeMask((1, 3)))
+        pair_two = _sorted_reals(memo, params, GaugeMask((1, 2)))
         gap = max(abs(x - y) for x, y in zip(pair_one, pair_two))
         if gap > 1e-6:
             return CheckResult(
@@ -453,10 +438,10 @@ def _check_figure_degeneracy(cache: _SectorCache) -> CheckResult:
             )
 
     params = ModelParams(2, 5, 0, 2, epsilon_roots(Fraction(1, 2)))
-    big = _sorted_reals(cache, params, _EMPTY)
-    shared = _sorted_reals(cache, params, GaugeMask((2, 3)))
-    pair_one = _sorted_reals(cache, params, GaugeMask((1, 3)))
-    pair_two = _sorted_reals(cache, params, GaugeMask((1, 2)))
+    big = _sorted_reals(memo, params, _EMPTY)
+    shared = _sorted_reals(memo, params, GaugeMask((2, 3)))
+    pair_one = _sorted_reals(memo, params, GaugeMask((1, 3)))
+    pair_two = _sorted_reals(memo, params, GaugeMask((1, 2)))
     gap_shared = _min_cross_gap(big, shared)
     gap_pair = _min_cross_gap(pair_one, pair_two)
     if min(gap_shared, gap_pair) <= 1e-3:
@@ -477,29 +462,6 @@ def _check_figure_degeneracy(cache: _SectorCache) -> CheckResult:
 # -- eigensolver invariants -------------------------------------------------------
 
 
-def _fraction_inverse(
-    rows: tuple[tuple[Fraction, ...], ...],
-) -> list[list[Fraction]] | None:
-    """Exact inverse by Gauss-Jordan elimination, or None if singular."""
-    n = len(rows)
-    aug = [
-        list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _fraction_matmul(
     left: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
     right: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
@@ -511,14 +473,13 @@ def _fraction_matmul(
     ]
 
 
-def _invariant_pool(cache: _SectorCache) -> list[tuple[str, OperatorMatrix, Spectrum]]:
+def _invariant_pool(memo: SectorMemo) -> list[tuple[str, OperatorMatrix, Spectrum]]:
     """Every matrix diagonalized by the spectral checks, deduplicated."""
-    pool: dict[tuple, tuple[str, OperatorMatrix, Spectrum]] = {}
+    pool: dict[tuple[ModelParams, GaugeMask], tuple[str, OperatorMatrix, Spectrum]] = {}
 
     def add(params: ModelParams, mask: GaugeMask, label: str) -> None:
-        key = _SectorCache._key(params, mask)
-        if key not in pool:
-            pool[key] = (label, cache.matrix(params, mask), cache.spectrum(params, mask))
+        if (params, mask) not in pool:
+            pool[params, mask] = (label, *_sector(memo, params, mask))
 
     for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
@@ -535,12 +496,12 @@ def _invariant_pool(cache: _SectorCache) -> list[tuple[str, OperatorMatrix, Spec
     return list(pool.values())
 
 
-def _check_eigensolver(cache: _SectorCache) -> CheckResult:
+def _check_eigensolver(memo: SectorMemo) -> CheckResult:
     """On every matrix the spectral checks diagonalize: the eigenvalue sum
     matches the trace, the product matches the exact determinant (relative
     1e-8), complex values pair into conjugates, and five random exact
     similarity transforms leave the spectrum unchanged to 1e-8."""
-    pool = _invariant_pool(cache)
+    pool = _invariant_pool(memo)
     worst_det = 0.0
     for label, mat, spec in pool:
         values = spec.values
@@ -587,7 +548,7 @@ def _check_eigensolver(cache: _SectorCache) -> CheckResult:
             s = tuple(
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)
             )
-            s_inv = _fraction_inverse(s)
+            s_inv = inverse(s)
             if s_inv is not None:
                 break
         transformed = _fraction_matmul(_fraction_matmul(s, mat.rows), s_inv)
@@ -631,7 +592,7 @@ def run_checks(
             f"unknown check name(s) {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
 
-    cache = _SectorCache()
+    memo: SectorMemo = {}
     grid: list[GridEntry] | None = None
     grid_error: Exception | None = None
     if "closure" in requested or "raising" in requested:
@@ -647,7 +608,7 @@ def run_checks(
         if name == "matrices":
             results.append(_run_guarded(name, _check_matrices))
         elif name == "closed-forms":
-            results.append(_run_guarded(name, lambda: _check_closed_forms(cache)))
+            results.append(_run_guarded(name, lambda: _check_closed_forms(memo)))
         elif name == "oscillator":
             results.append(_run_guarded(name, _check_oscillator))
         elif name == "counting":
@@ -663,9 +624,9 @@ def run_checks(
         elif name == "decoupling":
             results.append(_run_guarded(name, _check_decoupling))
         elif name == "figure-degeneracy":
-            results.append(_run_guarded(name, lambda: _check_figure_degeneracy(cache)))
+            results.append(_run_guarded(name, lambda: _check_figure_degeneracy(memo)))
         elif name == "eigensolver":
-            results.append(_run_guarded(name, lambda: _check_eigensolver(cache)))
+            results.append(_run_guarded(name, lambda: _check_eigensolver(memo)))
     return results
 
 

@@ -12,6 +12,7 @@ from elliptic_qes.matrices import (
     OperatorMatrix,
     build_matrix,
     export_matrix,
+    inverse,
     matrix_from_json,
     raising_coefficient_check,
 )
@@ -83,16 +84,55 @@ def test_determinant_and_characteristic_values():
         assert big.char_poly_eval(eig) == 0
 
 
-def test_raising_check_both_paths_agree():
+def integer_rows(min_dim: int = 1, max_dim: int = 5):
+    return st.integers(min_dim, max_dim).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def determinant(rows) -> Fraction:
+    basis = enumerate_basis(1, len(rows) - 1)
+    return OperatorMatrix(basis, tuple(tuple(map(F, r)) for r in rows)).determinant()
+
+
+@given(integer_rows())
+def test_exact_inverse_and_determinant_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    det = determinant(rows)
+    assert det == sympy.Matrix(rows).det()
+    inv = inverse(rows)
+    if not det:
+        assert inv is None
+        return
+    expected = sympy.Matrix(rows).inv()
+    assert inv == [[F(x.p) / x.q for x in expected.row(i)] for i in range(n)]
+    product = [
+        [sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(integer_rows(min_dim=2), st.data())
+def test_repeated_row_is_singular(rows, data):
+    index = st.integers(0, len(rows) - 1)
+    i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    rows[j] = list(rows[i])
+    assert inverse(rows) is None
+    assert determinant(rows) == 0
+
+
+def test_raising_check_holds_at_every_degree():
     op = build_gauged_operator(
         ModelParams(2, Fraction(1, 3), Fraction(-1, 2), 2), EMPTY
     )
     mat = build_matrix(op)
     for degree in range(op.cutoff + 1):
-        assert raising_coefficient_check(op, degree) is True
         assert raising_coefficient_check(op, degree, mat) is True
     with pytest.raises(ValueError):
-        raising_coefficient_check(op, op.cutoff + 1)
+        raising_coefficient_check(op, op.cutoff + 1, mat)
 
 
 def test_raising_check_detects_tampering():

@@ -197,14 +197,6 @@ def test_total_degree_and_leading(p):
     assert sum(exps) == p.total_degree()
 
 
-@given(polys())
-def test_homogeneous_components_sum_back(p):
-    total = Poly.zero(2)
-    for d in range(p.total_degree() + 1):
-        total = total + p.homogeneous_component(d)
-    assert total == p
-
-
 @given(polys(nvars=1), points(nvars=3))
 def test_lift_preserves_evaluation(p, x):
     lifted = p.lift(3, 2)
@@ -223,8 +215,3 @@ def test_lift_example():
     lifted = p.lift(3, 1)
     z2 = Poly.variable(3, 1)
     assert lifted == z2 * z2 + Poly.constant(3, 5)
-
-
-@given(polys())
-def test_json_terms_round_trip(p):
-    assert Poly.from_json_terms(2, p.to_json_terms()) == p
