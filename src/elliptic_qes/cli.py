@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -341,9 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-# argparse reads a value starting with '-' (such as -1/2) as a flag, so a
-# negative rational must be joined to its flag with '='.
-_A_HELP = "interaction coupling a, exact rational (default 0); write negatives as --a=-1/2"
+_A_HELP = "interaction coupling a, exact rational (default 0)"
 
 
 def _add_param_flags(sub: argparse.ArgumentParser, *, roots_default: str | None) -> None:
@@ -351,12 +350,12 @@ def _add_param_flags(sub: argparse.ArgumentParser, *, roots_default: str | None)
     sub.add_argument(
         "--m",
         default="2",
-        help="degree parameter, exact rational (default 2); write negatives as --m=-1/2",
+        help="degree parameter, exact rational (default 2)",
     )
     sub.add_argument(
         "--b",
         default="0",
-        help="external coupling b, exact rational (default 0); write negatives as --b=-1/2",
+        help="external coupling b, exact rational (default 0)",
     )
     sub.add_argument(
         "--roots",
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--a",
         default=None,
-        help="interaction coupling a, epsilon sweeps only; write negatives as --a=-1/2",
+        help="interaction coupling a, epsilon sweeps only",
     )
     p_sweep.add_argument("--mask", default="all", help="gauge mask or 'all' (default all)")
     p_sweep.add_argument(
@@ -435,9 +434,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each flag to a following value that starts with '-' and a digit.
+
+    argparse takes a value such as -1/2 or -1,2,-1 for an unknown flag and
+    stops with "expected one argument".  No flag of this CLI starts that way,
+    so ``--a -1/2`` becomes ``--a=-1/2``.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE_VALUE.match(token) and prev.startswith("--") and "=" not in prev:
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NoConvergence, OperatorNotClosed) as exc:

@@ -7,16 +7,18 @@ coordinates tau,
 
     L = sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C ,
 
-with polynomial coefficients.  Its images of 1, tau_i and tau_i tau_j (the
-probes, computed by `GaugedOperator.apply`) determine A, B and C exactly, and
-every higher column follows from them by exponent shifts in tau-space, with
-no further trip through z-space.
+with polynomial coefficients.  A, B and C are written in closed form: fixed
+integer tau-polynomials that depend only on N (`symmetric.structure_sums`),
+combined linearly with the coefficients of the cubic, the gauge charge, the
+gauge scalar and the couplings.  Every column follows from them by exponent
+shifts in tau-space, so assembly never passes through z-space;
+`GaugedOperator.apply` stays the independent z-space oracle that checks it.
 
 Assembling a matrix is itself the closure proof for its parameter point.
-Every column, probe or formula-built, is the full exact image, components
-above the cutoff included, and any image component outside the basis raises
-OperatorNotClosed.  A constructed OperatorMatrix therefore certifies that the
-sector's invariant space really is invariant.
+Every column is the full exact image, components above the cutoff included,
+and any image component outside the basis raises OperatorNotClosed.  A
+constructed OperatorMatrix therefore certifies that the sector's invariant
+space really is invariant.
 
 The exact linear algebra on these matrices (determinant, values of the
 characteristic polynomial, inverse) is one fraction Gauss-Jordan routine,
@@ -33,9 +35,9 @@ from operator import add
 from typing import Sequence
 
 from .errors import OperatorNotClosed
-from .operator import GaugedOperator, raising_coefficient
+from .operator import GaugedOperator, potential_coefficient, raising_coefficient
 from .polynomials import Exponents, Poly, format_rational, parse_rational
-from .symmetric import BasisIndex, enumerate_basis
+from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,26 +128,19 @@ def _gauss_jordan(work: list[list[Fraction]]) -> Fraction:
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space.
 
-    Applies the operator only to the basis monomials of tau-degree <= 2 (the
-    probes, all of them when the cutoff is below 2), reads the coefficients
-    of L = sum A_ij d_i d_j + sum B_i d_i + C off their images, and builds
-    every other column from the tau-space formula for L(tau^l).  Each column
-    is the exact, untruncated image, so this raises OperatorNotClosed if any
-    image has a component of tau-degree above the sector cutoff.
+    Writes the coefficients of L = sum A_ij d_i d_j + sum B_i d_i + C in
+    closed form and builds every column from the tau-space formula for
+    L(tau^l).  Each column is the exact, untruncated image, so this raises
+    OperatorNotClosed if any image has a component of tau-degree above the
+    sector cutoff.
     """
     basis = enumerate_basis(op.nvars, op.cutoff)
     dim = len(basis)
-    # the basis lists monomials degree by degree, so the probes come first
-    probes = [exps for exps in basis if sum(exps) <= 2]
-    images = [op.apply(Poly.monomial(exps)) for exps in probes]
-    if len(probes) < dim:
-        parts = _tau_coefficients(op.nvars, dict(zip(probes, images)))
-        images += [_image(exps, parts) for exps in basis.monomials[len(probes):]]
-
+    parts = _tau_coefficients(op)
     columns: list[dict[int, Fraction]] = []
-    for exps, image in zip(basis, images):
+    for exps in basis:
         col: dict[int, Fraction] = {}
-        for iexps, coeff in image.terms.items():
+        for iexps, coeff in _image(exps, parts).terms.items():
             if iexps not in basis:
                 raise OperatorNotClosed(
                     f"image of tau-monomial {exps} contains {iexps} of degree "
@@ -164,24 +159,53 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
 _Part = tuple[tuple[int, ...], Poly]
 
 
-def _tau_coefficients(nvars: int, probes: dict[Exponents, Poly]) -> list[_Part]:
-    """Coefficients of L as a second-order operator in tau, from the probes.
+def _tau_coefficients(op: GaugedOperator) -> list[_Part]:
+    """Coefficients of L as a second-order operator in tau, in closed form.
 
-    C = L(1), B_i = L(t_i) - t_i C and
-    A_ij = L(t_i t_j) - t_j B_i - t_i B_j - t_i t_j C, halved when i = j.
+    For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
+    F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
+    operator of `GaugedOperator.apply`, with p_r, p'_r, q_r and s_r the
+    coefficients of z^r in the cubic, its derivative, the gauge charge and
+    the gauge scalar, and the sums of `symmetric.StructureSums`:
+
+        C    = V tau_1 - sum_r s_r P_r - 2a sum_r q_r D_r
+        B_i  = -sum_r (2 q_r + (b + 1/2) p'_r) T_ri - 2a sum_r p_r E_ri
+        A_ij = -(2 - delta_ij) sum_r p_r Q_rij
     """
-    zero = (0,) * nvars
-    unit = [zero[:i] + (1,) + zero[i + 1 :] for i in range(nvars)]
-    tau = [Poly.monomial(e) for e in unit]
-    c = probes[zero]
-    b = [probes[unit[i]] - tau[i] * c for i in range(nvars)]
-    parts = [((), c)] + [((i,), b[i]) for i in range(nvars)]
-    for i in range(nvars):
-        for j in range(i, nvars):
-            pair = tuple(map(add, unit[i], unit[j]))
-            a = probes[pair] - tau[j] * b[i] - tau[i] * b[j] - Poly.monomial(pair) * c
-            parts.append(((i, j), a * Fraction(1, 2) if i == j else a))
+    n = op.nvars
+    sums = structure_sums(n)
+    a2 = 2 * op.params.coupling_a
+    b_half = op.params.coupling_b + Fraction(1, 2)
+    cubic, charge = _by_power(op.cubic), _by_power(op.charge)
+    drift = _by_power(2 * op.charge + b_half * op.cubic_prime)
+
+    def combine(weighted: list[tuple[Fraction, Poly]]) -> Poly:
+        return sum((poly * w for w, poly in weighted if w), Poly.zero(n))
+
+    tau1 = Poly.monomial((1,) + (0,) * (n - 1))
+    c = combine(
+        [(potential_coefficient(op.params), tau1)]
+        + [(-w, sums.P[r]) for r, w in _by_power(op.scalar).items()]
+        + [(-a2 * w, sums.D[r]) for r, w in charge.items()]
+    )
+    parts = [((), c)]
+    for i in range(n):
+        b = combine(
+            [(-w, sums.T[r][i]) for r, w in drift.items()]
+            + [(-a2 * w, sums.E[r][i]) for r, w in cubic.items()]
+        )
+        parts.append(((i,), b))
+    for i in range(n):
+        for j in range(i, n):
+            scale = -1 if i == j else -2
+            a = combine([(scale * w, sums.Q[r][i][j]) for r, w in cubic.items()])
+            parts.append(((i, j), a))
     return [(idx, p) for idx, p in parts if p]
+
+
+def _by_power(poly: Poly) -> dict[int, Fraction]:
+    """Coefficients of a univariate polynomial, keyed by the power of z."""
+    return {e: c for (e,), c in poly.terms.items()}
 
 
 def _image(exps: Exponents, parts: list[_Part]) -> Poly:

@@ -10,6 +10,11 @@ The grading used throughout the operator pipeline is the *tau*-degree
 sum(l_i) of a tau-monomial tau_1^{l_1}...tau_N^{l_N}, not the z-degree
 sum(k*l_k) of its expansion.  The two differ for N >= 2, and every closure and
 degree-raising statement downstream refers to the tau-degree.
+
+`structure_sums` writes, once per N, the symmetric z-space sums that the
+gauged operator's tau-space coefficients are built from.  They come from
+power sums and Newton's identities alone, without a trip through z-space;
+`tau_to_z` and `z_to_tau` remain the exact conversions that check them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import NotSymmetric
 from .polynomials import Exponents, Poly, listing_key
@@ -148,3 +154,111 @@ def z_to_tau(p: Poly) -> Poly:
         tau_terms[tau_exps] = tau_terms.get(tau_exps, Fraction(0)) + coeff
         remainder = remainder - _tau_monomial_in_z(n, tau_exps) * coeff
     return Poly(n, tau_terms)
+
+
+# The cubic p, the gauge charge q and the gauge scalar s have degree <= 3, so
+# the operator only ever needs the sums below for z-powers r = 0..3.
+_MAX_POWER = 3
+
+
+class StructureSums(NamedTuple):
+    """Symmetric z-space sums in tau-space, for z-powers r = 0..3.
+
+    With sigma^k_j = d tau_{j+1} / d z_k, the j-th elementary symmetric
+    polynomial of the variables other than z_k, and i, j = 0..N-1:
+
+        P[r]       = sum_k z_k^r
+        T[r][j]    = sum_k z_k^r sigma^k_j
+        Q[r][i][j] = sum_k z_k^r sigma^k_i sigma^k_j
+        D[r]       = sum_{k<l} (z_k^r - z_l^r) / (z_k - z_l)
+        E[r][j]    = sum_{k<l} (z_k^r sigma^k_j - z_l^r sigma^l_j) / (z_k - z_l)
+
+    Every entry is a polynomial in tau with integer coefficients.
+    """
+
+    P: tuple[Poly, ...]
+    T: tuple[tuple[Poly, ...], ...]
+    Q: tuple[tuple[tuple[Poly, ...], ...], ...]
+    D: tuple[Poly, ...]
+    E: tuple[tuple[Poly, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def structure_sums(nvars: int) -> StructureSums:
+    """The sums of `StructureSums` for N = nvars, written over tau.
+
+    sigma^k_j = sum_{m<=j} (-z_k)^m tau_{j-m} turns Q into power sums
+    P_s = sum_k z_k^s, which Newton's identities write over tau.  Each pair
+    sum is symmetric in k and l, so sum_{k<l} is half of sum_{k!=l}.  The
+    variables other than z_k and z_l have elementary symmetric polynomials
+    sigma^kl_j = sum_{m+n<=j} (-z_k)^m (-z_l)^n tau_{j-m-n}, and
+    sum_{k!=l} z_k^x z_l^y = P_x P_y - P_{x+y}.  Dividing by z_k - z_l first
+    (sigma^k_j = sigma^kl_j + z_l sigma^kl_{j-1}) gives, with
+    h_d(x, y) = sum_{u+v=d} x^u y^v,
+
+        E[r][j] = sum_{k<l} sigma^kl_j h_{r-1} + sigma^kl_{j-1} z_k z_l h_{r-2}
+
+    for r >= 1, and E[0][j] = -sum_{k<l} sigma^kl_{j-1}.  As sigma^k_0 = 1,
+    P, T and D are the first entries of Q and E.
+    """
+    n = nvars
+    zero = Poly.zero(n)
+    taus = [Poly.constant(n, 1)] + [
+        Poly.monomial(tuple(int(i == k) for i in range(n))) for k in range(n)
+    ]
+
+    def tau(j: int) -> Poly:
+        return taus[j] if 0 <= j <= n else zero
+
+    # Newton: P_s = sum_{j=1}^{s-1} (-1)^(j-1) tau_j P_{s-j} + (-1)^(s-1) s tau_s
+    power = [Poly.constant(n, n)]
+    for s in range(1, 2 * n + 2):
+        acc = (-1) ** (s - 1) * s * tau(s)
+        for j in range(1, min(s - 1, n) + 1):
+            acc = acc + (-1) ** (j - 1) * (tau(j) * power[s - j])
+        power.append(acc)
+
+    cross: dict[tuple[int, int], Poly] = {}
+
+    def pair_sum(j: int, powers: list[tuple[int, int]]) -> Poly:
+        """sum_{k!=l} sigma^kl_j sum_{(x, y) in powers} z_k^x z_l^y (0 for j < 0)."""
+        out = zero
+        for m in range(j + 1):
+            for m2 in range(j + 1 - m):
+                for x, y in powers:
+                    key = (x + m, y + m2)
+                    if key not in cross:
+                        cross[key] = power[key[0]] * power[key[1]] - power[sum(key)]
+                    out = out + (-1) ** (m + m2) * (tau(j - m - m2) * cross[key])
+        return out
+
+    def h(d: int) -> list[tuple[int, int]]:
+        return [(u, d - u) for u in range(d + 1)]
+
+    half = Fraction(1, 2)
+    rs = range(_MAX_POWER + 1)
+    q_rows, e_rows = [], []
+    for r in rs:
+        square = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                for m in range(i + 1):
+                    for m2 in range(j + 1):
+                        term = tau(i - m) * tau(j - m2) * power[r + m + m2]
+                        square[i][j] = square[i][j] + (-1) ** (m + m2) * term
+                square[j][i] = square[i][j]
+        q_rows.append(tuple(map(tuple, square)))
+        if r:
+            raised = [(x + 1, y + 1) for x, y in h(r - 2)]
+            e_rows.append(tuple(
+                (pair_sum(j, h(r - 1)) + pair_sum(j - 1, raised)) * half for j in range(n)
+            ))
+        else:
+            e_rows.append(tuple(-pair_sum(j - 1, [(0, 0)]) * half for j in range(n)))
+    return StructureSums(
+        P=tuple(q[0][0] for q in q_rows),
+        T=tuple(q[0] for q in q_rows),
+        Q=tuple(q_rows),
+        D=tuple(e[0] for e in e_rows),
+        E=tuple(e_rows),
+    )

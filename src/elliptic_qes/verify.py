@@ -40,6 +40,7 @@ from .oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
+from .polynomials import Poly
 from .spectral import Spectrum, eigenvalues, spectrum_of
 
 CHECK_NAMES: tuple[str, ...] = (
@@ -259,15 +260,66 @@ def _check_counting() -> CheckResult:
 
 def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> CheckResult:
     """Every valid sector on the random grid builds a matrix without leaving
-    the invariant space and without a surviving gauge pole."""
+    the invariant space and without a surviving gauge pole, and on a sample
+    of cutoff-2 sectors every column equals the image that
+    `GaugedOperator.apply` computes in z-space."""
     if error is not None:
         return CheckResult("closure", False, f"{type(error).__name__}: {error}")
     assert grid is not None
+    sample = _cross_check_sample(grid)
+    for params, mask, op, mat in sample:
+        if not _equals_applied_images(op, mat):
+            roots = ",".join(map(str, params.roots))
+            return CheckResult(
+                "closure",
+                False,
+                f"mask {mask}, N={params.nvars}, m={params.degree_m}, "
+                f"a={params.coupling_a}, b={params.coupling_b}, roots {roots}: "
+                "the tau-space matrix differs from the z-space images",
+            )
     return CheckResult(
         "closure",
         True,
         f"{len(grid)} sectors (all masks, N <= 3, cutoff <= 3, 5 random "
-        "tuples per cell) closed on their invariant spaces",
+        "tuples per cell) closed on their invariant spaces; "
+        f"{len(sample)} cutoff-2 sectors cross-checked against z-space images",
+    )
+
+
+def _cross_check_sample(grid: list[GridEntry]) -> list[GridEntry]:
+    """For each N, the eight mask sectors of one cutoff-2 tuple.
+
+    At cutoff 2 the basis is 1, tau_i and tau_i tau_j, whose images fix the
+    tau-space coefficients A, B and C.  The tuple is the first on which the
+    most of a, g3, 1/2 - b and b + 1/2 are nonzero, since each of them
+    switches off a group of terms of A, B and C when it vanishes.
+    """
+    half = Fraction(1, 2)
+
+    def live(params: ModelParams) -> int:
+        b = params.coupling_b
+        return sum(x != 0 for x in (params.coupling_a, params.g3, half - b, half + b))
+
+    cells: dict[int, list[GridEntry]] = {}
+    for entry in grid:
+        if entry[2].cutoff == 2:
+            cells.setdefault(entry[0].nvars, []).append(entry)
+    sample: list[GridEntry] = []
+    for cell in cells.values():
+        # the grid lists the masks of one tuple consecutively
+        starts = range(0, len(cell), len(ALL_MASKS))
+        best = max(starts, key=lambda k: live(cell[k][0]))
+        sample += cell[best : best + len(ALL_MASKS)]
+    return sample
+
+
+def _equals_applied_images(op: GaugedOperator, mat: OperatorMatrix) -> bool:
+    """Each column, read as a tau-polynomial, is `op.apply` of its monomial."""
+    basis = mat.basis
+    return all(
+        op.apply(Poly.monomial(exps))
+        == Poly(op.nvars, {basis[i]: row[j] for i, row in enumerate(mat.rows)})
+        for j, exps in enumerate(basis)
     )
 
 

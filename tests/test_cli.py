@@ -38,6 +38,22 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    ("command", "values"),
+    [
+        (("matrix",), (("--a", "-1/2"), ("--b", "-1/4"), ("--roots", "-1,2,-1"))),
+        (("matrix", "--mask", "1", "--b", "2"), (("--m", "-1/2"),)),
+        (("sweep", "--sweep-var", "a", "--n", "1", "--m", "1"), (("--range", "-1:1:3"),)),
+    ],
+)
+def test_negative_values_spaced_or_joined(capsys, command, values):
+    spaced = [*command, *(word for pair in values for word in pair)]
+    joined = [*command, *(f"{flag}={value}" for flag, value in values)]
+    code, out, _ = run(capsys, *spaced)
+    assert code == 0
+    assert (code, out) == run(capsys, *joined)[:2]
+
+
 # -- spectrum -----------------------------------------------------------------------
 
 

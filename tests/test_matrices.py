@@ -148,10 +148,10 @@ def test_raising_check_detects_tampering():
 @pytest.mark.parametrize(
     ("nvars", "cutoff"),
     [
-        # truncated to cutoff 1: every column is a probe
-        pytest.param(1, 2, id="probe-columns"),
-        # truncated to cutoff 3: only formula-built columns leave the space
-        pytest.param(2, 4, id="formula-columns"),
+        # truncated to cutoff 1: the image of tau_1 leaves the space
+        pytest.param(1, 2, id="n1-truncated-to-1"),
+        # truncated to cutoff 3: only columns of degree 3 leave the space
+        pytest.param(2, 4, id="n2-truncated-to-3"),
     ],
 )
 def test_closure_violation_detected(nvars, cutoff):
@@ -200,23 +200,24 @@ def test_matrix_equals_applied_images_four_particles_cutoff_four():
     assert build_matrix(op).rows == oracle_rows(op)
 
 
+def test_matrix_equals_applied_images_five_particles_cutoff_two():
+    # the columns 1, tau_i and tau_i tau_j fix every coefficient of L at N=5
+    roots = (Fraction(5, 2), Fraction(-3, 4), Fraction(-7, 4))
+    op = sector(5, Fraction(-2, 3), Fraction(1, 3), roots, GaugeMask((2,)), 2)
+    assert build_matrix(op).rows == oracle_rows(op)
+
+
 @pytest.mark.parametrize(
-    ("nvars", "cutoff", "probes"),
-    [(1, 0, 1), (1, 1, 2), (1, 5, 3), (2, 1, 3), (3, 2, 10), (4, 4, 15)],
+    ("nvars", "cutoff"), [(1, 0), (1, 1), (1, 5), (2, 1), (3, 2), (4, 4)]
 )
-def test_operator_applied_once_per_probe(monkeypatch, nvars, cutoff, probes):
+def test_build_matrix_never_applies_operator(monkeypatch, nvars, cutoff):
     op = build_gauged_operator(ModelParams(nvars, Fraction(1, 2), 0, cutoff), EMPTY)
-    applied: list[Poly] = []
-    apply = GaugedOperator.apply
 
-    def counting_apply(self, f):
-        applied.append(f)
-        return apply(self, f)
+    def forbidden_apply(self, f):
+        raise AssertionError("build_matrix applied the operator in z-space")
 
-    monkeypatch.setattr(GaugedOperator, "apply", counting_apply)
-    build_matrix(op)
-    assert len(applied) == probes
-    assert applied == [Poly.monomial(e) for e in enumerate_basis(nvars, min(cutoff, 2))]
+    monkeypatch.setattr(GaugedOperator, "apply", forbidden_apply)
+    assert build_matrix(op).dim == len(enumerate_basis(nvars, cutoff))
 
 
 def test_json_round_trip():

@@ -1,6 +1,7 @@
 """Symmetric-polynomial bases and the two changes of variables."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from elliptic_qes.symmetric import (
     elementary_symmetric,
     enumerate_basis,
     is_symmetric,
+    structure_sums,
     tau_to_z,
     z_to_tau,
 )
@@ -114,3 +116,49 @@ def test_expansion_example():
     z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
     assert tau_to_z(Poly(2, {(0, 1): Fraction(1)})) == z1 * z2
     assert tau_to_z(Poly(2, {(1, 1): Fraction(1)})) == (z1 + z2) * z1 * z2
+
+
+# -- structure sums of the gauged operator ----------------------------------------
+
+
+def subset_sum(nvars: int, size: int, others: list[int]) -> Poly:
+    """Elementary symmetric polynomial of degree ``size`` in the given variables."""
+    terms = {}
+    for subset in combinations(others, size):
+        terms[tuple(int(i in subset) for i in range(nvars))] = Fraction(1)
+    return Poly(nvars, terms)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_structure_sums_match_z_space(nvars, r):
+    sums = structure_sums(nvars)
+    z = [Poly.variable(nvars, k) for k in range(nvars)]
+    zr = [zk**r for zk in z]
+    pairs = list(combinations(range(nvars), 2))
+    # sigma[k][j]: elementary symmetric polynomial of degree j without z_k
+    sigma = [
+        [subset_sum(nvars, j, [i for i in range(nvars) if i != k]) for j in range(nvars)]
+        for k in range(nvars)
+    ]
+
+    def total(polys) -> Poly:
+        return sum(polys, Poly.zero(nvars))
+
+    assert tau_to_z(sums.P[r]) == total(zr)
+    assert tau_to_z(sums.D[r]) == total(
+        (zr[k] - zr[l]).divide_exact(z[k] - z[l]) for k, l in pairs
+    )
+    for j in range(nvars):
+        assert tau_to_z(sums.T[r][j]) == total(zr[k] * sigma[k][j] for k in range(nvars))
+        assert tau_to_z(sums.E[r][j]) == total(
+            (zr[k] * sigma[k][j] - zr[l] * sigma[l][j]).divide_exact(z[k] - z[l])
+            for k, l in pairs
+        )
+        for i in range(nvars):
+            assert tau_to_z(sums.Q[r][i][j]) == total(
+                zr[k] * sigma[k][i] * sigma[k][j] for k in range(nvars)
+            )
+    entries = [sums.P[r], sums.D[r], *sums.T[r], *sums.E[r]]
+    entries += [q for row in sums.Q[r] for q in row]
+    assert all(c.denominator == 1 for p in entries for c in p.terms.values())

@@ -1,8 +1,10 @@
-"""Scope of the verification runner's sector memo."""
+"""Scope of the verification runner's sector memo and its z-space cross-check."""
 
+import random
 from collections import Counter
 
 from elliptic_qes import verify
+from elliptic_qes.matrices import OperatorMatrix
 
 SPECTRAL_CHECKS = ["closed-forms", "figure-degeneracy", "eigensolver"]
 
@@ -23,3 +25,19 @@ def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
     first, second = builds
     assert first and max(first.values()) == 1
     assert sum(second.values()) == sum(first.values())
+
+
+def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
+    grid = verify._closure_grid(random.Random(505))
+    sample = verify._cross_check_sample(grid)
+    assert len(sample) == 24
+    assert verify._check_closure(grid, None).passed
+    params, mask, op, mat = sample[-1]
+    rows = [list(row) for row in mat.rows]
+    rows[0][0] += 1
+    tampered = OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
+    index = next(i for i, entry in enumerate(grid) if entry[3] is mat)
+    grid[index] = (params, mask, op, tampered)
+    result = verify._check_closure(grid, None)
+    assert not result.passed
+    assert f"mask {mask}, N={params.nvars}" in result.detail
