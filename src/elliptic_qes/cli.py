@@ -29,7 +29,7 @@ from .errors import (
     NotSymmetric,
     OperatorNotClosed,
 )
-from .matrices import build_matrix, export_matrix
+from .matrices import build_matrix, export_matrix, matches_operator
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
@@ -118,7 +118,11 @@ def _params_payload(params: ModelParams) -> dict:
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mask = GaugeMask.from_string(args.mask)
-    mat = build_matrix(build_gauged_operator(params, mask))
+    op = build_gauged_operator(params, mask)
+    mat = build_matrix(op)
+    if not matches_operator(op, mat):
+        print("error: the tau-space matrix differs from the z-space images", file=sys.stderr)
+        return 1
     _emit(export_matrix(mat, args.format), args.out)
     return 0
 
@@ -372,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_matrix = sub.add_parser("matrix", help="print one sector matrix")
+    p_matrix = sub.add_parser(
+        "matrix", help="print one sector matrix, checked against the z-space operator"
+    )
     _add_param_flags(p_matrix, roots_default="2,-1,-1")
     p_matrix.add_argument("--a", default="0", help=_A_HELP)
     p_matrix.add_argument("--mask", default="none", help="gauge mask (default none)")

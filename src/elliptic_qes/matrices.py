@@ -154,6 +154,23 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     return OperatorMatrix(basis, rows)
 
 
+
+def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
+    """The columns of tau-degree <= 2 equal the z-space images `op.apply`.
+
+    Those columns are the images of 1, tau_i and tau_i tau_j, which fix A, B
+    and C; every other column follows from them by the tau-space formula.
+    So this checks the closed-form coefficients of a built matrix against
+    the operator they were derived from, at C(N+2, 2) applications at most.
+    """
+    basis = mat.basis
+    return all(
+        op.apply(Poly.monomial(exps))
+        == Poly(op.nvars, {basis[i]: row[j] for i, row in enumerate(mat.rows)})
+        for j, exps in enumerate(basis)
+        if sum(exps) <= 2
+    )
+
 # One term of L in tau-space: the indices of its tau-derivatives (none, i, or
 # i <= j) and its polynomial coefficient.
 _Part = tuple[tuple[int, ...], Poly]

@@ -20,7 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidDegree, NonCancellingPole, OperatorNotClosed
-from .matrices import OperatorMatrix, build_matrix, inverse, raising_coefficient_check
+from .matrices import (
+    OperatorMatrix,
+    build_matrix,
+    inverse,
+    matches_operator,
+    raising_coefficient_check,
+)
 from .model import (
     ALL_MASKS,
     GaugeMask,
@@ -40,7 +46,6 @@ from .oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
-from .polynomials import Poly
 from .spectral import Spectrum, eigenvalues, spectrum_of
 
 CHECK_NAMES: tuple[str, ...] = (
@@ -268,7 +273,7 @@ def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> Che
     assert grid is not None
     sample = _cross_check_sample(grid)
     for params, mask, op, mat in sample:
-        if not _equals_applied_images(op, mat):
+        if not matches_operator(op, mat):
             roots = ",".join(map(str, params.roots))
             return CheckResult(
                 "closure",
@@ -311,16 +316,6 @@ def _cross_check_sample(grid: list[GridEntry]) -> list[GridEntry]:
         best = max(starts, key=lambda k: live(cell[k][0]))
         sample += cell[best : best + len(ALL_MASKS)]
     return sample
-
-
-def _equals_applied_images(op: GaugedOperator, mat: OperatorMatrix) -> bool:
-    """Each column, read as a tau-polynomial, is `op.apply` of its monomial."""
-    basis = mat.basis
-    return all(
-        op.apply(Poly.monomial(exps))
-        == Poly(op.nvars, {basis[i]: row[j] for i, row in enumerate(mat.rows)})
-        for j, exps in enumerate(basis)
-    )
 
 
 def _check_gauge_exponents(force_exponent: Fraction | None) -> CheckResult:

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+import elliptic_qes.cli as cli
 from elliptic_qes.cli import main
-from elliptic_qes.matrices import build_matrix, matrix_from_json
+from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
 from elliptic_qes.model import GaugeMask, ModelParams
 from elliptic_qes.operator import build_gauged_operator
 
@@ -194,6 +195,19 @@ def test_matrix_default_known_entry(capsys):
     assert payload["entries"][1][0] == "20"
     assert payload["entries"][0][1] == "12"  # g2 * (2a + 2b + 1) at the reference roots
 
+
+
+def test_matrix_that_differs_from_z_space_exits_1(capsys, monkeypatch):
+    def tampered_build(op):
+        mat = build_matrix(op)
+        rows = [list(row) for row in mat.rows]
+        rows[1][0] += 1
+        return OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cli, "build_matrix", tampered_build)
+    code, out, err = run(capsys, "matrix")
+    assert code == 1 and out == ""
+    assert "differs from the z-space images" in err
 
 # -- eigenfunctions ------------------------------------------------------------------------
 

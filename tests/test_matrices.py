@@ -13,6 +13,7 @@ from elliptic_qes.matrices import (
     build_matrix,
     export_matrix,
     inverse,
+    matches_operator,
     matrix_from_json,
     raising_coefficient_check,
 )
@@ -219,6 +220,26 @@ def test_build_matrix_never_applies_operator(monkeypatch, nvars, cutoff):
     monkeypatch.setattr(GaugedOperator, "apply", forbidden_apply)
     assert build_matrix(op).dim == len(enumerate_basis(nvars, cutoff))
 
+
+
+def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
+    op = build_gauged_operator(ModelParams(4, Fraction(1, 2), 0, 4), EMPTY)
+    mat = build_matrix(op)
+    applied = []
+    original = GaugedOperator.apply
+
+    def counting_apply(self, f):
+        applied.append(next(iter(f.terms)))
+        return original(self, f)
+
+    monkeypatch.setattr(GaugedOperator, "apply", counting_apply)
+    assert matches_operator(op, mat)
+    assert sorted(applied) == sorted(e for e in mat.basis if sum(e) <= 2)
+    assert len(applied) == 15
+    rows = [list(row) for row in mat.rows]
+    j = mat.basis.index_of((1, 1, 0, 0))
+    rows[0][j] += 1
+    assert not matches_operator(op, OperatorMatrix(mat.basis, tuple(map(tuple, rows))))
 
 def test_json_round_trip():
     mat = build_matrix(
