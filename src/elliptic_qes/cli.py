@@ -10,8 +10,11 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1).  Exit codes:
-0 success, 1 a verification or convergence failure, 2 a parameter error.
+their grid points exactly as lo + k (hi - lo)/(steps - 1).  Before building
+anything, matrix, spectrum, sweep and eigenfunctions sum the basis dimensions
+of their sectors over every grid point and refuse a total above
+MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a verification or convergence
+failure, 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ from .spectral import eigenvector, spectrum_of, to_float
 from .verify import CHECK_NAMES, report_json, run_checks
 
 SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
+
+# Largest total basis dimension one command may build and diagonalize, summed
+# over its sectors and grid points.  N=6, m=6 over all masks (2310) takes
+# about 5 s; N=7, m=6 (4092) and N=8, m=8 (32175) are refused.
+MAX_TOTAL_DIMENSION = 3000
 
 
 def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -79,6 +87,20 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
     return [GaugeMask.from_string(text)]
 
 
+def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1) -> None:
+    """Refuse work above MAX_TOTAL_DIMENSION before anything is built.
+
+    Invalid masks are skipped here; building them reports the error."""
+    total = points * sum(
+        params.basis_dimension(mask) for mask in masks if params.sector_is_valid(mask)
+    )
+    if total > MAX_TOTAL_DIMENSION:
+        raise ValueError(
+            f"the requested sectors have total dimension {total}, above the "
+            f"limit {MAX_TOTAL_DIMENSION}"
+        )
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -118,6 +140,7 @@ def _params_payload(params: ModelParams) -> dict:
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mask = GaugeMask.from_string(args.mask)
+    _check_budget(params, [mask])
     op = build_gauged_operator(params, mask)
     mat = build_matrix(op)
     if not matches_operator(op, mat):
@@ -139,7 +162,9 @@ def _sector_payload(params: ModelParams, mask: GaugeMask) -> dict:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    sectors = [_sector_payload(params, mask) for mask in _selected_masks(params, args.mask)]
+    masks = _selected_masks(params, args.mask)
+    _check_budget(params, masks)
+    sectors = [_sector_payload(params, mask) for mask in masks]
     if args.format == "json":
         payload = {"params": _params_payload(params), "sectors": sectors}
         _emit(json.dumps(payload, indent=2), args.out)
@@ -176,14 +201,18 @@ def sweep_rows(
         raise ValueError("an epsilon sweep fixes the root family; drop --roots")
     if sweep_var not in ("epsilon", "a"):
         raise ValueError(f"sweep variable must be 'epsilon' or 'a', got {sweep_var!r}")
+
+    def params_at(value: Fraction) -> ModelParams:
+        if sweep_var == "epsilon":
+            return ModelParams(nvars, coupling_a, coupling_b, degree_m, epsilon_roots(value))
+        return ModelParams(nvars, value, coupling_b, degree_m, roots or (2, -1, -1))
+
+    # every grid point has the same sectors: they depend on N, m and b only
+    first = params_at(lo)
+    _check_budget(first, _selected_masks(first, mask), steps)
     rows: list[tuple[Fraction, str, int, float, float]] = []
     for value in _grid(lo, hi, steps):
-        if sweep_var == "epsilon":
-            params = ModelParams(nvars, coupling_a, coupling_b, degree_m, epsilon_roots(value))
-        else:
-            params = ModelParams(
-                nvars, value, coupling_b, degree_m, roots or (2, -1, -1)
-            )
+        params = params_at(value)
         for sector_mask in _selected_masks(params, mask):
             spectrum = spectrum_of(build_matrix(build_gauged_operator(params, sector_mask)))
             for i, v in enumerate(spectrum.values):
@@ -290,6 +319,7 @@ def _gauge_prefix_text(params: ModelParams, mask: GaugeMask) -> str:
 def cmd_eigenfunctions(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mask = GaugeMask.from_string(args.mask)
+    _check_budget(params, [mask])
     mat = build_matrix(build_gauged_operator(params, mask))
     spectrum = spectrum_of(mat)
     arr = to_float(mat)

@@ -115,25 +115,31 @@ def _sector(
 GridEntry = tuple[ModelParams, GaugeMask, GaugedOperator, OperatorMatrix]
 
 
-def _closure_grid(rng: random.Random) -> list[GridEntry]:
-    """All eight masks at N <= 3, shifted cutoff <= 3, five tuples per cell.
+def _grid_entry(
+    nvars: int,
+    cutoff: int,
+    a: Fraction,
+    b: Fraction,
+    roots: tuple[Fraction, Fraction, Fraction],
+    mask: GaugeMask,
+) -> GridEntry:
+    """The sector of `mask` at the given cutoff, with the original degree
+    solved as m = cutoff + n_f (1/2 - b) so that it is valid."""
+    params = ModelParams(nvars, a, b, cutoff + mask.n_f * (Fraction(1, 2) - b), roots)
+    op = build_gauged_operator(params, mask)
+    return (params, mask, op, build_matrix(op))
 
-    The original degree is solved per mask so that every sector is valid:
-    m = cutoff + n_f (1/2 - b).
-    """
+
+def _closure_grid(rng: random.Random) -> list[GridEntry]:
+    """All eight masks at N <= 3, shifted cutoff <= 3, five tuples per cell."""
     grid: list[GridEntry] = []
-    half = Fraction(1, 2)
     for nvars in (1, 2, 3):
         for cutoff in range(4):
             for _ in range(5):
                 a = _random_fraction(rng, -2, 2, (1, 2))
                 b = _random_fraction(rng, -1, 2, (1, 2, 4))
                 roots = _random_roots(rng)
-                for mask in ALL_MASKS:
-                    m = cutoff + mask.n_f * (half - b)
-                    params = ModelParams(nvars, a, b, m, roots)
-                    op = build_gauged_operator(params, mask)
-                    grid.append((params, mask, op, build_matrix(op)))
+                grid += [_grid_entry(nvars, cutoff, a, b, roots, mask) for mask in ALL_MASKS]
     return grid
 
 
@@ -271,7 +277,7 @@ def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> Che
     if error is not None:
         return CheckResult("closure", False, f"{type(error).__name__}: {error}")
     assert grid is not None
-    sample = _cross_check_sample(grid)
+    sample = _cross_check_sample()
     for params, mask, op, mat in sample:
         if not matches_operator(op, mat):
             roots = ",".join(map(str, params.roots))
@@ -287,34 +293,32 @@ def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> Che
         True,
         f"{len(grid)} sectors (all masks, N <= 3, cutoff <= 3, 5 random "
         "tuples per cell) closed on their invariant spaces; "
-        f"{len(sample)} cutoff-2 sectors cross-checked against z-space images",
+        f"{len(sample)} cutoff-2 sectors with a, g3 and 1/2 +- b non-zero "
+        "cross-checked against z-space images",
     )
 
 
-def _cross_check_sample(grid: list[GridEntry]) -> list[GridEntry]:
-    """For each N, the eight mask sectors of one cutoff-2 tuple.
+def _cross_check_sample() -> list[GridEntry]:
+    """For N = 1, 2, 3, the eight mask sectors of one cutoff-2 tuple.
 
     At cutoff 2 the basis is 1, tau_i and tau_i tau_j, whose images fix the
-    tau-space coefficients A, B and C.  The tuple is the first on which the
-    most of a, g3, 1/2 - b and b + 1/2 are nonzero, since each of them
-    switches off a group of terms of A, B and C when it vanishes.
+    tau-space coefficients A, B and C.  Each of a, g3, 1/2 - b and b + 1/2
+    switches off a group of terms of A, B and C when it vanishes, so the
+    tuples make all four non-zero: a != 0; b has denominator 1 or 3; the
+    roots are +-(e + g, e, e - h) with gaps g < h, so e = (h - g)/3 > 0 and
+    no root is zero.
     """
-    half = Fraction(1, 2)
-
-    def live(params: ModelParams) -> int:
-        b = params.coupling_b
-        return sum(x != 0 for x in (params.coupling_a, params.g3, half - b, half + b))
-
-    cells: dict[int, list[GridEntry]] = {}
-    for entry in grid:
-        if entry[2].cutoff == 2:
-            cells.setdefault(entry[0].nvars, []).append(entry)
+    rng = random.Random(707)
     sample: list[GridEntry] = []
-    for cell in cells.values():
-        # the grid lists the masks of one tuple consecutively
-        starts = range(0, len(cell), len(ALL_MASKS))
-        best = max(starts, key=lambda k: live(cell[k][0]))
-        sample += cell[best : best + len(ALL_MASKS)]
+    for nvars in (1, 2, 3):
+        a = rng.choice((-1, 1)) * _random_fraction(rng, 1, 4, (1, 2))
+        b = _random_fraction(rng, -2, 4, (3,))
+        g = _random_fraction(rng, 1, 3, (2,))
+        h = _random_fraction(rng, 4, 6, (2,))
+        e = (h - g) / 3
+        sign = rng.choice((-1, 1))
+        roots = (sign * (e + g), sign * e, sign * (e - h))
+        sample += [_grid_entry(nvars, 2, a, b, roots, mask) for mask in ALL_MASKS]
     return sample
 
 

@@ -8,7 +8,7 @@ import pytest
 import elliptic_qes.cli as cli
 from elliptic_qes.cli import main
 from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
-from elliptic_qes.model import GaugeMask, ModelParams
+from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import build_gauged_operator
 
 
@@ -37,6 +37,35 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+# N=8, m=8 has sectors of dimension C(16, 8) = 12870 and 3 x C(15, 7); an
+# N=2, m=8 sweep point has 45 + 3 x 36 = 153; an N=2, m=2 point has 15.
+@pytest.mark.parametrize(
+    ("argv", "total"),
+    [
+        (("spectrum", "--n", "8", "--m", "8"), 12870 + 3 * 6435),
+        (("matrix", "--n", "8", "--m", "8"), 12870),
+        (("eigenfunctions", "--n", "8", "--m", "8"), 12870),
+        (("sweep", "--sweep-var", "a", "--range", "1:3:20", "--n", "2", "--m", "8"), 20 * 153),
+        (("sweep", "--sweep-var", "epsilon", "--range", "0:1:1000000000"), 15 * 10**9),
+    ],
+)
+def test_work_above_the_dimension_budget_exits_2(capsys, argv, total):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"total dimension {total}, above the limit {cli.MAX_TOTAL_DIMENSION}" in err
+
+
+def test_dimension_budget_admits_n6_m6_and_a_19_point_sweep(capsys):
+    six = ModelParams(6, 0, 0, 6)
+    masks = list(list_valid_masks(six))
+    assert sum(six.basis_dimension(mask) for mask in masks) == 924 + 3 * 462
+    cli._check_budget(six, masks)
+    argv = ("sweep", "--sweep-var", "a", "--range", "1:3:19", "--n", "2", "--m", "8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 19 * 153
 
 
 @pytest.mark.parametrize(

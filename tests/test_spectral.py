@@ -1,12 +1,18 @@
 """Floating-point eigensolving checked against numpy and exact invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptic_qes.cli import main
+from elliptic_qes.errors import NoConvergence
 from elliptic_qes.matrices import build_matrix
 from elliptic_qes.model import GaugeMask, ModelParams
 from elliptic_qes.operator import build_gauged_operator
@@ -188,6 +194,68 @@ def test_eigenvector_complex_value():
     m = np.array([[0.0, -1.0], [1.0, 0.0]])
     v = eigenvector(m, 1j)
     assert np.linalg.norm(m @ v - 1j * v) <= 1e-8
+
+
+def test_eigenvector_of_a_real_value_is_real():
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    for value in np.linalg.eigvalsh(m):
+        v = eigenvector(m, value)
+        assert not v.imag.any()
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(m @ v - value * v) <= 1e-8 * np.linalg.norm(m)
+
+
+# -- the LAPACK contract ------------------------------------------------------------
+
+
+def test_lapack_failure_raises_no_convergence_and_exits_1(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NoConvergence):
+        eigenvalues(np.diag([1.0, 2.0]))
+    assert main(["spectrum"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_trace_gate_rejects_a_shifted_spectrum(monkeypatch):
+    lapack = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: lapack(a) + 1e-6)
+    with pytest.raises(NoConvergence, match="trace"):
+        eigenvalues(np.diag([1.0, 2.0, 3.0]))
+
+
+def test_inverse_iteration_gives_up_after_60_steps(monkeypatch):
+    steps = []
+
+    def stalled(m, v):
+        steps.append(1)
+        return np.zeros_like(v)
+
+    monkeypatch.setattr(np.linalg, "solve", stalled)
+    with pytest.raises(NoConvergence):
+        eigenvector(np.diag([1.0, 2.0]), 1.0)
+    assert len(steps) == 60
+
+
+def test_eigenfunctions_leave_numpy_random_unimported():
+    """The start vectors come from the standard library: importing
+    numpy.random would cost several MB of resident memory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = (
+        "import sys\n"
+        "from elliptic_qes.cli import main\n"
+        "code = main(['eigenfunctions', '--n', '2', '--m', '4'])\n"
+        "print('numpy.random' in sys.modules, code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 # -- integration with exact matrices ----------------------------------------------------

@@ -2,9 +2,11 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from elliptic_qes import verify
 from elliptic_qes.matrices import OperatorMatrix
+from elliptic_qes.model import ALL_MASKS
 
 SPECTRAL_CHECKS = ["closed-forms", "figure-degeneracy", "eigensolver"]
 
@@ -27,17 +29,37 @@ def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
     assert sum(second.values()) == sum(first.values())
 
 
-def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
+def test_closure_cross_check_names_a_sector_that_differs_from_z_space(monkeypatch):
     grid = verify._closure_grid(random.Random(505))
-    sample = verify._cross_check_sample(grid)
+    sample = verify._cross_check_sample()
     assert len(sample) == 24
     assert verify._check_closure(grid, None).passed
     params, mask, op, mat = sample[-1]
     rows = [list(row) for row in mat.rows]
     rows[0][0] += 1
     tampered = OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
-    index = next(i for i, entry in enumerate(grid) if entry[3] is mat)
-    grid[index] = (params, mask, op, tampered)
+    sample[-1] = (params, mask, op, tampered)
+    monkeypatch.setattr(verify, "_cross_check_sample", lambda: sample)
     result = verify._check_closure(grid, None)
     assert not result.passed
     assert f"mask {mask}, N={params.nvars}" in result.detail
+
+
+def test_cross_check_sample_switches_on_every_term_group():
+    """One cutoff-2 tuple per N = 1..3 in all eight masks, with a, g3,
+    1/2 - b and b + 1/2 all non-zero, so every group of terms of A, B and C
+    (the N >= 2 pair terms D and E among them) meets the z-space images."""
+    half = Fraction(1, 2)
+    sample = verify._cross_check_sample()
+    assert len(sample) == 24
+    tuples = {}
+    for params, mask, op, _ in sample:
+        assert op.cutoff == 2
+        key = (params.coupling_a, params.coupling_b, params.roots)
+        tuples.setdefault(params.nvars, {}).setdefault(key, set()).add(mask)
+    assert sorted(tuples) == [1, 2, 3]
+    for per_n in tuples.values():
+        [(a, b, roots)] = per_n
+        assert per_n[a, b, roots] == set(ALL_MASKS)
+        g3 = 4 * roots[0] * roots[1] * roots[2]
+        assert a != 0 and g3 != 0 and half - b != 0 and half + b != 0
