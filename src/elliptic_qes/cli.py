@@ -321,15 +321,13 @@ def cmd_eigenfunctions(args: argparse.Namespace) -> int:
     mask = GaugeMask.from_string(args.mask)
     _check_budget(params, [mask])
     mat = build_matrix(build_gauged_operator(params, mask))
-    spectrum = spectrum_of(mat)
-    arr = to_float(mat)
+    spectrum, vectors = eigenvector(to_float(mat))
     lines = [
         f"sector mask {mask}: cutoff {int(params.shifted_degree(mask))}, "
         f"dimension {mat.dim}",
         f"gauge prefix: {_gauge_prefix_text(params, mask)}",
     ]
-    for value in spectrum.values:
-        vec = eigenvector(arr, value)
+    for value, vec in zip(spectrum.values, vectors.T):
         anchor = max(range(len(vec)), key=lambda i: abs(vec[i]))
         phase = vec[anchor] / abs(vec[anchor])
         vec = vec / phase
@@ -360,8 +358,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     only = None
     if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
-    force = parse_rational(args.force_exponent) if args.force_exponent is not None else None
-    results = run_checks(only=only, force_exponent=force)
+    results = run_checks(only=only)
     if args.format == "json":
         _emit(json.dumps(report_json(results), indent=2), args.out)
     else:
@@ -462,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of checks: " + ", ".join(CHECK_NAMES),
     )
-    p_verify.add_argument("--force-exponent", default=None, help=argparse.SUPPRESS)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

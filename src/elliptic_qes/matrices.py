@@ -299,6 +299,13 @@ def matrix_from_json(text: str) -> OperatorMatrix:
     if basis.monomials != monomials:
         raise ValueError("basis in JSON is not a canonical full basis listing")
     rows = tuple(
-        tuple(parse_rational(x) for x in row) for row in payload["entries"]
+        tuple(_json_entry(i, j, x) for j, x in enumerate(row))
+        for i, row in enumerate(payload["entries"])
     )
     return OperatorMatrix(basis, rows)
+
+
+def _json_entry(i: int, j: int, x: object) -> Fraction:
+    if not isinstance(x, str):
+        raise ValueError(f"matrix JSON entry ({i},{j}) is {x!r}, not a rational string")
+    return parse_rational(x)

@@ -125,9 +125,9 @@ def gauge_polynomials(
 class GaugedOperator:
     """One algebraised sector: exact operator data, ready to apply.
 
-    Single-variable ingredients are stored once (cubic, its derivative, the
-    gauge charge q and gauge scalar s) along with their lifts into each of the
-    N variables, so repeated applications only pay for polynomial arithmetic.
+    Single-variable ingredients are stored once: the cubic, its derivative,
+    the gauge charge q and the gauge scalar s.  `apply` lifts them into the N
+    variables itself, since it is their only reader.
     """
 
     params: ModelParams
@@ -139,7 +139,6 @@ class GaugedOperator:
     cubic_prime: Poly
     charge: Poly
     scalar: Poly
-    _lifted: tuple[tuple[Poly, Poly, Poly, Poly], ...]
 
     @property
     def nvars(self) -> int:
@@ -167,9 +166,14 @@ class GaugedOperator:
         b_half = self.params.coupling_b + _HALF
         big_f = tau_to_z(f)
         derivs = [big_f.diff(k) for k in range(n)]
+        lifted = [
+            (self.cubic.lift(n, k), self.cubic_prime.lift(n, k),
+             self.charge.lift(n, k), self.scalar.lift(n, k))
+            for k in range(n)
+        ]
 
         out = Poly.zero(n)
-        for k, (p_k, dp_k, q_k, s_k) in enumerate(self._lifted):
+        for k, (p_k, dp_k, q_k, s_k) in enumerate(lifted):
             f_k = derivs[k]
             f_kk = f_k.diff(k)
             out = out - p_k * f_kk - (2 * q_k + b_half * dp_k) * f_k - s_k * big_f
@@ -177,9 +181,9 @@ class GaugedOperator:
         a2 = 2 * self.params.coupling_a
         if a2:
             for k in range(n):
-                p_k, _, q_k, _ = self._lifted[k]
+                p_k, _, q_k, _ = lifted[k]
                 for l in range(k + 1, n):
-                    p_l, _, q_l, _ = self._lifted[l]
+                    p_l, _, q_l, _ = lifted[l]
                     numer = (p_k * derivs[k] - p_l * derivs[l]) + (q_k - q_l) * big_f
                     divisor = Poly.variable(n, k) - Poly.variable(n, l)
                     try:
@@ -220,17 +224,6 @@ def build_gauged_operator(
     charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
 
     cubic = weierstrass_cubic(params.g2, params.g3)
-    cubic_prime = cubic.diff(0)
-    n = params.nvars
-    lifted = tuple(
-        (
-            cubic.lift(n, k),
-            cubic_prime.lift(n, k),
-            charge.lift(n, k),
-            scalar.lift(n, k),
-        )
-        for k in range(n)
-    )
     return GaugedOperator(
         params=params,
         mask=mask,
@@ -238,8 +231,7 @@ def build_gauged_operator(
         cutoff=int(mt),
         field_coupling=external_field_coupling(params),
         cubic=cubic,
-        cubic_prime=cubic_prime,
+        cubic_prime=cubic.diff(0),
         charge=charge,
         scalar=scalar,
-        _lifted=lifted,
     )

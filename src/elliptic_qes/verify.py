@@ -46,7 +46,7 @@ from .oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
-from .spectral import Spectrum, eigenvalues, spectrum_of
+from .spectral import Spectrum, eigenvalues, spectrum_of, to_float
 
 CHECK_NAMES: tuple[str, ...] = (
     "matrices",
@@ -322,28 +322,11 @@ def _cross_check_sample() -> list[GridEntry]:
     return sample
 
 
-def _check_gauge_exponents(force_exponent: Fraction | None) -> CheckResult:
+def _check_gauge_exponents() -> CheckResult:
     """Pole cancellation holds exactly for exponents 0 and 1/2 - b on every
     mask; the perturbed exponent 1/3 at b = 0 must raise NonCancellingPole on
     any mask containing a simple root, while a double root cancels any
     exponent."""
-    if force_exponent is not None:
-        params = ModelParams(2, 1, 0, 2, DEGENERATE_ROOTS)
-        for mask in list_valid_masks(params):
-            try:
-                build_gauged_operator(params, mask, exponent=force_exponent)
-            except NonCancellingPole as exc:
-                return CheckResult(
-                    "gauge-exponents",
-                    False,
-                    f"forced exponent {force_exponent}: {exc}",
-                )
-        return CheckResult(
-            "gauge-exponents",
-            True,
-            f"forced exponent {force_exponent} cancels all poles on every valid mask",
-        )
-
     rng = random.Random(606)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
@@ -516,12 +499,12 @@ def _check_figure_degeneracy(memo: SectorMemo) -> CheckResult:
 def _fraction_matmul(
     left: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
     right: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
-) -> list[list[Fraction]]:
+) -> tuple[tuple[Fraction, ...], ...]:
     n = len(left)
-    return [
-        [sum((left[i][k] * right[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+    return tuple(
+        tuple(sum((left[i][k] * right[k][j] for k in range(n)), Fraction(0)) for j in range(n))
         for i in range(n)
-    ]
+    )
 
 
 def _invariant_pool(memo: SectorMemo) -> list[tuple[str, OperatorMatrix, Spectrum]]:
@@ -556,7 +539,7 @@ def _check_eigensolver(memo: SectorMemo) -> CheckResult:
     worst_det = 0.0
     for label, mat, spec in pool:
         values = spec.values
-        frob = float(np.linalg.norm(np.array([[float(x) for x in row] for row in mat.rows])))
+        frob = float(np.linalg.norm(to_float(mat)))
         trace_scale = max(1.0, abs(float(mat.trace())), frob)
         trace_defect = abs(sum(values) - float(mat.trace()))
         if trace_defect > 1e-9 * trace_scale:
@@ -603,8 +586,7 @@ def _check_eigensolver(memo: SectorMemo) -> CheckResult:
             if s_inv is not None:
                 break
         transformed = _fraction_matmul(_fraction_matmul(s, mat.rows), s_inv)
-        arr = np.array([[float(x) for x in row] for row in transformed], dtype=float)
-        moved = eigenvalues(arr).values
+        moved = eigenvalues(to_float(OperatorMatrix(mat.basis, transformed))).values
         scale = max(1.0, max(abs(v) for v in spec.values))
         defect = max(abs(x - y) for x, y in zip(moved, spec.values)) / scale
         worst_sim = max(worst_sim, defect)
@@ -626,17 +608,14 @@ def _check_eigensolver(memo: SectorMemo) -> CheckResult:
 # -- runner -----------------------------------------------------------------------
 
 
-def run_checks(
-    only: list[str] | None = None,
-    force_exponent: Fraction | None = None,
-) -> list[CheckResult]:
+def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     """Run the named verification checks (all ten by default), in order.
 
-    ``force_exponent`` overrides the gauge exponent inside the
-    gauge-exponents check so a deliberately broken gauge is reported as a
-    verification failure with a pole witness.
+    Raises ValueError when ``only`` names an unknown check or no check at all.
     """
     requested = list(CHECK_NAMES) if only is None else list(only)
+    if not requested:
+        raise ValueError(f"no check selected; available: {', '.join(CHECK_NAMES)}")
     unknown = [name for name in requested if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(
@@ -667,9 +646,7 @@ def run_checks(
         elif name == "closure":
             results.append(_run_guarded(name, lambda: _check_closure(grid, grid_error)))
         elif name == "gauge-exponents":
-            results.append(
-                _run_guarded(name, lambda: _check_gauge_exponents(force_exponent))
-            )
+            results.append(_run_guarded(name, _check_gauge_exponents))
         elif name == "raising":
             results.append(_run_guarded(name, lambda: _check_raising(grid, grid_error)))
         elif name == "decoupling":

@@ -2,14 +2,19 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 import elliptic_qes.cli as cli
+import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
 from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
 from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
+from elliptic_qes.errors import NonCancellingPole
 from elliptic_qes.operator import build_gauged_operator
+from elliptic_qes.spectral import to_float
 
 
 def run(capsys, *argv):
@@ -31,6 +36,7 @@ def run(capsys, *argv):
         ("sweep", "--sweep-var", "epsilon", "--range", "0:1:2", "--roots", "2,-1,-1"),
         ("sweep", "--sweep-var", "a", "--range", "0:1:2", "--a", "1"),
         ("sweep", "--sweep-var", "epsilon", "--range", "0:1:0"),  # steps < 1
+        ("verify", "--only", ","),  # names no check
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -248,6 +254,63 @@ def test_eigenfunctions_single_variable(capsys):
     assert out.count("0.707106781") >= 2  # both eigenvectors of [[0,6],[6,0]]
 
 
+def _factor_vector(text: str, nvars: int, basis) -> np.ndarray:
+    """Coefficient vector over `basis` of a printed polynomial factor."""
+    vec = np.zeros(len(basis), dtype=complex)
+    parts = re.split(r" ([+-]) ", text)
+    for sign, term in zip(["+"] + parts[1::2], parts[0::2]):
+        if term.startswith("-"):
+            sign, term = ("+" if sign == "-" else "-"), term[1:]
+        if term.startswith("("):
+            coeff, _, name = term[1:].partition(")")
+            name = name.lstrip("*")
+        else:
+            coeff, _, name = term.partition("*")
+        exps = [0] * nvars
+        for factor in filter(None, name.split("*")):
+            var, _, power = factor.partition("^")
+            exps[int(var[1:]) - 1] = int(power or 1)
+        vec[basis.index_of(tuple(exps))] = complex(coeff) * (1 if sign == "+" else -1)
+    return vec
+
+
+def test_eigenfunctions_come_from_one_eigendecomposition(capsys, monkeypatch):
+    """A point with a complex pair: every printed factor is an eigenvector of
+    the exact matrix's float image, from one to_float and one LAPACK eig call
+    and no linear solve."""
+    calls = {"eig": 0, "solve": 0, "to_float": 0, "eigenvector": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(cli, "to_float", counted("to_float", cli.to_float))
+    monkeypatch.setattr(cli, "eigenvector", counted("eigenvector", cli.eigenvector))
+    code, out, _ = run(capsys, "eigenfunctions", "--n", "2", "--m", "4", "--a=-3")
+    assert code == 0
+    assert calls == {"eig": 1, "solve": 0, "to_float": 1, "eigenvector": 1}
+
+    mat = build_matrix(build_gauged_operator(ModelParams(2, -3, 0, 4), GaugeMask(())))
+    floats = to_float(mat)
+    scale = max(1.0, float(np.linalg.norm(floats)))
+    lines = [line for line in out.splitlines() if line.startswith("eigenvalue ")]
+    assert len(lines) == mat.dim
+    values = []
+    for line in lines:
+        head, _, factor = line.partition(": polynomial factor ")
+        value = complex(head.removeprefix("eigenvalue "))
+        values.append(value)
+        vec = _factor_vector(factor, 2, mat.basis)
+        residual = np.linalg.norm(floats @ vec - value * vec)
+        assert residual <= 1e-7 * scale * np.linalg.norm(vec), line
+    # one well-separated complex pair; the other split values sit at Jordan blocks
+    assert sum(1 for v in values if abs(v.imag) > 1e-4) == 2
+
+
 def test_eigenfunctions_show_gauge_prefix(capsys):
     code, out, _ = run(capsys, "eigenfunctions", "--n", "1", "--m", "3/2", "--mask", "1")
     assert code == 0
@@ -264,18 +327,15 @@ def test_verify_single_check(capsys):
     assert "1 checks, all passed" in out
 
 
-def test_verify_forced_exponent(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--only", "gauge-exponents", "--force-exponent", "1/3"
-    )
+def test_verify_reports_a_non_cancelling_pole(capsys, monkeypatch):
+    def stalled(roots, mask, exponent, coupling_b):
+        raise NonCancellingPole(f"gauge exponent {exponent} leaves an uncancelled pole")
+
+    monkeypatch.setattr(verify, "gauge_polynomials", stalled)
+    code, out, _ = run(capsys, "verify", "--only", "gauge-exponents")
     assert code == 1
     assert "FAIL gauge-exponents" in out
     assert "pole" in out
-
-    code, out, _ = run(
-        capsys, "verify", "--only", "gauge-exponents", "--force-exponent", "1/2"
-    )
-    assert code == 0
 
 
 def test_verify_json_shape(capsys):

@@ -252,6 +252,11 @@ def test_json_round_trip():
     assert again.rows == mat.rows
 
 
+def test_matrix_json_names_a_numeric_entry():
+    with pytest.raises(ValueError, match=r"entry \(0,0\) is 1"):
+        matrix_from_json('{"basis": [[0]], "entries": [[1]]}')
+
+
 def test_csv_export_shape():
     mat = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 1), EMPTY))
     text = export_matrix(mat, "csv")

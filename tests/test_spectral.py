@@ -165,44 +165,70 @@ def test_sorting_convention():
 # -- eigenvectors --------------------------------------------------------------------
 
 
+def eigenpairs(m):
+    """(value, column) pairs from one `eigenvector` call, each checked for a
+    unit norm and a residual of at most 1e-8 * max(1, ||m||_F)."""
+    spec, vectors = eigenvector(m)
+    scale = max(1.0, float(np.linalg.norm(m)))
+    assert match_defect(spec.values, eigenvalues(m).values) < 1e-10 * scale
+    pairs = list(zip(spec.values, vectors.T))
+    for value, v in pairs:
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(m @ v - value * v) <= 1e-8 * scale
+    return pairs
+
+
 def test_eigenvector_symmetric_pair():
     m = np.array([[0.0, 6.0], [6.0, 0.0]])
-    v = eigenvector(m, 6.0)
-    assert np.linalg.norm(m @ v - 6.0 * v) <= 1e-8 * np.linalg.norm(m)
+    (low, w), (high, v) = eigenpairs(m)
+    assert (low, high) == (pytest.approx(-6.0), pytest.approx(6.0))
     assert abs(abs(v[0]) - abs(v[1])) < 1e-9
-    w = eigenvector(m, -6.0)
     assert abs(np.vdot(w, v)) < 1e-9  # orthogonal directions
 
 
 def test_eigenvector_off_balance_block():
     # [[0, 6], [6, 0]] written with g2/2 = 6 on one side
     m = np.array([[0.0, 6.0], [6.0, 0.0]])
-    v = eigenvector(m, 6.0)
+    _, (_, v) = eigenpairs(m)
     ratio = v[1] / v[0]
     assert ratio == pytest.approx(1.0, abs=1e-8)
 
 
 def test_eigenvector_identity_and_triangular():
-    v = eigenvector(np.eye(3), 1.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
+    assert [value for value, _ in eigenpairs(np.eye(3))] == [1.0, 1.0, 1.0]
     m = np.array([[2.0, 1.0], [0.0, 3.0]])
-    v = eigenvector(m, 2.0)
+    (value, v), _ = eigenpairs(m)
+    assert value == pytest.approx(2.0)
     assert abs(v[1]) < 1e-9
 
 
 def test_eigenvector_complex_value():
     m = np.array([[0.0, -1.0], [1.0, 0.0]])
-    v = eigenvector(m, 1j)
+    (low, w), (high, v) = eigenpairs(m)
+    assert (low, high) == (pytest.approx(-1j), pytest.approx(1j))
     assert np.linalg.norm(m @ v - 1j * v) <= 1e-8
 
 
 def test_eigenvector_of_a_real_value_is_real():
     m = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-    for value in np.linalg.eigvalsh(m):
-        v = eigenvector(m, value)
+    pairs = eigenpairs(m)
+    assert [value for value, _ in pairs] == pytest.approx(np.linalg.eigvalsh(m))
+    for value, v in pairs:
+        assert value.imag == 0.0
         assert not v.imag.any()
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert np.linalg.norm(m @ v - value * v) <= 1e-8 * np.linalg.norm(m)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000), st.integers(1, 8))
+def test_eigenpairs_on_random_matrices(seed, dim):
+    rng = np.random.default_rng(seed)
+    eigenpairs(rng.standard_normal((dim, dim)) * rng.choice([0.1, 1.0, 10.0]))
+
+
+def test_eigenvector_shares_the_validation_of_eigenvalues():
+    for bad in (np.zeros((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((0, 0))):
+        with pytest.raises(ValueError):
+            eigenvector(bad)
 
 
 # -- the LAPACK contract ------------------------------------------------------------
@@ -226,22 +252,27 @@ def test_trace_gate_rejects_a_shifted_spectrum(monkeypatch):
         eigenvalues(np.diag([1.0, 2.0, 3.0]))
 
 
-def test_inverse_iteration_gives_up_after_60_steps(monkeypatch):
-    steps = []
+def test_eigendecomposition_failure_raises_no_convergence_and_exits_1(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def stalled(m, v):
-        steps.append(1)
-        return np.zeros_like(v)
-
-    monkeypatch.setattr(np.linalg, "solve", stalled)
+    monkeypatch.setattr(np.linalg, "eig", fail)
     with pytest.raises(NoConvergence):
-        eigenvector(np.diag([1.0, 2.0]), 1.0)
-    assert len(steps) == 60
+        eigenvector(np.diag([1.0, 2.0]))
+    assert main(["eigenfunctions"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_trace_gate_rejects_a_shifted_eigendecomposition(monkeypatch):
+    lapack = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (lapack(a)[0] + 1e-6, lapack(a)[1]))
+    with pytest.raises(NoConvergence, match="trace"):
+        eigenvector(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_eigenfunctions_leave_numpy_random_unimported():
-    """The start vectors come from the standard library: importing
-    numpy.random would cost several MB of resident memory."""
+    """Nothing on the eigenfunctions path imports numpy.random, which would
+    cost several MB of resident memory."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
