@@ -25,6 +25,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     InvalidDegree,
     NoConvergence,
@@ -183,12 +185,12 @@ def sweep_rows(
     hi: Fraction,
     steps: int,
     *,
-    nvars: int = 2,
-    degree_m: Fraction = Fraction(2),
-    coupling_a: Fraction = Fraction(0),
-    coupling_b: Fraction = Fraction(0),
-    roots: tuple[Fraction, Fraction, Fraction] | None = None,
-    mask: str = "all",
+    nvars: int,
+    degree_m: Fraction,
+    coupling_a: Fraction,
+    coupling_b: Fraction,
+    roots: tuple[Fraction, Fraction, Fraction] | None,
+    mask: str,
 ) -> list[tuple[Fraction, str, int, float, float]]:
     """Spectra along an exact grid, one row per eigenvalue.
 
@@ -327,20 +329,19 @@ def cmd_eigenfunctions(args: argparse.Namespace) -> int:
         f"dimension {mat.dim}",
         f"gauge prefix: {_gauge_prefix_text(params, mask)}",
     ]
-    for value, vec in zip(spectrum.values, vectors.T):
-        anchor = max(range(len(vec)), key=lambda i: abs(vec[i]))
+    names = [_monomial_name(exps) for exps in mat.basis]
+    anchors = np.argmax(np.abs(vectors), axis=0)
+    for value, vec, anchor in zip(spectrum.values, vectors.T, anchors):
         phase = vec[anchor] / abs(vec[anchor])
         vec = vec / phase
         text = ""
-        for i, exps in enumerate(mat.basis):
-            c = complex(vec[i])
+        for c, name in zip(map(complex, vec.tolist()), names):
             if abs(c) < 1e-12:
                 continue
             if abs(c.imag) < 1e-9:
                 sign, c_text = ("-", f"{-c.real:.9g}") if c.real < 0 else ("+", f"{c.real:.9g}")
             else:
                 sign, c_text = "+", f"({c.real:.9g}{c.imag:+.9g}j)"
-            name = _monomial_name(exps)
             term = c_text if name == "1" else f"{c_text}*{name}"
             if not text:
                 text = term if sign == "+" else f"-{term}"

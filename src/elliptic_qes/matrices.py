@@ -39,6 +39,9 @@ from .operator import GaugedOperator, potential_coefficient, raising_coefficient
 from .polynomials import Exponents, Poly, format_rational, parse_rational
 from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
+# Fills every absent entry of a built matrix; one shared object, not one per entry.
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
@@ -149,10 +152,9 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
             col[basis.index_of(iexps)] = coeff
         columns.append(col)
     rows = tuple(
-        tuple(columns[j].get(i, Fraction(0)) for j in range(dim)) for i in range(dim)
+        tuple(columns[j].get(i, _ZERO) for j in range(dim)) for i in range(dim)
     )
     return OperatorMatrix(basis, rows)
-
 
 
 def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:

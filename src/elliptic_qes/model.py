@@ -3,7 +3,7 @@
 A parameter set fixes the particle number, the two coupling exponents, the
 polynomial degree cutoff, and the three roots of the quartic-free cubic
 p(z) = 4 z^3 - g2 z - g3 = 4 (z - e1)(z - e2)(z - e3).  The roots must sum to
-zero; g2 and g3 are then determined and exposed as properties.
+zero; g2 and g3 are then determined by them (`cubic_invariants`).
 
 A gauge mask selects a subset of the three roots.  Each selected root e_i
 contributes a factor (z - e_i)^nu to the gauge prefactor, with the common
@@ -116,18 +116,6 @@ class ModelParams:
         object.__setattr__(self, "coupling_b", b)
         object.__setattr__(self, "degree_m", m)
         object.__setattr__(self, "roots", e)
-
-    @property
-    def g2(self) -> Fraction:
-        """Quadratic cubic invariant: -4 (e1 e2 + e1 e3 + e2 e3)."""
-        e1, e2, e3 = self.roots
-        return -4 * (e1 * e2 + e1 * e3 + e2 * e3)
-
-    @property
-    def g3(self) -> Fraction:
-        """Cubic invariant: 4 e1 e2 e3."""
-        e1, e2, e3 = self.roots
-        return 4 * e1 * e2 * e3
 
     def gauge_exponent(self) -> Fraction:
         """Exponent nu = 1/2 - b carried by every masked root factor."""

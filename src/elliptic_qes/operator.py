@@ -215,7 +215,7 @@ def build_gauged_operator(
     leaves the degree bookkeeping untouched.
     """
     mt = params.shifted_degree(mask)
-    if mt.denominator != 1 or mt < 0:
+    if not params.sector_is_valid(mask):
         raise InvalidDegree(
             f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
             "non-negative integer; no invariant space exists"
@@ -223,7 +223,7 @@ def build_gauged_operator(
     nu = params.gauge_exponent() if exponent is None else Fraction(exponent)
     charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
 
-    cubic = weierstrass_cubic(params.g2, params.g3)
+    cubic = weierstrass_cubic(*cubic_invariants(params.roots))
     return GaugedOperator(
         params=params,
         mask=mask,

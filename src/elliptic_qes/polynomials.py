@@ -90,6 +90,15 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, nvars: int, terms: dict[Exponents, Fraction]) -> Poly:
+        """Wrap a term dict that is already clean: exponent tuples of length
+        ``nvars`` and no zero coefficients.  Nothing is checked or copied."""
+        result = cls.__new__(cls)
+        result.nvars = nvars
+        result.terms = terms
+        return result
+
+    @classmethod
     def zero(cls, nvars: int) -> Poly:
         return cls(nvars)
 
@@ -131,16 +140,10 @@ class Poly:
                 out[exps] = acc
             else:
                 out.pop(exps, None)
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return Poly._wrap(self.nvars, out)
 
     def __neg__(self) -> Poly:
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return result
+        return Poly._wrap(self.nvars, {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -148,12 +151,8 @@ class Poly:
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            result = Poly.__new__(Poly)
-            result.nvars = self.nvars
-            result.terms = (
-                {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
-            )
-            return result
+            terms = {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
+            return Poly._wrap(self.nvars, terms)
         self._check_same_space(other)
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
@@ -164,10 +163,7 @@ class Poly:
                     out[exps] = acc
                 else:
                     out.pop(exps, None)
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return Poly._wrap(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -209,10 +205,7 @@ class Poly:
                 out[lowered] = acc
             else:
                 out.pop(lowered, None)
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return Poly._wrap(self.nvars, out)
 
     def evaluate(self, point: Iterable[int | Fraction]) -> Fraction:
         """Exact value at a rational point (one value per variable)."""
@@ -262,10 +255,7 @@ class Poly:
             exps = [0] * nvars
             exps[index] = e
             out[tuple(exps)] = coeff
-        result = Poly.__new__(Poly)
-        result.nvars = nvars
-        result.terms = out
-        return result
+        return Poly._wrap(nvars, out)
 
     # -- exact division ------------------------------------------------------
 

@@ -9,6 +9,14 @@ returns a CheckResult; the CLI turns failures into a nonzero exit code.
 
 Randomized checks draw from seeded generators, one per check, so any subset
 selected with ``only`` sees the same parameter tuples as a full run.
+
+Each `run_checks` call creates one sector store, and every check takes its
+sectors from it: the reference matrices, the closure grid that `closure` and
+`raising` share, the z-space sample and the spectral checks' sectors.  The
+store builds a sector's operator and matrix at most once per run, and its
+spectrum only when a check asks for one, so the grid and the sample are never
+diagonalized.  Nothing outlives the run, so repeated runs in one process each
+do the full work.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDegree, NonCancellingPole, OperatorNotClosed
+from .errors import NonCancellingPole
 from .matrices import (
     OperatorMatrix,
     build_matrix,
@@ -48,19 +57,6 @@ from .oracles import (
 )
 from .spectral import Spectrum, eigenvalues, spectrum_of, to_float
 
-CHECK_NAMES: tuple[str, ...] = (
-    "matrices",
-    "closed-forms",
-    "oscillator",
-    "counting",
-    "closure",
-    "gauge-exponents",
-    "raising",
-    "decoupling",
-    "figure-degeneracy",
-    "eigensolver",
-)
-
 _EMPTY = GaugeMask(())
 
 
@@ -79,7 +75,7 @@ def report_json(results: list[CheckResult]) -> dict:
     }
 
 
-# -- shared randomness and the sector memo -------------------------------------
+# -- shared randomness and the sector store ------------------------------------
 
 
 def _random_fraction(rng: random.Random, lo: int, hi: int, dens: tuple[int, ...]) -> Fraction:
@@ -96,26 +92,34 @@ def _random_roots(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
             return (e1, e2, e3)
 
 
-# One run's memo of built sectors.  It lives inside a single `run_checks` call
-# so that repeated runs in one process each do the full work.
-SectorMemo = dict[tuple[ModelParams, GaugeMask], tuple[OperatorMatrix, Spectrum]]
+GridEntry = tuple[GaugedOperator, OperatorMatrix]
 
 
-def _sector(
-    memo: SectorMemo, params: ModelParams, mask: GaugeMask
-) -> tuple[OperatorMatrix, Spectrum]:
-    """The sector's exact matrix and its spectrum, built once per run."""
-    key = (params, mask)
-    if key not in memo:
-        mat = build_matrix(build_gauged_operator(params, mask))
-        memo[key] = (mat, spectrum_of(mat))
-    return memo[key]
+class _SectorStore:
+    """One run's sectors, keyed by (params, mask), each built at most once."""
 
+    def __init__(self) -> None:
+        self._sectors: dict[tuple[ModelParams, GaugeMask], GridEntry] = {}
+        self._spectra: dict[tuple[ModelParams, GaugeMask], Spectrum] = {}
 
-GridEntry = tuple[ModelParams, GaugeMask, GaugedOperator, OperatorMatrix]
+    def sector(self, params: ModelParams, mask: GaugeMask) -> GridEntry:
+        """The sector's exact operator and matrix."""
+        key = (params, mask)
+        if key not in self._sectors:
+            op = build_gauged_operator(params, mask)
+            self._sectors[key] = (op, build_matrix(op))
+        return self._sectors[key]
+
+    def spectrum(self, params: ModelParams, mask: GaugeMask) -> Spectrum:
+        """The float spectrum of the sector's matrix."""
+        key = (params, mask)
+        if key not in self._spectra:
+            self._spectra[key] = spectrum_of(self.sector(params, mask)[1])
+        return self._spectra[key]
 
 
 def _grid_entry(
+    store: _SectorStore,
     nvars: int,
     cutoff: int,
     a: Fraction,
@@ -126,12 +130,12 @@ def _grid_entry(
     """The sector of `mask` at the given cutoff, with the original degree
     solved as m = cutoff + n_f (1/2 - b) so that it is valid."""
     params = ModelParams(nvars, a, b, cutoff + mask.n_f * (Fraction(1, 2) - b), roots)
-    op = build_gauged_operator(params, mask)
-    return (params, mask, op, build_matrix(op))
+    return store.sector(params, mask)
 
 
-def _closure_grid(rng: random.Random) -> list[GridEntry]:
+def _closure_grid(store: _SectorStore) -> list[GridEntry]:
     """All eight masks at N <= 3, shifted cutoff <= 3, five tuples per cell."""
+    rng = random.Random(505)
     grid: list[GridEntry] = []
     for nvars in (1, 2, 3):
         for cutoff in range(4):
@@ -139,14 +143,16 @@ def _closure_grid(rng: random.Random) -> list[GridEntry]:
                 a = _random_fraction(rng, -2, 2, (1, 2))
                 b = _random_fraction(rng, -1, 2, (1, 2, 4))
                 roots = _random_roots(rng)
-                grid += [_grid_entry(nvars, cutoff, a, b, roots, mask) for mask in ALL_MASKS]
+                grid += [
+                    _grid_entry(store, nvars, cutoff, a, b, roots, mask) for mask in ALL_MASKS
+                ]
     return grid
 
 
 # -- individual checks -----------------------------------------------------------
 
 
-def _check_matrices() -> CheckResult:
+def _check_matrices(store: _SectorStore) -> CheckResult:
     """Five random rational parameter tuples: the built 6x6 sector and the
     three 3x3 double-mask sectors (at b = 0) must equal the hand-derived
     references entry for entry."""
@@ -156,9 +162,7 @@ def _check_matrices() -> CheckResult:
         a = _random_fraction(rng, -3, 3, (1, 2, 3))
         b = _random_fraction(rng, -3, 3, (1, 2, 3))
         roots = _random_roots(rng)
-        built = build_matrix(
-            build_gauged_operator(ModelParams(2, a, b, 2, roots), _EMPTY)
-        )
+        _, built = store.sector(ModelParams(2, a, b, 2, roots), _EMPTY)
         expected = reference_empty_mask_matrix(a, b, roots)
         if built.rows != expected:
             return CheckResult(
@@ -170,7 +174,7 @@ def _check_matrices() -> CheckResult:
         params0 = ModelParams(2, a, 0, 2, roots)
         for i in (1, 2, 3):
             mask = mask_for_unmasked_index(i)
-            built3 = build_matrix(build_gauged_operator(params0, mask))
+            _, built3 = store.sector(params0, mask)
             if built3.rows != reference_double_mask_matrix(a, roots, i):
                 return CheckResult(
                     "matrices",
@@ -186,7 +190,7 @@ def _check_matrices() -> CheckResult:
     )
 
 
-def _check_closed_forms(memo: SectorMemo) -> CheckResult:
+def _check_closed_forms(store: _SectorStore) -> CheckResult:
     """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues follow
     nine closed linear-in-a forms (three values shared between two sectors,
     two sectors identical); relative tolerance 1e-9."""
@@ -197,7 +201,7 @@ def _check_closed_forms(memo: SectorMemo) -> CheckResult:
         forms = degenerate_closed_forms(a)
         for mask in list_valid_masks(params):
             exact = [float(x) for x in forms.sector_values(str(mask))]
-            got = _sorted_reals(memo, params, mask)
+            got = _sorted_reals(store, params, mask)
             for g, x in zip(got, exact):
                 defect = abs(g - x) / max(1.0, abs(x))
                 worst = max(worst, defect)
@@ -269,22 +273,21 @@ def _check_counting() -> CheckResult:
     )
 
 
-def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> CheckResult:
+def _check_closure(store: _SectorStore) -> CheckResult:
     """Every valid sector on the random grid builds a matrix without leaving
     the invariant space and without a surviving gauge pole, and on a sample
     of cutoff-2 sectors every column equals the image that
     `GaugedOperator.apply` computes in z-space."""
-    if error is not None:
-        return CheckResult("closure", False, f"{type(error).__name__}: {error}")
-    assert grid is not None
-    sample = _cross_check_sample()
-    for params, mask, op, mat in sample:
+    grid = _closure_grid(store)
+    sample = _cross_check_sample(store)
+    for op, mat in sample:
         if not matches_operator(op, mat):
+            params = op.params
             roots = ",".join(map(str, params.roots))
             return CheckResult(
                 "closure",
                 False,
-                f"mask {mask}, N={params.nvars}, m={params.degree_m}, "
+                f"mask {op.mask}, N={params.nvars}, m={params.degree_m}, "
                 f"a={params.coupling_a}, b={params.coupling_b}, roots {roots}: "
                 "the tau-space matrix differs from the z-space images",
             )
@@ -298,7 +301,7 @@ def _check_closure(grid: list[GridEntry] | None, error: Exception | None) -> Che
     )
 
 
-def _cross_check_sample() -> list[GridEntry]:
+def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
     """For N = 1, 2, 3, the eight mask sectors of one cutoff-2 tuple.
 
     At cutoff 2 the basis is 1, tau_i and tau_i tau_j, whose images fix the
@@ -318,7 +321,7 @@ def _cross_check_sample() -> list[GridEntry]:
         e = (h - g) / 3
         sign = rng.choice((-1, 1))
         roots = (sign * (e + g), sign * e, sign * (e - h))
-        sample += [_grid_entry(nvars, 2, a, b, roots, mask) for mask in ALL_MASKS]
+        sample += [_grid_entry(store, nvars, 2, a, b, roots, mask) for mask in ALL_MASKS]
     return sample
 
 
@@ -384,20 +387,18 @@ def _check_gauge_exponents() -> CheckResult:
     )
 
 
-def _check_raising(grid: list[GridEntry] | None, error: Exception | None) -> CheckResult:
+def _check_raising(store: _SectorStore) -> CheckResult:
     """The degree-raising coefficient formula holds exactly at every degree
     up to the cutoff for every sector on the random grid."""
-    if error is not None:
-        return CheckResult("raising", False, f"{type(error).__name__}: {error}")
-    assert grid is not None
     checked = 0
-    for params, mask, op, mat in grid:
+    for op, mat in _closure_grid(store):
         for degree in range(op.cutoff + 1):
             if not raising_coefficient_check(op, degree, mat):
+                params = op.params
                 return CheckResult(
                     "raising",
                     False,
-                    f"coefficient mismatch at degree {degree}, mask {mask}, "
+                    f"coefficient mismatch at degree {degree}, mask {op.mask}, "
                     f"N={params.nvars}, m={params.degree_m}, b={params.coupling_b}",
                 )
             checked += 1
@@ -431,23 +432,23 @@ def _check_decoupling() -> CheckResult:
     )
 
 
-def _sorted_reals(memo: SectorMemo, params: ModelParams, mask: GaugeMask) -> list[float]:
-    return sorted(_sector(memo, params, mask)[1].real_values())
+def _sorted_reals(store: _SectorStore, params: ModelParams, mask: GaugeMask) -> list[float]:
+    return sorted(store.spectrum(params, mask).real_values())
 
 
 def _min_cross_gap(xs: list[float], ys: list[float]) -> float:
     return min(abs(x - y) for x in xs for y in ys)
 
 
-def _check_figure_degeneracy(memo: SectorMemo) -> CheckResult:
+def _check_figure_degeneracy(store: _SectorStore) -> CheckResult:
     """Along the root family (2, -1+eps, -1-eps) at b=0, N=m=2: at eps=0 the
     6-dimensional sector shares three eigenvalues with the sector leaving
     root 1 unmasked and the other two sectors are identical (tolerance 1e-6);
     at eps=1/2, a=5 every such coincidence is gone by more than 1e-3."""
     for a in (Fraction(0), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        big = _sorted_reals(memo, params, _EMPTY)
-        shared = _sorted_reals(memo, params, GaugeMask((2, 3)))
+        big = _sorted_reals(store, params, _EMPTY)
+        shared = _sorted_reals(store, params, GaugeMask((2, 3)))
         used: set[int] = set()
         for v in shared:
             best = min(
@@ -461,8 +462,8 @@ def _check_figure_degeneracy(memo: SectorMemo) -> CheckResult:
                     f"eps=0, a={a}: value {v} has no partner in the 6x6 sector",
                 )
             used.add(best)
-        pair_one = _sorted_reals(memo, params, GaugeMask((1, 3)))
-        pair_two = _sorted_reals(memo, params, GaugeMask((1, 2)))
+        pair_one = _sorted_reals(store, params, GaugeMask((1, 3)))
+        pair_two = _sorted_reals(store, params, GaugeMask((1, 2)))
         gap = max(abs(x - y) for x, y in zip(pair_one, pair_two))
         if gap > 1e-6:
             return CheckResult(
@@ -472,10 +473,10 @@ def _check_figure_degeneracy(memo: SectorMemo) -> CheckResult:
             )
 
     params = ModelParams(2, 5, 0, 2, epsilon_roots(Fraction(1, 2)))
-    big = _sorted_reals(memo, params, _EMPTY)
-    shared = _sorted_reals(memo, params, GaugeMask((2, 3)))
-    pair_one = _sorted_reals(memo, params, GaugeMask((1, 3)))
-    pair_two = _sorted_reals(memo, params, GaugeMask((1, 2)))
+    big = _sorted_reals(store, params, _EMPTY)
+    shared = _sorted_reals(store, params, GaugeMask((2, 3)))
+    pair_one = _sorted_reals(store, params, GaugeMask((1, 3)))
+    pair_two = _sorted_reals(store, params, GaugeMask((1, 2)))
     gap_shared = _min_cross_gap(big, shared)
     gap_pair = _min_cross_gap(pair_one, pair_two)
     if min(gap_shared, gap_pair) <= 1e-3:
@@ -507,13 +508,15 @@ def _fraction_matmul(
     )
 
 
-def _invariant_pool(memo: SectorMemo) -> list[tuple[str, OperatorMatrix, Spectrum]]:
+def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spectrum]]:
     """Every matrix diagonalized by the spectral checks, deduplicated."""
     pool: dict[tuple[ModelParams, GaugeMask], tuple[str, OperatorMatrix, Spectrum]] = {}
 
     def add(params: ModelParams, mask: GaugeMask, label: str) -> None:
         if (params, mask) not in pool:
-            pool[params, mask] = (label, *_sector(memo, params, mask))
+            pool[params, mask] = (
+                label, store.sector(params, mask)[1], store.spectrum(params, mask)
+            )
 
     for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
@@ -530,12 +533,12 @@ def _invariant_pool(memo: SectorMemo) -> list[tuple[str, OperatorMatrix, Spectru
     return list(pool.values())
 
 
-def _check_eigensolver(memo: SectorMemo) -> CheckResult:
+def _check_eigensolver(store: _SectorStore) -> CheckResult:
     """On every matrix the spectral checks diagonalize: the eigenvalue sum
     matches the trace, the product matches the exact determinant (relative
     1e-8), complex values pair into conjugates, and five random exact
     similarity transforms leave the spectrum unchanged to 1e-8."""
-    pool = _invariant_pool(memo)
+    pool = _invariant_pool(store)
     worst_det = 0.0
     for label, mat, spec in pool:
         values = spec.values
@@ -607,11 +610,29 @@ def _check_eigensolver(memo: SectorMemo) -> CheckResult:
 
 # -- runner -----------------------------------------------------------------------
 
+# Every check in run order; `run_checks` hands each the run's sector store.
+_CHECKS: dict[str, Callable[[_SectorStore], CheckResult]] = {
+    "matrices": _check_matrices,
+    "closed-forms": _check_closed_forms,
+    "oscillator": lambda _: _check_oscillator(),
+    "counting": lambda _: _check_counting(),
+    "closure": _check_closure,
+    "gauge-exponents": lambda _: _check_gauge_exponents(),
+    "raising": _check_raising,
+    "decoupling": lambda _: _check_decoupling(),
+    "figure-degeneracy": _check_figure_degeneracy,
+    "eigensolver": _check_eigensolver,
+}
+
+CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
+
 
 def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     """Run the named verification checks (all ten by default), in order.
 
     Raises ValueError when ``only`` names an unknown check or no check at all.
+    A check that raises is reported as failed with the exception's type and
+    message.
     """
     requested = list(CHECK_NAMES) if only is None else list(only)
     if not requested:
@@ -621,45 +642,12 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
         raise ValueError(
             f"unknown check name(s) {unknown}; available: {', '.join(CHECK_NAMES)}"
         )
-
-    memo: SectorMemo = {}
-    grid: list[GridEntry] | None = None
-    grid_error: Exception | None = None
-    if "closure" in requested or "raising" in requested:
-        try:
-            grid = _closure_grid(random.Random(505))
-        except (OperatorNotClosed, NonCancellingPole, InvalidDegree, ArithmeticError) as exc:
-            grid_error = exc
-
-    results: list[CheckResult] = []
-    for name in CHECK_NAMES:
-        if name not in requested:
-            continue
-        if name == "matrices":
-            results.append(_run_guarded(name, _check_matrices))
-        elif name == "closed-forms":
-            results.append(_run_guarded(name, lambda: _check_closed_forms(memo)))
-        elif name == "oscillator":
-            results.append(_run_guarded(name, _check_oscillator))
-        elif name == "counting":
-            results.append(_run_guarded(name, _check_counting))
-        elif name == "closure":
-            results.append(_run_guarded(name, lambda: _check_closure(grid, grid_error)))
-        elif name == "gauge-exponents":
-            results.append(_run_guarded(name, _check_gauge_exponents))
-        elif name == "raising":
-            results.append(_run_guarded(name, lambda: _check_raising(grid, grid_error)))
-        elif name == "decoupling":
-            results.append(_run_guarded(name, _check_decoupling))
-        elif name == "figure-degeneracy":
-            results.append(_run_guarded(name, lambda: _check_figure_degeneracy(memo)))
-        elif name == "eigensolver":
-            results.append(_run_guarded(name, lambda: _check_eigensolver(memo)))
-    return results
+    store = _SectorStore()
+    return [_run_guarded(name, store) for name in CHECK_NAMES if name in requested]
 
 
-def _run_guarded(name: str, check) -> CheckResult:
+def _run_guarded(name: str, store: _SectorStore) -> CheckResult:
     try:
-        return check()
+        return _CHECKS[name](store)
     except Exception as exc:  # a crashed check is a failed check
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")

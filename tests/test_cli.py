@@ -311,6 +311,22 @@ def test_eigenfunctions_come_from_one_eigendecomposition(capsys, monkeypatch):
     assert sum(1 for v in values if abs(v.imag) > 1e-4) == 2
 
 
+def test_eigenfunctions_name_each_basis_monomial_once(capsys, monkeypatch):
+    """The basis is named once per command, not once per eigenvector."""
+    named: list[tuple[int, ...]] = []
+    original = cli._monomial_name
+
+    def counting_name(exponents):
+        named.append(exponents)
+        return original(exponents)
+
+    monkeypatch.setattr(cli, "_monomial_name", counting_name)
+    code, out, _ = run(capsys, "eigenfunctions", "--n", "2", "--m", "4", "--a=-3")
+    assert code == 0
+    assert out.count("eigenvalue ") == 15
+    assert named and len(named) == len(set(named)) <= 15
+
+
 def test_eigenfunctions_show_gauge_prefix(capsys):
     code, out, _ = run(capsys, "eigenfunctions", "--n", "1", "--m", "3/2", "--mask", "1")
     assert code == 0
