@@ -105,17 +105,19 @@ class _SectorStore:
     def sector(self, params: ModelParams, mask: GaugeMask) -> GridEntry:
         """The sector's exact operator and matrix."""
         key = (params, mask)
-        if key not in self._sectors:
+        entry = self._sectors.get(key)
+        if entry is None:
             op = build_gauged_operator(params, mask)
-            self._sectors[key] = (op, build_matrix(op))
-        return self._sectors[key]
+            entry = self._sectors[key] = (op, build_matrix(op))
+        return entry
 
     def spectrum(self, params: ModelParams, mask: GaugeMask) -> Spectrum:
         """The float spectrum of the sector's matrix."""
         key = (params, mask)
-        if key not in self._spectra:
-            self._spectra[key] = spectrum_of(self.sector(params, mask)[1])
-        return self._spectra[key]
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = self._spectra[key] = spectrum_of(self.sector(params, mask)[1])
+        return spectrum
 
 
 def _grid_entry(
