@@ -34,7 +34,7 @@ from .errors import (
     NotSymmetric,
     OperatorNotClosed,
 )
-from .matrices import build_matrix, export_matrix, matches_operator
+from .matrices import build_matrix, export_matrix, interpolate, matches_operator
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
@@ -43,6 +43,13 @@ from .spectral import eigenvector, spectrum_of, to_float
 from .verify import CHECK_NAMES, report_json, run_checks
 
 SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
+
+# Degree of every sector matrix entry in each sweep variable.  Give z and the
+# roots weight 1 and tau_k weight k (the homogeneity of the Weierstrass
+# functions, DLMF 23.10): entry (i, j) is then a homogeneous polynomial of
+# degree 1 - (w_i - w_j) <= 3 in the roots, and it is affine in the coupling a.
+# The roots (2, -1+eps, -1-eps) are affine in eps.
+SWEEP_DEGREE = {"a": 1, "epsilon": 3}
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  N=6, m=6 over all masks (2310) takes
@@ -211,12 +218,25 @@ def sweep_rows(
 
     # every grid point has the same sectors: they depend on N, m and b only
     first = params_at(lo)
-    _check_budget(first, _selected_masks(first, mask), steps)
+    masks = _selected_masks(first, mask)
+    _check_budget(first, masks, steps)
+    grid = _grid(lo, hi, steps)
+    # Each sector is built exactly at the first SWEEP_DEGREE + 1 distinct grid
+    # values and interpolated at the others.  Every build proves closure at its
+    # node; the image coefficients are polynomials of that degree in the sweep
+    # variable, so closure at the nodes is closure at every grid point.
+    nodes = list(dict.fromkeys(grid))[: SWEEP_DEGREE[sweep_var] + 1]
+    sectors = {
+        sector_mask: interpolate(
+            nodes,
+            [build_matrix(build_gauged_operator(params_at(x), sector_mask)) for x in nodes],
+        )
+        for sector_mask in masks
+    }
     rows: list[tuple[Fraction, str, int, float, float]] = []
-    for value in _grid(lo, hi, steps):
-        params = params_at(value)
-        for sector_mask in _selected_masks(params, mask):
-            spectrum = spectrum_of(build_matrix(build_gauged_operator(params, sector_mask)))
+    for value in grid:
+        for sector_mask, matrix_at in sectors.items():
+            spectrum = spectrum_of(matrix_at(value))
             for i, v in enumerate(spectrum.values):
                 rows.append((value, str(sector_mask), i, v.real, v.imag))
     return rows
@@ -334,10 +354,10 @@ def cmd_eigenfunctions(args: argparse.Namespace) -> int:
     for value, vec, anchor in zip(spectrum.values, vectors.T, anchors):
         phase = vec[anchor] / abs(vec[anchor])
         vec = vec / phase
+        printed = np.flatnonzero(np.abs(vec) >= 1e-12)
         text = ""
-        for c, name in zip(map(complex, vec.tolist()), names):
-            if abs(c) < 1e-12:
-                continue
+        for c, k in zip(vec[printed].tolist(), printed.tolist()):
+            name = names[k]
             if abs(c.imag) < 1e-9:
                 sign, c_text = ("-", f"{-c.real:.9g}") if c.real < 0 else ("+", f"{c.real:.9g}")
             else:

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, potential_coefficient, raising_coefficient
@@ -155,6 +155,56 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
         tuple(columns[j].get(i, _ZERO) for j in range(dim)) for i in range(dim)
     )
     return OperatorMatrix(basis, rows)
+
+
+def interpolate(
+    nodes: Sequence[Fraction], mats: Sequence[OperatorMatrix]
+) -> Callable[[Fraction], OperatorMatrix]:
+    """The matrix polynomial of degree < len(nodes) through (nodes[k], mats[k]).
+
+    Exact Newton interpolation entry by entry: divided differences over the
+    union of the non-zero positions of ``mats``, evaluated by Horner with
+    trailing zero coefficients dropped.  At a node the interpolant returns
+    that node's matrix itself.  It reproduces a family of matrices exactly
+    when every entry is a polynomial of degree < len(nodes) in the variable;
+    that degree bound is the caller's to prove.
+    """
+    if not nodes or len(nodes) != len(mats):
+        raise ValueError(f"need one matrix per node, got {len(nodes)} nodes, {len(mats)} matrices")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"interpolation nodes must be distinct, got {list(nodes)}")
+    basis = mats[0].basis
+    if any(mat.basis.monomials != basis.monomials for mat in mats):
+        raise ValueError("interpolated matrices must share one basis")
+    positions = sorted(
+        {(i, j) for mat in mats for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x}
+    )
+    newton: list[tuple[int, int, list[Fraction]]] = []
+    for i, j in positions:
+        c = [mat.rows[i][j] for mat in mats]
+        for k in range(1, len(nodes)):
+            for t in range(len(nodes) - 1, k - 1, -1):
+                c[t] = (c[t] - c[t - 1]) / (nodes[t] - nodes[t - k])
+        while not c[-1] and len(c) > 1:
+            c.pop()
+        newton.append((i, j, c))
+    at_node = dict(zip(nodes, mats))
+    dim = len(basis)
+
+    def evaluate(x: Fraction) -> OperatorMatrix:
+        mat = at_node.get(x)
+        if mat is not None:
+            return mat
+        shifts = [x - node for node in nodes]
+        rows = [[_ZERO] * dim for _ in range(dim)]
+        for i, j, c in newton:
+            value = c[-1]
+            for k in range(len(c) - 2, -1, -1):
+                value = value * shifts[k] + c[k]
+            rows[i][j] = value
+        return OperatorMatrix(basis, tuple(map(tuple, rows)))
+
+    return evaluate
 
 
 def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:

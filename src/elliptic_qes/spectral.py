@@ -21,10 +21,16 @@ _REAL_TOL = 1e-7
 
 
 def to_float(mat: OperatorMatrix) -> np.ndarray:
-    """Nearest-double image of an exact matrix; rejects entries that overflow."""
-    out = np.empty((mat.dim, mat.dim), dtype=float)
+    """Nearest-double image of an exact matrix; rejects entries that overflow.
+
+    Sector matrices are mostly zero, so only the non-zero entries are
+    converted, into an array of zeros.
+    """
+    out = np.zeros((mat.dim, mat.dim), dtype=float)
     for i, row in enumerate(mat.rows):
         for j, x in enumerate(row):
+            if not x:
+                continue
             try:
                 out[i, j] = float(x)
             except OverflowError as exc:

@@ -101,6 +101,7 @@ class _SectorStore:
     def __init__(self) -> None:
         self._sectors: dict[tuple[ModelParams, GaugeMask], GridEntry] = {}
         self._spectra: dict[tuple[ModelParams, GaugeMask], Spectrum] = {}
+        self._grid: list[GridEntry] | None = None
 
     def sector(self, params: ModelParams, mask: GaugeMask) -> GridEntry:
         """The sector's exact operator and matrix."""
@@ -118,6 +119,12 @@ class _SectorStore:
         if spectrum is None:
             spectrum = self._spectra[key] = spectrum_of(self.sector(params, mask)[1])
         return spectrum
+
+    def closure_grid(self) -> list[GridEntry]:
+        """The sectors that `closure` and `raising` share, drawn once per run."""
+        if self._grid is None:
+            self._grid = _closure_grid(self)
+        return self._grid
 
 
 def _grid_entry(
@@ -280,7 +287,7 @@ def _check_closure(store: _SectorStore) -> CheckResult:
     the invariant space and without a surviving gauge pole, and on a sample
     of cutoff-2 sectors every column equals the image that
     `GaugedOperator.apply` computes in z-space."""
-    grid = _closure_grid(store)
+    grid = store.closure_grid()
     sample = _cross_check_sample(store)
     for op, mat in sample:
         if not matches_operator(op, mat):
@@ -393,7 +400,7 @@ def _check_raising(store: _SectorStore) -> CheckResult:
     """The degree-raising coefficient formula holds exactly at every degree
     up to the cutoff for every sector on the random grid."""
     checked = 0
-    for op, mat in _closure_grid(store):
+    for op, mat in store.closure_grid():
         for degree in range(op.cutoff + 1):
             if not raising_coefficient_check(op, degree, mat):
                 params = op.params

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import pytest
 import elliptic_qes.cli as cli
 import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
-from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
+from elliptic_qes.matrices import OperatorMatrix, build_matrix, interpolate, matrix_from_json
 from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.errors import NonCancellingPole
 from elliptic_qes.operator import build_gauged_operator
-from elliptic_qes.spectral import to_float
+from elliptic_qes.oracles import epsilon_roots
+from elliptic_qes.spectral import spectrum_of, to_float
 
 
 def run(capsys, *argv):
@@ -184,6 +186,90 @@ def test_sweep_coupling_variable(capsys):
     assert {row["value"] for row in payload["rows"]} == {"0", "5"}
     assert all(row["mask"] == "13" for row in payload["rows"])
     assert len(payload["rows"]) == 6
+
+
+def _sweep_params(var, value, nvars, b, m):
+    """The sweep's parameter point: epsilon moves the roots at a = 3/2, a moves
+    the coupling at the distinct roots (2, -3/2, -1/2)."""
+    if var == "epsilon":
+        return ModelParams(nvars, Fraction(3, 2), b, m, epsilon_roots(value))
+    return ModelParams(nvars, value, b, m, (2, Fraction(-3, 2), Fraction(-1, 2)))
+
+
+def _direct(var, value, nvars, b, m, mask):
+    return build_matrix(build_gauged_operator(_sweep_params(var, value, nvars, b, m), mask))
+
+
+# (sweep variable, N): a at N = 1..3, epsilon at N = 2, 3.  The degrees m give
+# every mask a valid sector at b = 0 (integer and half-integer m) and at
+# b = 1/4 (m in 2 + {0, 1/4, 1/2, 3/4}, one mask size each).
+@pytest.mark.parametrize(
+    ("var", "nvars"), [("a", 1), ("a", 2), ("a", 3), ("epsilon", 2), ("epsilon", 3)]
+)
+@pytest.mark.parametrize(
+    ("b", "degrees"),
+    [
+        (Fraction(0), (Fraction(2), Fraction(5, 2))),
+        (Fraction(1, 4), (Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))),
+    ],
+)
+def test_interpolated_sweep_matrices_equal_direct_builds(var, nvars, b, degrees):
+    # equally spaced nodes as a sweep places them; probes between the nodes,
+    # beyond them on both sides, and far outside their span
+    nodes = [Fraction(1, 3) + Fraction(k, 4) for k in range(cli.SWEEP_DEGREE[var] + 1)]
+    probes = [Fraction(11, 24), nodes[-1] + Fraction(1, 4), Fraction(-7, 5), Fraction(9, 2)]
+    masks_seen = set()
+    for m in degrees:
+        for mask in list_valid_masks(ModelParams(nvars, 0, b, m)):
+            masks_seen.add(mask)
+            matrix_at = interpolate(nodes, [_direct(var, x, nvars, b, m, mask) for x in nodes])
+            for x in probes:
+                assert matrix_at(x) == _direct(var, x, nvars, b, m, mask), (m, mask, x)
+    assert len(masks_seen) == 8
+
+
+def test_a_sweep_builds_each_sector_at_two_grid_points(monkeypatch):
+    calls = []
+
+    def counting(op):
+        calls.append(op.params.coupling_a)
+        return build_matrix(op)
+
+    monkeypatch.setattr(cli, "build_matrix", counting)
+    rows = cli.sweep_rows(
+        "a", Fraction(0), Fraction(7, 2), 8, nvars=2, degree_m=Fraction(2),
+        coupling_a=Fraction(0), coupling_b=Fraction(0), roots=None, mask="all",
+    )
+    assert len(rows) == 8 * 15
+    assert len(calls) == 8  # 4 sectors x 2 nodes
+    assert set(calls) == {Fraction(0), Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    ("var", "lo", "hi", "steps"),
+    [
+        ("a", Fraction(3, 2), Fraction(3, 2), 1),
+        ("a", Fraction(-1), Fraction(2), 2),
+        ("a", Fraction(3), Fraction(-2), 7),
+        ("epsilon", Fraction(1, 4), Fraction(1, 4), 1),
+        ("epsilon", Fraction(0), Fraction(1), 2),
+        ("epsilon", Fraction(5, 2), Fraction(-1, 3), 7),
+    ],
+)
+def test_sweep_rows_equal_spectra_built_point_by_point(var, lo, hi, steps):
+    nvars, b, m = 2, Fraction(0), Fraction(2)
+    rows = cli.sweep_rows(
+        var, lo, hi, steps, nvars=nvars, degree_m=m,
+        coupling_a=Fraction(3, 2), coupling_b=b,
+        roots=(2, Fraction(-3, 2), Fraction(-1, 2)) if var == "a" else None, mask="all",
+    )
+    expected = []
+    for value in cli._grid(lo, hi, steps):
+        params = _sweep_params(var, value, nvars, b, m)
+        for mask in list_valid_masks(params):
+            spectrum = spectrum_of(_direct(var, value, nvars, b, m, mask))
+            expected += [(value, str(mask), i, v.real, v.imag) for i, v in enumerate(spectrum.values)]
+    assert rows == expected
 
 
 # -- masks ------------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from elliptic_qes.matrices import (
     OperatorMatrix,
     build_matrix,
     export_matrix,
+    interpolate,
     inverse,
     matches_operator,
     matrix_from_json,
@@ -240,6 +241,24 @@ def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
     j = mat.basis.index_of((1, 1, 0, 0))
     rows[0][j] += 1
     assert not matches_operator(op, OperatorMatrix(mat.basis, tuple(map(tuple, rows))))
+
+def test_interpolate_returns_node_matrices_and_rejects_repeated_nodes():
+    basis = enumerate_basis(1, 1)
+
+    def mat(*entries):
+        return OperatorMatrix(basis, (entries[:2], entries[2:]))
+
+    # entry (0, 1) is x^2 + 1, entry (1, 0) is 3 at every node: degree 2 and 0
+    nodes = [Fraction(0), Fraction(1), Fraction(3)]
+    mats = [mat(0, x * x + 1, 3, 0) for x in map(Fraction, nodes)]
+    at = interpolate(nodes, mats)
+    assert all(at(x) is m for x, m in zip(nodes, mats))
+    assert at(Fraction(-1, 2)) == mat(0, Fraction(5, 4), 3, 0)
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate([Fraction(1), Fraction(1)], mats[:2])
+    with pytest.raises(ValueError, match="one matrix per node"):
+        interpolate(nodes, mats[:2])
+
 
 def test_json_round_trip():
     mat = build_matrix(
