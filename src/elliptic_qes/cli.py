@@ -10,9 +10,10 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1).  Before building
-anything, matrix, spectrum, sweep and eigenfunctions sum the basis dimensions
-of their sectors over every grid point and refuse a total above
+their grid points exactly as lo + k (hi - lo)/(steps - 1), build each sector
+at SWEEP_DEGREE + 1 of them and interpolate it exactly at the rest.  Before
+building anything, matrix, spectrum, sweep and eigenfunctions sum the basis
+dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a verification or convergence
 failure, 2 a parameter error or a refused size.
 """
@@ -44,7 +45,8 @@ from .verify import CHECK_NAMES, report_json, run_checks
 
 SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 
-# Degree of every sector matrix entry in each sweep variable.  Give z and the
+# Bound on the degree of every sector matrix entry, and of every image
+# coefficient outside the basis, in each sweep variable.  Give z and the
 # roots weight 1 and tau_k weight k (the homogeneity of the Weierstrass
 # functions, DLMF 23.10): entry (i, j) is then a homogeneous polynomial of
 # degree 1 - (w_i - w_j) <= 3 in the roots, and it is affine in the coupling a.

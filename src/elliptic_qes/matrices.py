@@ -23,7 +23,8 @@ space really is invariant.
 The exact linear algebra on these matrices (determinant, values of the
 characteristic polynomial, inverse) is one fraction Gauss-Jordan routine,
 `_gauss_jordan`, so the invariants that check the float solve are computed
-in exactly one place.
+in exactly one place.  `interpolate` continues a family of matrices exactly
+between builds, for sweeps whose entries are polynomial in the swept value.
 """
 
 from __future__ import annotations
@@ -174,8 +175,6 @@ def interpolate(
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"interpolation nodes must be distinct, got {list(nodes)}")
     basis = mats[0].basis
-    if any(mat.basis.monomials != basis.monomials for mat in mats):
-        raise ValueError("interpolated matrices must share one basis")
     positions = sorted(
         {(i, j) for mat in mats for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x}
     )
