@@ -268,7 +268,9 @@ def test_sweep_rows_equal_spectra_built_point_by_point(var, lo, hi, steps):
         params = _sweep_params(var, value, nvars, b, m)
         for mask in list_valid_masks(params):
             spectrum = spectrum_of(_direct(var, value, nvars, b, m, mask))
-            expected += [(value, str(mask), i, v.real, v.imag) for i, v in enumerate(spectrum.values)]
+            expected += [
+                (value, str(mask), i, v.real, v.imag) for i, v in enumerate(spectrum.values)
+            ]
     assert rows == expected
 
 
