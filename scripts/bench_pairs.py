@@ -1,19 +1,20 @@
 """Run the benchmark on two revisions in alternating pairs and keep every result.
 
     python3 scripts/bench_pairs.py --label NAME [--base REV] [--head REV]
-        [--workload W ...] [--pairs K] [--seed N] [--seconds S] [--trace 0|1]
+        [--workload W ...]
 
 Both revisions (default HEAD~1 and HEAD) are exported with `git archive` into
-one temporary directory, so each runs its own `perfbench/run.py` on its own
-sources and nothing is registered in the repository.  For every workload the
-two exports run K times in turn; the one that goes first alternates from pair
-to pair, so a drift in machine speed does not favour either side.
+one temporary directory, so each runs its own `perfbench/run.py`, with that
+script's default seed and run length, on its own sources and nothing is
+registered in the repository.  For every workload the two exports run
+PAIRS times in turn; the one that goes first alternates from pair to pair,
+so a drift in machine speed does not favour either side.
 
 Every result line of `perfbench/run.py` (its last stdout line) is appended,
 unedited, to `BENCH_<NAME>.json` at the repository root, one JSON object per
-line with the workload, seed, short revision and trace flag.  At the end the
-medians of the end-to-end metrics are printed for each workload and revision,
-with the number of pairs in which the head revision was lower.
+line with the workload, seed and short revision.  At the end the medians of
+the end-to-end metrics are printed for each workload and revision, with the
+number of pairs in which the head revision was lower.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("verify", "spectrum-n4", "sweep-coupling", "eigenfunctions")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+# ten pairs: a gain is claimed only when the head is lower in nine of them
+PAIRS = 10
 END_TO_END = ("op_s_p50", "cold_op_s", "setup_s", "peak_rss_mb")
 
 
@@ -47,12 +52,10 @@ def _export(repo: Path, revision: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def _run(checkout: Path, workload: str, args: argparse.Namespace) -> dict:
+def _run(checkout: Path, workload: str) -> dict:
     """One `perfbench/run.py` run; returns its last stdout line, parsed."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
-         "--trace", str(args.trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -91,10 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", default="HEAD", help="revision under test")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; default every workload")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     repo = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
@@ -107,18 +106,16 @@ def main(argv: list[str] | None = None) -> int:
             checkouts[rev] = Path(tmp) / rev
             _export(repo, rev, checkouts[rev])
         for workload in args.workload or WORKLOADS:
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for rev in revisions if pair % 2 == 0 else revisions[::-1]:
-                    record = {"workload": workload, "seed": args.seed, "revision": rev,
-                              "trace": args.trace,
-                              "result": _run(checkouts[rev], workload, args)}
+                    record = {"workload": workload, "seed": DEFAULT_SEED, "revision": rev,
+                              "result": _run(checkouts[rev], workload)}
                     records.append(record)
                     with out_path.open("a", encoding="utf-8") as fh:
                         fh.write(json.dumps(record) + "\n")
                     print(f"{workload} pair {pair + 1} {rev}: "
                           f"{json.dumps(record['result'].get('metrics', {}))}", flush=True)
-    if args.trace == 0:
-        print("\n".join(_summary(records, *revisions)))
+    print("\n".join(_summary(records, *revisions)))
     return 0
 
 

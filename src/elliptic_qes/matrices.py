@@ -158,27 +158,15 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     return OperatorMatrix(basis, rows)
 
 
-def interpolate(
+def _divided_differences(
     nodes: Sequence[Fraction], mats: Sequence[OperatorMatrix]
-) -> Callable[[Fraction], OperatorMatrix]:
-    """The matrix polynomial of degree < len(nodes) through (nodes[k], mats[k]).
-
-    Exact Newton interpolation entry by entry: divided differences over the
-    union of the non-zero positions of ``mats``, evaluated by Horner with
-    trailing zero coefficients dropped.  At a node the interpolant returns
-    that node's matrix itself.  It reproduces a family of matrices exactly
-    when every entry is a polynomial of degree < len(nodes) in the variable;
-    that degree bound is the caller's to prove.
-    """
-    if not nodes or len(nodes) != len(mats):
-        raise ValueError(f"need one matrix per node, got {len(nodes)} nodes, {len(mats)} matrices")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError(f"interpolation nodes must be distinct, got {list(nodes)}")
-    basis = mats[0].basis
+) -> list[tuple[int, int, list[Fraction]]]:
+    """Newton coefficients of every entry that is non-zero at some node,
+    with trailing zero coefficients dropped."""
     positions = sorted(
         {(i, j) for mat in mats for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x}
     )
-    newton: list[tuple[int, int, list[Fraction]]] = []
+    newton = []
     for i, j in positions:
         c = [mat.rows[i][j] for mat in mats]
         for k in range(1, len(nodes)):
@@ -187,13 +175,35 @@ def interpolate(
         while not c[-1] and len(c) > 1:
             c.pop()
         newton.append((i, j, c))
-    at_node = dict(zip(nodes, mats))
+    return newton
+
+
+def interpolate(
+    nodes: Sequence[Fraction], mats: Sequence[OperatorMatrix]
+) -> Callable[[Fraction], OperatorMatrix]:
+    """The matrix polynomial of degree < len(nodes) through (nodes[k], mats[k]).
+
+    ``nodes`` must be distinct, with one matrix per node.  At a node the
+    interpolant returns that node's matrix itself.  Elsewhere it uses exact
+    Newton interpolation entry by entry over the union of the non-zero
+    positions of ``mats``, evaluated by Horner.  The divided differences are
+    taken at the first evaluation off the nodes, so a grid made only of
+    nodes costs nothing beyond its builds.  The interpolant reproduces a
+    family of matrices exactly when every entry is a polynomial of degree
+    < len(nodes) in the variable; that degree bound is the caller's to prove.
+    """
+    basis = mats[0].basis
     dim = len(basis)
+    at_node = dict(zip(nodes, mats))
+    newton: list[tuple[int, int, list[Fraction]]] | None = None
 
     def evaluate(x: Fraction) -> OperatorMatrix:
+        nonlocal newton
         mat = at_node.get(x)
         if mat is not None:
             return mat
+        if newton is None:
+            newton = _divided_differences(nodes, mats)
         shifts = [x - node for node in nodes]
         rows = [[_ZERO] * dim for _ in range(dim)]
         for i, j, c in newton:

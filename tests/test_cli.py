@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import elliptic_qes.cli as cli
+import elliptic_qes.matrices as matrices
 import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
 from elliptic_qes.matrices import OperatorMatrix, build_matrix, interpolate, matrix_from_json
@@ -243,6 +244,28 @@ def test_a_sweep_builds_each_sector_at_two_grid_points(monkeypatch):
     assert len(rows) == 8 * 15
     assert len(calls) == 8  # 4 sectors x 2 nodes
     assert set(calls) == {Fraction(0), Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    ("var", "steps", "differenced"),
+    [("a", 2, 0), ("epsilon", 4, 0), ("a", 3, 4), ("epsilon", 5, 4)],
+)
+def test_sweep_differences_each_sector_once_and_only_off_the_nodes(
+    monkeypatch, var, steps, differenced
+):
+    calls = []
+
+    def counting(nodes, mats):
+        calls.append(len(nodes))
+        return divided_differences(nodes, mats)
+
+    divided_differences = matrices._divided_differences
+    monkeypatch.setattr(matrices, "_divided_differences", counting)
+    cli.sweep_rows(
+        var, Fraction(0), Fraction(1), steps, nvars=2, degree_m=Fraction(2),
+        coupling_a=Fraction(1), coupling_b=Fraction(0), roots=None, mask="all",
+    )
+    assert calls == [cli.SWEEP_DEGREE[var] + 1] * differenced  # 4 sectors when off-node
 
 
 @pytest.mark.parametrize(
