@@ -50,8 +50,14 @@ SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 # roots weight 1 and tau_k weight k (the homogeneity of the Weierstrass
 # functions, DLMF 23.10): entry (i, j) is then a homogeneous polynomial of
 # degree 1 - (w_i - w_j) <= 3 in the roots, and it is affine in the coupling a.
-# The roots (2, -1+eps, -1-eps) are affine in eps.
-SWEEP_DEGREE = {"a": 1, "epsilon": 3}
+# Along the roots (2, -1+eps, -1-eps) the bound is 2, not 3, because e1 is fixed:
+# every entry is linear in the coefficients of p, p', q and s (see
+# `matrices._tau_coefficients`), and V does not depend on eps; g2 = 12 + 4 eps^2
+# and g3 = 8 (1 - eps^2); q = 4 nu sum_{i in mask} prod_{k != i} (z - e_k) has
+# coefficients of degree <= 2 in eps; and s = c z + c' sum_{i in mask} e_i,
+# with c and c' fixed by b and the mask (its expansion at z -> infinity), has
+# degree <= 1.
+SWEEP_DEGREE = {"a": 1, "epsilon": 2}
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  N=6, m=6 over all masks (2310) takes

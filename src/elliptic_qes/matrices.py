@@ -14,6 +14,11 @@ gauge scalar and the couplings.  Every column follows from them by exponent
 shifts in tau-space, so assembly never passes through z-space;
 `GaugedOperator.apply` stays the independent z-space oracle that checks it.
 
+Assembly runs in integer arithmetic.  D, the lcm of the denominators of
+those rational weights, turns D*A, D*B and D*C into integer tau-polynomials,
+every column of D*L is a sum of integer products, and each non-zero entry
+becomes a Fraction once, as k / D.
+
 Assembling a matrix is itself the closure proof for its parameter point.
 Every column is the full exact image, components above the cutoff included,
 and any image component outside the basis raises OperatorNotClosed.  A
@@ -32,13 +37,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from operator import add
 from typing import Callable, Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, potential_coefficient, raising_coefficient
 from .polynomials import Exponents, Poly, format_rational, parse_rational
-from .symmetric import BasisIndex, enumerate_basis, structure_sums
+from .symmetric import BasisIndex, StructureSums, enumerate_basis, structure_sums
 
 # Fills every absent entry of a built matrix; one shared object, not one per entry.
 _ZERO = Fraction(0)
@@ -133,29 +140,26 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space.
 
     Writes the coefficients of L = sum A_ij d_i d_j + sum B_i d_i + C in
-    closed form and builds every column from the tau-space formula for
-    L(tau^l).  Each column is the exact, untruncated image, so this raises
-    OperatorNotClosed if any image has a component of tau-degree above the
-    sector cutoff.
+    closed form, as integer tau-polynomials over one common denominator D,
+    and builds every column from the tau-space formula for L(tau^l) in
+    integer arithmetic.  Each non-zero entry is formed once, as k / D.  Each
+    column is the exact, untruncated image, so this raises OperatorNotClosed
+    if any image has a non-zero component of tau-degree above the sector
+    cutoff.
     """
     basis = enumerate_basis(op.nvars, op.cutoff)
     dim = len(basis)
-    parts = _tau_coefficients(op)
-    columns: list[dict[int, Fraction]] = []
-    for exps in basis:
-        col: dict[int, Fraction] = {}
-        for iexps, coeff in _image(exps, parts).terms.items():
+    denominator, parts = _tau_coefficients(op)
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for j, exps in enumerate(basis):
+        for iexps, k in _image(exps, parts).items():
             if iexps not in basis:
                 raise OperatorNotClosed(
                     f"image of tau-monomial {exps} contains {iexps} of degree "
                     f"{sum(iexps)}, above the cutoff {op.cutoff}"
                 )
-            col[basis.index_of(iexps)] = coeff
-        columns.append(col)
-    rows = tuple(
-        tuple(columns[j].get(i, _ZERO) for j in range(dim)) for i in range(dim)
-    )
-    return OperatorMatrix(basis, rows)
+            rows[basis.index_of(iexps)][j] = Fraction(k, denominator)
+    return OperatorMatrix(basis, tuple(map(tuple, rows)))
 
 
 def _divided_differences(
@@ -233,11 +237,12 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     )
 
 # One term of L in tau-space: the indices of its tau-derivatives (none, i, or
-# i <= j) and its polynomial coefficient.
-_Part = tuple[tuple[int, ...], Poly]
+# i <= j) and its polynomial coefficient times the common denominator, as a
+# map from exponents to non-zero int.
+_Part = tuple[tuple[int, ...], dict[Exponents, int]]
 
 
-def _tau_coefficients(op: GaugedOperator) -> list[_Part]:
+def _tau_coefficients(op: GaugedOperator) -> tuple[int, list[_Part]]:
     """Coefficients of L as a second-order operator in tau, in closed form.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
@@ -249,36 +254,59 @@ def _tau_coefficients(op: GaugedOperator) -> list[_Part]:
         C    = V tau_1 - sum_r s_r P_r - 2a sum_r q_r D_r
         B_i  = -sum_r (2 q_r + (b + 1/2) p'_r) T_ri - 2a sum_r p_r E_ri
         A_ij = -(2 - delta_ij) sum_r p_r Q_rij
+
+    The sums have integer coefficients, so every coefficient is an integer
+    combination of them with the rational weights above.  Returns D, the lcm
+    of the weights' denominators, and the coefficients multiplied by D, which
+    are integer tau-polynomials.
     """
     n = op.nvars
-    sums = structure_sums(n)
+    sums = _integer_sums(n)
     a2 = 2 * op.params.coupling_a
     b_half = op.params.coupling_b + Fraction(1, 2)
     cubic, charge = _by_power(op.cubic), _by_power(op.charge)
     drift = _by_power(2 * op.charge + b_half * op.cubic_prime)
 
-    def combine(weighted: list[tuple[Fraction, Poly]]) -> Poly:
-        return sum((poly * w for w, poly in weighted if w), Poly.zero(n))
-
-    tau1 = Poly.monomial((1,) + (0,) * (n - 1))
-    c = combine(
-        [(potential_coefficient(op.params), tau1)]
+    tau1 = {(1,) + (0,) * (n - 1): 1}
+    weighted = {
+        (): [(potential_coefficient(op.params), tau1)]
         + [(-w, sums.P[r]) for r, w in _by_power(op.scalar).items()]
         + [(-a2 * w, sums.D[r]) for r, w in charge.items()]
-    )
-    parts = [((), c)]
+    }
     for i in range(n):
-        b = combine(
-            [(-w, sums.T[r][i]) for r, w in drift.items()]
-            + [(-a2 * w, sums.E[r][i]) for r, w in cubic.items()]
-        )
-        parts.append(((i,), b))
+        weighted[(i,)] = [(-w, sums.T[r][i]) for r, w in drift.items()] + [
+            (-a2 * w, sums.E[r][i]) for r, w in cubic.items()
+        ]
     for i in range(n):
         for j in range(i, n):
             scale = -1 if i == j else -2
-            a = combine([(scale * w, sums.Q[r][i][j]) for r, w in cubic.items()])
-            parts.append(((i, j), a))
-    return [(idx, p) for idx, p in parts if p]
+            weighted[i, j] = [(scale * w, sums.Q[r][i][j]) for r, w in cubic.items()]
+    denominator = lcm(*(w.denominator for terms in weighted.values() for w, _ in terms))
+
+    def combine(terms: list[tuple[Fraction, dict[Exponents, int]]]) -> dict[Exponents, int]:
+        out: dict[Exponents, int] = {}
+        for w, structure in terms:
+            k = w.numerator * (denominator // w.denominator)
+            for e, c in structure.items():
+                out[e] = out.get(e, 0) + k * c
+        return {e: c for e, c in out.items() if c}
+
+    parts = [(idx, combine(terms)) for idx, terms in weighted.items()]
+    return denominator, [(idx, coeff) for idx, coeff in parts if coeff]
+
+
+@lru_cache(maxsize=None)
+def _integer_sums(nvars: int) -> StructureSums:
+    """`structure_sums(nvars)` with every tau-polynomial as a map from
+    exponents to int, converted once per N."""
+
+    def to_int(x):
+        if isinstance(x, Poly):
+            assert all(c.denominator == 1 for c in x.terms.values())
+            return {e: c.numerator for e, c in x.terms.items()}
+        return tuple(map(to_int, x))
+
+    return StructureSums._make(map(to_int, structure_sums(nvars)))
 
 
 def _by_power(poly: Poly) -> dict[int, Fraction]:
@@ -286,24 +314,26 @@ def _by_power(poly: Poly) -> dict[int, Fraction]:
     return {e: c for (e,), c in poly.terms.items()}
 
 
-def _image(exps: Exponents, parts: list[_Part]) -> Poly:
-    """L(tau^l) = sum_{i<=j} A_ij d_i d_j tau^l + sum_i B_i d_i tau^l + C tau^l.
+def _image(exps: Exponents, parts: list[_Part]) -> dict[Exponents, int]:
+    """D L(tau^l), from the integer parts D A_ij, D B_i and D C.
 
+    L(tau^l) = sum_{i<=j} A_ij d_i d_j tau^l + sum_i B_i d_i tau^l + C tau^l,
     d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
     d_i tau^l = l_i tau^(l - e_i), so each part shifts its coefficient's
-    exponents by the lowered l and scales it by the falling factor.
+    exponents by the lowered l and scales it by the falling factor.  Returns
+    the non-zero integer coefficients of the image.
     """
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int] = {}
     for idx, coeff in parts:
         weight, lowered = 1, list(exps)
         for k in idx:
             weight *= lowered[k]
             lowered[k] -= 1
         if weight:
-            for e, c in coeff.terms.items():
+            for e, c in coeff.items():
                 key = tuple(map(add, e, lowered))
                 out[key] = out.get(key, 0) + weight * c
-    return Poly(len(exps), out)
+    return {key: k for key, k in out.items() if k}
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:

@@ -248,7 +248,7 @@ def test_a_sweep_builds_each_sector_at_two_grid_points(monkeypatch):
 
 @pytest.mark.parametrize(
     ("var", "steps", "differenced"),
-    [("a", 2, 0), ("epsilon", 4, 0), ("a", 3, 4), ("epsilon", 5, 4)],
+    [("a", 2, 0), ("epsilon", 3, 0), ("a", 3, 4), ("epsilon", 5, 4)],
 )
 def test_sweep_differences_each_sector_once_and_only_off_the_nodes(
     monkeypatch, var, steps, differenced

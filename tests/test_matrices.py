@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
@@ -194,6 +195,30 @@ def test_matrix_equals_applied_images(nvars, cutoff, mask, a, b, e1, e2):
     assume(len(set(roots)) == 3)
     op = sector(nvars, a, b, roots, mask, cutoff)
     assert build_matrix(op).rows == oracle_rows(op)
+
+
+# a, b, e1, e2 (e3 = -e1 - e2) with denominators that are distinct primes, so
+# the common denominator of a sector collects a different prime power from
+# each weight; the entries' denominators alone pass the given bound.
+@pytest.mark.parametrize(
+    ("a", "b", "e1", "e2", "bound"),
+    [
+        (Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(-5, 11), 2**16),
+        (Fraction(-7, 13), Fraction(-3, 17), Fraction(11, 19), Fraction(4, 23), 2**28),
+        (Fraction(5, 101), Fraction(2, 1013), Fraction(3, 1019), Fraction(-7, 1021), 2**64),
+    ],
+    ids=["3-5-7-11", "13-17-19-23", "101-1013-1019-1021"],
+)
+def test_matrix_equals_applied_images_at_coprime_denominators(a, b, e1, e2, bound):
+    largest = 0
+    for nvars in (2, 3):
+        for cutoff in range(4):
+            for mask in ALL_MASKS:
+                op = sector(nvars, a, b, (e1, e2, -e1 - e2), mask, cutoff)
+                rows = build_matrix(op).rows
+                assert rows == oracle_rows(op), (nvars, cutoff, mask)
+                largest = max(largest, lcm(*(x.denominator for row in rows for x in row)))
+    assert largest > bound
 
 
 def test_matrix_equals_applied_images_four_particles_cutoff_four():

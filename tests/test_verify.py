@@ -1,5 +1,6 @@
 """Scope of the verification runner's sector store and its z-space cross-check."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -63,6 +64,24 @@ def test_cross_check_sample_switches_on_every_term_group():
         assert per_n[a, b, roots] == set(ALL_MASKS)
         g3 = 4 * roots[0] * roots[1] * roots[2]
         assert a != 0 and g3 != 0 and half - b != 0 and half + b != 0
+
+
+# SHA-256 of the closure grid followed by the cross-check sample, as built by
+# the Fraction term-by-term assembly that integer assembly over one
+# denominator replaced; every later engine must reproduce it exactly.
+CLOSURE_GRID_DIGEST = "7b829cb419a1fb487f19198a1681a29075897935eafd8bdac673fcbc1f3f9bc5"
+
+
+def test_closure_grid_and_sample_matrices_equal_the_recorded_engine():
+    store = verify._SectorStore()
+    sectors = store.closure_grid() + verify._cross_check_sample(store)
+    assert len(sectors) == 480 + 24
+    digest = hashlib.sha256()
+    for _, mat in sectors:
+        digest.update(repr(mat.basis.monomials).encode())
+        for row in mat.rows:
+            digest.update((",".join(str(x) for x in row) + "\n").encode())
+    assert digest.hexdigest() == CLOSURE_GRID_DIGEST
 
 
 def test_a_grid_sector_that_fails_to_build_fails_closure_and_raising(monkeypatch):
