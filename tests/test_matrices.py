@@ -199,7 +199,8 @@ def test_matrix_equals_applied_images(nvars, cutoff, mask, a, b, e1, e2):
 
 # a, b, e1, e2 (e3 = -e1 - e2) with denominators that are distinct primes, so
 # the common denominator of a sector collects a different prime power from
-# each weight; the entries' denominators alone pass the given bound.
+# each weight.  The lcm of one sector's entry denominators, which divides that
+# denominator, exceeds `bound` in at least one sector.
 @pytest.mark.parametrize(
     ("a", "b", "e1", "e2", "bound"),
     [

@@ -66,7 +66,8 @@ def test_cross_check_sample_switches_on_every_term_group():
         assert a != 0 and g3 != 0 and half - b != 0 and half + b != 0
 
 
-# SHA-256 of the closure grid followed by the cross-check sample, as built by
+# SHA-256 of the closure grid followed by the cross-check sample, with the
+# recipe of perfbench/gate.matrix_digest chained over the sectors, as built by
 # the Fraction term-by-term assembly that integer assembly over one
 # denominator replaced; every later engine must reproduce it exactly.
 CLOSURE_GRID_DIGEST = "7b829cb419a1fb487f19198a1681a29075897935eafd8bdac673fcbc1f3f9bc5"
