@@ -53,10 +53,8 @@ SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 # Along the roots (2, -1+eps, -1-eps) the bound is 2, not 3, because e1 is fixed:
 # every entry is linear in the coefficients of p, p', q and s (see
 # `matrices._tau_coefficients`), and V does not depend on eps; g2 = 12 + 4 eps^2
-# and g3 = 8 (1 - eps^2); q = 4 nu sum_{i in mask} prod_{k != i} (z - e_k) has
-# coefficients of degree <= 2 in eps; and s = c z + c' sum_{i in mask} e_i, with
-# c and c' fixed by b and the mask (as its expansion at z -> infinity shows),
-# has degree <= 1.
+# and g3 = 8 (1 - eps^2); the closed forms of q and s
+# (`operator._natural_gauge_polynomials`) have degree <= 2 and <= 1 in eps.
 SWEEP_DEGREE = {"a": 1, "epsilon": 2}
 
 # Largest total basis dimension one command may build and diagonalize, summed

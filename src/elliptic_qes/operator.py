@@ -20,9 +20,10 @@ and both must be polynomials for the conjugated operator to preserve
 polynomial spaces.  q always is, since every masked factor divides p.  s is a
 polynomial exactly when the residue nu (nu - 1/2 + b) p'(e_i) vanishes at each
 masked root, which for simple roots means nu in {0, 1/2 - b}; any other
-exponent leaves a genuine pole and raises NonCancellingPole.  This module
-performs those divisions exactly, so the pole-cancellation claim is decided by
-arithmetic rather than asserted.
+exponent leaves a genuine pole and raises NonCancellingPole.  Sectors at the
+natural exponent take q and s in closed form; `gauge_polynomials` performs the
+divisions exactly for any exponent, so pole cancellation is decided by
+arithmetic rather than asserted, and it is the oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def gauge_polynomials(
     exponent: Fraction,
     coupling_b: Fraction,
 ) -> tuple[Poly, Poly]:
-    """Exact single-variable gauge polynomials (q, s) for a masked exponent.
+    """Exact single-variable gauge polynomials (q, s) for any exponent.
 
     Works over the common denominator D(z) = prod_{i in mask} (z - e_i):
     lambda = A/D with A = nu * sum_i prod_{j != i} (z - e_j), so
@@ -82,7 +83,8 @@ def gauge_polynomials(
         s = [ p (A^2 + A'D - AD') + (b + 1/2) p' A D ] / D^2 .
 
     The q division is always exact.  The s division is exact precisely when
-    every pole cancels; a stall raises NonCancellingPole.
+    every pole cancels; a stall raises NonCancellingPole.  Sectors at nu = 1/2 - b
+    use closed forms, with this division as their oracle.
     """
     g2, g3 = cubic_invariants(roots)
     p = weierstrass_cubic(g2, g3)
@@ -118,6 +120,26 @@ def gauge_polynomials(
             f"gauge exponent {exponent} leaves an uncancelled pole at a root of "
             f"the cubic for mask {mask}; only exponents 0 and 1/2 - b cancel"
         ) from exc
+    return charge, scalar
+
+
+def _natural_gauge_polynomials(
+    roots: tuple[Fraction, Fraction, Fraction], mask: GaugeMask, coupling_b: Fraction
+) -> tuple[Poly, Poly]:
+    """(q, s) at the natural exponent nu = 1/2 - b, in closed form:
+
+        q = 4 nu sum_{i in mask} (z^2 + e_i z + e_j e_k) ,   {i, j, k} = {1, 2, 3}
+        s = 4 nu n_f (2 + nu (n_f - 3)) z + 4 nu (1 + nu (2 n_f - 3)) S ,
+
+    S = sum_{i in mask} e_i.  q is p lambda with the roots summing to zero; s has
+    degree <= 1, so it is the polynomial part of its expansion at z -> infinity.
+    """
+    nu, n_f = _HALF - coupling_b, mask.n_f
+    total = sum((roots[i - 1] for i in mask.indices), Fraction(0))
+    pairs = sum((roots[i % 3] * roots[(i + 1) % 3] for i in mask.indices), Fraction(0))
+    charge = Poly(1, {(2,): 4 * nu * n_f, (1,): 4 * nu * total, (0,): 4 * nu * pairs})
+    scalar = Poly(1, {(1,): 4 * nu * n_f * (2 + nu * (n_f - 3)),
+                      (0,): 4 * nu * (1 + nu * (2 * n_f - 3)) * total})
     return charge, scalar
 
 
@@ -210,8 +232,9 @@ def build_gauged_operator(
 
     Raises InvalidDegree unless the sector's shifted cutoff is a non-negative
     integer, and NonCancellingPole if the gauge exponent fails to cancel the
-    poles it introduces.  ``exponent`` overrides the natural value 1/2 - b;
-    it exists to let callers demonstrate the failure case deliberately and
+    poles it introduces.  ``exponent`` overrides the natural value 1/2 - b
+    (closed-form q and s) and goes through `gauge_polynomials`' division; it
+    exists to let callers demonstrate the failure case deliberately and
     leaves the degree bookkeeping untouched.
     """
     mt = params.shifted_degree(mask)
@@ -220,8 +243,12 @@ def build_gauged_operator(
             f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
             "non-negative integer; no invariant space exists"
         )
-    nu = params.gauge_exponent() if exponent is None else Fraction(exponent)
-    charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
+    natural = params.gauge_exponent()
+    nu = natural if exponent is None else Fraction(exponent)
+    if nu == natural:
+        charge, scalar = _natural_gauge_polynomials(params.roots, mask, params.coupling_b)
+    else:
+        charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
 
     cubic = weierstrass_cubic(*cubic_invariants(params.roots))
     return GaugedOperator(

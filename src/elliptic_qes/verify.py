@@ -43,6 +43,7 @@ from .model import (
     list_valid_masks,
 )
 from .operator import GaugedOperator, build_gauged_operator, gauge_polynomials
+from .operator import _natural_gauge_polynomials
 from .oracles import (
     DEGENERATE_ROOTS,
     count_symmetric_solutions,
@@ -336,9 +337,9 @@ def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
 
 def _check_gauge_exponents() -> CheckResult:
     """Pole cancellation holds exactly for exponents 0 and 1/2 - b on every
-    mask; the perturbed exponent 1/3 at b = 0 must raise NonCancellingPole on
-    any mask containing a simple root, while a double root cancels any
-    exponent."""
+    mask, at 1/2 - b with the sectors' closed-form q and s; exponent 1/3 at
+    b = 0 must raise NonCancellingPole on any mask containing a simple root,
+    while a double root cancels any exponent."""
     rng = random.Random(606)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
@@ -348,9 +349,12 @@ def _check_gauge_exponents() -> CheckResult:
         b = _random_fraction(rng, -1, 1, (1, 2, 4))
         roots = _random_roots(rng)
         for mask in ALL_MASKS:
-            for exponent in (half - b, Fraction(0)):
-                gauge_polynomials(roots, mask, exponent, b)
-                successes += 1
+            closed = _natural_gauge_polynomials(roots, mask, b)
+            if gauge_polynomials(roots, mask, half - b, b) != closed:
+                return CheckResult("gauge-exponents", False, f"closed-form q, s differ from "
+                                   f"the division on mask {mask} at roots {roots}, b = {b}")
+            gauge_polynomials(roots, mask, Fraction(0), b)
+            successes += 2
             if not mask.indices:
                 continue
             try:
@@ -391,8 +395,9 @@ def _check_gauge_exponents() -> CheckResult:
     return CheckResult(
         "gauge-exponents",
         True,
-        f"{successes} valid exponents cancelled exactly; {failures} simple-root "
-        "sectors rejected exponent 1/3; a double root cancels any exponent",
+        f"{successes} valid exponents cancelled exactly; {successes // 2} closed-form "
+        f"q, s agree with the division at 1/2 - b; {failures} simple-root sectors "
+        "rejected exponent 1/3; a double root cancels any exponent",
     )
 
 

@@ -111,6 +111,21 @@ def test_spectrum_default_json(capsys):
     assert total == 15
 
 
+@pytest.mark.parametrize("nvars,m,a", [("2", "2", "0"), ("2", "2", "1"), ("3", "4", "1"),
+                                        ("3", "4", "5/3")])
+def test_spectrum_prints_exact_zeros_at_the_triple_root(capsys, nvars, m, a):
+    # Every sector matrix is nilpotent here (tests/test_matrices.py proves it in
+    # exact arithmetic), but that LAPACK returns exact zeros for them rests on
+    # its ordering of operations, not on a proof.
+    code, out, _ = run(capsys, "spectrum", "--n", nvars, "--m", m, "--a", a,
+                       "--roots", "0,0,0", "--format", "csv")
+    assert code == 0
+    params = ModelParams(int(nvars), Fraction(a), 0, int(m), (0, 0, 0))
+    rows = out.splitlines()[1:]
+    assert len(rows) == sum(params.basis_dimension(mask) for mask in list_valid_masks(params))
+    assert all(row.endswith(",0.0,0.0") for row in rows)
+
+
 def test_spectrum_single_sector_csv(capsys):
     code, out, _ = run(capsys, "spectrum", "--mask", "none", "--format", "csv")
     assert code == 0

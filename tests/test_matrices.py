@@ -19,7 +19,7 @@ from elliptic_qes.matrices import (
     matrix_from_json,
     raising_coefficient_check,
 )
-from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams
+from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import GaugedOperator, build_gauged_operator
 from elliptic_qes.oracles import (
     mask_for_unmasked_index,
@@ -325,3 +325,29 @@ def test_root_relabeling_preserves_characteristic_polynomial():
     )
     for t in range(g1.dim + 1):
         assert g1.char_poly_eval(t) == g2.char_poly_eval(t)
+
+
+def _matmul(x, y):
+    cols = list(zip(*y))
+    return [[sum((u * v for u, v in zip(row, col) if u and v), F(0)) for col in cols]
+            for row in x]
+
+
+@pytest.mark.parametrize(
+    "nvars,m,a", [(2, 2, F(0)), (2, 2, F(1)), (3, 4, F(1)), (3, 4, F("5/3"))]
+)
+def test_sector_matrices_are_nilpotent_at_the_triple_root(nvars, m, a):
+    # At e1 = e2 = e3 = 0 the cubic is 4 z^3, and entry (i, j) is homogeneous of
+    # degree 1 - (w_i - w_j) in the roots (tau_k of weight k), so only entries
+    # raising the weight by exactly one survive: M is strictly block triangular.
+    params = ModelParams(nvars, a, 0, m, (0, 0, 0))
+    for mask in list_valid_masks(params):
+        rows = [list(r) for r in build_matrix(build_gauged_operator(params, mask)).rows]
+        dim = len(rows)
+        power = [[F(i == j) for j in range(dim)] for i in range(dim)]
+        base, k = rows, dim
+        while k:
+            if k & 1:
+                power = _matmul(power, base)
+            base, k = _matmul(base, base), k >> 1
+        assert all(x == 0 for row in power for x in row), f"M^{dim} != 0 for mask {mask}"

@@ -1,14 +1,18 @@
 """Gauge polynomials and exact application of the gauged operator."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import elliptic_qes.operator as operator
 from elliptic_qes.errors import InvalidDegree, NonCancellingPole
-from elliptic_qes.model import GaugeMask, ModelParams
+from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import (
+    _natural_gauge_polynomials,
     build_gauged_operator,
     gauge_polynomials,
     potential_coefficient,
@@ -71,6 +75,89 @@ def test_zero_exponent_always_cancels(b):
         q, s = gauge_polynomials(roots, mask, Fraction(0), b)
         assert q == Poly.zero(1)
         assert s == Poly.zero(1)
+
+
+# -- closed forms at the natural exponent ------------------------------------------
+
+
+def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
+    rng = random.Random(1111)
+    roots = [(Fraction(2), Fraction(-1), Fraction(-1)), (Fraction(0),) * 3]
+    for _ in range(8):
+        e1 = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+        e2 = Fraction(rng.randint(-9, 9), rng.choice((1, 4, 7)))
+        roots.append((e1, e2, -e1 - e2))
+    couplings = [-HALF, Fraction(0), Fraction(1, 4), HALF, Fraction(rng.randint(-9, 9), 5)]
+    for e, b, mask in itertools.product(roots, couplings, ALL_MASKS):
+        assert _natural_gauge_polynomials(e, mask, b) == gauge_polynomials(e, mask, HALF - b, b)
+
+
+def test_closed_form_gauge_is_an_identity():
+    sp = pytest.importorskip("sympy")
+    z, e1, e2, b = sp.symbols("z e1 e2 b")
+    e = (e1, e2, -e1 - e2)
+    nu = sp.Rational(1, 2) - b
+    p = 4 * (z - e[0]) * (z - e[1]) * (z - e[2])
+    # (c, c') in s = c z + c' sum_{i in mask} e_i, by mask size
+    table = {
+        1: (2 - 8 * b**2, 1 - 4 * b**2),
+        2: (6 - 8 * b - 8 * b**2, 3 - 8 * b + 4 * b**2),
+        3: (12 - 24 * b, 0),
+    }
+
+    def exact_polynomial(expr):
+        numer, denom = sp.fraction(sp.together(expr))
+        quotient, remainder = sp.div(sp.expand(numer), sp.expand(denom), z)
+        assert remainder == 0
+        return quotient
+
+    def at(terms, point):
+        return Poly(1, {k: Fraction(str(c.subs(point))) for k, c in terms})
+
+    grid = (sp.Integer(-1), sp.Rational(1, 2), sp.Integer(2))
+    for mask in ALL_MASKS:
+        if not mask.indices:
+            continue
+        lam = sum(nu / (z - e[i - 1]) for i in mask.indices)
+        q = exact_polynomial(p * lam)
+        s = exact_polynomial(
+            p * (lam**2 + sp.diff(lam, z)) + (b + sp.Rational(1, 2)) * sp.diff(p, z) * lam
+        )
+        others = [sp.prod([z - e[k] for k in range(3) if k != i - 1]) for i in mask.indices]
+        c, c_prime = table[mask.n_f]
+        assert sp.expand(q - 4 * nu * sum(others)) == 0
+        assert sp.expand(s - c * z - c_prime * sum(e[i - 1] for i in mask.indices)) == 0
+        # The helper's coefficients are polynomials of degree <= 2 in each of
+        # e1, e2 and b, and so are those of q and s; agreeing on a 3 x 3 x 3
+        # grid therefore makes them equal identically.
+        q_terms, s_terms = sp.Poly(q, z).terms(), sp.Poly(s, z).terms()
+        for x1, x2, y in itertools.product(grid, repeat=3):
+            point = {e1: x1, e2: x2, b: y}
+            roots = (Fraction(str(x1)), Fraction(str(x2)), -Fraction(str(x1)) - Fraction(str(x2)))
+            expected = (at(q_terms, point), at(s_terms, point))
+            assert _natural_gauge_polynomials(roots, mask, Fraction(str(y))) == expected
+
+
+def test_natural_exponent_takes_the_closed_form_and_others_the_division(monkeypatch):
+    # b = -1/2 makes every mask valid with the natural exponent nu = 1
+    params = ModelParams(1, 0, Fraction(-1, 2), 3, (2, Fraction(-3, 4), Fraction(-5, 4)))
+    division = operator.gauge_polynomials
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return division(*args)
+
+    monkeypatch.setattr(operator, "gauge_polynomials", spy)
+    for mask in list_valid_masks(params):
+        default = build_gauged_operator(params, mask)
+        explicit = build_gauged_operator(params, mask, exponent=Fraction(1))
+        assert (explicit.charge, explicit.scalar) == (default.charge, default.scalar)
+        assert (default.charge, default.scalar) == division(params.roots, mask, 1, params.coupling_b)
+    assert calls == []
+    with pytest.raises(NonCancellingPole):
+        build_gauged_operator(params, GaugeMask((1,)), exponent=Fraction(1, 3))
+    assert len(calls) == 1
 
 
 # -- operator construction ---------------------------------------------------------
