@@ -58,8 +58,9 @@ SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 SWEEP_DEGREE = {"a": 1, "epsilon": 2}
 
 # Largest total basis dimension one command may build and diagonalize, summed
-# over its sectors and grid points.  N=6, m=6 over all masks (2310) takes
-# about 5 s; N=7, m=6 (4092) and N=8, m=8 (32175) are refused.
+# over its sectors and grid points.  `spectrum` at N=6, m=6 over all masks
+# (2310) takes about 2 s and 59 MB in process on a 2-core VM; N=7, m=6 (4092)
+# and N=8, m=8 (32175) are refused.
 MAX_TOTAL_DIMENSION = 3000
 
 

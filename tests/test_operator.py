@@ -133,9 +133,9 @@ def test_closed_form_gauge_is_an_identity():
         q_terms, s_terms = sp.Poly(q, z).terms(), sp.Poly(s, z).terms()
         for x1, x2, y in itertools.product(grid, repeat=3):
             point = {e1: x1, e2: x2, b: y}
-            roots = (Fraction(str(x1)), Fraction(str(x2)), -Fraction(str(x1)) - Fraction(str(x2)))
+            r1, r2 = Fraction(str(x1)), Fraction(str(x2))
             expected = (at(q_terms, point), at(s_terms, point))
-            assert _natural_gauge_polynomials(roots, mask, Fraction(str(y))) == expected
+            assert _natural_gauge_polynomials((r1, r2, -r1 - r2), mask, Fraction(str(y))) == expected
 
 
 def test_natural_exponent_takes_the_closed_form_and_others_the_division(monkeypatch):
