@@ -14,10 +14,10 @@ gauge scalar and the couplings.  Every column follows from them by exponent
 shifts in tau-space, so assembly never passes through z-space;
 `GaugedOperator.apply` stays the independent z-space oracle that checks it.
 
-Assembly runs in integer arithmetic.  D, the lcm of the denominators of
-those rational weights, turns D*A, D*B and D*C into integer tau-polynomials,
-every column of D*L is a sum of integer products, and each non-zero entry
-becomes a Fraction once, as k / D.
+Assembly runs in integer arithmetic.  The structure sums hold ``int``
+coefficients, and D, the lcm of the denominators of those rational weights,
+turns D*A, D*B and D*C into integer tau-polynomials, every column of D*L is
+a sum of integer products, and each non-zero entry becomes a Fraction once.
 
 Assembling a matrix is itself the closure proof for its parameter point.
 Every column is the full exact image, components above the cutoff included,
@@ -37,15 +37,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Callable, Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, potential_coefficient, raising_coefficient
-from .polynomials import Exponents, Poly, format_rational, parse_rational
-from .symmetric import BasisIndex, StructureSums, enumerate_basis, structure_sums
+from .polynomials import Coeff, Exponents, Poly, format_rational, parse_rational
+from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
 # Fills every absent entry of a built matrix; one shared object, not one per entry.
 _ZERO = Fraction(0)
@@ -255,19 +254,19 @@ def _tau_coefficients(op: GaugedOperator) -> tuple[int, list[_Part]]:
         B_i  = -sum_r (2 q_r + (b + 1/2) p'_r) T_ri - 2a sum_r p_r E_ri
         A_ij = -(2 - delta_ij) sum_r p_r Q_rij
 
-    The sums have integer coefficients, so every coefficient is an integer
+    The sums have ``int`` coefficients, so every coefficient is an integer
     combination of them with the rational weights above.  Returns D, the lcm
     of the weights' denominators, and the coefficients multiplied by D, which
     are integer tau-polynomials.
     """
     n = op.nvars
-    sums = _integer_sums(n)
+    sums = structure_sums(n)
     a2 = 2 * op.params.coupling_a
     b_half = op.params.coupling_b + Fraction(1, 2)
     cubic, charge = _by_power(op.cubic), _by_power(op.charge)
     drift = _by_power(2 * op.charge + b_half * op.cubic_prime)
 
-    tau1 = {(1,) + (0,) * (n - 1): 1}
+    tau1 = Poly.monomial((1,) + (0,) * (n - 1))
     weighted = {
         (): [(potential_coefficient(op.params), tau1)]
         + [(-w, sums.P[r]) for r, w in _by_power(op.scalar).items()]
@@ -283,11 +282,11 @@ def _tau_coefficients(op: GaugedOperator) -> tuple[int, list[_Part]]:
             weighted[i, j] = [(scale * w, sums.Q[r][i][j]) for r, w in cubic.items()]
     denominator = lcm(*(w.denominator for terms in weighted.values() for w, _ in terms))
 
-    def combine(terms: list[tuple[Fraction, dict[Exponents, int]]]) -> dict[Exponents, int]:
+    def combine(terms: list[tuple[Fraction, Poly]]) -> dict[Exponents, int]:
         out: dict[Exponents, int] = {}
         for w, structure in terms:
             k = w.numerator * (denominator // w.denominator)
-            for e, c in structure.items():
+            for e, c in structure.terms.items():
                 out[e] = out.get(e, 0) + k * c
         return {e: c for e, c in out.items() if c}
 
@@ -295,21 +294,7 @@ def _tau_coefficients(op: GaugedOperator) -> tuple[int, list[_Part]]:
     return denominator, [(idx, coeff) for idx, coeff in parts if coeff]
 
 
-@lru_cache(maxsize=None)
-def _integer_sums(nvars: int) -> StructureSums:
-    """`structure_sums(nvars)` with every tau-polynomial as a map from
-    exponents to int, converted once per N."""
-
-    def to_int(x):
-        if isinstance(x, Poly):
-            assert all(c.denominator == 1 for c in x.terms.values())
-            return {e: c.numerator for e, c in x.terms.items()}
-        return tuple(map(to_int, x))
-
-    return StructureSums._make(map(to_int, structure_sums(nvars)))
-
-
-def _by_power(poly: Poly) -> dict[int, Fraction]:
+def _by_power(poly: Poly) -> dict[int, Coeff]:
     """Coefficients of a univariate polynomial, keyed by the power of z."""
     return {e: c for (e,), c in poly.terms.items()}
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidDegree, NonCancellingPole, NonZeroRemainder
 from .model import GaugeMask, ModelParams, cubic_invariants, external_field_coupling
@@ -181,27 +182,33 @@ class GaugedOperator:
         there or in the final reduction reports NonCancellingPole or
         NotSymmetric respectively, both of which mean the input or engine
         broke an invariant.
+
+        It runs in integer arithmetic: with D the lcm of the denominators of
+        p, the drift, q, s and V, f_s that of f and 2a = n_a / d_a, the image
+        of f_s f scaled by D d_a has integer coefficients (every divisor is
+        monic), and it is divided by D d_a f_s once, after the reduction.
         """
         n = self.nvars
         if f.nvars != n:
             raise ValueError(f"polynomial has {f.nvars} variables, operator expects {n}")
-        b_half = self.params.coupling_b + _HALF
-        big_f = tau_to_z(f)
-        derivs = [big_f.diff(k) for k in range(n)]
-        lifted = [
-            (self.cubic.lift(n, k), self.cubic_prime.lift(n, k),
-             self.charge.lift(n, k), self.scalar.lift(n, k))
-            for k in range(n)
-        ]
-
-        out = Poly.zero(n)
-        for k, (p_k, dp_k, q_k, s_k) in enumerate(lifted):
-            f_k = derivs[k]
-            f_kk = f_k.diff(k)
-            out = out - p_k * f_kk - (2 * q_k + b_half * dp_k) * f_k - s_k * big_f
-
         a2 = 2 * self.params.coupling_a
+        potential = potential_coefficient(self.params)
+        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic_prime
+        coeffs = (self.cubic, drift, self.charge, self.scalar)
+        scale = lcm(potential.denominator,
+                    *(c.denominator for poly in coeffs for c in poly.terms.values()))
+        f_scale = lcm(*(c.denominator for c in f.terms.values()))
+        big_f = tau_to_z(f * f_scale)
+        derivs = [big_f.diff(k) for k in range(n)]
+        lifted = [[(poly * scale).lift(n, k) for poly in coeffs] for k in range(n)]
+
+        out = (potential * scale) * (elementary_symmetric(n, 1) * big_f)
+        for k, (p_k, drift_k, _, s_k) in enumerate(lifted):
+            f_k = derivs[k]
+            out = out - p_k * f_k.diff(k) - drift_k * f_k - s_k * big_f
+
         if a2:
+            out = out * a2.denominator
             for k in range(n):
                 p_k, _, q_k, _ = lifted[k]
                 for l in range(k + 1, n):
@@ -215,11 +222,8 @@ class GaugedOperator:
                             f"pair term for variables {k + 1}, {l + 1} is not a "
                             "polynomial; the input is not symmetric"
                         ) from exc
-                    out = out - a2 * quotient
-
-        tau1 = elementary_symmetric(n, 1)
-        out = out + potential_coefficient(self.params) * (tau1 * big_f)
-        return z_to_tau(out)
+                    out = out - a2.numerator * quotient
+        return z_to_tau(out) * Fraction(1, scale * a2.denominator * f_scale)
 
 
 def build_gauged_operator(

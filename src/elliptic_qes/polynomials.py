@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``nvars`` variables is a sparse map from exponent tuples to
-``fractions.Fraction`` coefficients.  Zero coefficients are never stored, so
-two equal polynomials always have equal term maps and identity testing is
-exact.  Every operation returns a new polynomial; instances are treated as
-immutable, which makes them safe to share and cache.
+exact rational coefficients: ``int`` where integral, so integer work runs in
+integer arithmetic, and ``fractions.Fraction`` otherwise.  Zero coefficients
+are never stored, so two equal polynomials always have equal term maps and
+identity testing is exact.  Every operation returns a new polynomial;
+instances are treated as immutable, which makes them safe to share and cache.
 
 The canonical term order is graded lexicographic with the first variable
 dominant: monomials are compared by total degree first, then lexicographically
@@ -13,25 +14,33 @@ leading terms in this order, which is what makes single-divisor exact division
 (`Poly.divide_exact`) a decision procedure: the reduction stalls if and only
 if the division is not exact.
 
-No floating point enters this module; all downstream exactness guarantees
-rest on it.
+No floating point enters this module (a float coefficient or scalar raises
+TypeError); all downstream exactness guarantees rest on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from heapq import heapify, heappop, heappush
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NonZeroRemainder
 
 Exponents = tuple[int, ...]
 
-# Exact rational inputs accepted at API boundaries.  Floats are deliberately
-# excluded: a float has already lost exactness before we see it.
+# Exact rational inputs accepted at API boundaries, and stored coefficients.
+# Floats are deliberately excluded: a float has already lost exactness.
 RationalLike = int | str | Fraction
+Coeff = int | Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(x: Coeff) -> Coeff:
+    """``int`` if x is integral, else the Fraction; a float raises TypeError."""
+    try:
+        return x.numerator if x.denominator == 1 else x
+    except AttributeError:
+        raise TypeError(f"coefficient {x!r} is not an exact rational") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -69,10 +78,10 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, Coeff] | None = None):
         if nvars < 0:
             raise ValueError(f"nvars must be non-negative, got {nvars}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coeff] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
@@ -81,7 +90,7 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     clean[tuple(exps)] = c
         self.nvars = nvars
@@ -90,7 +99,7 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict[Exponents, Fraction]) -> Poly:
+    def _wrap(cls, nvars: int, terms: dict[Exponents, Coeff]) -> Poly:
         """Wrap a term dict that is already clean: exponent tuples of length
         ``nvars`` and no zero coefficients.  Nothing is checked or copied."""
         result = cls.__new__(cls)
@@ -103,8 +112,8 @@ class Poly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, value: int | Fraction) -> Poly:
-        c = Fraction(value)
+    def constant(cls, nvars: int, value: Coeff) -> Poly:
+        c = _exact(value)
         if not c:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
@@ -116,12 +125,12 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): _ONE})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, exponents: Iterable[int], coeff: int | Fraction = 1) -> Poly:
+    def monomial(cls, exponents: Iterable[int], coeff: Coeff = 1) -> Poly:
         exps = tuple(exponents)
-        return cls(len(exps), {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: coeff})
 
     # -- ring operations ----------------------------------------------------
 
@@ -135,9 +144,9 @@ class Poly:
         self._check_same_space(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, _ZERO) + coeff
+            acc = out.get(exps, 0) + coeff
             if acc:
-                out[exps] = acc
+                out[exps] = _exact(acc)
             else:
                 out.pop(exps, None)
         return Poly._wrap(self.nvars, out)
@@ -148,19 +157,19 @@ class Poly:
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
-    def __mul__(self, other: Poly | int | Fraction) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            terms = {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
+    def __mul__(self, other: Poly | Coeff) -> Poly:
+        if not isinstance(other, Poly):
+            c = _exact(other)
+            terms = {exps: _exact(coeff * c) for exps, coeff in self.terms.items()} if c else {}
             return Poly._wrap(self.nvars, terms)
         self._check_same_space(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(exps, _ZERO) + ca * cb
+                acc = out.get(exps, 0) + ca * cb
                 if acc:
-                    out[exps] = acc
+                    out[exps] = _exact(acc)
                 else:
                     out.pop(exps, None)
         return Poly._wrap(self.nvars, out)
@@ -194,25 +203,25 @@ class Poly:
         """Exact partial derivative with respect to variable ``index`` (0-based)."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range for nvars={self.nvars}")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
             if e == 0:
                 continue
             lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            acc = out.get(lowered, _ZERO) + coeff * e
+            acc = out.get(lowered, 0) + coeff * e
             if acc:
-                out[lowered] = acc
+                out[lowered] = _exact(acc)
             else:
                 out.pop(lowered, None)
         return Poly._wrap(self.nvars, out)
 
     def evaluate(self, point: Iterable[int | Fraction]) -> Fraction:
         """Exact value at a rational point (one value per variable)."""
-        values = [Fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        total = _ZERO
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
             for e, v in zip(exps, values):
@@ -229,17 +238,17 @@ class Poly:
             return -1
         return max(sum(exps) for exps in self.terms)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Coeff]:
         """Leading (monomial, coefficient) in graded lex order."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         exps = max(self.terms, key=grlex_key)
         return exps, self.terms[exps]
 
-    def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), _ZERO)
+    def coefficient(self, exponents: Iterable[int]) -> Coeff:
+        return self.terms.get(tuple(exponents), 0)
 
-    def items_canonical(self) -> list[tuple[Exponents, Fraction]]:
+    def items_canonical(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in the canonical listing order (deterministic serialization)."""
         return sorted(self.terms.items(), key=lambda item: listing_key(item[0]))
 
@@ -250,7 +259,7 @@ class Poly:
             raise ValueError("lift() applies to univariate polynomials only")
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for (e,), coeff in self.terms.items():
             exps = [0] * nvars
             exps[index] = e
@@ -262,29 +271,60 @@ class Poly:
     def divide_exact(self, divisor: Poly) -> Poly:
         """Return q with ``self == q * divisor`` exactly.
 
-        Single-divisor reduction by the graded-lex leading term.  If the
-        division is not exact the reduction stalls and NonZeroRemainder is
-        raised; a non-zero remainder is never returned silently.
+        Single-divisor reduction by the graded-lex leading term
+        (`reduce_leading`); each quotient coefficient is formed exactly, an
+        ``int`` for a monic divisor and integral dividend.  If the division is
+        not exact the reduction stalls and NonZeroRemainder is raised; a
+        non-zero remainder is never returned silently.
         """
         self._check_same_space(divisor)
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         lead_exps, lead_coeff = divisor.leading()
-        quotient: dict[Exponents, Fraction] = {}
-        remainder = self
-        while remainder.terms:
-            rexps, rcoeff = remainder.leading()
+        quotient: dict[Exponents, Coeff] = {}
+
+        def step(rexps: Exponents, rcoeff: Coeff) -> tuple[Exponents, Coeff, Poly]:
             texps = tuple(r - d for r, d in zip(rexps, lead_exps))
             if any(e < 0 for e in texps):
                 raise NonZeroRemainder(
                     f"leading term x^{rexps} not divisible by x^{lead_exps}"
                 )
-            tcoeff = rcoeff / lead_coeff
-            quotient[texps] = quotient.get(texps, _ZERO) + tcoeff
-            remainder = remainder - Poly(self.nvars, {texps: tcoeff}) * divisor
-        return Poly(self.nvars, quotient)
+            tcoeff = _exact(rcoeff if lead_coeff == 1 else Fraction(rcoeff) / lead_coeff)
+            quotient[texps] = tcoeff
+            return texps, tcoeff, divisor
 
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
+        self.reduce_leading(step)
+        return Poly._wrap(self.nvars, quotient)
+
+    def reduce_leading(self, step: Callable[[Exponents, Coeff], tuple]) -> None:
+        """Reduce self to zero by leading terms, in one remainder map updated in
+        place whose monomials leave a heap in descending graded-lex order.
+
+        ``step(exps, coeff)`` gets each leading term and returns (shift, scale,
+        reducer), whose product scale * x^shift * reducer leads with
+        coeff * x^exps and is subtracted; ``step`` raises on a stall.
+        """
+        remainder = dict(self.terms)
+        heap = [(-sum(e), [-x for x in e], e) for e in remainder]
+        heapify(heap)
+        while heap:
+            exps = heappop(heap)[2]
+            coeff = remainder.get(exps)
+            if coeff is None:
+                continue
+            shift, scale, reducer = step(exps, coeff)
+            for e, c in reducer.terms.items():
+                key = tuple(map(add, e, shift))
+                old = remainder.get(key)
+                if old is None:
+                    remainder[key] = -scale * c
+                    heappush(heap, (-sum(key), [-x for x in key], key))
+                elif acc := old - scale * c:
+                    remainder[key] = acc
+                else:
+                    del remainder[key]
+
+    def __iter__(self) -> Iterator[tuple[Exponents, Coeff]]:
         return iter(self.items_canonical())
 
     def __repr__(self) -> str:

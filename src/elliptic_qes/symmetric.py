@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import NotSymmetric
-from .polynomials import Exponents, Poly, listing_key
+from .polynomials import Coeff, Exponents, Poly, listing_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +89,12 @@ def elementary_symmetric(nvars: int, k: int) -> Poly:
     """tau_k in z-space: the sum of all k-fold products of distinct variables."""
     if not 0 <= k <= nvars:
         raise ValueError(f"need 0 <= k <= {nvars}, got {k}")
-    one = Fraction(1)
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, int] = {}
     for subset in combinations(range(nvars), k):
         exps = [0] * nvars
         for i in subset:
             exps[i] = 1
-        terms[tuple(exps)] = one
+        terms[tuple(exps)] = 1
     return Poly(nvars, terms)
 
 
@@ -132,18 +131,17 @@ def is_symmetric(p: Poly) -> bool:
 def z_to_tau(p: Poly) -> Poly:
     """Write a symmetric z-polynomial over the elementary symmetric basis.
 
-    Leading-term reduction: the graded-lex leading monomial z^(a1,..,aN) of a
-    symmetric polynomial has a1 >= a2 >= ... >= aN, and is matched exactly by
-    the tau-monomial tau_1^(a1-a2) tau_2^(a2-a3) ... tau_N^(aN).  Subtracting
-    its expansion strictly lowers the leading monomial, so the loop terminates
-    with the unique tau-form.  A stall (decreasing-exponent condition broken)
-    proves the input was not symmetric.
+    Leading-term reduction (`Poly.reduce_leading`): the graded-lex leading
+    monomial z^(a1,..,aN) of a symmetric polynomial has a1 >= ... >= aN, and
+    is matched by the monic expansion of tau_1^(a1-a2) ... tau_N^(aN), so
+    integer coefficients stay ``int``.  Subtracting it strictly lowers the
+    leading monomial, so the loop ends with the unique tau-form.  A stall
+    (decreasing-exponent condition broken) proves the input was not symmetric.
     """
     n = p.nvars
-    tau_terms: dict[Exponents, Fraction] = {}
-    remainder = p
-    while remainder.terms:
-        exps, coeff = remainder.leading()
+    tau_terms: dict[Exponents, Coeff] = {}
+
+    def step(exps: Exponents, coeff: Coeff) -> tuple[Exponents, Coeff, Poly]:
         if any(exps[i] < exps[i + 1] for i in range(n - 1)):
             raise NotSymmetric(
                 f"leading monomial z^{exps} cannot come from a symmetric polynomial"
@@ -151,8 +149,10 @@ def z_to_tau(p: Poly) -> Poly:
         tau_exps = tuple(
             exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)
         )
-        tau_terms[tau_exps] = tau_terms.get(tau_exps, Fraction(0)) + coeff
-        remainder = remainder - _tau_monomial_in_z(n, tau_exps) * coeff
+        tau_terms[tau_exps] = coeff
+        return (0,) * n, coeff, _tau_monomial_in_z(n, tau_exps)
+
+    p.reduce_leading(step)
     return Poly(n, tau_terms)
 
 

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import elliptic_qes.operator as operator
-from elliptic_qes.errors import InvalidDegree, NonCancellingPole
+from elliptic_qes.errors import InvalidDegree, NonCancellingPole, NotSymmetric
+from elliptic_qes.matrices import build_matrix
 from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import (
     _natural_gauge_polynomials,
@@ -277,3 +278,46 @@ def test_one_variable_images():
     assert op.apply(one) == z * 20
     assert op.apply(z) == Poly(1, {(0,): Fraction(6), (2,): Fraction(14)})
     assert op.apply(z * z) == Poly(1, {(0,): Fraction(16), (1,): Fraction(36)})
+
+
+# -- apply against the assembled matrix, beyond the trust gate ----------------------
+
+
+ROOTS_G3 = (Fraction(2), Fraction(-1, 2), Fraction(-3, 2))  # g3 = 6
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_every_column_equals_apply_of_its_monomial(nvars):
+    # a, g3, 1/2 - b and 1/2 + b all non-zero; m puts every mask at cutoff 3
+    a, b = Fraction(2, 3), Fraction(1, 3)
+    for mask in ALL_MASKS:
+        params = ModelParams(nvars, a, b, 3 - mask.n_f * (b - HALF), ROOTS_G3)
+        assert mask in list_valid_masks(params)
+        op = build_gauged_operator(params, mask)
+        assert op.cutoff == 3
+        mat = build_matrix(op)
+        for j, exps in enumerate(mat.basis):
+            column = {mat.basis[i]: x for i, x in enumerate(mat.column(j))}
+            assert op.apply(Poly.monomial(exps)) == Poly(nvars, column)
+
+
+def test_apply_on_fraction_coefficients_and_zero():
+    params = ModelParams(3, Fraction(2, 3), Fraction(1, 3), Fraction(10, 3), ROOTS_G3)
+    op = build_gauged_operator(params, GaugeMask((1, 3)))
+    f = Poly(3, {(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(-2, 5), (0, 0, 1): 7})
+    expected = (
+        op.apply(Poly.monomial((1, 0, 0))) * Fraction(1, 3)
+        + op.apply(Poly.monomial((0, 1, 0))) * Fraction(-2, 5)
+        + op.apply(Poly.monomial((0, 0, 1))) * 7
+    )
+    assert op.apply(f) == expected
+    assert op.apply(Poly.zero(3)) == Poly.zero(3)
+
+
+@pytest.mark.parametrize("a", [Fraction(2, 3), 0])
+def test_asymmetric_input_is_reported(monkeypatch, a):
+    # with the expansion bypassed, z_1 reaches the z-space operator as it is
+    op = build_gauged_operator(ModelParams(2, a, Fraction(1, 3), 2, ROOTS_G3), EMPTY)
+    monkeypatch.setattr(operator, "tau_to_z", lambda f: f)
+    with pytest.raises(NonCancellingPole if a else NotSymmetric):
+        op.apply(Poly.variable(2, 0))

@@ -215,3 +215,110 @@ def test_lift_example():
     lifted = p.lift(3, 1)
     z2 = Poly.variable(3, 1)
     assert lifted == z2 * z2 + Poly.constant(3, 5)
+
+
+# -- the coefficient contract: exact rationals, int where integral, never float ---------
+
+
+def int_polys(nvars: int = 2, max_deg: int = 3, max_terms: int = 4):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_deg)] * nvars), st.integers(-5, 5), max_size=max_terms
+    ).map(lambda terms: Poly(nvars, terms))
+
+
+def all_int(p: Poly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): 0.1})
+    with pytest.raises(TypeError):
+        Poly.constant(1, 0.5)
+    with pytest.raises(TypeError):
+        Poly.monomial((1,), 0.5)
+    z = Poly.variable(1, 0)
+    with pytest.raises(TypeError):
+        z * 0.25
+    with pytest.raises(TypeError):
+        0.25 * z
+    with pytest.raises(TypeError):
+        z.evaluate((0.5,))
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 5})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 5}
+    assert type(p.coefficient((1, 0))) is int
+    assert p == Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): Fraction(5)})
+    assert all_int(p * 3)
+    assert all_int(Poly(1, {(1,): Fraction(1, 2)}) * 2)
+    assert all_int(Poly(1, {(1,): Fraction(1, 2)}) + Poly(1, {(1,): Fraction(1, 2)}))
+    assert all_int(Poly.constant(2, Fraction(6, 3)))
+
+
+@given(polys())
+def test_equal_across_int_and_fraction_representations(p):
+    as_fractions = Poly._wrap(2, {e: Fraction(c) for e, c in p.terms.items()})
+    assert as_fractions == p
+    assert Poly(2, as_fractions.terms).terms == p.terms
+
+
+@given(int_polys(), int_polys(), int_polys(nvars=1), st.integers(0, 1))
+def test_integer_inputs_stay_int(p, q, u, k):
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    for result in (p + q, p - q, p * q, p * 3, p.diff(k), (p * (z1 - z2)).divide_exact(z1 - z2)):
+        assert all_int(result)
+    assert all_int(u.lift(3, 1))
+
+
+@given(polys(), polys())
+def test_no_operation_yields_a_float(p, q):
+    for result in (p + q, p - q, p * q, p * Fraction(2, 3), p.diff(0)):
+        assert all(isinstance(c, (int, Fraction)) for c in result.terms.values())
+
+
+def test_non_monic_division_is_exact():
+    z = Poly.variable(1, 0)
+    r = Poly(1, {(2,): Fraction(1, 3), (1,): Fraction(-5, 7), (0,): 2})
+    divisor = z * 2 + Poly.constant(1, 1)
+    assert (divisor * r).divide_exact(divisor) == r
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    r2 = Poly(2, {(1, 1): Fraction(3, 4), (0, 2): Fraction(-1, 6), (1, 0): 1})
+    divisor2 = x * 2 + y * Fraction(1, 3) + Poly.constant(2, 1)
+    assert (divisor2 * r2).divide_exact(divisor2) == r2
+
+
+def _random_poly(rng, nvars: int, max_deg: int, terms: int, dens=(1,)) -> Poly:
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        out[exps] = Fraction(rng.randint(-6, 6), rng.choice(dens))
+    return Poly(nvars, out)
+
+
+def _to_sympy(sp, p: Poly, gens):
+    return sum((sp.Rational(c.numerator, c.denominator) * sp.prod([g**e for g, e in zip(gens, exps)])
+                for exps, c in p.terms.items()), sp.Integer(0))
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_division_agrees_with_sympy(nvars):
+    sp = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(1200 + nvars)
+    gens = sp.symbols(f"x1:{nvars + 1}")
+    for _ in range(15):
+        q = _random_poly(rng, nvars, 3, 5, dens=(1, 2, 3))
+        d = _random_poly(rng, nvars, 2, 3)
+        if not d:
+            continue
+        noise = _random_poly(rng, nvars, 2, 2, dens=(1, 5))
+        for dividend in (q * d, q * d + noise):
+            quot, rem = sp.div(_to_sympy(sp, dividend, gens), _to_sympy(sp, d, gens), *gens)
+            if rem == 0:
+                assert sp.expand(_to_sympy(sp, dividend.divide_exact(d), gens) - quot) == 0
+            else:
+                with pytest.raises(NonZeroRemainder):
+                    dividend.divide_exact(d)

@@ -1,8 +1,9 @@
 """Symmetric-polynomial bases and the two changes of variables."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given
@@ -162,3 +163,57 @@ def test_structure_sums_match_z_space(nvars, r):
     entries = [sums.P[r], sums.D[r], *sums.T[r], *sums.E[r]]
     entries += [q for row in sums.Q[r] for q in row]
     assert all(c.denominator == 1 for p in entries for c in p.terms.values())
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
+def test_structure_sums_are_stored_as_int(nvars):
+    # matrix assembly reads these maps directly and stays in int arithmetic
+    def coefficients(x):
+        if isinstance(x, Poly):
+            yield from x.terms.values()
+        else:
+            for y in x:
+                yield from coefficients(y)
+
+    values = list(coefficients(structure_sums(nvars)))
+    assert values and all(type(c) is int for c in values)
+
+
+# -- the coefficient contract --------------------------------------------------------------
+
+
+@given(tau_polys(nvars=3, max_deg=2))
+def test_conversions_keep_integer_coefficients_int(t):
+    integral = t * lcm(*(c.denominator for c in t.terms.values()))
+    for p in (tau_to_z(integral), z_to_tau(tau_to_z(integral))):
+        assert all(type(c) is int for c in p.terms.values())
+    for p in (tau_to_z(t), z_to_tau(tau_to_z(t))):
+        assert all(isinstance(c, (int, Fraction)) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_z_to_tau_agrees_with_sympy_symmetrize(nvars):
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    rng = random.Random(1300 + nvars)
+    zs = sp.symbols(f"z1:{nvars + 1}")
+    taus = sp.symbols(f"t1:{nvars + 1}")
+    for _ in range(10):
+        terms = {}
+        for _ in range(4):
+            exps = tuple(rng.randint(0, 2) for _ in range(nvars))
+            terms[exps] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        z_poly = tau_to_z(Poly(nvars, terms))
+        expr = sum(
+            sp.Rational(c.numerator, c.denominator) * sp.prod([z**e for z, e in zip(zs, exps)])
+            for exps, c in z_poly.terms.items()
+        )
+        sym, rest, subs = symmetrize(expr, *zs, formal=True)
+        assert rest == 0
+        expected = sp.expand(sym.subs({s: taus[int(str(s)[1:]) - 1] for s, _ in subs}))
+        got = sum(
+            sp.Rational(c.numerator, c.denominator) * sp.prod([t**e for t, e in zip(taus, exps)])
+            for exps, c in z_to_tau(z_poly).terms.items()
+        )
+        assert sp.expand(got - expected) == 0
