@@ -10,8 +10,8 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1), build each sector
-at SWEEP_DEGREE + 1 of them and interpolate it exactly at the rest.  Before
+their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
+sector at every grid point, so each point proves its own closure.  Before
 building anything, matrix, spectrum, sweep and eigenfunctions sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a verification or convergence
@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
     OperatorNotClosed,
 )
-from .matrices import build_matrix, export_matrix, interpolate, matches_operator
+from .matrices import build_matrix, export_matrix, matches_operator
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
@@ -44,18 +44,6 @@ from .spectral import eigenvector, spectrum_of, to_float
 from .verify import CHECK_NAMES, report_json, run_checks
 
 SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
-
-# Bound on the degree of every sector matrix entry, and of every image
-# coefficient outside the basis, in each sweep variable.  Give z and the
-# roots weight 1 and tau_k weight k (the homogeneity of the Weierstrass
-# functions, DLMF 23.10): entry (i, j) is then a homogeneous polynomial of
-# degree 1 - (w_i - w_j) <= 3 in the roots, and it is affine in the coupling a.
-# Along the roots (2, -1+eps, -1-eps) the bound is 2, not 3, because e1 is fixed:
-# every entry is linear in the coefficients of p, p', q and s (see
-# `matrices._tau_coefficients`), and V does not depend on eps; g2 = 12 + 4 eps^2
-# and g3 = 8 (1 - eps^2); the closed forms of q and s
-# (`operator._natural_gauge_polynomials`) have degree <= 2 and <= 1 in eps.
-SWEEP_DEGREE = {"a": 1, "epsilon": 2}
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  `spectrum` at N=6, m=6 over all masks
@@ -227,23 +215,11 @@ def sweep_rows(
     first = params_at(lo)
     masks = _selected_masks(first, mask)
     _check_budget(first, masks, steps)
-    grid = _grid(lo, hi, steps)
-    # Each sector is built exactly at the first SWEEP_DEGREE + 1 distinct grid
-    # values and interpolated at the others.  Every build proves closure at its
-    # node; the image coefficients are polynomials of that degree in the sweep
-    # variable, so closure at the nodes is closure at every grid point.
-    nodes = list(dict.fromkeys(grid))[: SWEEP_DEGREE[sweep_var] + 1]
-    sectors = {
-        sector_mask: interpolate(
-            nodes,
-            [build_matrix(build_gauged_operator(params_at(x), sector_mask)) for x in nodes],
-        )
-        for sector_mask in masks
-    }
     rows: list[tuple[Fraction, str, int, float, float]] = []
-    for value in grid:
-        for sector_mask, matrix_at in sectors.items():
-            spectrum = spectrum_of(matrix_at(value))
+    for value in _grid(lo, hi, steps):
+        params = params_at(value)
+        for sector_mask in masks:
+            spectrum = spectrum_of(build_matrix(build_gauged_operator(params, sector_mask)))
             for i, v in enumerate(spectrum.values):
                 rows.append((value, str(sector_mask), i, v.real, v.imag))
     return rows

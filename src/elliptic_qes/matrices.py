@@ -7,39 +7,41 @@ coordinates tau,
 
     L = sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C ,
 
-with polynomial coefficients.  A, B and C are written in closed form: fixed
+with polynomial coefficients.  A, B and C are fixed linear combinations of
 integer tau-polynomials that depend only on N (`symmetric.structure_sums`),
-combined linearly with the coefficients of the cubic, the gauge charge, the
-gauge scalar and the couplings.  Every column follows from them by exponent
-shifts in tau-space, so assembly never passes through z-space;
-`GaugedOperator.apply` stays the independent z-space oracle that checks it.
+and the parameters enter only through the scalar weights: the coefficients
+of the cubic, the gauge charge, the gauge scalar and the couplings.  So
+every sector matrix is
 
-Assembly runs in integer arithmetic.  The structure sums hold ``int``
-coefficients, and D, the lcm of the denominators of those rational weights,
-turns D*A, D*B and D*C into integer tau-polynomials, every column of D*L is
-a sum of integer products, and each non-zero entry becomes a Fraction once.
+    M = sum_j c_j S_j ,
+
+with S_j a parameter-free integer term matrix and c_j the sector's rational
+weight of that term.  A column of S_j follows from its structure sum by
+exponent shifts in tau-space, is computed once per N and is cached; assembly
+never passes through z-space, and `GaugedOperator.apply` stays the
+independent z-space oracle that checks it.  With D the lcm of the weights'
+denominators, D M is a sum of integer products and each non-zero entry
+becomes a Fraction once.
 
 Assembling a matrix is itself the closure proof for its parameter point.
-Every column is the full exact image, components above the cutoff included,
-and any image component outside the basis raises OperatorNotClosed.  A
-constructed OperatorMatrix therefore certifies that the sector's invariant
-space really is invariant.
+Every column of every S_j is the full exact image, components above the
+cutoff included, and any non-zero component of the combined image outside
+the basis raises OperatorNotClosed.  A constructed OperatorMatrix therefore
+certifies that the sector's invariant space really is invariant.
 
 The exact linear algebra on these matrices (determinant, values of the
 characteristic polynomial, inverse) is one fraction Gauss-Jordan routine,
 `_gauss_jordan`, so the invariants that check the float solve are computed
-in exactly one place.  `interpolate` continues a family of matrices exactly
-between builds, for sweeps whose entries are polynomial in the swept value.
-"""
+in exactly one place."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, potential_coefficient, raising_coefficient
@@ -138,85 +140,39 @@ def _gauss_jordan(work: list[list[Fraction]]) -> Fraction:
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space.
 
-    Writes the coefficients of L = sum A_ij d_i d_j + sum B_i d_i + C in
-    closed form, as integer tau-polynomials over one common denominator D,
-    and builds every column from the tau-space formula for L(tau^l) in
-    integer arithmetic.  Each non-zero entry is formed once, as k / D.  Each
-    column is the exact, untruncated image, so this raises OperatorNotClosed
-    if any image has a non-zero component of tau-degree above the sector
-    cutoff.
+    K = sum_j (D c_j) S_j, with c_j the sector's weights (`_weights`), D the
+    lcm of their denominators and S_j the integer term matrices, whose
+    columns `_term_column` caches.  Each non-zero entry is formed once, as
+    k / D.  The columns hold every image component, those above the sector
+    cutoff included, so this raises OperatorNotClosed if the combined image
+    of any basis monomial has a non-zero component outside the basis.
     """
-    basis = enumerate_basis(op.nvars, op.cutoff)
+    n = op.nvars
+    basis = enumerate_basis(n, op.cutoff)
     dim = len(basis)
-    denominator, parts = _tau_coefficients(op)
+    row_of = {_pack(exps): i for i, exps in enumerate(basis)}
+    weights = _weights(op)
+    denominator = lcm(*(w.denominator for w in weights.values()))
+    scaled = {term: w.numerator * (denominator // w.denominator) for term, w in weights.items()}
     rows = [[_ZERO] * dim for _ in range(dim)]
     for j, exps in enumerate(basis):
-        for iexps, k in _image(exps, parts).items():
-            if iexps not in basis:
+        image: dict[int, int] = {}
+        for term, code, v in _term_column(n, exps):
+            k = scaled.get(term)
+            if k:
+                image[code] = image.get(code, 0) + k * v
+        for code, v in image.items():
+            if not v:
+                continue
+            i = row_of.get(code)
+            if i is None:
+                iexps = _unpack(code, n)
                 raise OperatorNotClosed(
                     f"image of tau-monomial {exps} contains {iexps} of degree "
                     f"{sum(iexps)}, above the cutoff {op.cutoff}"
                 )
-            rows[basis.index_of(iexps)][j] = Fraction(k, denominator)
+            rows[i][j] = Fraction(v, denominator)
     return OperatorMatrix(basis, tuple(map(tuple, rows)))
-
-
-def _divided_differences(
-    nodes: Sequence[Fraction], mats: Sequence[OperatorMatrix]
-) -> list[tuple[int, int, list[Fraction]]]:
-    """Newton coefficients of every entry that is non-zero at some node,
-    with trailing zero coefficients dropped."""
-    positions = sorted(
-        {(i, j) for mat in mats for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x}
-    )
-    newton = []
-    for i, j in positions:
-        c = [mat.rows[i][j] for mat in mats]
-        for k in range(1, len(nodes)):
-            for t in range(len(nodes) - 1, k - 1, -1):
-                c[t] = (c[t] - c[t - 1]) / (nodes[t] - nodes[t - k])
-        while not c[-1] and len(c) > 1:
-            c.pop()
-        newton.append((i, j, c))
-    return newton
-
-
-def interpolate(
-    nodes: Sequence[Fraction], mats: Sequence[OperatorMatrix]
-) -> Callable[[Fraction], OperatorMatrix]:
-    """The matrix polynomial of degree < len(nodes) through (nodes[k], mats[k]).
-
-    ``nodes`` must be distinct, with one matrix per node.  At a node the
-    interpolant returns that node's matrix itself.  Elsewhere it uses exact
-    Newton interpolation entry by entry over the union of the non-zero
-    positions of ``mats``, evaluated by Horner.  The divided differences are
-    taken at the first evaluation off the nodes, so a grid made only of
-    nodes costs nothing beyond its builds.  The interpolant reproduces a
-    family of matrices exactly when every entry is a polynomial of degree
-    < len(nodes) in the variable; that degree bound is the caller's to prove.
-    """
-    basis = mats[0].basis
-    dim = len(basis)
-    at_node = dict(zip(nodes, mats))
-    newton: list[tuple[int, int, list[Fraction]]] | None = None
-
-    def evaluate(x: Fraction) -> OperatorMatrix:
-        nonlocal newton
-        mat = at_node.get(x)
-        if mat is not None:
-            return mat
-        if newton is None:
-            newton = _divided_differences(nodes, mats)
-        shifts = [x - node for node in nodes]
-        rows = [[_ZERO] * dim for _ in range(dim)]
-        for i, j, c in newton:
-            value = c[-1]
-            for k in range(len(c) - 2, -1, -1):
-                value = value * shifts[k] + c[k]
-            rows[i][j] = value
-        return OperatorMatrix(basis, tuple(map(tuple, rows)))
-
-    return evaluate
 
 
 def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
@@ -235,90 +191,114 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
         if sum(exps) <= 2
     )
 
-# One term of L in tau-space: the indices of its tau-derivatives (none, i, or
-# i <= j) and its polynomial coefficient times the common denominator, as a
-# map from exponents to non-zero int.
-_Part = tuple[tuple[int, ...], dict[Exponents, int]]
+
+# A term of L: its kind and the power r of z in its weight (0 for V).
+_Term = tuple[str, int]
+
+# A tau-monomial packed into one int, _BITS bits per exponent, so that an
+# exponent shift is one integer addition.  Exponents stay far below 2**_BITS:
+# a basis that reached it could not be stored.
+_BITS = 32
+
+# One monomial of a term's coefficient of d_idx, idx being (), (i,) or (i, j)
+# with i <= j: the term, idx, the packed monomial minus the packed product of
+# tau_k over k in idx, and its integer coefficient.  Adding the packed l gives
+# the monomial it contributes to the image of tau^l.
+_Entry = tuple[_Term, tuple[int, ...], int, int]
 
 
-def _tau_coefficients(op: GaugedOperator) -> tuple[int, list[_Part]]:
-    """Coefficients of L as a second-order operator in tau, in closed form.
+def _pack(exps: Exponents) -> int:
+    return sum(e << (_BITS * k) for k, e in enumerate(exps))
+
+
+def _unpack(code: int, nvars: int) -> Exponents:
+    return tuple((code >> (_BITS * k)) & ((1 << _BITS) - 1) for k in range(nvars))
+
+
+def _weights(op: GaugedOperator) -> dict[_Term, Coeff]:
+    """The sector's non-zero weight c_j of each term of L.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
     operator of `GaugedOperator.apply`, with p_r, p'_r, q_r and s_r the
     coefficients of z^r in the cubic, its derivative, the gauge charge and
-    the gauge scalar, and the sums of `symmetric.StructureSums`:
+    the gauge scalar, and the sums of `symmetric.StructureSums`, L is
+    sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C with
 
         C    = V tau_1 - sum_r s_r P_r - 2a sum_r q_r D_r
-        B_i  = -sum_r (2 q_r + (b + 1/2) p'_r) T_ri - 2a sum_r p_r E_ri
+        B_i  = -sum_r drift_r T_ri - 2a sum_r p_r E_ri
         A_ij = -(2 - delta_ij) sum_r p_r Q_rij
 
-    The sums have ``int`` coefficients, so every coefficient is an integer
-    combination of them with the rational weights above.  Returns D, the lcm
-    of the weights' denominators, and the coefficients multiplied by D, which
-    are integer tau-polynomials.
+    and drift = 2q + (b + 1/2) p'.  Each product is a rational weight (V,
+    s_r, 2a q_r, drift_r, 2a p_r, p_r) times a parameter-free integer term
+    (`_term_entries`), keyed by the term's kind and r.
     """
-    n = op.nvars
-    sums = structure_sums(n)
     a2 = 2 * op.params.coupling_a
-    b_half = op.params.coupling_b + Fraction(1, 2)
-    cubic, charge = _by_power(op.cubic), _by_power(op.charge)
-    drift = _by_power(2 * op.charge + b_half * op.cubic_prime)
+    drift = 2 * op.charge + (op.params.coupling_b + Fraction(1, 2)) * op.cubic_prime
+    weights = {("V", 0): potential_coefficient(op.params)}
+    for kind, poly, scale in (
+        ("s", op.scalar, 1),
+        ("2a.q", op.charge, a2),
+        ("drift", drift, 1),
+        ("2a.p", op.cubic, a2),
+        ("p", op.cubic, 1),
+    ):
+        for (r,), c in poly.terms.items():
+            weights[kind, r] = scale * c
+    return {term: w for term, w in weights.items() if w}
 
-    tau1 = Poly.monomial((1,) + (0,) * (n - 1))
-    weighted = {
-        (): [(potential_coefficient(op.params), tau1)]
-        + [(-w, sums.P[r]) for r, w in _by_power(op.scalar).items()]
-        + [(-a2 * w, sums.D[r]) for r, w in charge.items()]
+
+@lru_cache(maxsize=None)
+def _term_entries(nvars: int) -> tuple[_Entry, ...]:
+    """The entries of every integer term of `_weights`, from the structure sums."""
+    n = nvars
+    sums = structure_sums(n)
+    terms: dict[_Term, list[tuple[tuple[int, ...], Poly]]] = {
+        ("V", 0): [((), Poly.monomial((1,) + (0,) * (n - 1)))]
     }
-    for i in range(n):
-        weighted[(i,)] = [(-w, sums.T[r][i]) for r, w in drift.items()] + [
-            (-a2 * w, sums.E[r][i]) for r, w in cubic.items()
+    for r in range(len(sums.P)):
+        terms["s", r] = [((), -sums.P[r])]
+        terms["2a.q", r] = [((), -sums.D[r])]
+        terms["drift", r] = [((i,), -sums.T[r][i]) for i in range(n)]
+        terms["2a.p", r] = [((i,), -sums.E[r][i]) for i in range(n)]
+        terms["p", r] = [
+            ((i, j), (-1 if i == j else -2) * sums.Q[r][i][j])
+            for i in range(n)
+            for j in range(i, n)
         ]
-    for i in range(n):
-        for j in range(i, n):
-            scale = -1 if i == j else -2
-            weighted[i, j] = [(scale * w, sums.Q[r][i][j]) for r, w in cubic.items()]
-    denominator = lcm(*(w.denominator for terms in weighted.values() for w, _ in terms))
-
-    def combine(terms: list[tuple[Fraction, Poly]]) -> dict[Exponents, int]:
-        out: dict[Exponents, int] = {}
-        for w, structure in terms:
-            k = w.numerator * (denominator // w.denominator)
-            for e, c in structure.terms.items():
-                out[e] = out.get(e, 0) + k * c
-        return {e: c for e, c in out.items() if c}
-
-    parts = [(idx, combine(terms)) for idx, terms in weighted.items()]
-    return denominator, [(idx, coeff) for idx, coeff in parts if coeff]
+    return tuple(
+        (term, idx, _pack(e) - sum(1 << (_BITS * k) for k in idx), c)
+        for term, parts in terms.items()
+        for idx, poly in parts
+        for e, c in poly.terms.items()
+    )
 
 
-def _by_power(poly: Poly) -> dict[int, Coeff]:
-    """Coefficients of a univariate polynomial, keyed by the power of z."""
-    return {e: c for (e,), c in poly.terms.items()}
-
-
-def _image(exps: Exponents, parts: list[_Part]) -> dict[Exponents, int]:
-    """D L(tau^l), from the integer parts D A_ij, D B_i and D C.
+@lru_cache(maxsize=None)
+def _term_column(nvars: int, exps: Exponents) -> tuple[tuple[_Term, int, int], ...]:
+    """Column tau^exps of every integer term matrix S_j: its full image.
 
     L(tau^l) = sum_{i<=j} A_ij d_i d_j tau^l + sum_i B_i d_i tau^l + C tau^l,
     d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
-    d_i tau^l = l_i tau^(l - e_i), so each part shifts its coefficient's
-    exponents by the lowered l and scales it by the falling factor.  Returns
-    the non-zero integer coefficients of the image.
+    d_i tau^l = l_i tau^(l - e_i), so each entry is shifted by l and scaled
+    by the falling factor of its derivatives.  Returns (term, packed
+    monomial, integer) triples; a monomial may repeat within a term, and the
+    caller's sum adds the repeats.  The images do not depend on the cutoff,
+    and the degree-ordered basis at one cutoff is the leading block of the
+    basis at the next, so a column is imaged once per N and shared by every
+    sector and cutoff that needs it.
     """
-    out: dict[Exponents, int] = {}
-    for idx, coeff in parts:
-        weight, lowered = 1, list(exps)
-        for k in idx:
-            weight *= lowered[k]
-            lowered[k] -= 1
-        if weight:
-            for e, c in coeff.items():
-                key = tuple(map(add, e, lowered))
-                out[key] = out.get(key, 0) + weight * c
-    return {key: k for key, k in out.items() if k}
+    falling = {(): 1}
+    for i, li in enumerate(exps):
+        falling[i,] = li
+        for j in range(i, nvars):
+            falling[i, j] = li * (exps[j] - (i == j))
+    code = _pack(exps)
+    return tuple(
+        (term, code + e, falling[idx] * c)
+        for term, idx, e, c in _term_entries(nvars)
+        if falling[idx]
+    )
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:

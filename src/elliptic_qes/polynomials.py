@@ -232,12 +232,6 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Maximum total degree of a stored term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
-
     def leading(self) -> tuple[Exponents, Coeff]:
         """Leading (monomial, coefficient) in graded lex order."""
         if not self.terms:

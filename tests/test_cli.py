@@ -1,5 +1,6 @@
 """Command-line behaviour: payload shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -9,10 +10,9 @@ import numpy as np
 import pytest
 
 import elliptic_qes.cli as cli
-import elliptic_qes.matrices as matrices
 import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
-from elliptic_qes.matrices import OperatorMatrix, build_matrix, interpolate, matrix_from_json
+from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
 from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.errors import NonCancellingPole
 from elliptic_qes.operator import build_gauged_operator
@@ -156,6 +156,30 @@ def test_sweep_csv_is_deterministic(capsys, tmp_path):
     assert len(lines) == 1 + 3 * 15
 
 
+# SHA-256 of the CSV that the README's two spectral-flow sweeps print, as
+# recorded when sweeps still interpolated between exact builds.
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (
+            ("--sweep-var", "epsilon", "--range", "0:1:21", "--n", "2", "--m", "2",
+             "--a", "5", "--b", "0"),
+            "f3b9714f4a72280524c69a3edcf0beca5ca8219c84c9e181309ea9e9fa56f518",
+        ),
+        (
+            ("--sweep-var", "a", "--range", "0:5:21", "--n", "2", "--m", "2", "--b", "0",
+             "--roots", "2,-3/2,-1/2"),
+            "e17a7af8f88f629a050c98373323130f76f138e874dfef44ee7b83f6754ee3d5",
+        ),
+    ],
+    ids=["epsilon", "coupling"],
+)
+def test_readme_flow_sweeps_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "sweep", *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_single_point_matches_spectrum(capsys):
     code, sweep_out, _ = run(
         capsys, "sweep", "--sweep-var", "epsilon", "--range", "1/4:1/4:1", "--mask", "none"
@@ -216,71 +240,24 @@ def _direct(var, value, nvars, b, m, mask):
     return build_matrix(build_gauged_operator(_sweep_params(var, value, nvars, b, m), mask))
 
 
-# (sweep variable, N): a at N = 1..3, epsilon at N = 2, 3.  The degrees m give
-# every mask a valid sector at b = 0 (integer and half-integer m) and at
-# b = 1/4 (m in 2 + {0, 1/4, 1/2, 3/4}, one mask size each).
-@pytest.mark.parametrize(
-    ("var", "nvars"), [("a", 1), ("a", 2), ("a", 3), ("epsilon", 2), ("epsilon", 3)]
-)
-@pytest.mark.parametrize(
-    ("b", "degrees"),
-    [
-        (Fraction(0), (Fraction(2), Fraction(5, 2))),
-        (Fraction(1, 4), (Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(11, 4))),
-    ],
-)
-def test_interpolated_sweep_matrices_equal_direct_builds(var, nvars, b, degrees):
-    # equally spaced nodes as a sweep places them; probes between the nodes,
-    # beyond them on both sides, and far outside their span
-    nodes = [Fraction(1, 3) + Fraction(k, 4) for k in range(cli.SWEEP_DEGREE[var] + 1)]
-    probes = [Fraction(11, 24), nodes[-1] + Fraction(1, 4), Fraction(-7, 5), Fraction(9, 2)]
-    masks_seen = set()
-    for m in degrees:
-        for mask in list_valid_masks(ModelParams(nvars, 0, b, m)):
-            masks_seen.add(mask)
-            matrix_at = interpolate(nodes, [_direct(var, x, nvars, b, m, mask) for x in nodes])
-            for x in probes:
-                assert matrix_at(x) == _direct(var, x, nvars, b, m, mask), (m, mask, x)
-    assert len(masks_seen) == 8
-
-
-def test_a_sweep_builds_each_sector_at_two_grid_points(monkeypatch):
+@pytest.mark.parametrize("var", ["a", "epsilon"])
+def test_sweep_builds_every_sector_once_at_every_grid_point(monkeypatch, var):
     calls = []
 
     def counting(op):
-        calls.append(op.params.coupling_a)
+        value = op.params.coupling_a if var == "a" else op.params.roots[1] + 1
+        calls.append((value, str(op.mask)))
         return build_matrix(op)
 
     monkeypatch.setattr(cli, "build_matrix", counting)
-    rows = cli.sweep_rows(
-        "a", Fraction(0), Fraction(7, 2), 8, nvars=2, degree_m=Fraction(2),
-        coupling_a=Fraction(0), coupling_b=Fraction(0), roots=None, mask="all",
-    )
-    assert len(rows) == 8 * 15
-    assert len(calls) == 8  # 4 sectors x 2 nodes
-    assert set(calls) == {Fraction(0), Fraction(1, 2)}
-
-
-@pytest.mark.parametrize(
-    ("var", "steps", "differenced"),
-    [("a", 2, 0), ("epsilon", 3, 0), ("a", 3, 4), ("epsilon", 5, 4)],
-)
-def test_sweep_differences_each_sector_once_and_only_off_the_nodes(
-    monkeypatch, var, steps, differenced
-):
-    calls = []
-
-    def counting(nodes, mats):
-        calls.append(len(nodes))
-        return divided_differences(nodes, mats)
-
-    divided_differences = matrices._divided_differences
-    monkeypatch.setattr(matrices, "_divided_differences", counting)
+    lo, hi, steps = Fraction(0), Fraction(7, 4), 8
     cli.sweep_rows(
-        var, Fraction(0), Fraction(1), steps, nvars=2, degree_m=Fraction(2),
+        var, lo, hi, steps, nvars=2, degree_m=Fraction(2),
         coupling_a=Fraction(1), coupling_b=Fraction(0), roots=None, mask="all",
     )
-    assert calls == [cli.SWEEP_DEGREE[var] + 1] * differenced  # 4 sectors when off-node
+    masks = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
+    assert len(masks) == 4
+    assert calls == [(value, mask) for value in cli._grid(lo, hi, steps) for mask in masks]
 
 
 @pytest.mark.parametrize(

@@ -65,8 +65,8 @@ def test_double_root_cancels_any_exponent():
     # normally blocks exponents outside {0, 1/2 - b} vanishes identically
     roots = (Fraction(2), Fraction(-1), Fraction(-1))
     q, s = gauge_polynomials(roots, GaugeMask((2, 3)), Fraction(1, 3), Fraction(0))
-    assert q.total_degree() == 2
-    assert s.total_degree() >= 0
+    assert max(map(sum, q.terms)) == 2
+    assert max(map(sum, s.terms)) >= 0
 
 
 @given(rationals())
