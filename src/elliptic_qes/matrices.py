@@ -29,10 +29,12 @@ cutoff included, and any non-zero component of the combined image outside
 the basis raises OperatorNotClosed.  A constructed OperatorMatrix therefore
 certifies that the sector's invariant space really is invariant.
 
-The exact linear algebra on these matrices (determinant, values of the
-characteristic polynomial, inverse) is one fraction Gauss-Jordan routine,
-`_gauss_jordan`, so the invariants that check the float solve are computed
-in exactly one place."""
+The only exact linear algebra on these matrices is
+`OperatorMatrix.determinant`, by fraction forward elimination: the product
+of the eigenvalues is checked against it, and det(M - t I) at dim + 1
+points pins a characteristic polynomial.  `verify` transforms a matrix by
+similarity with exact unimodular row and column operations, which need
+neither an inverse nor a matrix product."""
 
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, potential_coefficient, raising_coefficient
@@ -78,63 +79,31 @@ class OperatorMatrix:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction Gauss-Jordan elimination."""
-        return _gauss_jordan([list(row) for row in self.rows])
-
-    def char_poly_eval(self, t: int | Fraction) -> Fraction:
-        """Exact value of det(M - t*I); equal values at dim+1 points pin the
-        characteristic polynomial, which is how similarity is tested exactly."""
-        tf = Fraction(t)
+        """Exact determinant by fraction forward elimination."""
+        n = self.dim
         work = [list(row) for row in self.rows]
-        for i in range(self.dim):
-            work[i][i] -= tf
-        return _gauss_jordan(work)
+        det = Fraction(1)
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != col:
+                work[col], work[pivot] = work[pivot], work[col]
+                det = -det
+            pval = work[col][col]
+            det *= pval
+            # column col of the rows below is not read again, so it is left as is
+            tail = work[col][col + 1 :]
+            for row in work[col + 1 :]:
+                factor = row[col] / pval
+                if factor:
+                    row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
+        return det
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         return self.basis.monomials == other.basis.monomials and self.rows == other.rows
-
-
-def inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square rational matrix, or None if it is singular."""
-    n = len(rows)
-    work = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    if not _gauss_jordan(work):
-        return None
-    return [row[n:] for row in work]
-
-
-def _gauss_jordan(work: list[list[Fraction]]) -> Fraction:
-    """Reduce the leading square block of ``work`` to the identity, in place.
-
-    Row operations act on whole rows, so columns past the block (an
-    augmented identity, say) end up multiplied by the block's inverse.
-    Returns the block's determinant; at the first column without a pivot it
-    stops and returns 0, leaving ``work`` partly reduced.
-    """
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pval = work[col][col]
-        det *= pval
-        # columns left of col are already reduced in every row
-        prow = [x / pval for x in work[col][col:]]
-        work[col][col:] = prow
-        for r in range(n):
-            factor = work[r][col]
-            if r != col and factor:
-                work[r][col:] = [x - factor * y for x, y in zip(work[r][col:], prow)]
-    return det
 
 
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidDegree, NonCancellingPole, NonZeroRemainder
-from .model import GaugeMask, ModelParams, cubic_invariants, external_field_coupling
+from .model import GaugeMask, ModelParams, cubic_invariants
 from .polynomials import Poly, weierstrass_cubic
 from .symmetric import elementary_symmetric, tau_to_z, z_to_tau
 
@@ -157,7 +157,6 @@ class GaugedOperator:
     mask: GaugeMask
     exponent: Fraction
     cutoff: int
-    field_coupling: Fraction
     cubic: Poly
     cubic_prime: Poly
     charge: Poly
@@ -260,7 +259,6 @@ def build_gauged_operator(
         mask=mask,
         exponent=nu,
         cutoff=int(mt),
-        field_coupling=external_field_coupling(params),
         cubic=cubic,
         cubic_prime=cubic.diff(0),
         charge=charge,

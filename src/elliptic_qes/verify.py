@@ -32,7 +32,6 @@ from .errors import NonCancellingPole
 from .matrices import (
     OperatorMatrix,
     build_matrix,
-    inverse,
     matches_operator,
     raising_coefficient_check,
 )
@@ -511,17 +510,6 @@ def _check_figure_degeneracy(store: _SectorStore) -> CheckResult:
 # -- eigensolver invariants -------------------------------------------------------
 
 
-def _fraction_matmul(
-    left: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
-    right: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...],
-) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(left)
-    return tuple(
-        tuple(sum((left[i][k] * right[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spectrum]]:
     """Every matrix diagonalized by the spectral checks, deduplicated."""
     pool: dict[tuple[ModelParams, GaugeMask], tuple[str, OperatorMatrix, Spectrum]] = {}
@@ -551,7 +539,10 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
     """On every matrix the spectral checks diagonalize: the eigenvalue sum
     matches the trace, the product matches the exact determinant (relative
     1e-8), complex values pair into conjugates, and five random exact
-    similarity transforms leave the spectrum unchanged to 1e-8."""
+    similarity transforms leave the spectrum unchanged to 1e-8.  Each
+    transform is 3 dim random elementary operations E M E^-1 with
+    E = I + c e_t e_s^T, c = +-1 and s != t, so it is unimodular and exact
+    with no inverse and no matrix product."""
     pool = _invariant_pool(store)
     worst_det = 0.0
     for label, mat, spec in pool:
@@ -595,15 +586,16 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
     worst_sim = 0.0
     for label, mat, spec in [pool[i] for i in rng.sample(range(len(pool)), 5)]:
         n = mat.dim
-        while True:
-            s = tuple(
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)
-            )
-            s_inv = inverse(s)
-            if s_inv is not None:
-                break
-        transformed = _fraction_matmul(_fraction_matmul(s, mat.rows), s_inv)
-        moved = eigenvalues(to_float(OperatorMatrix(mat.basis, transformed))).values
+        rows = [list(row) for row in mat.rows]
+        for _ in range(3 * n):
+            # row t += c row s, then column s -= c column t
+            s, t = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+            for row in rows:
+                row[s] -= c * row[t]
+        transformed = OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
+        moved = eigenvalues(to_float(transformed)).values
         scale = max(1.0, max(abs(v) for v in spec.values))
         defect = max(abs(x - y) for x, y in zip(moved, spec.values)) / scale
         worst_sim = max(worst_sim, defect)

@@ -13,7 +13,6 @@ from elliptic_qes.matrices import (
     OperatorMatrix,
     build_matrix,
     export_matrix,
-    inverse,
     matches_operator,
     matrix_from_json,
     raising_coefficient_check,
@@ -74,16 +73,24 @@ def test_entry_access_and_trace():
     assert mat.trace() == 0
 
 
+def char_value(mat: OperatorMatrix, t) -> Fraction:
+    """det(M - t I), as the determinant of the shifted matrix."""
+    rows = tuple(
+        tuple(x - t if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mat.rows)
+    )
+    return OperatorMatrix(mat.basis, rows).determinant()
+
+
 def test_determinant_and_characteristic_values():
     mat = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 1), EMPTY))
     assert mat.determinant() == -36
-    assert mat.char_poly_eval(6) == 0
-    assert mat.char_poly_eval(-6) == 0
-    assert mat.char_poly_eval(0) == -36
+    assert char_value(mat, 6) == 0
+    assert char_value(mat, -6) == 0
+    assert char_value(mat, 0) == -36
     big = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 2), EMPTY))
     assert big.determinant() == 4480
     for eig in (-20, -8, 28):
-        assert big.char_poly_eval(eig) == 0
+        assert char_value(big, eig) == 0
 
 
 def integer_rows(min_dim: int = 1, max_dim: int = 5):
@@ -100,21 +107,9 @@ def determinant(rows) -> Fraction:
 
 
 @given(integer_rows())
-def test_exact_inverse_and_determinant_match_sympy(rows):
+def test_exact_determinant_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    n = len(rows)
-    det = determinant(rows)
-    assert det == sympy.Matrix(rows).det()
-    inv = inverse(rows)
-    if not det:
-        assert inv is None
-        return
-    expected = sympy.Matrix(rows).inv()
-    assert inv == [[F(x.p) / x.q for x in expected.row(i)] for i in range(n)]
-    product = [
-        [sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert determinant(rows) == sympy.Matrix(rows).det()
 
 
 @given(integer_rows(min_dim=2), st.data())
@@ -122,7 +117,6 @@ def test_repeated_row_is_singular(rows, data):
     index = st.integers(0, len(rows) - 1)
     i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
     rows[j] = list(rows[i])
-    assert inverse(rows) is None
     assert determinant(rows) == 0
 
 
@@ -301,7 +295,7 @@ def test_root_relabeling_preserves_characteristic_polynomial():
     m1 = build_matrix(build_gauged_operator(ModelParams(2, a, 0, 2, roots), EMPTY))
     m2 = build_matrix(build_gauged_operator(ModelParams(2, a, 0, 2, swapped), EMPTY))
     for t in range(m1.dim + 1):
-        assert m1.char_poly_eval(t) == m2.char_poly_eval(t)
+        assert char_value(m1, t) == char_value(m2, t)
     # a mask tracking the swapped root keeps the spectrum as well
     g1 = build_matrix(
         build_gauged_operator(ModelParams(2, a, 0, 2, roots), GaugeMask((1, 2)))
@@ -310,7 +304,7 @@ def test_root_relabeling_preserves_characteristic_polynomial():
         build_gauged_operator(ModelParams(2, a, 0, 2, swapped), GaugeMask((1, 3)))
     )
     for t in range(g1.dim + 1):
-        assert g1.char_poly_eval(t) == g2.char_poly_eval(t)
+        assert char_value(g1, t) == char_value(g2, t)
 
 
 def _matmul(x, y):

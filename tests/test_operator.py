@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import elliptic_qes.operator as operator
 from elliptic_qes.errors import InvalidDegree, NonCancellingPole, NotSymmetric
 from elliptic_qes.matrices import build_matrix
-from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
+from elliptic_qes.model import (
+    ALL_MASKS,
+    GaugeMask,
+    ModelParams,
+    external_field_coupling,
+    list_valid_masks,
+)
 from elliptic_qes.operator import (
     _natural_gauge_polynomials,
     build_gauged_operator,
@@ -184,7 +190,7 @@ def test_cutoff_and_coupling_fields():
     assert op.cutoff == 1
     assert op.exponent == HALF
     # [2m + 2a(N-1) + 4b][2m + 1 + 2a(N-1) + 2b] at N=2, a=1, b=0, m=2
-    assert op.field_coupling == Fraction(6) * Fraction(7)
+    assert external_field_coupling(ModelParams(2, 1, 0, 2)) == 42
 
 
 # -- applying the operator ------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Scope of the verification runner's sector store and its z-space cross-check."""
+"""Scope of the verification runner's sector store, its z-space cross-check
+and its eigensolver check."""
 
+import dataclasses
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -102,3 +105,52 @@ def test_a_grid_sector_that_fails_to_build_fails_closure_and_raising(monkeypatch
     for name in ("closure", "raising"):
         assert not results[name].passed
         assert results[name].detail == "OperatorNotClosed: image leaves the invariant space"
+
+
+def _char_value(mat: OperatorMatrix, t: int) -> Fraction:
+    """det(M - t I), as the determinant of the shifted matrix."""
+    rows = tuple(
+        tuple(x - t if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mat.rows)
+    )
+    return OperatorMatrix(mat.basis, rows).determinant()
+
+
+def test_eigensolver_check_fails_when_a_transform_moves_the_spectrum(monkeypatch):
+    """`verify.eigenvalues` diagonalizes only the transformed matrices, so
+    shifting its values is a similarity transform that moved the spectrum."""
+    original = verify.eigenvalues
+
+    def shifted(matrix):
+        spec = original(matrix)
+        scale = max(1.0, max(abs(v) for v in spec.values))
+        return dataclasses.replace(spec, values=tuple(v + 1e-6 * scale for v in spec.values))
+
+    monkeypatch.setattr(verify, "eigenvalues", shifted)
+    result = verify._check_eigensolver(verify._SectorStore())
+    assert not result.passed
+    assert "similarity transform moved the spectrum" in result.detail
+
+
+def test_eigensolver_transforms_are_exact_similarities_that_move_the_matrix(monkeypatch):
+    """The five transformed matrices differ from their sources and share
+    their exact characteristic polynomials, compared at dim + 1 points."""
+    converted: list[OperatorMatrix] = []
+    original = verify.to_float
+
+    def capturing(mat):
+        converted.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(verify, "to_float", capturing)
+    store = verify._SectorStore()
+    assert verify._check_eigensolver(store).passed
+    pool = [mat for _, mat, _ in verify._invariant_pool(store)]
+    # every pool matrix is converted first, then the five transforms
+    assert converted[: len(pool)] == pool and len(converted) == len(pool) + 5
+    # the check's first draw from its generator picks the five sources
+    sources = [pool[i] for i in random.Random(1010).sample(range(len(pool)), 5)]
+    for source, moved in zip(sources, converted[len(pool) :]):
+        assert moved.basis == source.basis
+        assert moved.rows != source.rows
+        for t in range(source.dim + 1):
+            assert _char_value(moved, t) == _char_value(source, t)
