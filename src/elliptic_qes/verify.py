@@ -316,14 +316,15 @@ def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
     At cutoff 2 the basis is 1, tau_i and tau_i tau_j, whose images fix the
     tau-space coefficients A, B and C.  Each of a, g3, 1/2 - b and b + 1/2
     switches off a group of terms of A, B and C when it vanishes, so the
-    tuples make all four non-zero: a != 0; b has denominator 1 or 3; the
-    roots are +-(e + g, e, e - h) with gaps g < h, so e = (h - g)/3 > 0 and
-    no root is zero.
+    tuples make all four non-zero: a = +-k/3 with k in {1, 2, 4, 5}, so 2a
+    is non-zero and not an integer; b has denominator 1 or 3; the roots are
+    +-(e + g, e, e - h) with gaps g < h, so e = (h - g)/3 > 0 and no root is
+    zero.
     """
     rng = random.Random(707)
     sample: list[GridEntry] = []
     for nvars in (1, 2, 3):
-        a = rng.choice((-1, 1)) * _random_fraction(rng, 1, 4, (1, 2))
+        a = Fraction(rng.choice((-1, 1)) * rng.choice((1, 2, 4, 5)), 3)
         b = _random_fraction(rng, -2, 4, (3,))
         g = _random_fraction(rng, 1, 3, (2,))
         h = _random_fraction(rng, 4, 6, (2,))

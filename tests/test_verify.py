@@ -51,7 +51,8 @@ def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
 def test_cross_check_sample_switches_on_every_term_group():
     """One cutoff-2 tuple per N = 1..3 in all eight masks, with a, g3,
     1/2 - b and b + 1/2 all non-zero, so every group of terms of A, B and C
-    (the N >= 2 pair terms D and E among them) meets the z-space images."""
+    (the N >= 2 pair terms D and E among them) meets the z-space images,
+    and with 2a not an integer, so the images carry its denominator."""
     half = Fraction(1, 2)
     sample = verify._cross_check_sample(verify._SectorStore())
     assert len(sample) == 24
@@ -67,13 +68,17 @@ def test_cross_check_sample_switches_on_every_term_group():
         assert per_n[a, b, roots] == set(ALL_MASKS)
         g3 = 4 * roots[0] * roots[1] * roots[2]
         assert a != 0 and g3 != 0 and half - b != 0 and half + b != 0
+        assert (2 * a).denominator != 1
 
 
 # SHA-256 of the closure grid followed by the cross-check sample, with the
-# recipe of perfbench/gate.matrix_digest chained over the sectors, as built by
-# the Fraction term-by-term assembly that integer assembly over one
-# denominator replaced; every later engine must reproduce it exactly.
-CLOSURE_GRID_DIGEST = "7b829cb419a1fb487f19198a1681a29075897935eafd8bdac673fcbc1f3f9bc5"
+# recipe of perfbench/gate.matrix_digest chained over the sectors; every later
+# engine must reproduce it exactly.  Recorded when the sample's a moved to
+# thirds, with the 480-sector grid prefix of the chain unchanged: computed by
+# the cached-term-matrix engine and confirmed by the Fraction term-by-term
+# assembly of commit 62731e4, which integer assembly over one denominator
+# replaced.
+CLOSURE_GRID_DIGEST = "3dad6fd40b917da6de836e871ef276b06cad463f650280d78a79463b28663904"
 
 
 def test_closure_grid_and_sample_matrices_equal_the_recorded_engine():
