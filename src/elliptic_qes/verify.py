@@ -589,7 +589,6 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
         n = mat.dim
         rows = [list(row) for row in mat.rows]
         for _ in range(3 * n):
-            # row t += c row s, then column s -= c column t
             s, t = rng.sample(range(n), 2)
             c = rng.choice((-1, 1))
             rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
