@@ -16,12 +16,12 @@ every sector matrix is
     M = sum_j c_j S_j ,
 
 with S_j a parameter-free integer term matrix and c_j the sector's rational
-weight of that term.  A column of S_j follows from its structure sum by
-exponent shifts in tau-space, is computed once per N and is cached; assembly
+weight of that term.  Each sector sums the entries of the S_j, listed once
+per N from the structure sums, into one integer table scaled by its weights
+and by D, the lcm of their denominators, and images every basis column from
+that table by exponent shifts in tau-space; no column is cached.  Assembly
 never passes through z-space, and `GaugedOperator.apply` stays the
-independent z-space oracle that checks it.  With D the lcm of the weights'
-denominators, D M is a sum of integer products and each non-zero entry
-becomes a Fraction once.
+independent z-space oracle that checks it.
 
 Assembling a matrix is itself the closure proof for its parameter point.
 Every column of every S_j is the full exact image, components above the
@@ -109,38 +109,57 @@ class OperatorMatrix:
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space.
 
-    K = sum_j (D c_j) S_j, with c_j the sector's weights (`_weights`), D the
-    lcm of their denominators and S_j the integer term matrices, whose
-    columns `_term_column` caches.  Each non-zero entry is formed once, as
-    k / D.  The columns hold every image component, those above the sector
-    cutoff included, so this raises OperatorNotClosed if the combined image
-    of any basis monomial has a non-zero component outside the basis.
+    K = sum_j (D c_j) S_j, with c_j the sector's weights (`_weights`) and D
+    the lcm of their denominators.  Once per sector, the entries of
+    `_term_entries` of non-zero weight are scaled and summed per derivative
+    index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
+    tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l is each
+    summed entry shifted by l and times the falling factor of its index.
+    Each non-zero entry is formed once, as k / D.  The images hold every
+    component, those above the sector cutoff included, so this raises
+    OperatorNotClosed if the image of any basis monomial has a non-zero
+    component outside the basis.
     """
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
     dim = len(basis)
-    row_of = {_pack(exps): i for i, exps in enumerate(basis)}
+    codes = [_pack(exps) for exps in basis]
+    row_of = {code: i for i, code in enumerate(codes)}
     weights = _weights(op)
     denominator = lcm(*(w.denominator for w in weights.values()))
     scaled = {term: w.numerator * (denominator // w.denominator) for term, w in weights.items()}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for term, idx, e, c in _term_entries(n):
+        k = scaled.get(term)
+        if k:
+            group = groups.setdefault(idx, {})
+            group[e] = group.get(e, 0) + k * c
     rows = [[_ZERO] * dim for _ in range(dim)]
-    for j, exps in enumerate(basis):
+    for col, (exps, code) in enumerate(zip(basis, codes)):
         image: dict[int, int] = {}
-        for term, code, v in _term_column(n, exps):
-            k = scaled.get(term)
-            if k:
-                image[code] = image.get(code, 0) + k * v
-        for code, v in image.items():
+        for idx, group in groups.items():
+            if not idx:
+                f = 1
+            elif len(idx) == 1:
+                f = exps[idx[0]]
+            else:
+                i, j = idx
+                f = exps[i] * (exps[j] - (i == j))
+            if f:
+                for e, v in group.items():
+                    target = code + e
+                    image[target] = image.get(target, 0) + f * v
+        for target, v in image.items():
             if not v:
                 continue
-            i = row_of.get(code)
-            if i is None:
-                iexps = _unpack(code, n)
+            row = row_of.get(target)
+            if row is None:
+                iexps = _unpack(target, n)
                 raise OperatorNotClosed(
                     f"image of tau-monomial {exps} contains {iexps} of degree "
                     f"{sum(iexps)}, above the cutoff {op.cutoff}"
                 )
-            rows[i][j] = Fraction(v, denominator)
+            rows[row][col] = Fraction(v, denominator)
     return OperatorMatrix(basis, tuple(map(tuple, rows)))
 
 
@@ -240,33 +259,6 @@ def _term_entries(nvars: int) -> tuple[_Entry, ...]:
         for term, parts in terms.items()
         for idx, poly in parts
         for e, c in poly.terms.items()
-    )
-
-
-@lru_cache(maxsize=None)
-def _term_column(nvars: int, exps: Exponents) -> tuple[tuple[_Term, int, int], ...]:
-    """Column tau^exps of every integer term matrix S_j: its full image.
-
-    L(tau^l) = sum_{i<=j} A_ij d_i d_j tau^l + sum_i B_i d_i tau^l + C tau^l,
-    d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
-    d_i tau^l = l_i tau^(l - e_i), so each entry is shifted by l and scaled
-    by the falling factor of its derivatives.  Returns (term, packed
-    monomial, integer) triples; a monomial may repeat within a term, and the
-    caller's sum adds the repeats.  The images do not depend on the cutoff,
-    and the degree-ordered basis at one cutoff is the leading block of the
-    basis at the next, so a column is imaged once per N and shared by every
-    sector and cutoff that needs it.
-    """
-    falling = {(): 1}
-    for i, li in enumerate(exps):
-        falling[i,] = li
-        for j in range(i, nvars):
-            falling[i, j] = li * (exps[j] - (i == j))
-    code = _pack(exps)
-    return tuple(
-        (term, code + e, falling[idx] * c)
-        for term, idx, e, c in _term_entries(nvars)
-        if falling[idx]
     )
 
 

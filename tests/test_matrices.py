@@ -1,6 +1,9 @@
 """Exact matrix assembly, closure detection, and serialization."""
 
 import dataclasses
+import gc
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -215,6 +218,25 @@ def test_matrix_equals_applied_images_at_coprime_denominators(a, b, e1, e2, boun
     assert largest > bound
 
 
+def test_a_dropped_matrix_leaves_nothing_allocated():
+    # the per-N term tables are built by the small sector; after that, building
+    # and dropping a dim-252 sector must not leave its columns cached.  It runs
+    # before this file's other N=5 builds, so a column cache would start cold.
+    roots = (Fraction(5, 2), Fraction(-3, 4), Fraction(-7, 4))
+    build_matrix(sector(5, Fraction(-2, 3), Fraction(1, 3), roots, EMPTY, 1))
+    op = sector(5, Fraction(-2, 3), Fraction(1, 3), roots, EMPTY, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert build_matrix(op).dim == 252
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20
+
+
 def test_matrix_equals_applied_images_four_particles_cutoff_four():
     roots = (Fraction(7, 6), Fraction(-1, 3), Fraction(-5, 6))
     op = sector(4, Fraction(3, 2), Fraction(-1, 4), roots, GaugeMask((1, 3)), 4)
@@ -226,6 +248,27 @@ def test_matrix_equals_applied_images_five_particles_cutoff_two():
     roots = (Fraction(5, 2), Fraction(-3, 4), Fraction(-7, 4))
     op = sector(5, Fraction(-2, 3), Fraction(1, 3), roots, GaugeMask((2,)), 2)
     assert build_matrix(op).rows == oracle_rows(op)
+
+
+# SHA-256 of the basis and rows of every mask's sector at one point whose a, b
+# and roots are all non-integral.  The cutoffs reach falling factors of high
+# degree at N=5 and N=6, beyond the z-space comparisons above.
+@pytest.mark.parametrize(
+    ("nvars", "cutoff", "digest"),
+    [
+        (5, 5, "b48070ec0a01dfb1d1fcc01d4ef55b5b4b71eab97d0e907da045044e94ec11cd"),
+        (6, 3, "3ef45ff759d0a8063d005cd546d308d947814d2b801a94385448ad2240fffe26"),
+    ],
+)
+def test_large_sector_matrices_equal_the_recorded_engine(nvars, cutoff, digest):
+    roots = (Fraction(9, 4), Fraction(-3, 5), Fraction(-33, 20))
+    sha = hashlib.sha256()
+    for mask in ALL_MASKS:
+        mat = build_matrix(sector(nvars, Fraction(5, 3), Fraction(-2, 7), roots, mask, cutoff))
+        sha.update(repr(mat.basis.monomials).encode())
+        for row in mat.rows:
+            sha.update((",".join(str(x) for x in row) + "\n").encode())
+    assert sha.hexdigest() == digest
 
 
 @pytest.mark.parametrize(
