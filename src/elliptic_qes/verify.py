@@ -10,13 +10,14 @@ returns a CheckResult; the CLI turns failures into a nonzero exit code.
 Randomized checks draw from seeded generators, one per check, so any subset
 selected with ``only`` sees the same parameter tuples as a full run.
 
-Each `run_checks` call creates one sector store, and every check takes its
+Each `run_checks` call creates one sector store, and the checks take their
 sectors from it: the reference matrices, the closure grid that `closure` and
 `raising` share, the z-space sample and the spectral checks' sectors.  The
 store builds a sector's operator and matrix at most once per run, and its
 spectrum only when a check asks for one, so the grid and the sample are never
-diagonalized.  Nothing outlives the run, so repeated runs in one process each
-do the full work.
+diagonalized.  The oracles behind `oscillator` and `decoupling` build their
+own sectors, so a few sectors are built two or three times per run.  Nothing
+outlives the run, so repeated runs in one process each do the full work.
 """
 
 from __future__ import annotations
