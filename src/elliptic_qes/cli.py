@@ -47,7 +47,7 @@ SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  `spectrum` at N=6, m=6 over all masks
-# (2310) takes about 0.9 s and peaks at 59.5 MB in one fresh process on a
+# (2310) takes 0.9-1.2 s and peaks at 48.5-48.9 MB in one fresh process on a
 # 2-core VM (OPENBLAS_NUM_THREADS=1); N=7, m=6 (4092) and N=8, m=8 (32175)
 # are refused.
 MAX_TOTAL_DIMENSION = 3000

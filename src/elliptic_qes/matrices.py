@@ -7,81 +7,79 @@ coordinates tau,
 
     L = sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C ,
 
-with polynomial coefficients.  A, B and C are fixed linear combinations of
-integer tau-polynomials that depend only on N (`symmetric.structure_sums`),
-and the parameters enter only through the scalar weights: the coefficients
-of the cubic, the gauge charge, the gauge scalar and the couplings.  So
-every sector matrix is
+whose coefficients combine integer tau-polynomials fixed by N
+(`symmetric.structure_sums`) with scalar weights from the parameters.  So a
+sector matrix is M = sum_j c_j S_j, with S_j a parameter-free integer term
+matrix and c_j a rational weight, and it is stored as M = K / D, with D the
+lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
+columns.  Each sector sums the entries of its S_j once, in ints, and images
+every basis column from them by exponent shifts in tau-space.  Assembly never
+passes through z-space; `GaugedOperator.apply` stays the independent oracle.
 
-    M = sum_j c_j S_j ,
-
-with S_j a parameter-free integer term matrix and c_j the sector's rational
-weight of that term.  Each sector sums the entries of the S_j, listed once
-per N from the structure sums, into one integer table scaled by its weights
-and by D, the lcm of their denominators, and images every basis column from
-that table by exponent shifts in tau-space; no column is cached.  Assembly
-never passes through z-space, and `GaugedOperator.apply` stays the
-independent z-space oracle that checks it.
-
-Assembling a matrix is itself the closure proof for its parameter point.
-Every column of every S_j is the full exact image, components above the
-cutoff included, and any non-zero component of the combined image outside
-the basis raises OperatorNotClosed.  A constructed OperatorMatrix therefore
-certifies that the sector's invariant space really is invariant.
-
-The only exact linear algebra on these matrices is
-`OperatorMatrix.determinant`, by fraction forward elimination: the product
-of the eigenvalues is checked against it, and det(M - t I) at dim + 1
-points pins a characteristic polynomial.  `verify` transforms a matrix by
-similarity with exact unimodular row and column operations, which need
-neither an inverse nor a matrix product."""
+Assembling a matrix is itself the closure proof for its parameter point:
+every column is the full exact image, components above the cutoff included,
+and a non-zero component outside the basis raises OperatorNotClosed.  The
+only exact linear algebra here is `OperatorMatrix.determinant`, by fraction
+forward elimination; `verify` transforms a matrix by similarity with
+unimodular row and column operations on K, which keep it integral over D."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .errors import OperatorNotClosed
-from .operator import GaugedOperator, potential_coefficient, raising_coefficient
-from .polynomials import Coeff, Exponents, Poly, format_rational, parse_rational
+from .operator import GaugedOperator, raising_coefficient
+from .polynomials import Exponents, Poly, format_rational, parse_rational
 from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
-# Fills every absent entry of a built matrix; one shared object, not one per entry.
-_ZERO = Fraction(0)
 
-
-@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense exact-rational matrix over an ordered tau-monomial basis."""
+    """Exact matrix M = K / D over an ordered tau-monomial basis.
 
-    basis: BasisIndex
-    rows: tuple[tuple[Fraction, ...], ...]
+    It stores a positive integer D, not always the least one, and the integer
+    matrix K as columns of (row index, k) pairs, k != 0.  `OperatorMatrix(basis,
+    rows)` derives D and K from dense rational rows; `rows` is built when read.
+    """
 
-    def __post_init__(self) -> None:
-        d = len(self.basis)
-        if len(self.rows) != d or any(len(r) != d for r in self.rows):
+    def __init__(self, basis: BasisIndex, rows=None, *, denominator: int = 1, columns=()):
+        if ({len(columns)} if rows is None else {len(rows), *map(len, rows)}) != {len(basis)}:
             raise ValueError("matrix shape does not match basis size")
+        if rows is not None:
+            denominator = lcm(*(x.denominator for row in rows for x in row))
+            columns = tuple(tuple((i, x.numerator * (denominator // x.denominator))
+                                  for i, x in enumerate(col) if x) for col in zip(*rows))
+        self.basis, self.dim = basis, len(basis)
+        self.denominator, self.columns = denominator, columns
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(tuple, self.dense(Fraction, Fraction(0))))
+
+    def dense(self, convert, zero) -> list[list]:
+        """Dense rows: convert(k, D) at each non-zero entry k of K, zero elsewhere."""
+        out = [[zero] * self.dim for _ in range(self.dim)]
+        for j, column in enumerate(self.columns):
+            for i, k in column:
+                out[i][j] = convert(k, self.denominator)
+        return out
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(dict(self.columns[j]).get(i, 0), self.denominator)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
+        return tuple(self.entry(i, j) for i in range(self.dim))
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
+        diagonal = (k for j, column in enumerate(self.columns) for i, k in column if i == j)
+        return Fraction(sum(diagonal), self.denominator)
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction forward elimination."""
+        """Exact determinant by fraction forward elimination, seeded from K / D."""
         n = self.dim
-        work = [list(row) for row in self.rows]
+        work = self.dense(Fraction, Fraction(0))
         det = Fraction(1)
         for col in range(n):
             pivot = next((r for r in range(col, n) if work[r][col]), None)
@@ -103,39 +101,35 @@ class OperatorMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.basis.monomials == other.basis.monomials and self.rows == other.rows
+        return self.basis.monomials == other.basis.monomials and (
+            self.dense(Fraction, 0) == other.dense(Fraction, 0))
 
 
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
-    """Matrix of the operator on the basis of its invariant space.
+    """Matrix of the operator on the basis of its invariant space, as K / D.
 
-    K = sum_j (D c_j) S_j, with c_j the sector's weights (`_weights`) and D
-    the lcm of their denominators.  Once per sector, the entries of
+    K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
+    their denominators (`_weights`).  Once per sector, the entries of
     `_term_entries` of non-zero weight are scaled and summed per derivative
     index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
-    tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l is each
-    summed entry shifted by l and times the falling factor of its index.
-    Each non-zero entry is formed once, as k / D.  The images hold every
-    component, those above the sector cutoff included, so this raises
-    OperatorNotClosed if the image of any basis monomial has a non-zero
-    component outside the basis.
+    tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l of K is
+    each summed entry shifted by l and times the falling factor of its index.
+    The images hold every component, those above the sector cutoff included,
+    so this raises OperatorNotClosed if the image of any basis monomial has a
+    non-zero component outside the basis.
     """
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
-    dim = len(basis)
-    codes = [_pack(exps) for exps in basis]
-    row_of = {code: i for i, code in enumerate(codes)}
-    weights = _weights(op)
-    denominator = lcm(*(w.denominator for w in weights.values()))
-    scaled = {term: w.numerator * (denominator // w.denominator) for term, w in weights.items()}
+    row_of = {_pack(exps): i for i, exps in enumerate(basis)}
+    denominator, scaled = _weights(op)
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for term, idx, e, c in _term_entries(n):
         k = scaled.get(term)
         if k:
             group = groups.setdefault(idx, {})
             group[e] = group.get(e, 0) + k * c
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for col, (exps, code) in enumerate(zip(basis, codes)):
+    columns = []
+    for exps, code in zip(basis, row_of):
         image: dict[int, int] = {}
         for idx, group in groups.items():
             if not idx:
@@ -149,18 +143,15 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
                 for e, v in group.items():
                     target = code + e
                     image[target] = image.get(target, 0) + f * v
-        for target, v in image.items():
-            if not v:
-                continue
-            row = row_of.get(target)
-            if row is None:
-                iexps = _unpack(target, n)
-                raise OperatorNotClosed(
-                    f"image of tau-monomial {exps} contains {iexps} of degree "
-                    f"{sum(iexps)}, above the cutoff {op.cutoff}"
-                )
-            rows[row][col] = Fraction(v, denominator)
-    return OperatorMatrix(basis, tuple(map(tuple, rows)))
+        try:
+            columns.append(tuple((row_of[target], v) for target, v in image.items() if v))
+        except KeyError as exc:
+            iexps = _unpack(exc.args[0], n)
+            raise OperatorNotClosed(
+                f"image of tau-monomial {exps} contains {iexps} of degree "
+                f"{sum(iexps)}, above the cutoff {op.cutoff}"
+            ) from None
+    return OperatorMatrix(basis, denominator=denominator, columns=tuple(columns))
 
 
 def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
@@ -171,10 +162,10 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     So this checks the closed-form coefficients of a built matrix against
     the operator they were derived from, at C(N+2, 2) applications at most.
     """
-    basis = mat.basis
+    basis, d = mat.basis, mat.denominator
     return all(
         op.apply(Poly.monomial(exps))
-        == Poly(op.nvars, {basis[i]: row[j] for i, row in enumerate(mat.rows)})
+        == Poly(op.nvars, {basis[i]: Fraction(k, d) for i, k in mat.columns[j]})
         for j, exps in enumerate(basis)
         if sum(exps) <= 2
     )
@@ -203,8 +194,8 @@ def _unpack(code: int, nvars: int) -> Exponents:
     return tuple((code >> (_BITS * k)) & ((1 << _BITS) - 1) for k in range(nvars))
 
 
-def _weights(op: GaugedOperator) -> dict[_Term, Coeff]:
-    """The sector's non-zero weight c_j of each term of L.
+def _weights(op: GaugedOperator) -> tuple[int, dict[_Term, int]]:
+    """The sector's D and its non-zero scaled weight D c_j of each term of L.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
@@ -219,21 +210,26 @@ def _weights(op: GaugedOperator) -> dict[_Term, Coeff]:
 
     and drift = 2q + (b + 1/2) p'.  Each product is a rational weight (V,
     s_r, 2a q_r, drift_r, 2a p_r, p_r) times a parameter-free integer term
-    (`_term_entries`), keyed by the term's kind and r.
+    (`_term_entries`), keyed by the term's kind and r.  With a, b, m = A, B,
+    M over c and p, q, s over u, each weight is an integer over 2 u c^2, e.g.
+    V = M (12B + 8A(N-1) + 4M + 2c) / c^2; the gcd reduction leaves D.
     """
-    a2 = 2 * op.params.coupling_a
-    drift = 2 * op.charge + (op.params.coupling_b + Fraction(1, 2)) * op.cubic_prime
-    weights = {("V", 0): potential_coefficient(op.params)}
-    for kind, poly, scale in (
-        ("s", op.scalar, 1),
-        ("2a.q", op.charge, a2),
-        ("drift", drift, 1),
-        ("2a.p", op.cubic, a2),
-        ("p", op.cubic, 1),
-    ):
-        for (r,), c in poly.terms.items():
-            weights[kind, r] = scale * c
-    return {term: w for term, w in weights.items() if w}
+    prm = op.params
+    c = lcm(*(x.denominator for x in (prm.coupling_a, prm.coupling_b, prm.degree_m)))
+    a, b, m = (x.numerator * (c // x.denominator)
+               for x in (prm.coupling_a, prm.coupling_b, prm.degree_m))
+    polys = (op.scalar, op.charge, op.cubic)
+    u = lcm(*(x.denominator for poly in polys for x in poly.terms.values()))
+    s, q, p = ({r: x.numerator * (u // x.denominator) for (r,), x in poly.terms.items()}
+               for poly in polys)
+    one, two_a = 2 * c * c, 4 * a * c
+    weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (prm.nvars - 1) + 4 * m + 2 * c)}
+    for kind, coeffs, f in (("s", s, one), ("2a.q", q, two_a), ("2a.p", p, two_a), ("p", p, one)):
+        weights.update(((kind, r), f * x) for r, x in coeffs.items())
+    for r in range(3):  # q and p' have degree 2
+        weights["drift", r] = 2 * one * q.get(r, 0) + (2 * b + c) * c * (r + 1) * p.get(r + 1, 0)
+    g = gcd(u * one, *weights.values())
+    return u * one // g, {term: w // g for term, w in weights.items() if w}
 
 
 @lru_cache(maxsize=None)
@@ -267,9 +263,9 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
 
     For every basis monomial t of the given degree, the degree-(degree+1)
     part of its image must equal coeff * tau_1 * t exactly, with coeff from
-    `raising_coefficient`.  The images are read from the columns of the
-    operator's matrix; at the cutoff there is no higher degree in the basis,
-    so the coefficient itself must vanish there.
+    `raising_coefficient`: the degree-(degree+1) entries of column t of K
+    are exactly {tau_1 t: coeff D}.  At the cutoff there is no higher degree
+    in the basis, so the coefficient itself must vanish there.
     """
     if not 0 <= degree <= op.cutoff:
         raise ValueError(f"degree must lie in [0, {op.cutoff}], got {degree}")
@@ -277,16 +273,13 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
     if degree == op.cutoff:
         return expected == 0
     basis = matrix.basis
+    k = expected * matrix.denominator
     for j, exps in enumerate(basis):
         if sum(exps) != degree:
             continue
-        raised = (exps[0] + 1,) + exps[1:]
-        for i, iexps in enumerate(basis):
-            if sum(iexps) != degree + 1:
-                continue
-            want = expected if iexps == raised else Fraction(0)
-            if matrix.entry(i, j) != want:
-                return False
+        want = {basis.index_of((exps[0] + 1,) + exps[1:]): k} if k else {}
+        if {i: v for i, v in matrix.columns[j] if sum(basis[i]) == degree + 1} != want:
+            return False
     return True
 
 
@@ -296,11 +289,11 @@ def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:
         payload = {
             "dim": mat.dim,
             "basis": [list(exps) for exps in mat.basis],
-            "entries": [[format_rational(x) for x in row] for row in mat.rows],
+            "entries": mat.dense(lambda k, d: format_rational(Fraction(k, d)), "0"),
         }
         return json.dumps(payload, indent=2)
     if fmt == "csv":
-        return "\n".join(",".join(repr(float(x)) for x in row) for row in mat.rows)
+        return "\n".join(",".join(row) for row in mat.dense(lambda k, d: repr(k / d), "0.0"))
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 
 

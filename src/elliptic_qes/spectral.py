@@ -23,18 +23,22 @@ _REAL_TOL = 1e-7
 def to_float(mat: OperatorMatrix) -> np.ndarray:
     """Nearest-double image of an exact matrix; rejects entries that overflow.
 
-    Sector matrices are mostly zero, so only the non-zero entries are
-    converted, into an array of zeros.
+    Each non-zero entry is k / D in Python ints, whose true division is
+    correctly rounded, so it equals float(Fraction(k, D)) bit for bit.  The
+    doubles are scattered into an array of zeros in one numpy assignment.
     """
-    out = np.zeros((mat.dim, mat.dim), dtype=float)
-    for i, row in enumerate(mat.rows):
-        for j, x in enumerate(row):
-            if not x:
-                continue
+    d = mat.denominator
+    rows, cols, values = [], [], []
+    for j, column in enumerate(mat.columns):
+        for i, k in column:
             try:
-                out[i, j] = float(x)
+                values.append(k / d)
             except OverflowError as exc:
-                raise ValueError(f"entry ({i},{j}) = {x} overflows a double") from exc
+                raise ValueError(f"entry ({i},{j}) = {k}/{d} overflows a double") from exc
+            rows.append(i)
+            cols.append(j)
+    out = np.zeros((mat.dim, mat.dim), dtype=float)
+    out[rows, cols] = values
     return out
 
 

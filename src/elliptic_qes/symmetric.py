@@ -60,8 +60,9 @@ class BasisIndex:
         return exponents in self._position
 
 
+@lru_cache(maxsize=32)
 def enumerate_basis(nvars: int, max_degree: int) -> BasisIndex:
-    """All tau-monomials with sum(l_i) <= max_degree, canonically ordered."""
+    """All tau-monomials with sum(l_i) <= max_degree, canonically ordered (cached)."""
     if nvars < 1:
         raise ValueError(f"nvars must be >= 1, got {nvars}")
     if max_degree < 0:

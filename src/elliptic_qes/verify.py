@@ -174,7 +174,7 @@ def _check_matrices(store: _SectorStore) -> CheckResult:
         roots = _random_roots(rng)
         _, built = store.sector(ModelParams(2, a, b, 2, roots), _EMPTY)
         expected = reference_empty_mask_matrix(a, b, roots)
-        if built.rows != expected:
+        if built != OperatorMatrix(built.basis, expected):
             return CheckResult(
                 "matrices",
                 False,
@@ -185,7 +185,7 @@ def _check_matrices(store: _SectorStore) -> CheckResult:
         for i in (1, 2, 3):
             mask = mask_for_unmasked_index(i)
             _, built3 = store.sector(params0, mask)
-            if built3.rows != reference_double_mask_matrix(a, roots, i):
+            if built3 != OperatorMatrix(built3.basis, reference_double_mask_matrix(a, roots, i)):
                 return CheckResult(
                     "matrices",
                     False,
@@ -543,8 +543,9 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
     1e-8), complex values pair into conjugates, and five random exact
     similarity transforms leave the spectrum unchanged to 1e-8.  Each
     transform is 3 dim random elementary operations E M E^-1 with
-    E = I + c e_t e_s^T, c = +-1 and s != t, so it is unimodular and exact
-    with no inverse and no matrix product."""
+    E = I + c e_t e_s^T, c = +-1 and s != t, applied to K: it is unimodular,
+    keeps K integral over the same D and needs no inverse and no matrix
+    product."""
     pool = _invariant_pool(store)
     worst_det = 0.0
     for label, mat, spec in pool:
@@ -588,14 +589,15 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
     worst_sim = 0.0
     for label, mat, spec in [pool[i] for i in rng.sample(range(len(pool)), 5)]:
         n = mat.dim
-        rows = [list(row) for row in mat.rows]
+        rows = mat.dense(lambda k, _: k, 0)
         for _ in range(3 * n):
             s, t = rng.sample(range(n), 2)
             c = rng.choice((-1, 1))
             rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
             for row in rows:
                 row[s] -= c * row[t]
-        transformed = OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
+        columns = tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows))
+        transformed = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
         moved = eigenvalues(to_float(transformed)).values
         scale = max(1.0, max(abs(v) for v in spec.values))
         defect = max(abs(x - y) for x, y in zip(moved, spec.values)) / scale

@@ -305,6 +305,80 @@ def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
     assert not matches_operator(op, OperatorMatrix(mat.basis, tuple(map(tuple, rows))))
 
 
+def _scaled(mat: OperatorMatrix, factor: int) -> OperatorMatrix:
+    """The same matrix with K and D both multiplied by factor."""
+    columns = tuple(tuple((i, k * factor) for i, k in col) for col in mat.columns)
+    return OperatorMatrix(mat.basis, denominator=mat.denominator * factor, columns=columns)
+
+
+@pytest.mark.parametrize(
+    ("nvars", "cutoff", "mask"),
+    [(1, 2, EMPTY), (2, 2, EMPTY), (2, 3, GaugeMask((1, 3))), (3, 3, GaugeMask((2,)))],
+)
+def test_readers_of_k_agree_with_the_matrix_rebuilt_from_its_rows(nvars, cutoff, mask):
+    roots = (Fraction(9, 4), Fraction(-3, 5), Fraction(-33, 20))
+    built = build_matrix(sector(nvars, Fraction(5, 3), Fraction(-2, 7), roots, mask, cutoff))
+    again = OperatorMatrix(built.basis, built.rows)
+    assert again == built and _scaled(built, 6) == built
+    assert again.denominator <= built.denominator
+    for j in range(built.dim):
+        assert again.column(j) == built.column(j) == tuple(row[j] for row in built.rows)
+        for i in range(built.dim):
+            assert again.entry(i, j) == built.entry(i, j) == built.rows[i][j]
+    assert again.trace() == built.trace() == sum(built.rows[i][i] for i in range(built.dim))
+    assert again.determinant() == built.determinant() == _scaled(built, 6).determinant()
+    for fmt in ("json", "csv"):
+        assert export_matrix(again, fmt) == export_matrix(built, fmt)
+
+
+def test_equality_compares_values():
+    built = build_matrix(build_gauged_operator(ModelParams(2, Fraction(1, 3), 0, 2), EMPTY))
+    assert _scaled(built, 5) == built
+    rows = [list(row) for row in built.rows]
+    rows[2][1] += Fraction(1, 7)
+    assert OperatorMatrix(built.basis, tuple(map(tuple, rows))) != built
+    assert OperatorMatrix(enumerate_basis(1, 5), built.rows) != built
+
+
+def test_shape_of_the_rows_is_checked():
+    basis = enumerate_basis(1, 1)
+    for rows in (((F(1),),), ((F(1), F(0)),), ((F(1),), (F(0), F(1)))):
+        with pytest.raises(ValueError, match="shape"):
+            OperatorMatrix(basis, rows)
+    with pytest.raises(ValueError, match="shape"):
+        OperatorMatrix(basis, columns=((),))
+
+
+def _tampered_k(mat: OperatorMatrix, i: int, j: int, delta: int) -> OperatorMatrix:
+    """The matrix with delta added to K_ij, over the same D."""
+    column = dict(mat.columns[j])
+    column[i] = column.get(i, 0) + delta
+    columns = list(mat.columns)
+    columns[j] = tuple((r, k) for r, k in column.items() if k)
+    return OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(columns))
+
+
+def test_a_tampered_k_entry_fails_the_raising_and_z_space_checks():
+    op = build_gauged_operator(ModelParams(2, Fraction(1, 3), Fraction(-1, 2), 2), EMPTY)
+    mat = build_matrix(op)
+    assert matches_operator(op, mat)
+    assert all(raising_coefficient_check(op, d, mat) for d in range(op.cutoff + 1))
+    basis = mat.basis
+    t1, t2 = basis.index_of((1, 0)), basis.index_of((0, 1))
+    # the raising entry tau_1 of the image of 1, off by 1 / D
+    raised = _tampered_k(mat, t1, 0, 1)
+    assert not raising_coefficient_check(op, 0, raised)
+    assert not matches_operator(op, raised)
+    # a spurious degree-1 component tau_2 in the image of 1
+    spurious = _tampered_k(mat, t2, 0, 1)
+    assert not raising_coefficient_check(op, 0, spurious)
+    assert not matches_operator(op, spurious)
+    # a degree-lowering entry: invisible to the raising check, not to z-space
+    lowered = _tampered_k(mat, 0, t1, 1)
+    assert raising_coefficient_check(op, 0, lowered)
+    assert not matches_operator(op, lowered)
+
+
 def test_json_round_trip():
     mat = build_matrix(
         build_gauged_operator(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from elliptic_qes.cli import main
 from elliptic_qes.errors import NoConvergence
 from elliptic_qes.matrices import build_matrix
-from elliptic_qes.model import GaugeMask, ModelParams
+from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.spectral import eigenvalues, eigenvector, spectrum_of, to_float
 from elliptic_qes.symmetric import enumerate_basis
@@ -105,8 +105,63 @@ def test_input_validation():
 def test_to_float_overflow():
     basis = enumerate_basis(1, 0)
     huge = OperatorMatrix(basis, ((Fraction(10) ** 400,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"entry \(0,0\)"):
         to_float(huge)
+
+
+def test_to_float_overflow_names_the_entry_of_k_over_d():
+    basis = enumerate_basis(1, 1)
+    # M = K / 3 with one entry 10**400 / 3 in row 1, column 0
+    mat = OperatorMatrix(basis, denominator=3, columns=(((0, 1), (1, 10**400)), ()))
+    with pytest.raises(ValueError, match=r"entry \(1,0\)"):
+        to_float(mat)
+
+
+def _sector(nvars, a, b, roots, mask, cutoff):
+    m = cutoff + mask.n_f * (Fraction(1, 2) - b)
+    return build_matrix(build_gauged_operator(ModelParams(nvars, a, b, m, roots), mask))
+
+
+def _assert_to_float_is_entrywise_float_of_rows(mat):
+    entrywise = np.array([[float(x) for x in row] for row in mat.rows])
+    floats = to_float(mat)
+    assert floats.dtype == entrywise.dtype and floats.shape == entrywise.shape
+    assert floats.tobytes() == entrywise.tobytes()
+
+
+def test_to_float_is_bit_identical_to_float_of_every_entry_at_five_particles():
+    roots = (Fraction(9, 4), Fraction(-3, 5), Fraction(-33, 20))
+    for mask in ALL_MASKS:
+        mat = _sector(5, Fraction(5, 3), Fraction(-2, 7), roots, mask, 5)
+        assert mat.dim == 252
+        _assert_to_float_is_entrywise_float_of_rows(mat)
+
+
+@pytest.mark.parametrize(
+    ("a", "b", "e1", "e2"),
+    [
+        (Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(-5, 11)),
+        (Fraction(-7, 13), Fraction(-3, 17), Fraction(11, 19), Fraction(4, 23)),
+        (Fraction(5, 101), Fraction(2, 1013), Fraction(3, 1019), Fraction(-7, 1021)),
+    ],
+    ids=["3-5-7-11", "13-17-19-23", "101-1013-1019-1021"],
+)
+def test_to_float_is_bit_identical_to_float_of_every_entry_at_coprime_denominators(a, b, e1, e2):
+    for nvars in (2, 3):
+        for cutoff in range(4):
+            for mask in ALL_MASKS:
+                _assert_to_float_is_entrywise_float_of_rows(
+                    _sector(nvars, a, b, (e1, e2, -e1 - e2), mask, cutoff)
+                )
+
+
+def test_the_spectrum_path_never_builds_dense_rows():
+    roots = (Fraction(9, 4), Fraction(-3, 5), Fraction(-33, 20))
+    mat = _sector(4, Fraction(5, 3), Fraction(-2, 7), roots, GaugeMask(()), 4)
+    spectrum_of(mat)
+    assert "rows" not in mat.__dict__
+    assert len(mat.rows) == mat.dim
+    assert "rows" in mat.__dict__
 
 
 # -- agreement with numpy --------------------------------------------------------
@@ -301,3 +356,24 @@ def test_spectrum_of_exact_matrix():
         pytest.approx(28.0),
     )
     assert len(spec) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3", "--m", "3", "--a", "1/2"],
+        ["sweep", "--sweep-var", "a", "--range", "0:1:3", "--n", "2", "--m", "2"],
+        ["eigenfunctions", "--n", "2", "--m", "4", "--a", "3/2"],
+        ["matrix", "--n", "2", "--m", "2", "--a", "1/3", "--format", "csv"],
+        ["matrix", "--n", "2", "--m", "2", "--a", "1/3"],
+        ["verify"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_no_command_reads_the_dense_rows(monkeypatch, capsys, argv):
+    def forbidden(self):
+        raise AssertionError("the library read OperatorMatrix.rows")
+
+    monkeypatch.setattr(OperatorMatrix, "rows", property(forbidden))
+    assert main(argv) == 0
+    assert capsys.readouterr().out
