@@ -226,7 +226,7 @@ def _weights(op: GaugedOperator) -> tuple[int, dict[_Term, int]]:
     weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (prm.nvars - 1) + 4 * m + 2 * c)}
     for kind, coeffs, f in (("s", s, one), ("2a.q", q, two_a), ("2a.p", p, two_a), ("p", p, one)):
         weights.update(((kind, r), f * x) for r, x in coeffs.items())
-    for r in range(3):  # q and p' have degree 2
+    for r in range(4):  # the powers of z that `_term_entries` lists
         weights["drift", r] = 2 * one * q.get(r, 0) + (2 * b + c) * c * (r + 1) * p.get(r + 1, 0)
     g = gcd(u * one, *weights.values())
     return u * one // g, {term: w // g for term, w in weights.items() if w}
