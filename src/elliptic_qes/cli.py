@@ -12,10 +12,10 @@ Subcommands:
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
 their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
 sector at every grid point, so each point proves its own closure.  Before
-building anything, matrix, spectrum, sweep and eigenfunctions sum the basis
-dimensions of their sectors over every grid point and refuse a total above
-MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a verification or convergence
-failure, 2 a parameter error or a refused size.
+building anything, matrix, spectrum, sweep and eigenfunctions refuse N above
+MAX_PARTICLES, sum the basis dimensions of their sectors over every grid point
+and refuse a total above MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a
+verification or convergence failure, 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 # 2-core VM (OPENBLAS_NUM_THREADS=1); N=7, m=6 (4092) and N=8, m=8 (32175)
 # are refused.
 MAX_TOTAL_DIMENSION = 3000
+
+# Largest particle number N one command may build.  The dimension budget does
+# not bound N at cutoff 0 or 1, where the work still grows with N: `spectrum
+# --n 32 --m 0 --mask none` takes 1.3 s in one fresh process on the same VM,
+# and --n 48 takes 4.5 s and 97 MB.
+MAX_PARTICLES = 32
 
 
 def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -93,9 +99,12 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
 
 
 def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1) -> None:
-    """Refuse work above MAX_TOTAL_DIMENSION before anything is built.
+    """Refuse N above MAX_PARTICLES and work above MAX_TOTAL_DIMENSION before
+    anything is built.
 
     Invalid masks are skipped here; building them reports the error."""
+    if params.nvars > MAX_PARTICLES:
+        raise ValueError(f"N = {params.nvars} is above the limit of {MAX_PARTICLES} particles")
     total = points * sum(
         params.basis_dimension(mask) for mask in masks if params.sector_is_valid(mask)
     )

@@ -284,7 +284,10 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
 
 
 def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:
-    """Serialize a matrix: exact JSON (round-trips bit-for-bit) or float CSV."""
+    """Serialize a matrix: exact JSON (round-trips bit-for-bit) or float CSV.
+
+    The CSV holds the doubles of `spectral.to_float`, which raises ValueError
+    naming an entry that overflows."""
     if fmt == "json":
         payload = {
             "dim": mat.dim,
@@ -293,7 +296,9 @@ def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:
         }
         return json.dumps(payload, indent=2)
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in mat.dense(lambda k, d: repr(k / d), "0.0"))
+        from .spectral import to_float  # spectral imports this module
+
+        return "\n".join(",".join(map(repr, row)) for row in to_float(mat).tolist())
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 
 

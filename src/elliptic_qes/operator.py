@@ -150,7 +150,8 @@ class GaugedOperator:
 
     Single-variable ingredients are stored once: the cubic, its derivative,
     the gauge charge q and the gauge scalar s.  `apply` lifts them into the N
-    variables itself, since it is their only reader.
+    variables itself; `matrices._weights` reads the coefficients of the cubic,
+    q and s directly.
     """
 
     params: ModelParams

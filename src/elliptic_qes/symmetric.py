@@ -13,16 +13,17 @@ degree-raising statement downstream refers to the tau-degree.
 
 `structure_sums` writes, once per N, the symmetric z-space sums that the
 gauged operator's tau-space coefficients are built from.  They come from
-power sums and Newton's identities alone, without a trip through z-space;
-`tau_to_z` and `z_to_tau` remain the exact conversions that check them.
+two-term recurrences in the generating function E(t) = sum_m tau_m t^m,
+without a trip through z-space; `tau_to_z` and `z_to_tau` remain the exact
+conversions that check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import NotSymmetric
@@ -188,19 +189,22 @@ class StructureSums(NamedTuple):
 def structure_sums(nvars: int) -> StructureSums:
     """The sums of `StructureSums` for N = nvars, written over tau.
 
-    sigma^k_j = sum_{m<=j} (-z_k)^m tau_{j-m} turns Q into power sums
-    P_s = sum_k z_k^s, which Newton's identities write over tau.  Each pair
-    sum is symmetric in k and l, so sum_{k<l} is half of sum_{k!=l}.  The
-    variables other than z_k and z_l have elementary symmetric polynomials
-    sigma^kl_j = sum_{m+n<=j} (-z_k)^m (-z_l)^n tau_{j-m-n}, and
-    sum_{k!=l} z_k^x z_l^y = P_x P_y - P_{x+y}.  Dividing by z_k - z_l first
-    (sigma^k_j = sigma^kl_j + z_l sigma^kl_{j-1}) gives, with
-    h_d(x, y) = sum_{u+v=d} x^u y^v,
+    Everything follows from the generating function
+    E(t) = prod_k (1 + z_k t) = sum_m tau_m t^m, whose quotient by 1 + z_k t
+    is sigma^k(t) = sum_j sigma^k_j t^j.  Comparing coefficients gives
+    z_k sigma^k_m = tau_{m+1} - sigma^k_{m+1}, so, with tau_j = 0 outside
+    0..N and sigma^k_m = 0 for m >= N,
 
-        E[r][j] = sum_{k<l} sigma^kl_j h_{r-1} + sigma^kl_{j-1} z_k z_l h_{r-2}
+        T[0][m] = (N - m) tau_m,          T[r][m] = P[r-1] tau_{m+1} - T[r-1][m+1]
+        E[0][m] = -C(N-m+1, 2) tau_{m-1}, E[r][m] = D[r-1] tau_{m+1} - E[r-1][m+1]
 
-    for r >= 1, and E[0][j] = -sum_{k<l} sigma^kl_{j-1}.  As sigma^k_0 = 1,
-    P, T and D are the first entries of Q and E.
+    where E[0] holds because sigma^k(t) - sigma^l(t) = -(z_k - z_l) t times
+    the product over the other N - 2 variables.  As sigma^k_0 = 1, P and D are
+    the first entries of T and E.  Finally 1/((1+zt)(1+zu)) =
+    (t/(1+zt) - u/(1+zu))/(t - u) gives
+
+        Q[r][i][j] = sum_{a=max(i,j)}^{i+j} T[r][a] tau_{i+j-a}
+                     - sum_{a<min(i,j)} T[r][a] tau_{i+j-a}.
     """
     n = nvars
     zero = Poly.zero(n)
@@ -211,55 +215,28 @@ def structure_sums(nvars: int) -> StructureSums:
     def tau(j: int) -> Poly:
         return taus[j] if 0 <= j <= n else zero
 
-    # Newton: P_s = sum_{j=1}^{s-1} (-1)^(j-1) tau_j P_{s-j} + (-1)^(s-1) s tau_s
-    power = [Poly.constant(n, n)]
-    for s in range(1, 2 * n + 2):
-        acc = (-1) ** (s - 1) * s * tau(s)
-        for j in range(1, min(s - 1, n) + 1):
-            acc = acc + (-1) ** (j - 1) * (tau(j) * power[s - j])
-        power.append(acc)
+    t_rows = [[(n - m) * tau(m) for m in range(n)]]
+    e_rows = [[-comb(n - m + 1, 2) * tau(m - 1) for m in range(n)]]
+    for _ in range(_MAX_POWER):
+        for rows in (t_rows, e_rows):
+            prev = rows[-1] + [zero]
+            rows.append([prev[0] * tau(m + 1) - prev[m + 1] for m in range(n)])
 
-    cross: dict[tuple[int, int], Poly] = {}
-
-    def pair_sum(j: int, powers: list[tuple[int, int]]) -> Poly:
-        """sum_{k!=l} sigma^kl_j sum_{(x, y) in powers} z_k^x z_l^y (0 for j < 0)."""
+    def q_entry(row: list[Poly], i: int, j: int) -> Poly:
         out = zero
-        for m in range(j + 1):
-            for m2 in range(j + 1 - m):
-                for x, y in powers:
-                    key = (x + m, y + m2)
-                    if key not in cross:
-                        cross[key] = power[key[0]] * power[key[1]] - power[sum(key)]
-                    out = out + (-1) ** (m + m2) * (tau(j - m - m2) * cross[key])
+        for a in range(max(i, j), min(i + j, n - 1) + 1):
+            out = out + row[a] * tau(i + j - a)
+        for a in range(min(i, j)):
+            out = out - row[a] * tau(i + j - a)
         return out
 
-    def h(d: int) -> list[tuple[int, int]]:
-        return [(u, d - u) for u in range(d + 1)]
-
-    half = Fraction(1, 2)
-    rs = range(_MAX_POWER + 1)
-    q_rows, e_rows = [], []
-    for r in rs:
-        square = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                for m in range(i + 1):
-                    for m2 in range(j + 1):
-                        term = tau(i - m) * tau(j - m2) * power[r + m + m2]
-                        square[i][j] = square[i][j] + (-1) ** (m + m2) * term
-                square[j][i] = square[i][j]
-        q_rows.append(tuple(map(tuple, square)))
-        if r:
-            raised = [(x + 1, y + 1) for x, y in h(r - 2)]
-            e_rows.append(tuple(
-                (pair_sum(j, h(r - 1)) + pair_sum(j - 1, raised)) * half for j in range(n)
-            ))
-        else:
-            e_rows.append(tuple(-pair_sum(j - 1, [(0, 0)]) * half for j in range(n)))
     return StructureSums(
-        P=tuple(q[0][0] for q in q_rows),
-        T=tuple(q[0] for q in q_rows),
-        Q=tuple(q_rows),
-        D=tuple(e[0] for e in e_rows),
-        E=tuple(e_rows),
+        P=tuple(row[0] for row in t_rows),
+        T=tuple(map(tuple, t_rows)),
+        Q=tuple(
+            tuple(tuple(q_entry(row, i, j) for j in range(n)) for i in range(n))
+            for row in t_rows
+        ),
+        D=tuple(row[0] for row in e_rows),
+        E=tuple(map(tuple, e_rows)),
     )

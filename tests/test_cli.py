@@ -66,6 +66,48 @@ def test_work_above_the_dimension_budget_exits_2(capsys, argv, total):
     assert f"total dimension {total}, above the limit {cli.MAX_TOTAL_DIMENSION}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--m", "0", "--mask", "none"),
+        ("matrix", "--m", "0", "--mask", "none"),
+        ("eigenfunctions", "--m", "0", "--mask", "none"),
+        ("sweep", "--sweep-var", "a", "--range", "0:1:2", "--m", "0"),
+    ],
+)
+def test_particle_number_above_the_limit_exits_2_before_building(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("built a sector above the particle limit")
+
+    monkeypatch.setattr(cli, "build_gauged_operator", refuse)
+    for n in (cli.MAX_PARTICLES + 1, 10**6):
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert f"N = {n} is above the limit of {cli.MAX_PARTICLES} particles" in err
+
+
+def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
+    cli._check_budget(ModelParams(cli.MAX_PARTICLES, 0, 0, 0), [GaugeMask.from_string("none")])
+    code, out, _ = run(capsys, "spectrum", "--n", "16", "--m", "0", "--mask", "none")
+    assert code == 0
+    assert len(json.loads(out)["sectors"][0]["eigenvalues"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--format", "csv"),
+        ("spectrum", "--mask", "none"),
+        ("eigenfunctions", "--mask", "none"),
+        ("sweep", "--sweep-var", "epsilon", "--range", "0:1:2"),
+    ],
+)
+def test_overflowing_entry_exits_2_and_names_it(capsys, argv):
+    code, out, err = run(capsys, *argv, "--a", "1e400")
+    assert (code, out) == (2, "")
+    assert re.match(r"error: entry \(\d+,\d+\) = -?\d+/\d+ overflows a double$", err)
+
+
 def test_dimension_budget_admits_n6_m6_and_a_19_point_sweep(capsys):
     six = ModelParams(6, 0, 0, 6)
     masks = list(list_valid_masks(six))

@@ -165,6 +165,48 @@ def test_structure_sums_match_z_space(nvars, r):
     assert all(c.denominator == 1 for p in entries for c in p.terms.values())
 
 
+def elementary_values(values: list[Fraction]) -> list[Fraction]:
+    """Coefficients e_0..e_len of prod (1 + x t) over the given values."""
+    e = [Fraction(1)]
+    for x in values:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 7, 12, 16])
+def test_structure_sums_match_direct_sums_at_rational_points(nvars):
+    # the z-space expansion above stops at N = 5; here every entry is
+    # evaluated at tau(z) and compared with the sum over sigma^k_j(z) itself
+    sums = structure_sums(nvars)
+    rng = random.Random(1600 + nvars)
+    for _ in range(2):
+        z = []
+        while len(z) < nvars:
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            if x not in z:
+                z.append(x)
+        tau = elementary_values(z)[1:]
+        sigma = [elementary_values(z[:k] + z[k + 1 :]) for k in range(nvars)]
+        pairs = list(combinations(range(nvars), 2))
+        for r in range(4):
+            assert sums.P[r].evaluate(tau) == sum(zk**r for zk in z)
+            assert sums.D[r].evaluate(tau) == sum(
+                (z[k] ** r - z[l] ** r) / (z[k] - z[l]) for k, l in pairs
+            )
+            for j in range(nvars):
+                assert sums.T[r][j].evaluate(tau) == sum(
+                    z[k] ** r * sigma[k][j] for k in range(nvars)
+                )
+                assert sums.E[r][j].evaluate(tau) == sum(
+                    (z[k] ** r * sigma[k][j] - z[l] ** r * sigma[l][j]) / (z[k] - z[l])
+                    for k, l in pairs
+                )
+                for i in range(nvars):
+                    assert sums.Q[r][i][j].evaluate(tau) == sum(
+                        z[k] ** r * sigma[k][i] * sigma[k][j] for k in range(nvars)
+                    )
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
 def test_structure_sums_are_stored_as_int(nvars):
     # matrix assembly reads these maps directly and stays in int arithmetic
