@@ -166,7 +166,7 @@ def test_structure_sums_match_z_space(nvars, r):
 
 
 def elementary_values(values: list[Fraction]) -> list[Fraction]:
-    """Coefficients e_0..e_len of prod (1 + x t) over the given values."""
+    """Coefficients e_0..e_n of prod (1 + x t) over n given values."""
     e = [Fraction(1)]
     for x in values:
         e = [a + x * b for a, b in zip(e + [0], [0] + e)]
