@@ -14,8 +14,9 @@ their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
 sector at every grid point, so each point proves its own closure.  Before
 building anything, matrix, spectrum, sweep and eigenfunctions refuse N above
 MAX_PARTICLES, sum the basis dimensions of their sectors over every grid point
-and refuse a total above MAX_TOTAL_DIMENSION.  Exit codes: 0 success, 1 a
-verification or convergence failure, 2 a parameter error or a refused size.
+and refuse a total above MAX_TOTAL_DIMENSION; matrix also refuses a z-space
+self-check above MAX_CHECK_WORK.  Exit codes: 0 success, 1 a verification or
+convergence failure, 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -57,6 +59,14 @@ MAX_TOTAL_DIMENSION = 3000
 # --n 32 --m 0 --mask none` takes 1.3 s in one fresh process on the same VM,
 # and --n 48 takes 4.5 s and 97 MB.
 MAX_PARTICLES = 32
+
+# Largest work `matrix` may spend checking its columns 1, tau_i, tau_i tau_j
+# against `GaugedOperator.apply`: C(N, 2) pair divisions times a bound on their
+# z-space terms, 1 + sum_i C(N, i) + sum_{i<=j} C(N, i) C(N, j).  `matrix --mask
+# none --a=1/3` takes 0.97 s at N=6, m=2 (37650) and 1.7 s at N=10, m=1 (46080)
+# in one fresh process on the same VM; N=7, m=2 (208068, 3.4 s) and N=11, m=1
+# (112640, 4.2 s) are refused.
+MAX_CHECK_WORK = 50_000
 
 
 def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -98,21 +108,27 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
     return [GaugeMask.from_string(text)]
 
 
-def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1) -> None:
-    """Refuse N above MAX_PARTICLES and work above MAX_TOTAL_DIMENSION before
-    anything is built.
-
-    Invalid masks are skipped here; building them reports the error."""
-    if params.nvars > MAX_PARTICLES:
-        raise ValueError(f"N = {params.nvars} is above the limit of {MAX_PARTICLES} particles")
-    total = points * sum(
-        params.basis_dimension(mask) for mask in masks if params.sector_is_valid(mask)
-    )
+def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
+                  *, z_space: bool = False) -> None:
+    """Refuse N above MAX_PARTICLES, work above MAX_TOTAL_DIMENSION and, with
+    ``z_space`` (`matrix`), a z-space check above MAX_CHECK_WORK, before
+    anything is built.  Invalid masks are skipped; building them reports the error."""
+    n = params.nvars
+    if n > MAX_PARTICLES:
+        raise ValueError(f"N = {n} is above the limit of {MAX_PARTICLES} particles")
+    valid = [mask for mask in masks if params.sector_is_valid(mask)]
+    total = points * sum(params.basis_dimension(mask) for mask in valid)
     if total > MAX_TOTAL_DIMENSION:
         raise ValueError(
             f"the requested sectors have total dimension {total}, above the "
             f"limit {MAX_TOTAL_DIMENSION}"
         )
+    s = 2**n - 1  # sum_i C(N, i), and sum_i C(N, i)^2 = C(2N, N) - 1
+    for cutoff in (params.shifted_degree(mask) for mask in valid if z_space):
+        terms = 1 + s * (cutoff >= 1) + (s * s + comb(2 * n, n) - 1) // 2 * (cutoff >= 2)
+        if (work := comb(n, 2) * terms) > MAX_CHECK_WORK:
+            raise ValueError(f"the z-space check takes work {work}, above the limit "
+                             f"{MAX_CHECK_WORK}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,7 +170,7 @@ def _params_payload(params: ModelParams) -> dict:
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mask = GaugeMask.from_string(args.mask)
-    _check_budget(params, [mask])
+    _check_budget(params, [mask], z_space=True)
     op = build_gauged_operator(params, mask)
     mat = build_matrix(op)
     if not matches_operator(op, mat):

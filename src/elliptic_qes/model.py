@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import InvalidDegree
 from .polynomials import RationalLike
@@ -76,11 +76,15 @@ def cubic_invariants(
     """(g2, g3) of the cubic 4(z-e1)(z-e2)(z-e3) = 4z^3 - g2 z - g3.
 
     Requires the roots to sum to zero, otherwise the z^2 term would survive.
+    The symmetric functions are formed in ints, with the roots times the lcm
+    r of their denominators, and each invariant is one Fraction over r^2 or r^3.
     """
-    e1, e2, e3 = (Fraction(r) for r in roots)
+    fs = tuple(Fraction(x) for x in roots)
+    r = lcm(*(x.denominator for x in fs))
+    e1, e2, e3 = (x.numerator * (r // x.denominator) for x in fs)
     if e1 + e2 + e3 != 0:
-        raise ValueError(f"roots must sum to zero, got {e1} + {e2} + {e3}")
-    return -4 * (e1 * e2 + e1 * e3 + e2 * e3), 4 * e1 * e2 * e3
+        raise ValueError(f"roots must sum to zero, got {fs[0]} + {fs[1]} + {fs[2]}")
+    return Fraction(-4 * (e1 * e2 + e1 * e3 + e2 * e3), r * r), Fraction(4 * e1 * e2 * e3, r**3)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ arithmetic rather than asserted, and it is the oracle for the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import InvalidDegree, NonCancellingPole, NonZeroRemainder
 from .model import GaugeMask, ModelParams, cubic_invariants
@@ -60,13 +61,15 @@ def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Frac
 
     mt the sector's shifted degree cutoff.  The factor (d - mt) annihilates
     the top degree, which is what closes the operator on the finite space.
+    Both factors are formed in ints, times c = 2 lcm(denominators of a, b, m, d).
     """
-    a, b, m = params.coupling_a, params.coupling_b, params.degree_m
-    mt = params.shifted_degree(mask)
-    d = Fraction(degree)
-    return -4 * (d - mt) * (
-        d + m + 2 * a * (params.nvars - 1) + (3 - mask.n_f) * b + Fraction(1 + mask.n_f, 2)
-    )
+    xs = (params.coupling_a, params.coupling_b, params.degree_m, Fraction(degree))
+    c = 2 * lcm(*(x.denominator for x in xs))
+    a, b, m, d = (x.numerator * (c // x.denominator) for x in xs)
+    n_f, half = mask.n_f, c // 2
+    top = d - m - n_f * (b - half)
+    rest = d + m + 2 * a * (params.nvars - 1) + (3 - n_f) * b + (1 + n_f) * half
+    return Fraction(-4 * top * rest, c * c)
 
 
 def gauge_polynomials(
@@ -95,17 +98,10 @@ def gauge_polynomials(
 
     z = Poly.variable(1, 0)
     factors = [z - Poly.constant(1, roots[i - 1]) for i in mask.indices]
-    denom = Poly.constant(1, 1)
-    for f in factors:
-        denom = denom * f
-    numer_a = Poly.zero(1)
-    for i in range(len(factors)):
-        partial = Poly.constant(1, 1)
-        for j, f in enumerate(factors):
-            if j != i:
-                partial = partial * f
-        numer_a = numer_a + partial
-    numer_a = numer_a * exponent
+    one = Poly.constant(1, 1)
+    denom = prod(factors, start=one)
+    partials = (prod(factors[:i] + factors[i + 1 :], start=one) for i in range(len(factors)))
+    numer_a = sum(partials, Poly.zero(1)) * exponent
 
     charge = (p * numer_a).divide_exact(denom)
 
@@ -134,13 +130,18 @@ def _natural_gauge_polynomials(
 
     S = sum_{i in mask} e_i.  q is p lambda with the roots summing to zero; s has
     degree <= 1, so it is the polynomial part of its expansion at z -> infinity.
+    The sums are formed in ints, with nu and the roots times u = lcm of the
+    denominators of 2b and the roots, and each coefficient is one Fraction.
     """
-    nu, n_f = _HALF - coupling_b, mask.n_f
-    total = sum((roots[i - 1] for i in mask.indices), Fraction(0))
-    pairs = sum((roots[i % 3] * roots[(i + 1) % 3] for i in mask.indices), Fraction(0))
-    charge = Poly(1, {(2,): 4 * nu * n_f, (1,): 4 * nu * total, (0,): 4 * nu * pairs})
-    scalar = Poly(1, {(1,): 4 * nu * n_f * (2 + nu * (n_f - 3)),
-                      (0,): 4 * nu * (1 + nu * (2 * n_f - 3)) * total})
+    u = lcm(2 * coupling_b.denominator, *(e.denominator for e in roots))
+    nu = u // 2 - coupling_b.numerator * (u // coupling_b.denominator)
+    e = [x.numerator * (u // x.denominator) for x in roots]
+    n_f, total = mask.n_f, sum(e[i - 1] for i in mask.indices)
+    pairs = sum(e[i % 3] * e[(i + 1) % 3] for i in mask.indices)
+    charge = Poly(1, {(2,): Fraction(4 * nu * n_f, u), (1,): Fraction(4 * nu * total, u * u),
+                      (0,): Fraction(4 * nu * pairs, u**3)})
+    scalar = Poly(1, {(1,): Fraction(4 * nu * n_f * (2 * u + nu * (n_f - 3)), u * u),
+                      (0,): Fraction(4 * nu * (u + nu * (2 * n_f - 3)) * total, u**3)})
     return charge, scalar
 
 
@@ -150,8 +151,8 @@ class GaugedOperator:
 
     Single-variable ingredients are stored once: the cubic, its derivative,
     the gauge charge q and the gauge scalar s.  `apply` lifts them into the N
-    variables itself; `matrices._weights` reads the coefficients of the cubic,
-    q and s directly.
+    variables at its first call; `matrices._weights` reads the coefficients of
+    the cubic, q and s directly.
     """
 
     params: ModelParams
@@ -166,6 +167,18 @@ class GaugedOperator:
     @property
     def nvars(self) -> int:
         return self.params.nvars
+
+    @cached_property
+    def _lifted(self) -> tuple[int, int, list[tuple[Poly, ...]]]:
+        """`apply`'s D, D V and, per variable k, D (p, drift, q, s) in z_k."""
+        n, potential = self.nvars, potential_coefficient(self.params)
+        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic_prime
+        coeffs = (self.cubic, drift, self.charge, self.scalar)
+        scale = lcm(potential.denominator,
+                    *(c.denominator for poly in coeffs for c in poly.terms.values()))
+        scaled = [poly * scale for poly in coeffs]
+        return scale, int(potential * scale), [tuple(c.lift(n, k) for c in scaled)
+                                                for k in range(n)]
 
     def apply(self, f: Poly) -> Poly:
         """Exact image of a tau-space polynomial under the gauged operator.
@@ -187,22 +200,19 @@ class GaugedOperator:
         p, the drift, q, s and V, f_s that of f and 2a = n_a / d_a, the image
         of f_s f scaled by D d_a has integer coefficients (every divisor is
         monic), and it is divided by D d_a f_s once, after the reduction.
+        D, D V and the lifts of D p, D drift, D q and D s depend on the
+        operator alone, so its first call forms them and the operator keeps them.
         """
         n = self.nvars
         if f.nvars != n:
             raise ValueError(f"polynomial has {f.nvars} variables, operator expects {n}")
         a2 = 2 * self.params.coupling_a
-        potential = potential_coefficient(self.params)
-        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic_prime
-        coeffs = (self.cubic, drift, self.charge, self.scalar)
-        scale = lcm(potential.denominator,
-                    *(c.denominator for poly in coeffs for c in poly.terms.values()))
+        scale, potential, lifted = self._lifted
         f_scale = lcm(*(c.denominator for c in f.terms.values()))
         big_f = tau_to_z(f * f_scale)
         derivs = [big_f.diff(k) for k in range(n)]
-        lifted = [[(poly * scale).lift(n, k) for poly in coeffs] for k in range(n)]
 
-        out = (potential * scale) * (elementary_symmetric(n, 1) * big_f)
+        out = potential * (elementary_symmetric(n, 1) * big_f)
         for k, (p_k, drift_k, _, s_k) in enumerate(lifted):
             f_k = derivs[k]
             out = out - p_k * f_k.diff(k) - drift_k * f_k - s_k * big_f
@@ -242,7 +252,7 @@ def build_gauged_operator(
     leaves the degree bookkeeping untouched.
     """
     mt = params.shifted_degree(mask)
-    if not params.sector_is_valid(mask):
+    if mt.denominator != 1 or mt < 0:
         raise InvalidDegree(
             f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
             "non-negative integer; no invariant space exists"

@@ -166,7 +166,7 @@ class Poly:
         out: dict[Exponents, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+                exps = tuple(map(add, ea, eb))
                 acc = out.get(exps, 0) + ca * cb
                 if acc:
                     out[exps] = _exact(acc)
@@ -344,8 +344,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def weierstrass_cubic(g2: Fraction, g3: Fraction) -> Poly:
+def weierstrass_cubic(g2: Coeff, g3: Coeff) -> Poly:
     """The univariate cubic 4x^3 - g2*x - g3 whose roots are the half-period values."""
-    return Poly(
-        1, {(3,): Fraction(4), (1,): -Fraction(g2), (0,): -Fraction(g3)}
-    )
+    return Poly(1, {(3,): 4, (1,): -g2, (0,): -g3})

@@ -15,9 +15,10 @@ sectors from it: the reference matrices, the closure grid that `closure` and
 `raising` share, the z-space sample and the spectral checks' sectors.  The
 store builds a sector's operator and matrix at most once per run, and its
 spectrum only when a check asks for one, so the grid and the sample are never
-diagonalized.  The oracles behind `oscillator` and `decoupling` build their
-own sectors, so a few sectors are built two or three times per run.  Nothing
-outlives the run, so repeated runs in one process each do the full work.
+diagonalized.  A sample operator lifts its coefficients into z-space once, at
+its first `apply`.  The oracles behind `oscillator` and `decoupling` build
+their own sectors, so a few sectors are built two or three times per run.
+Nothing outlives the run, so repeated runs in one process each do the full work.
 """
 
 from __future__ import annotations
@@ -369,28 +370,15 @@ def _check_gauge_exponents() -> CheckResult:
                     f"exponent 1/3 left no pole on mask {mask} with simple "
                     f"roots {roots}",
                 )
+    double = tuple(map(Fraction, DEGENERATE_ROOTS))
     try:
-        gauge_polynomials(
-            tuple(Fraction(r) for r in DEGENERATE_ROOTS),
-            GaugeMask((2, 3)),
-            third,
-            Fraction(0),
-        )
+        gauge_polynomials(double, GaugeMask((2, 3)), third, Fraction(0))
     except NonCancellingPole as exc:
-        return CheckResult(
-            "gauge-exponents",
-            False,
-            f"double root failed to cancel exponent 1/3: {exc}",
-        )
+        return CheckResult("gauge-exponents", False,
+                           f"double root failed to cancel exponent 1/3: {exc}")
     try:
-        build_gauged_operator(
-            ModelParams(2, 1, 0, 2, DEGENERATE_ROOTS),
-            GaugeMask((1, 2)),
-            exponent=third,
-        )
-        return CheckResult(
-            "gauge-exponents", False, "exponent 1/3 on a simple root built cleanly"
-        )
+        build_gauged_operator(ModelParams(2, 1, 0, 2, double), GaugeMask((1, 2)), exponent=third)
+        return CheckResult("gauge-exponents", False, "exponent 1/3 on a simple root built cleanly")
     except NonCancellingPole:
         failures += 1
     return CheckResult(

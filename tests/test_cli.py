@@ -17,7 +17,9 @@ from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.errors import NonCancellingPole
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import epsilon_roots
+from elliptic_qes.polynomials import Poly
 from elliptic_qes.spectral import spectrum_of, to_float
+from elliptic_qes.symmetric import enumerate_basis, tau_to_z
 
 
 def run(capsys, *argv):
@@ -91,6 +93,48 @@ def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "16", "--m", "0", "--mask", "none")
     assert code == 0
     assert len(json.loads(out)["sectors"][0]["eigenvalues"]) == 1
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "work"),
+    [
+        (10, 2, 45 * (1 + 1023 + (1023**2 + math.comb(20, 10) - 1) // 2)),
+        (32, 1, 496 * 2**32),
+        (7, 2, 208068),
+        (11, 1, 112640),
+    ],
+)
+def test_matrix_z_space_check_above_its_limit_exits_2_before_building(capsys, monkeypatch, n, m,
+                                                                       work):
+    def refuse(*args):
+        raise AssertionError("built a sector above the z-space check limit")
+
+    monkeypatch.setattr(cli, "build_gauged_operator", refuse)
+    code, out, err = run(capsys, "matrix", "--n", str(n), "--m", str(m), "--mask", "none")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the z-space check takes work {work}, above the limit "
+                   f"{cli.MAX_CHECK_WORK}\n")
+
+
+def test_z_space_limit_admits_its_timed_inputs_and_bounds_the_checked_terms(capsys, monkeypatch):
+    none = GaugeMask.from_string("none")
+    for n, m in ((6, 2), (10, 1), (2, 8)):
+        cli._check_budget(ModelParams(n, 0, 0, m), [none], z_space=True)
+    # an invalid mask is left to the build, which names it
+    code, _, err = run(capsys, "matrix", "--n", "12", "--mask", "1")
+    assert code == 2 and "mask 1 shifts the degree cutoff" in err
+    # with every check refused, the message reports the work: C(N, 2) pairs
+    # times a bound on the checked columns' z-space terms, exact at cutoff <= 1
+    monkeypatch.setattr(cli, "MAX_CHECK_WORK", -1)
+    for n in range(1, 6):
+        for cutoff in (0, 1, 2, 3):
+            basis = enumerate_basis(n, cutoff)
+            terms = sum(len(tau_to_z(Poly.monomial(e)).terms) for e in basis if sum(e) <= 2)
+            with pytest.raises(ValueError, match=r"takes work \d+,") as info:
+                cli._check_budget(ModelParams(n, 0, 0, cutoff), [none], z_space=True)
+            work = int(re.search(r"takes work (\d+),", str(info.value)).group(1))
+            assert work >= math.comb(n, 2) * terms
+            assert work == math.comb(n, 2) * terms or cutoff >= 2
 
 
 @pytest.mark.parametrize(

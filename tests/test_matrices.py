@@ -21,7 +21,7 @@ from elliptic_qes.matrices import (
     raising_coefficient_check,
 )
 from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
-from elliptic_qes.operator import GaugedOperator, build_gauged_operator
+from elliptic_qes.operator import GaugedOperator, build_gauged_operator, raising_coefficient
 from elliptic_qes.oracles import (
     mask_for_unmasked_index,
     reference_double_mask_matrix,
@@ -377,6 +377,42 @@ def test_a_tampered_k_entry_fails_the_raising_and_z_space_checks():
     lowered = _tampered_k(mat, 0, t1, 1)
     assert raising_coefficient_check(op, 0, lowered)
     assert not matches_operator(op, lowered)
+
+
+def test_raising_check_reads_k_over_any_common_denominator():
+    # K and D both times 6 are the same matrix: the check holds at every degree
+    op = build_gauged_operator(ModelParams(3, Fraction(2, 3), Fraction(1, 6), 3), EMPTY)
+    mat = build_matrix(op)
+    scaled = OperatorMatrix(mat.basis, denominator=6 * mat.denominator,
+                            columns=tuple(tuple((i, 6 * k) for i, k in column)
+                                          for column in mat.columns))
+    assert scaled == mat
+    assert all(raising_coefficient_check(op, d, scaled) for d in range(op.cutoff + 1))
+    # a raising entry off by one fails at its own degree only
+    basis = scaled.basis
+    for degree in range(op.cutoff):
+        j = basis.index_of((degree, 0, 0))
+        i = basis.index_of((degree + 1, 0, 0))
+        tampered = _tampered_k(scaled, i, j, 1)
+        assert [raising_coefficient_check(op, d, tampered) for d in range(op.cutoff + 1)] == [
+            d != degree for d in range(op.cutoff + 1)
+        ]
+
+
+def test_raising_check_fails_when_d_times_the_coefficient_is_not_integral():
+    # N = 2, a = 1/5, b = 0, m = 2: coeff(d) = 4 (2 - d) (d + 29/10) is 116/5, 78/5, 0
+    op = build_gauged_operator(ModelParams(2, Fraction(1, 5), 0, 2), EMPTY)
+    mat = build_matrix(op)
+    assert all(raising_coefficient_check(op, d, mat) for d in range(op.cutoff + 1))
+    for degree in range(op.cutoff):
+        coeff = raising_coefficient(op.params, op.mask, degree)
+        assert coeff.denominator > 1
+        # over D = 1 no integer entry equals coeff, not even the nearest one
+        rounded = [tuple((i, round(Fraction(k, mat.denominator))) for i, k in column)
+                   for column in mat.columns]
+        coarse = OperatorMatrix(mat.basis, denominator=1, columns=tuple(rounded))
+        assert (coeff * coarse.denominator).denominator != 1
+        assert not raising_coefficient_check(op, degree, coarse)
 
 
 def test_json_round_trip():

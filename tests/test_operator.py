@@ -1,5 +1,6 @@
 """Gauge polynomials and exact application of the gauged operator."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from elliptic_qes.model import (
     ALL_MASKS,
     GaugeMask,
     ModelParams,
+    cubic_invariants,
     external_field_coupling,
     list_valid_masks,
 )
@@ -25,7 +27,7 @@ from elliptic_qes.operator import (
     potential_coefficient,
     raising_coefficient,
 )
-from elliptic_qes.polynomials import Poly
+from elliptic_qes.polynomials import Poly, weierstrass_cubic
 
 EMPTY = GaugeMask(())
 HALF = Fraction(1, 2)
@@ -87,7 +89,10 @@ def test_zero_exponent_always_cancels(b):
 # -- closed forms at the natural exponent ------------------------------------------
 
 
-def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
+def _gauge_draws():
+    """Root triples and couplings b; the last roots are over the coprime
+    denominators 9 and 11 and the last b over 8, so the integer closed forms
+    scale by an lcm that none of the denominators reaches alone."""
     rng = random.Random(1111)
     roots = [(Fraction(2), Fraction(-1), Fraction(-1)), (Fraction(0),) * 3]
     for _ in range(8):
@@ -95,8 +100,37 @@ def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
         e2 = Fraction(rng.randint(-9, 9), rng.choice((1, 4, 7)))
         roots.append((e1, e2, -e1 - e2))
     couplings = [-HALF, Fraction(0), Fraction(1, 4), HALF, Fraction(rng.randint(-9, 9), 5)]
+    for _ in range(3):
+        e1, e2 = Fraction(rng.randint(-20, 20), 9), Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), 11)
+        roots.append((e1, e2, -e1 - e2))
+    couplings += [Fraction(rng.choice((-7, -5, -3, -1, 1, 3, 5, 7)), 8) for _ in range(2)]
+    return roots, couplings
+
+
+def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
+    roots, couplings = _gauge_draws()
+    assert {e[1].denominator for e in roots[-3:]} == {11}
+    assert {b.denominator for b in couplings[-2:]} == {8}
     for e, b, mask in itertools.product(roots, couplings, ALL_MASKS):
         assert _natural_gauge_polynomials(e, mask, b) == gauge_polynomials(e, mask, HALF - b, b)
+
+
+def test_cubic_equals_the_symmetric_function_formulas():
+    roots, _ = _gauge_draws()
+    for e1, e2, e3 in roots:
+        g2, g3 = -4 * (e1 * e2 + e1 * e3 + e2 * e3), 4 * e1 * e2 * e3
+        assert cubic_invariants((e1, e2, e3)) == (g2, g3)
+        assert all(type(g) is Fraction for g in cubic_invariants((e1, e2, e3)))
+        p = weierstrass_cubic(g2, g3)
+        assert p == Poly(1, {(3,): 4, (1,): -g2, (0,): -g3})
+        z = Poly.variable(1, 0)
+        factored = Poly.constant(1, 4)
+        for e in (e1, e2, e3):
+            factored = factored * (z - Poly.constant(1, e))
+        assert p == factored
+        for shift in (Fraction(1, 99), Fraction(-1, 8), Fraction(1)):
+            with pytest.raises(ValueError, match="sum to zero"):
+                cubic_invariants((e1 + shift, e2, e3))
 
 
 def test_closed_form_gauge_is_an_identity():
@@ -250,6 +284,30 @@ def test_potential_matches_raising_at_degree_zero(a, b, m):
     assert potential_coefficient(params) == raising_coefficient(params, EMPTY, 0)
 
 
+def _fraction_raising_coefficient(params, mask, degree):
+    """The coefficient as a chain of Fraction operations, formed term by term."""
+    a, b, m = params.coupling_a, params.coupling_b, params.degree_m
+    mt = params.shifted_degree(mask)
+    d = Fraction(degree)
+    return -4 * (d - mt) * (
+        d + m + 2 * a * (params.nvars - 1) + (3 - mask.n_f) * b + Fraction(1 + mask.n_f, 2)
+    )
+
+
+@given(rationals(-6, 6, tuple(range(1, 13))), rationals(-6, 6, tuple(range(1, 13))),
+       rationals(0, 24, tuple(range(1, 13))), st.integers(1, 4))
+def test_integer_raising_coefficient_equals_the_fraction_formula(a, b, m, nvars):
+    params = ModelParams(nvars, a, b, m)
+    for mask in ALL_MASKS:
+        mt = params.shifted_degree(mask)
+        top = int(mt) if params.sector_is_valid(mask) else 3
+        for degree in [*range(top + 1), mt]:
+            got = raising_coefficient(params, mask, degree)
+            assert type(got) is Fraction
+            assert got == _fraction_raising_coefficient(params, mask, degree)
+        assert raising_coefficient(params, mask, mt) == 0
+
+
 def test_raising_coefficient_vanishes_at_cutoff():
     params = ModelParams(2, Fraction(1, 2), Fraction(1, 4), 3)
     assert raising_coefficient(params, EMPTY, 3) == 0
@@ -318,6 +376,42 @@ def test_apply_on_fraction_coefficients_and_zero():
     )
     assert op.apply(f) == expected
     assert op.apply(Poly.zero(3)) == Poly.zero(3)
+
+
+def test_apply_keeps_its_operator_data_per_operator():
+    # two sectors of one N and mask at other a, b, m and roots (over 9, 11 and 99)
+    one = build_gauged_operator(ModelParams(3, Fraction(2, 3), Fraction(1, 3), Fraction(7, 3),
+                                            ROOTS_G3), GaugeMask((1, 3)))
+    other = build_gauged_operator(
+        ModelParams(3, Fraction(-1, 5), Fraction(3, 4), Fraction(3, 2),
+                    (Fraction(5, 9), Fraction(-3, 11), Fraction(-28, 99))),
+        GaugeMask((1, 3)))
+    f = Poly(3, {(1, 0, 0): Fraction(1, 3), (0, 1, 1): Fraction(-2, 7), (0, 0, 0): 5})
+
+    def expected(op):
+        """The images from the matrix, which never applies the operator."""
+        mat = build_matrix(op)
+        images = [Poly(3, dict(zip(mat.basis, mat.column(j)))) for j in range(mat.dim)]
+        combined = sum((images[mat.basis.index_of(e)] * c for e, c in f.terms.items()),
+                       Poly.zero(3))
+        return images, combined
+
+    for first, second in ((one, other), (other, one)):
+        images, combined = expected(first)
+        for _ in range(2):  # the same operator twice, then after the other one
+            assert [first.apply(Poly.monomial(e)) for e in build_matrix(first).basis] == images
+            assert first.apply(f) == combined
+        second.apply(f)
+        assert [first.apply(Poly.monomial(e)) for e in build_matrix(first).basis] == images
+        assert first.apply(f) == combined
+
+
+def test_gauged_operator_stays_frozen_after_apply():
+    op = build_gauged_operator(ModelParams(2, Fraction(1, 2), 0, 2), EMPTY)
+    op.apply(Poly.constant(2, 1))
+    for name in ("params", "mask", "exponent", "cutoff", "cubic", "cubic_prime", "charge", "scalar"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, getattr(op, name))
 
 
 @pytest.mark.parametrize("a", [Fraction(2, 3), 0])

@@ -33,6 +33,12 @@ def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
     assert sum(second.values()) == sum(first.values())
 
 
+def test_consecutive_runs_report_equal_results():
+    first = verify.run_checks()
+    assert all(r.passed for r in first), first
+    assert verify.run_checks() == first
+
+
 def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
     store = verify._SectorStore()
     sample = verify._cross_check_sample(store)
