@@ -100,17 +100,17 @@ def _gauge_draws():
         e2 = Fraction(rng.randint(-9, 9), rng.choice((1, 4, 7)))
         roots.append((e1, e2, -e1 - e2))
     couplings = [-HALF, Fraction(0), Fraction(1, 4), HALF, Fraction(rng.randint(-9, 9), 5)]
-    for _ in range(3):
-        e1, e2 = Fraction(rng.randint(-20, 20), 9), Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), 11)
+    for k, l in ((10, -1), (8, 8), (-13, 5)):
+        e1, e2 = Fraction(k, 9), Fraction(l, 11)
         roots.append((e1, e2, -e1 - e2))
-    couplings += [Fraction(rng.choice((-7, -5, -3, -1, 1, 3, 5, 7)), 8) for _ in range(2)]
+    couplings += [Fraction(-7, 8), Fraction(3, 8), Fraction(5, 8)]
     return roots, couplings
 
 
 def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
     roots, couplings = _gauge_draws()
-    assert {e[1].denominator for e in roots[-3:]} == {11}
-    assert {b.denominator for b in couplings[-2:]} == {8}
+    assert [(e1.denominator, e2.denominator) for e1, e2, _ in roots[-3:]] == [(9, 11)] * 3
+    assert {b.denominator for b in couplings[-3:]} == {8}
     for e, b, mask in itertools.product(roots, couplings, ALL_MASKS):
         assert _natural_gauge_polynomials(e, mask, b) == gauge_polynomials(e, mask, HALF - b, b)
 
