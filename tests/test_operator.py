@@ -409,7 +409,10 @@ def test_apply_keeps_its_operator_data_per_operator():
 def test_gauged_operator_stays_frozen_after_apply():
     op = build_gauged_operator(ModelParams(2, Fraction(1, 2), 0, 2), EMPTY)
     op.apply(Poly.constant(2, 1))
-    for name in ("params", "mask", "exponent", "cutoff", "cubic", "cubic_prime", "charge", "scalar"):
+    names = [field.name for field in dataclasses.fields(op)]
+    assert names == ["params", "mask", "exponent", "cutoff", "cubic", "cubic_prime", "charge",
+                     "scalar"]
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(op, name, getattr(op, name))
 
