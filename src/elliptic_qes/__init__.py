@@ -23,6 +23,7 @@ from .matrices import (
     export_matrix,
     matrix_from_json,
     raising_coefficient_check,
+    to_float,
 )
 from .model import (
     ALL_MASKS,
@@ -48,8 +49,8 @@ from .oracles import (
     oscillator_energy,
     oscillator_membership,
 )
-from .polynomials import Poly, format_rational, parse_rational, weierstrass_cubic
-from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of, to_float
+from .polynomials import Poly, parse_rational, weierstrass_cubic
+from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of
 from .symmetric import BasisIndex, enumerate_basis, is_symmetric, tau_to_z, z_to_tau
 from .verify import CheckResult, report_json, run_checks
 
@@ -84,7 +85,6 @@ __all__ = [
     "epsilon_roots",
     "export_matrix",
     "external_field_coupling",
-    "format_rational",
     "gauge_polynomials",
     "is_symmetric",
     "list_valid_masks",

@@ -37,12 +37,12 @@ from .errors import (
     NotSymmetric,
     OperatorNotClosed,
 )
-from .matrices import build_matrix, export_matrix, matches_operator
+from .matrices import build_matrix, export_matrix, matches_operator, to_float
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
-from .polynomials import Exponents, format_rational, parse_rational
-from .spectral import eigenvector, spectrum_of, to_float
+from .polynomials import Exponents, parse_rational
+from .spectral import eigenvector, spectrum_of
 from .verify import CHECK_NAMES, report_json, run_checks
 
 SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
@@ -101,8 +101,8 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
         masks = list(list_valid_masks(params))
         if not masks:
             raise InvalidDegree(
-                f"no gauge sector of m={format_rational(params.degree_m)}, "
-                f"b={format_rational(params.coupling_b)} has an integer cutoff"
+                f"no gauge sector of m={params.degree_m}, "
+                f"b={params.coupling_b} has an integer cutoff"
             )
         return masks
     return [GaugeMask.from_string(text)]
@@ -132,15 +132,12 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
@@ -157,10 +154,10 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 def _params_payload(params: ModelParams) -> dict:
     return {
         "nvars": params.nvars,
-        "a": format_rational(params.coupling_a),
-        "b": format_rational(params.coupling_b),
-        "m": format_rational(params.degree_m),
-        "roots": [format_rational(e) for e in params.roots],
+        "a": str(params.coupling_a),
+        "b": str(params.coupling_b),
+        "m": str(params.degree_m),
+        "roots": [str(e) for e in params.roots],
     }
 
 
@@ -278,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "sweep_var": args.sweep_var,
             "rows": [
                 {
-                    "value": format_rational(value),
+                    "value": str(value),
                     "mask": mask,
                     "eig_index": i,
                     "re": re,
@@ -300,7 +297,7 @@ def cmd_masks(args: argparse.Namespace) -> int:
         records.append(
             {
                 "mask": str(mask),
-                "cutoff": format_rational(cutoff),
+                "cutoff": str(cutoff),
                 "dimension": params.basis_dimension(mask) if valid else None,
                 "valid": valid,
             }
@@ -340,10 +337,10 @@ def _gauge_prefix_text(params: ModelParams, mask: GaugeMask) -> str:
         if e == 0:
             base = "z_k"
         elif e > 0:
-            base = f"(z_k - {format_rational(e)})"
+            base = f"(z_k - {e})"
         else:
-            base = f"(z_k + {format_rational(-e)})"
-        factors.append(f"{base}^({format_rational(exponent)})")
+            base = f"(z_k + {-e})"
+        factors.append(f"{base}^({exponent})")
     return "prod_k " + " * ".join(factors)
 
 

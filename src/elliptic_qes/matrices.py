@@ -21,7 +21,9 @@ every column is the full exact image, components above the cutoff included,
 and a non-zero component outside the basis raises OperatorNotClosed.  The
 only exact linear algebra here is `OperatorMatrix.determinant`, by fraction
 forward elimination; `verify` transforms a matrix by similarity with
-unimodular row and column operations on K, which keep it integral over D."""
+unimodular row and column operations on K, which keep it integral over D.
+Equality and `matches_operator` compare in ints too, and `to_float` forms the
+nearest-double image that `spectral` diagonalizes from K and D."""
 
 from __future__ import annotations
 
@@ -30,9 +32,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, raising_coefficient
-from .polynomials import Exponents, Poly, format_rational, parse_rational
+from .polynomials import Exponents, Poly, parse_rational
 from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
 
@@ -66,12 +70,6 @@ class OperatorMatrix:
                 out[i][j] = convert(k, self.denominator)
         return out
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(dict(self.columns[j]).get(i, 0), self.denominator)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entry(i, j) for i in range(self.dim))
-
     def trace(self) -> Fraction:
         diagonal = (k for j, column in enumerate(self.columns) for i, k in column if i == j)
         return Fraction(sum(diagonal), self.denominator)
@@ -99,10 +97,35 @@ class OperatorMatrix:
         return det
 
     def __eq__(self, other: object) -> bool:
+        """Same basis, and each column's k D' equal the other's k' D."""
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.basis.monomials == other.basis.monomials and (
-            self.dense(Fraction, 0) == other.dense(Fraction, 0))
+        d, e = self.denominator, other.denominator
+        return self.basis.monomials == other.basis.monomials and all(
+            {i: k * e for i, k in mine} == {i: k * d for i, k in theirs}
+            for mine, theirs in zip(self.columns, other.columns))
+
+
+def to_float(mat: OperatorMatrix) -> np.ndarray:
+    """Nearest-double image of an exact matrix; rejects entries that overflow.
+
+    Each non-zero entry is k / D in Python ints, whose true division is
+    correctly rounded, so it equals float(Fraction(k, D)) bit for bit.  The
+    doubles are scattered into an array of zeros in one numpy assignment.
+    """
+    d = mat.denominator
+    rows, cols, values = [], [], []
+    for j, column in enumerate(mat.columns):
+        for i, k in column:
+            try:
+                values.append(k / d)
+            except OverflowError as exc:
+                raise ValueError(f"entry ({i},{j}) = {k}/{d} overflows a double") from exc
+            rows.append(i)
+            cols.append(j)
+    out = np.zeros((mat.dim, mat.dim), dtype=float)
+    out[rows, cols] = values
+    return out
 
 
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
@@ -164,8 +187,8 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     """
     basis, d = mat.basis, mat.denominator
     return all(
-        op.apply(Poly.monomial(exps))
-        == Poly(op.nvars, {basis[i]: Fraction(k, d) for i, k in mat.columns[j]})
+        op.apply(Poly.monomial(exps)) * d
+        == Poly(op.nvars, {basis[i]: k for i, k in mat.columns[j]})
         for j, exps in enumerate(basis)
         if sum(exps) <= 2
     )
@@ -286,18 +309,16 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
 def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:
     """Serialize a matrix: exact JSON (round-trips bit-for-bit) or float CSV.
 
-    The CSV holds the doubles of `spectral.to_float`, which raises ValueError
-    naming an entry that overflows."""
+    The CSV holds the doubles of `to_float`, which raises ValueError naming
+    an entry that overflows."""
     if fmt == "json":
         payload = {
             "dim": mat.dim,
             "basis": [list(exps) for exps in mat.basis],
-            "entries": mat.dense(lambda k, d: format_rational(Fraction(k, d)), "0"),
+            "entries": mat.dense(lambda k, d: str(Fraction(k, d)), "0"),
         }
         return json.dumps(payload, indent=2)
     if fmt == "csv":
-        from .spectral import to_float  # spectral imports this module
-
         return "\n".join(",".join(map(repr, row)) for row in to_float(mat).tolist())
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 

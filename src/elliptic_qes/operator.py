@@ -149,10 +149,10 @@ def _natural_gauge_polynomials(
 class GaugedOperator:
     """One algebraised sector: exact operator data, ready to apply.
 
-    Single-variable ingredients are stored once: the cubic, its derivative,
-    the gauge charge q and the gauge scalar s.  `apply` lifts them into the N
-    variables at its first call; `matrices._weights` reads the coefficients of
-    the cubic, q and s directly.
+    Single-variable ingredients are stored once: the cubic, the gauge charge
+    q and the gauge scalar s.  `apply` forms the cubic's derivative and lifts
+    them into the N variables at its first call; `matrices._weights` reads the
+    coefficients of the cubic, q and s directly.
     """
 
     params: ModelParams
@@ -160,7 +160,6 @@ class GaugedOperator:
     exponent: Fraction
     cutoff: int
     cubic: Poly
-    cubic_prime: Poly
     charge: Poly
     scalar: Poly
 
@@ -172,7 +171,7 @@ class GaugedOperator:
     def _lifted(self) -> tuple[int, int, list[tuple[Poly, ...]]]:
         """`apply`'s D, D V and, per variable k, D (p, drift, q, s) in z_k."""
         n, potential = self.nvars, potential_coefficient(self.params)
-        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic_prime
+        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic.diff(0)
         coeffs = (self.cubic, drift, self.charge, self.scalar)
         scale = lcm(potential.denominator,
                     *(c.denominator for poly in coeffs for c in poly.terms.values()))
@@ -264,14 +263,12 @@ def build_gauged_operator(
     else:
         charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
 
-    cubic = weierstrass_cubic(*cubic_invariants(params.roots))
     return GaugedOperator(
         params=params,
         mask=mask,
         exponent=nu,
         cutoff=int(mt),
-        cubic=cubic,
-        cubic_prime=cubic.diff(0),
+        cubic=weierstrass_cubic(*cubic_invariants(params.roots)),
         charge=charge,
         scalar=scalar,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NonZeroRemainder
@@ -41,13 +41,6 @@ def _exact(x: Coeff) -> Coeff:
         return x.numerator if x.denominator == 1 else x
     except AttributeError:
         raise TypeError(f"coefficient {x!r} is not an exact rational") from None
-
-
-def format_rational(x: Fraction) -> str:
-    """Render a rational as ``"p/q"``, omitting the denominator when it is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -141,10 +134,17 @@ class Poly:
             )
 
     def __add__(self, other: Poly) -> Poly:
+        return self._combine(other, add)
+
+    def __sub__(self, other: Poly) -> Poly:
+        return self._combine(other, sub)
+
+    def _combine(self, other: Poly, op: Callable[[Coeff, Coeff], Coeff]) -> Poly:
+        """op (add or sub) applied term by term to one copy of self's terms."""
         self._check_same_space(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, 0) + coeff
+            acc = op(out.get(exps, 0), coeff)
             if acc:
                 out[exps] = _exact(acc)
             else:
@@ -153,9 +153,6 @@ class Poly:
 
     def __neg__(self) -> Poly:
         return Poly._wrap(self.nvars, {exps: -coeff for exps, coeff in self.terms.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if not isinstance(other, Poly):
@@ -338,9 +335,9 @@ class Poly:
                 elif coeff == -1:
                     parts.append(f"-{body}")
                 else:
-                    parts.append(f"{format_rational(coeff)}*{body}")
+                    parts.append(f"{coeff}*{body}")
             else:
-                parts.append(format_rational(coeff))
+                parts.append(str(coeff))
         return " + ".join(parts).replace("+ -", "- ")
 
 

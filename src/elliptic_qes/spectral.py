@@ -3,8 +3,9 @@
 Eigenvalues come from LAPACK through ``numpy.linalg.eigvals`` (balancing,
 Hessenberg reduction and shifted QR); eigenvalues together with eigenvectors
 come from one ``numpy.linalg.eig`` call.  Double precision throughout; the
-exact rational layer upstream supplies trace and determinant oracles, and the
-trace is checked on every diagonalization.
+float image of a matrix is `matrices.to_float`, the exact rational layer
+upstream supplies trace and determinant oracles, and the trace is checked on
+every diagonalization.
 """
 
 from __future__ import annotations
@@ -14,32 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .matrices import OperatorMatrix
+from .matrices import OperatorMatrix, to_float
 
 _TRACE_TOL = 1e-9
 _REAL_TOL = 1e-7
-
-
-def to_float(mat: OperatorMatrix) -> np.ndarray:
-    """Nearest-double image of an exact matrix; rejects entries that overflow.
-
-    Each non-zero entry is k / D in Python ints, whose true division is
-    correctly rounded, so it equals float(Fraction(k, D)) bit for bit.  The
-    doubles are scattered into an array of zeros in one numpy assignment.
-    """
-    d = mat.denominator
-    rows, cols, values = [], [], []
-    for j, column in enumerate(mat.columns):
-        for i, k in column:
-            try:
-                values.append(k / d)
-            except OverflowError as exc:
-                raise ValueError(f"entry ({i},{j}) = {k}/{d} overflows a double") from exc
-            rows.append(i)
-            cols.append(j)
-    out = np.zeros((mat.dim, mat.dim), dtype=float)
-    out[rows, cols] = values
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 from typing import NamedTuple
 
 from .errors import NotSymmetric
-from .polynomials import Coeff, Exponents, Poly, listing_key
+from .polynomials import Coeff, Exponents, Poly
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,27 +63,20 @@ class BasisIndex:
 
 @lru_cache(maxsize=32)
 def enumerate_basis(nvars: int, max_degree: int) -> BasisIndex:
-    """All tau-monomials with sum(l_i) <= max_degree, canonically ordered (cached)."""
+    """All tau-monomials with sum(l_i) <= max_degree, canonically ordered (cached):
+    per degree d, `combinations_with_replacement` lists the multisets of d
+    variable indices tau_1-dominant first, the order of `listing_key`."""
     if nvars < 1:
         raise ValueError(f"nvars must be >= 1, got {nvars}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-
-    monomials: list[Exponents] = []
-
-    def extend(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            monomials.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            extend(prefix, remaining - e, slots - 1)
-            prefix.pop()
-
-    extend([], max_degree, nvars)
-    monomials.sort(key=listing_key)
+    monomials = tuple(
+        tuple(map(combo.count, range(nvars)))
+        for d in range(max_degree + 1)
+        for combo in combinations_with_replacement(range(nvars), d)
+    )
     position = {exps: i for i, exps in enumerate(monomials)}
-    return BasisIndex(nvars, max_degree, tuple(monomials), position)
+    return BasisIndex(nvars, max_degree, monomials, position)
 
 
 @lru_cache(maxsize=None)
@@ -91,31 +84,21 @@ def elementary_symmetric(nvars: int, k: int) -> Poly:
     """tau_k in z-space: the sum of all k-fold products of distinct variables."""
     if not 0 <= k <= nvars:
         raise ValueError(f"need 0 <= k <= {nvars}, got {k}")
-    terms: dict[Exponents, int] = {}
-    for subset in combinations(range(nvars), k):
-        exps = [0] * nvars
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return Poly(nvars, terms)
+    subsets = combinations(range(nvars), k)
+    return Poly(nvars, {tuple(map(subset.count, range(nvars))): 1 for subset in subsets})
 
 
 @lru_cache(maxsize=None)
 def _tau_monomial_in_z(nvars: int, exponents: Exponents) -> Poly:
-    result = Poly.constant(nvars, 1)
-    for k, l in enumerate(exponents, start=1):
-        if l:
-            result = result * elementary_symmetric(nvars, k) ** l
-    return result
+    factors = (elementary_symmetric(nvars, k) ** l for k, l in enumerate(exponents, start=1) if l)
+    return prod(factors, start=Poly.constant(nvars, 1))
 
 
 def tau_to_z(tau_poly: Poly) -> Poly:
     """Expand a tau-space polynomial into z-space by substituting each tau_k."""
     n = tau_poly.nvars
-    result = Poly.zero(n)
-    for exps, coeff in tau_poly.terms.items():
-        result = result + _tau_monomial_in_z(n, exps) * coeff
-    return result
+    images = (_tau_monomial_in_z(n, exps) * coeff for exps, coeff in tau_poly.terms.items())
+    return sum(images, Poly.zero(n))
 
 
 def is_symmetric(p: Poly) -> bool:

@@ -19,6 +19,8 @@ diagonalized.  A sample operator lifts its coefficients into z-space once, at
 its first `apply`.  The oracles behind `oscillator` and `decoupling` build
 their own sectors, so a few sectors are built two or three times per run.
 Nothing outlives the run, so repeated runs in one process each do the full work.
+`gauge-exponents` compares the exact division with the q and s of one-variable
+operators from `build_gauged_operator`, so it checks the engine's own path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -36,6 +39,7 @@ from .matrices import (
     build_matrix,
     matches_operator,
     raising_coefficient_check,
+    to_float,
 )
 from .model import (
     ALL_MASKS,
@@ -44,7 +48,6 @@ from .model import (
     list_valid_masks,
 )
 from .operator import GaugedOperator, build_gauged_operator, gauge_polynomials
-from .operator import _natural_gauge_polynomials
 from .oracles import (
     DEGENERATE_ROOTS,
     count_symmetric_solutions,
@@ -57,7 +60,7 @@ from .oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
-from .spectral import Spectrum, eigenvalues, spectrum_of, to_float
+from .spectral import Spectrum, eigenvalues, spectrum_of
 
 _EMPTY = GaugeMask(())
 
@@ -339,9 +342,10 @@ def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
 
 def _check_gauge_exponents() -> CheckResult:
     """Pole cancellation holds exactly for exponents 0 and 1/2 - b on every
-    mask, at 1/2 - b with the sectors' closed-form q and s; exponent 1/3 at
-    b = 0 must raise NonCancellingPole on any mask containing a simple root,
-    while a double root cancels any exponent."""
+    mask, at 1/2 - b with the q and s of the operator the engine builds (one
+    variable, cutoff 0); exponent 1/3 at b = 0 must raise NonCancellingPole on
+    any mask containing a simple root, while a double root cancels any
+    exponent."""
     rng = random.Random(606)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
@@ -351,8 +355,8 @@ def _check_gauge_exponents() -> CheckResult:
         b = _random_fraction(rng, -1, 1, (1, 2, 4))
         roots = _random_roots(rng)
         for mask in ALL_MASKS:
-            closed = _natural_gauge_polynomials(roots, mask, b)
-            if gauge_polynomials(roots, mask, half - b, b) != closed:
+            op = build_gauged_operator(ModelParams(1, 0, b, mask.n_f * (half - b), roots), mask)
+            if gauge_polynomials(roots, mask, half - b, b) != (op.charge, op.scalar):
                 return CheckResult("gauge-exponents", False, f"closed-form q, s differ from "
                                    f"the division on mask {mask} at roots {roots}, b = {b}")
             gauge_polynomials(roots, mask, Fraction(0), b)
@@ -546,9 +550,7 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
                 "eigensolver", False, f"{label}: trace defect {trace_defect:.3e}"
             )
         det = float(mat.determinant())
-        product = complex(1.0)
-        for v in values:
-            product *= v
+        product = prod(values, start=complex(1.0))
         det_defect = abs(product - det) / max(1.0, abs(det))
         worst_det = max(worst_det, det_defect)
         if det_defect > 1e-8:

@@ -71,8 +71,8 @@ def test_reference_equality_one_tuple():
 def test_entry_access_and_trace():
     mat = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 1), EMPTY))
     assert mat.dim == 2
-    assert mat.entry(0, 1) == 6
-    assert mat.column(0) == (F(0), F(6))
+    assert mat.rows[0][1] == 6
+    assert tuple(row[0] for row in mat.rows) == (F(0), F(6))
     assert mat.trace() == 0
 
 
@@ -303,6 +303,19 @@ def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
     j = mat.basis.index_of((1, 1, 0, 0))
     rows[0][j] += 1
     assert not matches_operator(op, OperatorMatrix(mat.basis, tuple(map(tuple, rows))))
+    assert matches_operator(op, _scaled(mat, 6))
+    # at a = 1/3 the images carry the denominator 3: one entry of K off by one
+    # is an entry of M off by 1/D
+    third = build_gauged_operator(ModelParams(2, Fraction(1, 3), Fraction(1, 4), 2,
+                                              (2, Fraction(-3, 2), Fraction(-1, 2))), EMPTY)
+    mat = build_matrix(third)
+    assert mat.denominator % 3 == 0 and matches_operator(third, _scaled(mat, 6))
+    for j, exps in enumerate(mat.basis):
+        if sum(exps) <= 2 and mat.columns[j]:
+            (i, k), *rest = mat.columns[j]
+            columns = mat.columns[:j] + (((i, k + 1), *rest),) + mat.columns[j + 1 :]
+            tampered = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
+            assert not matches_operator(third, tampered)
 
 
 def _scaled(mat: OperatorMatrix, factor: int) -> OperatorMatrix:
@@ -321,10 +334,7 @@ def test_readers_of_k_agree_with_the_matrix_rebuilt_from_its_rows(nvars, cutoff,
     again = OperatorMatrix(built.basis, built.rows)
     assert again == built and _scaled(built, 6) == built
     assert again.denominator <= built.denominator
-    for j in range(built.dim):
-        assert again.column(j) == built.column(j) == tuple(row[j] for row in built.rows)
-        for i in range(built.dim):
-            assert again.entry(i, j) == built.entry(i, j) == built.rows[i][j]
+    assert again.rows == built.rows
     assert again.trace() == built.trace() == sum(built.rows[i][i] for i in range(built.dim))
     assert again.determinant() == built.determinant() == _scaled(built, 6).determinant()
     for fmt in ("json", "csv"):
@@ -334,10 +344,19 @@ def test_readers_of_k_agree_with_the_matrix_rebuilt_from_its_rows(nvars, cutoff,
 def test_equality_compares_values():
     built = build_matrix(build_gauged_operator(ModelParams(2, Fraction(1, 3), 0, 2), EMPTY))
     assert _scaled(built, 5) == built
+    assert _scaled(built, 6) == built
     rows = [list(row) for row in built.rows]
     rows[2][1] += Fraction(1, 7)
     assert OperatorMatrix(built.basis, tuple(map(tuple, rows))) != built
     assert OperatorMatrix(enumerate_basis(1, 5), built.rows) != built
+    d = built.denominator
+    assert d > 1 and any(len(col) > 1 for col in built.columns)
+    reversed_pairs = tuple(col[::-1] for col in built.columns)
+    assert OperatorMatrix(built.basis, denominator=d, columns=reversed_pairs) == built
+    j = next(j for j, col in enumerate(built.columns) if col)
+    (i, k), *rest = built.columns[j]
+    moved = built.columns[:j] + (((i, k + 1), *rest),) + built.columns[j + 1 :]
+    assert OperatorMatrix(built.basis, denominator=d, columns=moved) != built
 
 
 def test_shape_of_the_rows_is_checked():

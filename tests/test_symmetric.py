@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elliptic_qes.errors import NotSymmetric
-from elliptic_qes.polynomials import Poly
+from elliptic_qes.polynomials import Poly, listing_key
 from elliptic_qes.symmetric import (
     elementary_symmetric,
     enumerate_basis,
@@ -48,6 +48,14 @@ def test_basis_count_is_binomial(nvars, cutoff):
 def test_basis_canonical_order():
     basis = enumerate_basis(2, 2)
     assert list(basis) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    # brute force: every exponent tuple of sum <= d, sorted by the listing key
+    for nvars in range(1, 7):
+        for cutoff in range(6):
+            tuples = (e for e in product(range(cutoff + 1), repeat=nvars) if sum(e) <= cutoff)
+            expected = tuple(sorted(tuples, key=listing_key))
+            assert enumerate_basis(nvars, cutoff).monomials == expected
+    assert len(enumerate_basis(32, 1)) == 33
+    assert len(enumerate_basis(16, 2)) == comb(18, 2) == 153
 
 
 def test_basis_lookup():

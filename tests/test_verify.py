@@ -7,10 +7,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from elliptic_qes import verify
+from elliptic_qes import operator, verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import OperatorMatrix
 from elliptic_qes.model import ALL_MASKS
+from elliptic_qes.polynomials import Poly
 
 
 def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
@@ -113,6 +114,22 @@ def test_a_grid_sector_that_fails_to_build_fails_closure_and_raising(monkeypatch
     for name in ("closure", "raising"):
         assert not results[name].passed
         assert results[name].detail == "OperatorNotClosed: image leaves the invariant space"
+
+
+def test_gauge_exponents_check_sees_a_perturbed_closed_form_scalar(monkeypatch):
+    """The check compares the division with the q and s of the operators the
+    engine builds, so a wrong closed form in the engine fails it."""
+    assert verify.run_checks(only=["gauge-exponents"])[0].passed
+    original = operator._natural_gauge_polynomials
+
+    def perturbed(roots, mask, coupling_b):
+        charge, scalar = original(roots, mask, coupling_b)
+        return charge, scalar + Poly.constant(1, Fraction(1, 3))
+
+    monkeypatch.setattr(operator, "_natural_gauge_polynomials", perturbed)
+    [result] = verify.run_checks(only=["gauge-exponents"])
+    assert not result.passed
+    assert "differ from the division on mask none" in result.detail
 
 
 def _char_value(mat: OperatorMatrix, t: int) -> Fraction:
