@@ -312,16 +312,20 @@ def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
     assert mat.denominator % 3 == 0 and matches_operator(third, _scaled(mat, 6))
     for j, exps in enumerate(mat.basis):
         if sum(exps) <= 2 and mat.columns[j]:
-            (i, k), *rest = mat.columns[j]
-            columns = mat.columns[:j] + (((i, k + 1), *rest),) + mat.columns[j + 1 :]
-            tampered = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
-            assert not matches_operator(third, tampered)
+            assert not matches_operator(third, _bumped(mat, j))
 
 
 def _scaled(mat: OperatorMatrix, factor: int) -> OperatorMatrix:
     """The same matrix with K and D both multiplied by factor."""
     columns = tuple(tuple((i, k * factor) for i, k in col) for col in mat.columns)
     return OperatorMatrix(mat.basis, denominator=mat.denominator * factor, columns=columns)
+
+
+def _bumped(mat: OperatorMatrix, j: int) -> OperatorMatrix:
+    """The same matrix with the first stored entry of column j of K raised by one."""
+    (i, k), *rest = mat.columns[j]
+    columns = mat.columns[:j] + (((i, k + 1), *rest),) + mat.columns[j + 1 :]
+    return OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
 
 
 @pytest.mark.parametrize(
@@ -353,10 +357,7 @@ def test_equality_compares_values():
     assert d > 1 and any(len(col) > 1 for col in built.columns)
     reversed_pairs = tuple(col[::-1] for col in built.columns)
     assert OperatorMatrix(built.basis, denominator=d, columns=reversed_pairs) == built
-    j = next(j for j, col in enumerate(built.columns) if col)
-    (i, k), *rest = built.columns[j]
-    moved = built.columns[:j] + (((i, k + 1), *rest),) + built.columns[j + 1 :]
-    assert OperatorMatrix(built.basis, denominator=d, columns=moved) != built
+    assert _bumped(built, next(j for j, col in enumerate(built.columns) if col)) != built
 
 
 def test_shape_of_the_rows_is_checked():
