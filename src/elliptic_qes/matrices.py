@@ -18,10 +18,11 @@ passes through z-space; `GaugedOperator.apply` stays the independent oracle.
 
 Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
-and a non-zero component outside the basis raises OperatorNotClosed.  The
-only exact linear algebra here is `OperatorMatrix.determinant`, by fraction
-forward elimination; `verify` transforms a matrix by similarity with
-unimodular row and column operations on K, which keep it integral over D.
+and a non-zero component outside the basis raises OperatorNotClosed.  The exact
+linear algebra here is `OperatorMatrix.determinant`, by fraction forward
+elimination, and `OperatorMatrix.charpoly`, by Berkowitz's algorithm in ints;
+`verify` transforms a matrix by similarity with unimodular row and column
+operations on K, which keep it integral over D.
 Equality and `matches_operator` compare in ints too, and `to_float` forms the
 nearest-double image that `spectral` diagonalizes from K and D."""
 
@@ -31,6 +32,7 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -95,6 +97,28 @@ class OperatorMatrix:
                 if factor:
                     row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
         return det
+
+    def charpoly(self) -> Poly:
+        """chi_M(t) = det(t I - M) exactly, as a one-variable Poly.
+
+        Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984)
+        147) forms chi_K in Python ints, growing the leading principal block
+        of K one row and column at a time; then chi_M(t) = chi_K(D t) / D^n.
+        """
+        k = self.dense(lambda x, _: x, 0)
+        chi = [1]  # chi_K of the leading j x j block, highest power first
+        for j, row in enumerate(k):
+            # the block [[A, s], [r, k_jj]] multiplies chi_A by the Toeplitz
+            # matrix of 1, -k_jj, -r s, -r A s, ..., -r A^(j-1) s
+            # (map stops at the shorter argument, so rows are cut to the block)
+            toeplitz, col = [1, -row[j]], [above[j] for above in k[:j]]
+            for _ in range(j):
+                toeplitz.append(-sum(map(mul, row, col)))
+                col = [sum(map(mul, above, col)) for above in k[:j]]
+            chi = [sum(toeplitz[i - l] * c for l, c in enumerate(chi[: i + 1]))
+                   for i in range(j + 2)]
+        d = self.denominator
+        return Poly(1, {(self.dim - i,): Fraction(c, d**i) for i, c in enumerate(chi)})
 
     def __eq__(self, other: object) -> bool:
         """Same basis, and each column's k D' equal the other's k' D."""

@@ -3,9 +3,9 @@
 Eigenvalues come from LAPACK through ``numpy.linalg.eigvals`` (balancing,
 Hessenberg reduction and shifted QR); eigenvalues together with eigenvectors
 come from one ``numpy.linalg.eig`` call.  Double precision throughout; the
-float image of a matrix is `matrices.to_float`, the exact rational layer
-upstream supplies trace and determinant oracles, and the trace is checked on
-every diagonalization.
+float image of a matrix is `matrices.to_float`, and the trace is checked on
+every diagonalization.  Exact questions about eigenvalues go to the exact
+characteristic polynomial upstream (`OperatorMatrix.charpoly`) instead.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import NoConvergence
 from .matrices import OperatorMatrix, to_float
 
 _TRACE_TOL = 1e-9
-_REAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def real_values(self) -> tuple[float, ...]:
-        """Real parts, insisting that imaginary parts are negligible (1e-7
-        relative to 1 + |real part|)."""
-        for v in self.values:
-            if abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real)):
-                raise ValueError(f"eigenvalue {v} is not real within {_REAL_TOL}")
-        return tuple(v.real for v in self.values)
 
 
 def _diagonalize(matrix: np.ndarray, vectors: bool) -> tuple[Spectrum, np.ndarray | None]:

@@ -12,12 +12,13 @@ selected with ``only`` sees the same parameter tuples as a full run.
 
 Each `run_checks` call creates one sector store, and the checks take their
 sectors from it: the reference matrices, the closure grid that `closure` and
-`raising` share, the z-space sample and the spectral checks' sectors.  The
-store builds a sector's operator and matrix at most once per run, and its
-spectrum only when a check asks for one, so the grid and the sample are never
-diagonalized.  A sample operator lifts its coefficients into z-space once, at
-its first `apply`.  The oracles behind `oscillator` and `decoupling` build
-their own sectors, so a few sectors are built two or three times per run.
+`raising` share, the z-space sample and the sectors whose eigenvalues the
+checks test, as exact identities of characteristic polynomials; only
+`eigensolver` diagonalizes.  The store builds a sector's operator and matrix
+at most once per run.  A sample operator lifts its coefficients into z-space
+once, at its first `apply`.  The oracles behind `oscillator` and
+`decoupling` build their own sectors, so a few sectors are built two or three
+times per run.
 Nothing outlives the run, so repeated runs in one process each do the full work.
 `gauge-exponents` compares the exact division with the q and s of one-variable
 operators from `build_gauged_operator`, so it checks the engine's own path.
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonCancellingPole
+from .errors import NonCancellingPole, NonZeroRemainder
 from .matrices import (
     OperatorMatrix,
     build_matrix,
@@ -60,6 +61,7 @@ from .oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
+from .polynomials import Poly, from_roots
 from .spectral import Spectrum, eigenvalues, spectrum_of
 
 _EMPTY = GaugeMask(())
@@ -105,7 +107,6 @@ class _SectorStore:
 
     def __init__(self) -> None:
         self._sectors: dict[tuple[ModelParams, GaugeMask], GridEntry] = {}
-        self._spectra: dict[tuple[ModelParams, GaugeMask], Spectrum] = {}
         self._grid: list[GridEntry] | None = None
 
     def sector(self, params: ModelParams, mask: GaugeMask) -> GridEntry:
@@ -116,14 +117,6 @@ class _SectorStore:
             op = build_gauged_operator(params, mask)
             entry = self._sectors[key] = (op, build_matrix(op))
         return entry
-
-    def spectrum(self, params: ModelParams, mask: GaugeMask) -> Spectrum:
-        """The float spectrum of the sector's matrix."""
-        key = (params, mask)
-        spectrum = self._spectra.get(key)
-        if spectrum is None:
-            spectrum = self._spectra[key] = spectrum_of(self.sector(params, mask)[1])
-        return spectrum
 
     def closure_grid(self) -> list[GridEntry]:
         """The sectors that `closure` and `raising` share, drawn once per run."""
@@ -207,46 +200,44 @@ def _check_matrices(store: _SectorStore) -> CheckResult:
 def _check_closed_forms(store: _SectorStore) -> CheckResult:
     """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues follow
     nine closed linear-in-a forms (three values shared between two sectors,
-    two sectors identical); relative tolerance 1e-9."""
-    worst = 0.0
+    two sectors identical): each sector's characteristic polynomial equals
+    the product of (t - x) over its closed-form values."""
     count = 0
     for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
         forms = degenerate_closed_forms(a)
         for mask in list_valid_masks(params):
-            exact = [float(x) for x in forms.sector_values(str(mask))]
-            got = _sorted_reals(store, params, mask)
-            for g, x in zip(got, exact):
-                defect = abs(g - x) / max(1.0, abs(x))
-                worst = max(worst, defect)
-                count += 1
-                if defect > 1e-9:
-                    return CheckResult(
-                        "closed-forms",
-                        False,
-                        f"a={a}, mask {mask}: eigenvalue {g} vs closed form {x} "
-                        f"(relative defect {defect:.3e})",
-                    )
+            values = forms.sector_values(str(mask))
+            chi = store.sector(params, mask)[1].charpoly()
+            if chi != from_roots(values):
+                return CheckResult(
+                    "closed-forms",
+                    False,
+                    f"a={a}, mask {mask}: characteristic polynomial {chi} is not the "
+                    "closed-form product",
+                )
+            count += len(values)
     return CheckResult(
         "closed-forms",
         True,
-        f"{count} eigenvalues at a in {{0, 1/2, 5}} match the closed forms "
-        f"(worst relative defect {worst:.2e}, tolerance 1e-9)",
+        f"{count} eigenvalues at a in {{0, 1/2, 5}}: each sector's characteristic "
+        "polynomial equals the product of (t - x) over its closed forms",
     )
 
 
 def _check_oscillator() -> CheckResult:
     """At a = b = 0 every algebraic eigenvalue is an even two-oscillator
-    level 3(j1^2 + j2^2) - 40, absolute tolerance 1e-8."""
+    level 3(j1^2 + j2^2) - 40: dividing those (t - level) out of each
+    sector's characteristic polynomial leaves 1."""
     report = oscillator_membership()
     if not report.ok:
-        return CheckResult("oscillator", False, report.witness or "unmatched eigenvalue")
+        return CheckResult("oscillator", False, report.witness)
     parities = ", ".join(f"{k}:{v}" for k, v in sorted(report.sector_parities.items()))
     return CheckResult(
         "oscillator",
         True,
-        f"all {len(report.assignments)} eigenvalues are even oscillator levels "
-        f"(sector parities {parities})",
+        f"all {len(report.assignments)} eigenvalues are even oscillator levels, "
+        f"with multiplicity (sector parities {parities})",
     )
 
 
@@ -418,86 +409,77 @@ def _check_raising(store: _SectorStore) -> CheckResult:
 
 def _check_decoupling() -> CheckResult:
     """With the interaction off (a = 0) the two-particle spectrum is the
-    multiset of pairwise sums of the one-particle spectrum, tolerance 1e-8."""
-    worst = 0.0
+    multiset of pairwise sums of the one-particle spectrum: their power sums
+    agree exactly up to the two-particle dimension."""
     for m in (1, 2):
         for b in (Fraction(0), Fraction(1, 4)):
             report = decoupling_check(b, m)
-            worst = max(worst, report.max_defect)
             if not report.ok:
+                k = next(k for k, (x, y) in enumerate(zip(report.two_particle, report.pair_sums))
+                         if x != y)
                 return CheckResult(
                     "decoupling",
                     False,
-                    f"m={m}, b={b}: pair sums {report.pair_sums} vs two-particle "
-                    f"spectrum {report.two_particle}",
+                    f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum is "
+                    f"{report.two_particle[k]}, of the pair sums {report.pair_sums[k]}",
                 )
     return CheckResult(
         "decoupling",
         True,
-        f"two-particle spectra are pairwise sums for m in {{1,2}}, b in "
-        f"{{0,1/4}} (worst defect {worst:.2e}, tolerance 1e-8)",
+        "two-particle spectra are pairwise sums for m in {1,2}, b in {0,1/4}: "
+        "power sums p_0..p_dim agree exactly",
     )
 
 
-def _sorted_reals(store: _SectorStore, params: ModelParams, mask: GaugeMask) -> list[float]:
-    return sorted(store.spectrum(params, mask).real_values())
-
-
-def _min_cross_gap(xs: list[float], ys: list[float]) -> float:
-    return min(abs(x - y) for x in xs for y in ys)
+def _coprime(f: Poly, g: Poly) -> bool:
+    """Whether two non-zero one-variable polynomials over Q have gcd 1: the
+    last non-zero remainder of Euclid's algorithm is a constant."""
+    while g:
+        (dg,), lg = g.leading()
+        while f and f.leading()[0][0] >= dg:
+            (df,), lf = f.leading()
+            f = f - g * Poly.monomial((df - dg,), Fraction(lf) / lg)
+        f, g = g, f
+    return f.leading()[0] == (0,)
 
 
 def _check_figure_degeneracy(store: _SectorStore) -> CheckResult:
     """Along the root family (2, -1+eps, -1-eps) at b=0, N=m=2: at eps=0 the
-    6-dimensional sector shares three eigenvalues with the sector leaving
-    root 1 unmasked and the other two sectors are identical (tolerance 1e-6);
-    at eps=1/2, a=5 every such coincidence is gone by more than 1e-3."""
+    characteristic polynomial of mask 23 divides that of the 6-dimensional
+    sector and masks 13 and 12 have equal ones; at eps=1/2, a=5 both pairs
+    are coprime, so every such coincidence is gone."""
+
+    def chi(params: ModelParams, mask: tuple[int, ...]) -> Poly:
+        return store.sector(params, GaugeMask(mask))[1].charpoly()
+
     for a in (Fraction(0), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        big = _sorted_reals(store, params, _EMPTY)
-        shared = _sorted_reals(store, params, GaugeMask((2, 3)))
-        used: set[int] = set()
-        for v in shared:
-            best = min(
-                (j for j in range(len(big)) if j not in used),
-                key=lambda j: abs(big[j] - v),
-            )
-            if abs(big[best] - v) > 1e-6:
-                return CheckResult(
-                    "figure-degeneracy",
-                    False,
-                    f"eps=0, a={a}: value {v} has no partner in the 6x6 sector",
-                )
-            used.add(best)
-        pair_one = _sorted_reals(store, params, GaugeMask((1, 3)))
-        pair_two = _sorted_reals(store, params, GaugeMask((1, 2)))
-        gap = max(abs(x - y) for x, y in zip(pair_one, pair_two))
-        if gap > 1e-6:
+        try:
+            chi(params, ()).divide_exact(chi(params, (2, 3)))
+        except NonZeroRemainder:
             return CheckResult(
                 "figure-degeneracy",
                 False,
-                f"eps=0, a={a}: the two root-1 masked sectors differ by {gap:.3e}",
+                f"eps=0, a={a}: mask 23 does not share its eigenvalues with the 6x6 sector",
+            )
+        if chi(params, (1, 3)) != chi(params, (1, 2)):
+            return CheckResult(
+                "figure-degeneracy",
+                False,
+                f"eps=0, a={a}: the two root-1 masked sectors have different spectra",
             )
 
     params = ModelParams(2, 5, 0, 2, epsilon_roots(Fraction(1, 2)))
-    big = _sorted_reals(store, params, _EMPTY)
-    shared = _sorted_reals(store, params, GaugeMask((2, 3)))
-    pair_one = _sorted_reals(store, params, GaugeMask((1, 3)))
-    pair_two = _sorted_reals(store, params, GaugeMask((1, 2)))
-    gap_shared = _min_cross_gap(big, shared)
-    gap_pair = _min_cross_gap(pair_one, pair_two)
-    if min(gap_shared, gap_pair) <= 1e-3:
+    if not (_coprime(chi(params, ()), chi(params, (2, 3)))
+            and _coprime(chi(params, (1, 3)), chi(params, (1, 2)))):
         return CheckResult(
-            "figure-degeneracy",
-            False,
-            f"eps=1/2, a=5: coincidence survives (gaps {gap_shared:.3e}, "
-            f"{gap_pair:.3e})",
+            "figure-degeneracy", False, "eps=1/2, a=5: a cross-sector coincidence survives"
         )
     return CheckResult(
         "figure-degeneracy",
         True,
-        "degeneracy pattern holds at eps=0 (tolerance 1e-6) and is fully "
-        f"broken at eps=1/2, a=5 (smallest gaps {gap_shared:.3e}, {gap_pair:.3e})",
+        "degeneracy pattern holds exactly at eps=0 (mask 23 divides none, 13 equals 12) "
+        "and is fully broken at eps=1/2, a=5 (both pairs coprime)",
     )
 
 
@@ -505,14 +487,14 @@ def _check_figure_degeneracy(store: _SectorStore) -> CheckResult:
 
 
 def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spectrum]]:
-    """Every matrix diagonalized by the spectral checks, deduplicated."""
+    """Every matrix whose eigenvalues the exact checks read, deduplicated and
+    diagonalized here, for the eigensolver check."""
     pool: dict[tuple[ModelParams, GaugeMask], tuple[str, OperatorMatrix, Spectrum]] = {}
 
     def add(params: ModelParams, mask: GaugeMask, label: str) -> None:
         if (params, mask) not in pool:
-            pool[params, mask] = (
-                label, store.sector(params, mask)[1], store.spectrum(params, mask)
-            )
+            mat = store.sector(params, mask)[1]
+            pool[params, mask] = (label, mat, spectrum_of(mat))
 
     for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
@@ -530,7 +512,7 @@ def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spec
 
 
 def _check_eigensolver(store: _SectorStore) -> CheckResult:
-    """On every matrix the spectral checks diagonalize: the eigenvalue sum
+    """On every matrix of `_invariant_pool`: the eigenvalue sum
     matches the trace, the product matches the exact determinant (relative
     1e-8), complex values pair into conjugates, and five random exact
     similarity transforms leave the spectrum unchanged to 1e-8.  Each

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import random
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -27,7 +28,7 @@ from elliptic_qes.oracles import (
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
-from elliptic_qes.polynomials import Poly
+from elliptic_qes.polynomials import Poly, from_roots
 from elliptic_qes.symmetric import enumerate_basis
 
 EMPTY = GaugeMask(())
@@ -76,24 +77,42 @@ def test_entry_access_and_trace():
     assert mat.trace() == 0
 
 
-def char_value(mat: OperatorMatrix, t) -> Fraction:
-    """det(M - t I), as the determinant of the shifted matrix."""
-    rows = tuple(
-        tuple(x - t if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mat.rows)
-    )
-    return OperatorMatrix(mat.basis, rows).determinant()
-
-
 def test_determinant_and_characteristic_values():
     mat = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 1), EMPTY))
     assert mat.determinant() == -36
-    assert char_value(mat, 6) == 0
-    assert char_value(mat, -6) == 0
-    assert char_value(mat, 0) == -36
+    assert mat.charpoly() == from_roots((6, -6))
     big = build_matrix(build_gauged_operator(ModelParams(1, 0, 0, 2), EMPTY))
     assert big.determinant() == 4480
-    for eig in (-20, -8, 28):
-        assert char_value(big, eig) == 0
+    assert big.charpoly() == from_roots((-20, -8, 28))
+
+
+@pytest.mark.parametrize("nvars,m", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_characteristic_polynomial_at_zero_is_the_signed_determinant(nvars, m):
+    """(-1)^n chi(0) = det on every valid sector at a rational point whose
+    denominators make D > 1."""
+    params = ModelParams(nvars, F("2/3"), F("-1/4"), m, (F(2), F("-1/2"), F("-3/2")))
+    for mask in list_valid_masks(params):
+        mat = build_matrix(build_gauged_operator(params, mask))
+        assert mat.denominator > 1
+        chi = mat.charpoly()
+        assert chi.leading() == ((mat.dim,), 1)
+        assert (-1) ** mat.dim * chi.evaluate((0,)) == mat.determinant()
+
+
+def test_characteristic_polynomial_equals_sympy_on_random_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = tuple(
+            tuple(F(rng.randint(-9, 9)) / rng.choice((1, 2, 3, 5, 12)) for _ in range(n))
+            for _ in range(n)
+        )
+        chi = OperatorMatrix(enumerate_basis(1, n - 1), rows).charpoly()
+        expected = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in rows for x in row]).charpoly().all_coeffs()
+        assert [chi.coefficient((n - i,)) for i in range(n + 1)] == [
+            Fraction(int(x.p), int(x.q)) for x in expected]
 
 
 def integer_rows(min_dim: int = 1, max_dim: int = 5):
@@ -461,14 +480,13 @@ def test_csv_export_shape():
 
 def test_root_relabeling_preserves_characteristic_polynomial():
     # permuting root labels is a change of basis: characteristic polynomials
-    # agree, checked at dim+1 rational points
+    # agree
     a = Fraction(1, 2)
     roots = (Fraction(2), Fraction(-1, 2), Fraction(-3, 2))
     swapped = (Fraction(2), Fraction(-3, 2), Fraction(-1, 2))
     m1 = build_matrix(build_gauged_operator(ModelParams(2, a, 0, 2, roots), EMPTY))
     m2 = build_matrix(build_gauged_operator(ModelParams(2, a, 0, 2, swapped), EMPTY))
-    for t in range(m1.dim + 1):
-        assert char_value(m1, t) == char_value(m2, t)
+    assert m1.charpoly() == m2.charpoly()
     # a mask tracking the swapped root keeps the spectrum as well
     g1 = build_matrix(
         build_gauged_operator(ModelParams(2, a, 0, 2, roots), GaugeMask((1, 2)))
@@ -476,8 +494,7 @@ def test_root_relabeling_preserves_characteristic_polynomial():
     g2 = build_matrix(
         build_gauged_operator(ModelParams(2, a, 0, 2, swapped), GaugeMask((1, 3)))
     )
-    for t in range(g1.dim + 1):
-        assert char_value(g1, t) == char_value(g2, t)
+    assert g1.charpoly() == g2.charpoly()
 
 
 def _matmul(x, y):

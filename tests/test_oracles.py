@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from elliptic_qes.matrices import build_matrix
+from elliptic_qes.model import ModelParams, list_valid_masks
+from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import (
     DEGENERATE_ROOTS,
     count_symmetric_solutions,
@@ -15,6 +18,7 @@ from elliptic_qes.oracles import (
     oscillator_membership,
     reference_double_mask_matrix,
 )
+from elliptic_qes.polynomials import from_roots
 
 
 # -- counting ---------------------------------------------------------------------
@@ -100,9 +104,23 @@ def test_sector_values_sharing_structure():
     assert forms.sector_values("13") == forms.sector_values("12")
     assert len(forms.sector_values("none")) == 6
     assert set(forms.sector_values("23")) <= set(forms.sector_values("none"))
-    assert len(forms.all_values()) == 15
+    assert sum(len(forms.sector_values(mask)) for mask in ("none", "23", "13", "12")) == 15
     with pytest.raises(ValueError):
         forms.sector_values("1")
+
+
+@pytest.mark.parametrize("a", ["-7/2", "-3", "-2", "-3/2", "-5/4", "-1", "-1/2"])
+def test_closed_forms_hold_exactly_where_levels_cross(a):
+    """The seven rational a where two closed-form levels of the 6-dimensional
+    sector meet; five are Jordan-block points (a = -1 has a block of size 3),
+    where rounding splits the floats by eps^(1/k), so a float comparison at
+    1e-9 fails at a = -3, -2 and -1.  The characteristic polynomials agree
+    exactly in every sector."""
+    params = ModelParams(2, Fraction(a), 0, 2, DEGENERATE_ROOTS)
+    forms = degenerate_closed_forms(Fraction(a))
+    for mask in list_valid_masks(params):
+        mat = build_matrix(build_gauged_operator(params, mask))
+        assert mat.charpoly() == from_roots(forms.sector_values(str(mask))), mask
 
 
 # -- oscillator limit -------------------------------------------------------------------
@@ -114,16 +132,17 @@ def test_oscillator_energy_examples():
     assert oscillator_energy(1, 1) == -34
 
 
-def nearest_assignment(report, mask, value):
-    candidates = [a for a in report.assignments if a.mask == mask]
-    return min(candidates, key=lambda a: abs(a.eigenvalue - value))
+def assignment(report, mask, value):
+    [found] = [a for a in report.assignments if a.mask == mask and a.eigenvalue == value]
+    return found
 
 
 def test_oscillator_membership():
     report = oscillator_membership()
     assert report.ok
-    assert nearest_assignment(report, "23", -16).levels == (2, 2)
-    assert nearest_assignment(report, "13", -34).levels == (1, 1)
+    assert len(report.assignments) == 15
+    assert assignment(report, "23", -16).levels == (2, 2)
+    assert assignment(report, "13", -34).levels == (1, 1)
     assert report.sector_parities == {
         "none": "even",
         "23": "even",
@@ -132,40 +151,31 @@ def test_oscillator_membership():
     }
     for a in report.assignments:
         j1, j2 = a.levels
-        assert a.eigenvalue == pytest.approx(oscillator_energy(j1, j2), abs=1e-8)
+        assert a.eigenvalue == oscillator_energy(j1, j2)
 
 
 # -- decoupled limit ----------------------------------------------------------------------
 
 
+def power_sums(values, count):
+    return tuple(sum(Fraction(x) ** k for x in values) for k in range(count))
+
+
 def test_decoupling_reports():
     report = decoupling_check(0, 1)
     assert report.ok
-    assert report.one_particle == (pytest.approx(-6.0), pytest.approx(6.0))
-    assert report.two_particle == (
-        pytest.approx(-12.0),
-        pytest.approx(0.0),
-        pytest.approx(12.0),
-    )
-    assert report.max_defect < 1e-8
+    assert report.one_particle == power_sums((-6, 6), 4)
+    assert report.two_particle == report.pair_sums == power_sums((-12, 0, 12), 4)
 
     report = decoupling_check(0, 2)
     assert report.ok
-    assert report.one_particle == (
-        pytest.approx(-20.0),
-        pytest.approx(-8.0),
-        pytest.approx(28.0),
-    )
+    assert report.one_particle == power_sums((-20, -8, 28), 7)
 
 
 def test_decoupling_with_shifted_exponent():
     report = decoupling_check(Fraction(1, 4), 2)
     assert report.ok
-    assert report.one_particle == (
-        pytest.approx(-26.0),
-        pytest.approx(-8.0),
-        pytest.approx(34.0),
-    )
+    assert report.one_particle == power_sums((-26, -8, 34), 7)
 
 
 # -- helpers ------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from elliptic_qes import operator, verify
+from elliptic_qes import operator, oracles, verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import OperatorMatrix
 from elliptic_qes.model import ALL_MASKS
@@ -132,14 +132,6 @@ def test_gauge_exponents_check_sees_a_perturbed_closed_form_scalar(monkeypatch):
     assert "differ from the division on mask none" in result.detail
 
 
-def _char_value(mat: OperatorMatrix, t: int) -> Fraction:
-    """det(M - t I), as the determinant of the shifted matrix."""
-    rows = tuple(
-        tuple(x - t if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mat.rows)
-    )
-    return OperatorMatrix(mat.basis, rows).determinant()
-
-
 def test_eigensolver_check_fails_when_a_transform_moves_the_spectrum(monkeypatch):
     """`verify.eigenvalues` diagonalizes only the transformed matrices, so
     shifting its values is a similarity transform that moved the spectrum."""
@@ -158,7 +150,7 @@ def test_eigensolver_check_fails_when_a_transform_moves_the_spectrum(monkeypatch
 
 def test_eigensolver_transforms_are_exact_similarities_that_move_the_matrix(monkeypatch):
     """The five transformed matrices differ from their sources and share
-    their exact characteristic polynomials, compared at dim + 1 points."""
+    their exact characteristic polynomials."""
     converted: list[OperatorMatrix] = []
     original = verify.to_float
 
@@ -177,5 +169,28 @@ def test_eigensolver_transforms_are_exact_similarities_that_move_the_matrix(monk
     for source, moved in zip(sources, converted[len(pool) :]):
         assert moved.basis == source.basis
         assert moved.rows != source.rows
-        for t in range(source.dim + 1):
-            assert _char_value(moved, t) == _char_value(source, t)
+        assert moved.charpoly() == source.charpoly()
+
+
+def test_exact_checks_fail_on_a_near_miss_matrix(monkeypatch):
+    """Every sector built as K 10^12 over D 10^12 with K[0][0] moved by one:
+    an entry off by 10^-12 / D, inside any tolerance that a float comparison
+    of these spectra could use.  Moving a diagonal entry moves the
+    characteristic polynomial by the minor's, which is never zero, so each
+    exact identity fails."""
+    original = verify.build_matrix
+
+    def near_miss(op):
+        mat = original(op)
+        columns = [{i: k * 10**12 for i, k in col} for col in mat.columns]
+        columns[0][0] = columns[0].get(0, 0) + 1
+        return OperatorMatrix(mat.basis, denominator=mat.denominator * 10**12,
+                              columns=tuple(tuple(col.items()) for col in columns))
+
+    monkeypatch.setattr(verify, "build_matrix", near_miss)
+    monkeypatch.setattr(oracles, "build_matrix", near_miss)
+    names = ["closed-forms", "oscillator", "decoupling", "figure-degeneracy"]
+    results = verify.run_checks(only=names)
+    assert [r.name for r in results] == names
+    assert [r.passed for r in results] == [False] * 4, results
+
