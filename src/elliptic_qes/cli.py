@@ -63,9 +63,9 @@ MAX_PARTICLES = 32
 # Largest work `matrix` may spend checking its columns 1, tau_i, tau_i tau_j
 # against `GaugedOperator.apply`: C(N, 2) pair divisions times a bound on their
 # z-space terms, 1 + sum_i C(N, i) + sum_{i<=j} C(N, i) C(N, j).  `matrix --mask
-# none --a=1/3` takes 0.97 s at N=6, m=2 (37650) and 1.7 s at N=10, m=1 (46080)
-# in one fresh process on the same VM; N=7, m=2 (208068, 3.4 s) and N=11, m=1
-# (112640, 4.2 s) are refused.
+# none --a=1/3` takes 0.38-0.43 s at N=6, m=2 (37650) and 0.50-0.54 s at N=10,
+# m=1 (46080) in one fresh process on the same VM; N=7, m=2 (208068, 0.8-1.1 s
+# with the limit lifted) and N=11, m=1 (112640, 0.74-0.76 s) are refused.
 MAX_CHECK_WORK = 50_000
 
 

@@ -31,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 from .errors import InvalidDegree, NonCancellingPole, NonZeroRemainder
 from .model import GaugeMask, ModelParams, cubic_invariants
-from .polynomials import Poly, weierstrass_cubic
-from .symmetric import elementary_symmetric, tau_to_z, z_to_tau
+from .polynomials import Exponents, Poly, weierstrass_cubic
+from .symmetric import tau_to_z, z_to_tau
 
 _HALF = Fraction(1, 2)
 
@@ -145,14 +146,55 @@ def _natural_gauge_polynomials(
     return charge, scalar
 
 
+def _pair_quotient(numer: dict[Exponents, int], k: int, l: int) -> dict[Exponents, int]:
+    """numer / (z_k - z_l), by synthetic division in z_k.
+
+    Terms are taken by descending power of z_k: each c z^alpha with alpha_k >= 1
+    puts c z^(alpha - e_k) into the quotient and adds c z^(alpha - e_k + e_l)
+    to the terms one power lower.  What is left at power 0 is the remainder,
+    the numerator at z_k = z_l; if it is not zero NonCancellingPole is raised.
+    """
+    by_power: dict[int, dict[Exponents, int]] = {}
+    for exps, c in numer.items():
+        by_power.setdefault(exps[k], {})[exps] = c
+    quotient: dict[Exponents, int] = {}
+    for power in range(max(by_power, default=0), 0, -1):
+        lower = by_power.setdefault(power - 1, {})
+        for exps, c in by_power[power].items():
+            if c:
+                shifted = list(exps)
+                shifted[k] -= 1
+                quotient[tuple(shifted)] = c
+                shifted[l] += 1
+                key = tuple(shifted)
+                lower[key] = lower.get(key, 0) + c
+    if any(by_power.get(0, {}).values()):
+        raise NonCancellingPole(f"pair term for variables {k + 1}, {l + 1} is not a "
+                                "polynomial; the input is not symmetric")
+    return quotient
+
+
+def _shifted(terms: dict[Exponents, int], k: int, weights: list[tuple[int, int, int, int]],
+             out: dict[Exponents, int]) -> None:
+    """Add c w(alpha_k) z^(alpha + t e_k) to out for every term c z^alpha and
+    every (t, x, y, w0) in weights, where w(e) = (x (e - 1) + y) e + w0."""
+    for exps, c in terms.items():
+        e = exps[k]
+        head, tail = exps[:k], exps[k + 1 :]
+        for t, x, y, w0 in weights:
+            if w := (x * (e - 1) + y) * e + w0:
+                key = head + (e + t,) + tail
+                out[key] = out.get(key, 0) + c * w
+
+
 @dataclass(frozen=True, eq=False)
 class GaugedOperator:
     """One algebraised sector: exact operator data, ready to apply.
 
     Single-variable ingredients are stored once: the cubic, the gauge charge
-    q and the gauge scalar s.  `apply` forms the cubic's derivative and lifts
-    them into the N variables at its first call; `matrices._weights` reads the
-    coefficients of the cubic, q and s directly.
+    q and the gauge scalar s.  `apply` scales the cubic, drift, q and s to
+    integer coefficients of each power of z at its first call;
+    `matrices._weights` reads the coefficients of the cubic, q and s directly.
     """
 
     params: ModelParams
@@ -168,16 +210,15 @@ class GaugedOperator:
         return self.params.nvars
 
     @cached_property
-    def _lifted(self) -> tuple[int, int, list[tuple[Poly, ...]]]:
-        """`apply`'s D, D V and, per variable k, D (p, drift, q, s) in z_k."""
-        n, potential = self.nvars, potential_coefficient(self.params)
+    def _scaled(self) -> tuple[int, int, tuple[dict[int, int], ...]]:
+        """`apply`'s D, D V and the z-power -> int maps of D (p, drift, q, s)."""
+        potential = potential_coefficient(self.params)
         drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic.diff(0)
         coeffs = (self.cubic, drift, self.charge, self.scalar)
         scale = lcm(potential.denominator,
                     *(c.denominator for poly in coeffs for c in poly.terms.values()))
-        scaled = [poly * scale for poly in coeffs]
-        return scale, int(potential * scale), [tuple(c.lift(n, k) for c in scaled)
-                                                for k in range(n)]
+        return scale, int(potential * scale), tuple(
+            {e: int(c * scale) for (e,), c in poly.terms.items()} for poly in coeffs)
 
     def apply(self, f: Poly) -> Poly:
         """Exact image of a tau-space polynomial under the gauged operator.
@@ -188,51 +229,53 @@ class GaugedOperator:
             - 2a sum_{k<l} [ (p_k F_k - p_l F_l) + (q_k - q_l) F ] / (z_k - z_l)
             + V F ,
 
-        and reduced back to the tau basis.  Each pairwise difference quotient
-        is an exact polynomial division; for symmetric F divisibility is an
-        identity (the numerators are antisymmetric in z_k, z_l), so a stall
-        there or in the final reduction reports NonCancellingPole or
-        NotSymmetric respectively, both of which mean the input or engine
-        broke an invariant.
+        and reduced back to the tau basis.  Each term of F puts its images
+        straight into one result map, with no intermediate polynomial; a pair
+        numerator is the difference of the maps of p_k F_k + q_k F and
+        p_l F_l + q_l F, and its quotient a synthetic division in z_k
+        (`_pair_quotient`).  For symmetric F the remainder is identically zero
+        (the numerators are antisymmetric in z_k, z_l), so a non-zero
+        remainder, or a stall in the final reduction, reports NonCancellingPole
+        or NotSymmetric respectively: the input or engine broke an invariant.
 
         It runs in integer arithmetic: with D the lcm of the denominators of
         p, the drift, q, s and V, f_s that of f and 2a = n_a / d_a, the image
         of f_s f scaled by D d_a has integer coefficients (every divisor is
         monic), and it is divided by D d_a f_s once, after the reduction.
-        D, D V and the lifts of D p, D drift, D q and D s depend on the
+        D, D V and the coefficients of D p, D drift, D q and D s depend on the
         operator alone, so its first call forms them and the operator keeps them.
         """
         n = self.nvars
         if f.nvars != n:
             raise ValueError(f"polynomial has {f.nvars} variables, operator expects {n}")
         a2 = 2 * self.params.coupling_a
-        scale, potential, lifted = self._lifted
+        scale, potential, (p, drift, q, s) = self._scaled
         f_scale = lcm(*(c.denominator for c in f.terms.values()))
-        big_f = tau_to_z(f * f_scale)
-        derivs = [big_f.diff(k) for k in range(n)]
+        big_f = tau_to_z(f * f_scale).terms
 
-        out = potential * (elementary_symmetric(n, 1) * big_f)
-        for k, (p_k, drift_k, _, s_k) in enumerate(lifted):
-            f_k = derivs[k]
-            out = out - p_k * f_k.diff(k) - drift_k * f_k - s_k * big_f
+        # z_k^e goes to d_a w(e) z_k^(e+t), w(e) = -p_(t+2) e(e-1) - drift_(t+1) e
+        # - s_t, plus V at t = 1; p has degree 3, the drift and q degree 2 and s
+        # degree <= 1, and every w vanishes where e + t < 0
+        d_a = a2.denominator
+        single = [(t, -d_a * p.get(t + 2, 0), -d_a * drift.get(t + 1, 0),
+                   d_a * (potential * (t == 1) - s.get(t, 0))) for t in range(-2, 2)]
+        out: dict[Exponents, int] = {}
+        for k in range(n):
+            _shifted(big_f, k, single, out)
 
         if a2:
-            out = out * a2.denominator
-            for k in range(n):
-                p_k, _, q_k, _ = lifted[k]
-                for l in range(k + 1, n):
-                    p_l, _, q_l, _ = lifted[l]
-                    numer = (p_k * derivs[k] - p_l * derivs[l]) + (q_k - q_l) * big_f
-                    divisor = Poly.variable(n, k) - Poly.variable(n, l)
-                    try:
-                        quotient = numer.divide_exact(divisor)
-                    except NonZeroRemainder as exc:
-                        raise NonCancellingPole(
-                            f"pair term for variables {k + 1}, {l + 1} is not a "
-                            "polynomial; the input is not symmetric"
-                        ) from exc
-                    out = out - a2.numerator * quotient
-        return z_to_tau(out) * Fraction(1, scale * a2.denominator * f_scale)
+            # p_k F_k + q_k F: z_k^e goes to (p_(t+1) e + q_t) z_k^(e+t)
+            pair = [(t, 0, p.get(t + 1, 0), q.get(t, 0)) for t in range(-1, 3)]
+            parts: list[dict[Exponents, int]] = [{} for _ in range(n)]
+            for k, part in enumerate(parts):
+                _shifted(big_f, k, pair, part)
+            for k, l in combinations(range(n), 2):
+                numer = dict(parts[k])
+                for exps, c in parts[l].items():
+                    numer[exps] = numer.get(exps, 0) - c
+                for exps, c in _pair_quotient(numer, k, l).items():
+                    out[exps] = out.get(exps, 0) - a2.numerator * c
+        return z_to_tau(Poly(n, out)) * Fraction(1, scale * d_a * f_scale)
 
 
 def build_gauged_operator(

@@ -244,20 +244,6 @@ class Poly:
         """Terms in the canonical listing order (deterministic serialization)."""
         return sorted(self.terms.items(), key=lambda item: listing_key(item[0]))
 
-    def lift(self, nvars: int, index: int) -> Poly:
-        """Embed a univariate polynomial as a polynomial in variable ``index``
-        of an ``nvars``-variable ring (substitute x -> x_index)."""
-        if self.nvars != 1:
-            raise ValueError("lift() applies to univariate polynomials only")
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        out: dict[Exponents, Coeff] = {}
-        for (e,), coeff in self.terms.items():
-            exps = [0] * nvars
-            exps[index] = e
-            out[tuple(exps)] = coeff
-        return Poly._wrap(nvars, out)
-
     # -- exact division ------------------------------------------------------
 
     def divide_exact(self, divisor: Poly) -> Poly:

@@ -15,7 +15,7 @@ sectors from it: the reference matrices, the closure grid that `closure` and
 `raising` share, the z-space sample and the sectors whose eigenvalues the
 checks test, as exact identities of characteristic polynomials; only
 `eigensolver` diagonalizes.  The store builds a sector's operator and matrix
-at most once per run.  A sample operator lifts its coefficients into z-space
+at most once per run.  A sample operator scales its coefficients to integers
 once, at its first `apply`.  The oracles behind `oscillator` and
 `decoupling` build their own sectors, so a few sectors are built two or three
 times per run.

@@ -1,6 +1,7 @@
 """Gauge polynomials and exact application of the gauged operator."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import elliptic_qes.operator as operator
+from elliptic_qes import verify
 from elliptic_qes.errors import InvalidDegree, NonCancellingPole, NotSymmetric
 from elliptic_qes.matrices import build_matrix
 from elliptic_qes.model import (
@@ -421,6 +423,77 @@ def test_gauged_operator_stays_frozen_after_apply():
 def test_asymmetric_input_is_reported(monkeypatch, a):
     # with the expansion bypassed, z_1 reaches the z-space operator as it is
     op = build_gauged_operator(ModelParams(2, a, Fraction(1, 3), 2, ROOTS_G3), EMPTY)
+    expand = operator.tau_to_z
     monkeypatch.setattr(operator, "tau_to_z", lambda f: f)
     with pytest.raises(NonCancellingPole if a else NotSymmetric):
         op.apply(Poly.variable(2, 0))
+    # a perturbation below the leading term: the expansion of tau_1 tau_2,
+    # z_1^2 z_2 + z_1 z_2^2, plus z_1
+    monkeypatch.setattr(operator, "tau_to_z", lambda f: expand(f) + Poly.variable(2, 0))
+    with pytest.raises(NonCancellingPole if a else NotSymmetric):
+        op.apply(Poly.monomial((1, 1)))
+
+
+# SHA-256 of the image of every basis monomial under `apply`, over the 24
+# sectors of verify's z-space sample and the eight masks at N=4, cutoff 2.
+APPLY_DIGEST = "ce92d958772193b6423d661b5b26b5ec6dd8f267b135cc3eae30da1c0af96aac"
+
+
+def test_apply_images_equal_the_recorded_engine():
+    ops = [op for op, _ in verify._cross_check_sample(verify._SectorStore())]
+    b = Fraction(1, 3)
+    for mask in ALL_MASKS:
+        params = ModelParams(4, Fraction(1, 3), b, 2 - mask.n_f * (b - HALF), ROOTS_G3)
+        assert mask in list_valid_masks(params)
+        ops.append(build_gauged_operator(params, mask))
+    assert len(ops) == 24 + 8
+    digest = hashlib.sha256()
+    for op in ops:
+        for exps in build_matrix(op).basis:
+            image = op.apply(Poly.monomial(exps))
+            digest.update((repr(image.items_canonical()) + "\n").encode())
+    assert digest.hexdigest() == APPLY_DIGEST
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_apply_equals_the_z_space_formula(nvars):
+    """The image of random rational tau-polynomials equals the docstring's
+    z-space formula, formed with sympy's `diff` and `cancel` and compared
+    after substituting the elementary symmetric polynomials for tau."""
+    sp = pytest.importorskip("sympy")
+    z = sp.symbols(f"z1:{nvars + 1}")
+    taus = [sp.Add(*(sp.Mul(*c) for c in itertools.combinations(z, k)))
+            for k in range(1, nvars + 1)]
+
+    def rational(c):
+        return sp.Rational(c.numerator, c.denominator)
+
+    def to_sympy(poly, symbols):
+        return sp.Add(*(rational(c) * sp.Mul(*(x**e for x, e in zip(symbols, exps)))
+                        for exps, c in poly.terms.items()))
+
+    rng = random.Random(2222 + nvars)
+    for _ in range(3):
+        a = Fraction(rng.choice((-5, -2, 1, 4)), rng.choice((3, 7)))
+        b = Fraction(rng.randint(-4, 4), rng.choice((3, 5)))
+        e1, e2 = Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 3)
+        mask = rng.choice(ALL_MASKS)
+        params = ModelParams(nvars, a, b, 2 - mask.n_f * (b - HALF), (e1, e2, -e1 - e2))
+        op = build_gauged_operator(params, mask)
+        f = Poly(nvars, {exps: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for exps in rng.sample(list(build_matrix(op).basis), 4)})
+        big_f = to_sympy(f, taus)
+        x = sp.Symbol("x")
+        p, q, s = (to_sympy(c, (x,)) for c in (op.cubic, op.charge, op.scalar))
+        drift = 2 * q + rational(b + HALF) * sp.diff(p, x)
+        image = rational(potential_coefficient(params)) * taus[0] * big_f
+        for zk in z:
+            fk = sp.diff(big_f, zk)
+            image -= (p.subs(x, zk) * sp.diff(fk, zk) + drift.subs(x, zk) * fk
+                      + s.subs(x, zk) * big_f)
+        for k, l in itertools.combinations(range(nvars), 2):
+            zk, zl = z[k], z[l]
+            numer = (p.subs(x, zk) * sp.diff(big_f, zk) - p.subs(x, zl) * sp.diff(big_f, zl)
+                     + (q.subs(x, zk) - q.subs(x, zl)) * big_f)
+            image -= rational(2 * a) * sp.cancel(numer / (zk - zl))
+        assert sp.expand(image - to_sympy(op.apply(f), taus)) == 0

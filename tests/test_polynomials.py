@@ -125,9 +125,8 @@ def test_division_by_zero_raises():
 
 def test_cubic_difference_quotient():
     # (p(z1) - p(z2)) / (z1 - z2) for the cubic with g2=12, g3=8
-    p = weierstrass_cubic(Fraction(12), Fraction(8))
-    p1, p2 = p.lift(2, 0), p.lift(2, 1)
     z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    p1, p2 = (z * z * z * 4 - z * 12 - Poly.constant(2, 8) for z in (z1, z2))
     quotient = (p1 - p2).divide_exact(z1 - z2)
     expected = (z1 * z1 + z1 * z2 + z2 * z2) * Fraction(4) - Poly.constant(2, 12)
     assert quotient == expected
@@ -195,26 +194,6 @@ def test_total_degree_and_leading(p):
     assert sum(exps) == max(map(sum, p.terms))
 
 
-@given(polys(nvars=1), points(nvars=3))
-def test_lift_preserves_evaluation(p, x):
-    lifted = p.lift(3, 2)
-    assert lifted.nvars == 3
-    assert lifted.evaluate(x) == p.evaluate((x[2],))
-
-
-def test_lift_rejects_multivariate():
-    with pytest.raises(ValueError):
-        Poly.variable(2, 0).lift(3, 0)
-
-
-def test_lift_example():
-    z = Poly.variable(1, 0)
-    p = z * z + Poly.constant(1, 5)
-    lifted = p.lift(3, 1)
-    z2 = Poly.variable(3, 1)
-    assert lifted == z2 * z2 + Poly.constant(3, 5)
-
-
 # -- the coefficient contract: exact rationals, int where integral, never float ---------
 
 
@@ -262,12 +241,11 @@ def test_equal_across_int_and_fraction_representations(p):
     assert Poly(2, as_fractions.terms).terms == p.terms
 
 
-@given(int_polys(), int_polys(), int_polys(nvars=1), st.integers(0, 1))
-def test_integer_inputs_stay_int(p, q, u, k):
+@given(int_polys(), int_polys(), st.integers(0, 1))
+def test_integer_inputs_stay_int(p, q, k):
     z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
     for result in (p + q, p - q, p * q, p * 3, p.diff(k), (p * (z1 - z2)).divide_exact(z1 - z2)):
         assert all_int(result)
-    assert all_int(u.lift(3, 1))
 
 
 @given(polys(), polys())
