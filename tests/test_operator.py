@@ -472,6 +472,7 @@ def test_apply_equals_the_z_space_formula(nvars):
         return sp.Add(*(rational(c) * sp.Mul(*(x**e for x, e in zip(symbols, exps)))
                         for exps, c in poly.terms.items()))
 
+    x = sp.Symbol("x")
     rng = random.Random(2222 + nvars)
     for _ in range(3):
         a = Fraction(rng.choice((-5, -2, 1, 4)), rng.choice((3, 7)))
@@ -483,7 +484,6 @@ def test_apply_equals_the_z_space_formula(nvars):
         f = Poly(nvars, {exps: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                          for exps in rng.sample(list(build_matrix(op).basis), 4)})
         big_f = to_sympy(f, taus)
-        x = sp.Symbol("x")
         p, q, s = (to_sympy(c, (x,)) for c in (op.cubic, op.charge, op.scalar))
         drift = 2 * q + rational(b + HALF) * sp.diff(p, x)
         image = rational(potential_coefficient(params)) * taus[0] * big_f
