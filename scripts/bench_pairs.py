@@ -13,8 +13,9 @@ so a drift in machine speed does not favour either side.
 Every result line of `perfbench/run.py` (its last stdout line) is appended,
 unedited, to `BENCH_<NAME>.json` at the repository root, one JSON object per
 line with the workload, seed and short revision.  At the end the medians of
-the end-to-end metrics are printed for each workload and revision, with the
-number of pairs in which the head revision was lower.
+the end-to-end metrics are printed for each workload and revision, the base
+median followed by the base's first and third quartiles, with the number of
+pairs in which the head revision was lower.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def _summary(records: list[dict], base: str, head: str) -> list[str]:
             base_values = [m[name]["value"] for m in runs[base]]
             head_values = [m[name]["value"] for m in runs[head]]
             lower = sum(h < b for b, h in zip(base_values, head_values))
-            out.append(f"  {name}: {statistics.median(base_values):.4g} -> "
+            # a gain must move the median by more than the base's quartile spread
+            spread = ""
+            if len(base_values) > 1:
+                q1, _, q3 = statistics.quantiles(base_values, n=4)
+                spread = f" [{q1:.4g}, {q3:.4g}]"
+            out.append(f"  {name}: {statistics.median(base_values):.4g}{spread} -> "
                        f"{statistics.median(head_values):.4g} (head lower in "
                        f"{lower}/{len(head_values)} pairs)")
     return out

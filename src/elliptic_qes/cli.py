@@ -12,11 +12,12 @@ Subcommands:
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
 their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
 sector at every grid point, so each point proves its own closure.  Before
-building anything, matrix, spectrum, sweep and eigenfunctions refuse N above
-MAX_PARTICLES, sum the basis dimensions of their sectors over every grid point
-and refuse a total above MAX_TOTAL_DIMENSION; matrix also refuses a z-space
-self-check above MAX_CHECK_WORK.  Exit codes: 0 success, 1 a verification or
-convergence failure, 2 a parameter error or a refused size.
+building or counting anything, every command but verify refuses N above
+MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
+dimensions of their sectors over every grid point and refuse a total above
+MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
+MAX_CHECK_WORK.  Exit codes: 0 success, 1 a verification or convergence
+failure, 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, int]:
     if len(parts) != 3:
         raise ValueError(f"--range must be lo:hi:steps, got {text!r}")
     lo, hi = parse_rational(parts[0]), parse_rational(parts[1])
-    steps = int(parts[2])
+    try:
+        steps = int(parts[2])
+    except ValueError:
+        raise ValueError(f"--range steps must be a positive integer, got {parts[2]!r}") from None
     if steps < 1:
         raise ValueError(f"--range needs at least one step, got {steps}")
     return lo, hi, steps
@@ -290,6 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_masks(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    _check_budget(params, [])
     records = []
     for mask in ALL_MASKS:
         cutoff = params.shifted_degree(mask)

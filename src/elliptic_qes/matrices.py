@@ -19,8 +19,8 @@ passes through z-space; `GaugedOperator.apply` stays the independent oracle.
 Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
 and a non-zero component outside the basis raises OperatorNotClosed.  The exact
-linear algebra here is `OperatorMatrix.determinant`, by fraction forward
-elimination, and `OperatorMatrix.charpoly`, by Berkowitz's algorithm in ints;
+linear algebra here is one route, `OperatorMatrix.charpoly`, by Berkowitz's
+algorithm in ints; `OperatorMatrix.determinant` reads (-1)^n chi_M(0) from it.
 `verify` transforms a matrix by similarity with unimodular row and column
 operations on K, which keep it integral over D.
 Equality and `matches_operator` compare in ints too, and `to_float` forms the
@@ -77,26 +77,8 @@ class OperatorMatrix:
         return Fraction(sum(diagonal), self.denominator)
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction forward elimination, seeded from K / D."""
-        n = self.dim
-        work = self.dense(Fraction, Fraction(0))
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            pval = work[col][col]
-            det *= pval
-            # column col of the rows below is not read again, so it is left as is
-            tail = work[col][col + 1 :]
-            for row in work[col + 1 :]:
-                factor = row[col] / pval
-                if factor:
-                    row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], tail)]
-        return det
+        """Exact determinant, (-1)^n chi_M(0) from `charpoly`."""
+        return Fraction((-1) ** self.dim * self.charpoly().coefficient((0,)))
 
     def charpoly(self) -> Poly:
         """chi_M(t) = det(t I - M) exactly, as a one-variable Poly.

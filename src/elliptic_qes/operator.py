@@ -20,10 +20,11 @@ and both must be polynomials for the conjugated operator to preserve
 polynomial spaces.  q always is, since every masked factor divides p.  s is a
 polynomial exactly when the residue nu (nu - 1/2 + b) p'(e_i) vanishes at each
 masked root, which for simple roots means nu in {0, 1/2 - b}; any other
-exponent leaves a genuine pole and raises NonCancellingPole.  Sectors at the
-natural exponent take q and s in closed form; `gauge_polynomials` performs the
-divisions exactly for any exponent, so pole cancellation is decided by
-arithmetic rather than asserted, and it is the oracle for the closed forms.
+exponent leaves a genuine pole and raises NonCancellingPole.  Every sector is
+built at the natural exponent, with q and s in closed form.  `gauge_polynomials`
+performs the divisions exactly for any exponent, so pole cancellation is
+decided by arithmetic rather than asserted; it is the oracle for the closed
+forms, and only `verify` and the tests call it.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def gauge_polynomials(
         s = [ p (A^2 + A'D - AD') + (b + 1/2) p' A D ] / D^2 .
 
     The q division is always exact.  The s division is exact precisely when
-    every pole cancels; a stall raises NonCancellingPole.  Sectors at nu = 1/2 - b
-    use closed forms, with this division as their oracle.
+    every pole cancels; a stall raises NonCancellingPole.  Sectors are built at
+    nu = 1/2 - b from closed forms, and this division is their oracle.
     """
     g2, g3 = cubic_invariants(roots)
     p = weierstrass_cubic(g2, g3)
@@ -199,7 +200,6 @@ class GaugedOperator:
 
     params: ModelParams
     mask: GaugeMask
-    exponent: Fraction
     cutoff: int
     cubic: Poly
     charge: Poly
@@ -278,20 +278,12 @@ class GaugedOperator:
         return z_to_tau(Poly(n, out)) * Fraction(1, scale * d_a * f_scale)
 
 
-def build_gauged_operator(
-    params: ModelParams,
-    mask: GaugeMask,
-    *,
-    exponent: Fraction | None = None,
-) -> GaugedOperator:
+def build_gauged_operator(params: ModelParams, mask: GaugeMask) -> GaugedOperator:
     """Construct the exact gauged operator for one mask.
 
-    Raises InvalidDegree unless the sector's shifted cutoff is a non-negative
-    integer, and NonCancellingPole if the gauge exponent fails to cancel the
-    poles it introduces.  ``exponent`` overrides the natural value 1/2 - b
-    (closed-form q and s) and goes through `gauge_polynomials`' division; it
-    exists to let callers demonstrate the failure case deliberately and
-    leaves the degree bookkeeping untouched.
+    The gauge exponent is the natural nu = 1/2 - b, at which the poles of
+    every mask cancel, so q and s take their closed forms.  Raises
+    InvalidDegree unless the sector's shifted cutoff is a non-negative integer.
     """
     mt = params.shifted_degree(mask)
     if mt.denominator != 1 or mt < 0:
@@ -299,17 +291,10 @@ def build_gauged_operator(
             f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
             "non-negative integer; no invariant space exists"
         )
-    natural = params.gauge_exponent()
-    nu = natural if exponent is None else Fraction(exponent)
-    if nu == natural:
-        charge, scalar = _natural_gauge_polynomials(params.roots, mask, params.coupling_b)
-    else:
-        charge, scalar = gauge_polynomials(params.roots, mask, nu, params.coupling_b)
-
+    charge, scalar = _natural_gauge_polynomials(params.roots, mask, params.coupling_b)
     return GaugedOperator(
         params=params,
         mask=mask,
-        exponent=nu,
         cutoff=int(mt),
         cubic=weierstrass_cubic(*cubic_invariants(params.roots)),
         charge=charge,

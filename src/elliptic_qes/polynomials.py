@@ -24,7 +24,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import prod
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import NonZeroRemainder
 
@@ -301,9 +301,6 @@ class Poly:
                     remainder[key] = acc
                 else:
                     del remainder[key]
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Coeff]]:
-        return iter(self.items_canonical())
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -88,6 +88,27 @@ def test_particle_number_above_the_limit_exits_2_before_building(capsys, monkeyp
         assert f"N = {n} is above the limit of {cli.MAX_PARTICLES} particles" in err
 
 
+def test_masks_refuses_n_above_the_particle_limit_before_counting(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted a sector above the particle limit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ModelParams, "basis_dimension", refuse)
+        code, out, err = run(capsys, "masks", "--n", str(cli.MAX_PARTICLES + 1))
+    assert (code, out) == (2, "")
+    assert f"N = {cli.MAX_PARTICLES + 1} is above the limit of {cli.MAX_PARTICLES}" in err
+    code, out, _ = run(capsys, "masks", "--n", str(cli.MAX_PARTICLES), "--m", "2")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["none", "2", str(math.comb(cli.MAX_PARTICLES + 2, 2)),
+                                           "yes"]
+
+
+def test_range_steps_that_are_not_an_integer_name_the_flag(capsys):
+    code, out, err = run(capsys, "sweep", "--sweep-var", "a", "--range", "0:1:2.5")
+    assert (code, out) == (2, "")
+    assert err == "error: --range steps must be a positive integer, got '2.5'\n"
+
+
 def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
     cli._check_budget(ModelParams(cli.MAX_PARTICLES, 0, 0, 0), [GaugeMask.from_string("none")])
     code, out, _ = run(capsys, "spectrum", "--n", "16", "--m", "0", "--mask", "none")

@@ -88,15 +88,21 @@ def test_determinant_and_characteristic_values():
 
 @pytest.mark.parametrize("nvars,m", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_characteristic_polynomial_at_zero_is_the_signed_determinant(nvars, m):
-    """(-1)^n chi(0) = det on every valid sector at a rational point whose
-    denominators make D > 1."""
+    """(-1)^n chi(0), and `determinant` read from it, equal sympy's det of the
+    rows on every valid sector at a rational point whose denominators make D > 1."""
+    sympy = pytest.importorskip("sympy")
     params = ModelParams(nvars, F("2/3"), F("-1/4"), m, (F(2), F("-1/2"), F("-3/2")))
     for mask in list_valid_masks(params):
         mat = build_matrix(build_gauged_operator(params, mask))
         assert mat.denominator > 1
         chi = mat.charpoly()
         assert chi.leading() == ((mat.dim,), 1)
-        assert (-1) ** mat.dim * chi.evaluate((0,)) == mat.determinant()
+        det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in mat.rows]).det()
+        expected = Fraction(int(det.p), int(det.q))
+        assert (-1) ** mat.dim * chi.evaluate((0,)) == expected
+        assert mat.determinant() == expected
+        assert isinstance(mat.determinant(), Fraction)
 
 
 def test_characteristic_polynomial_equals_sympy_on_random_rational_matrices():

@@ -181,7 +181,7 @@ def test_closed_form_gauge_is_an_identity():
             assert _natural_gauge_polynomials((r1, r2, -r1 - r2), mask, Fraction(str(y))) == expected
 
 
-def test_natural_exponent_takes_the_closed_form_and_others_the_division(monkeypatch):
+def test_build_takes_the_closed_form_never_the_division(monkeypatch):
     # b = -1/2 makes every mask valid with the natural exponent nu = 1
     params = ModelParams(1, 0, Fraction(-1, 2), 3, (2, Fraction(-3, 4), Fraction(-5, 4)))
     division = operator.gauge_polynomials
@@ -193,14 +193,9 @@ def test_natural_exponent_takes_the_closed_form_and_others_the_division(monkeypa
 
     monkeypatch.setattr(operator, "gauge_polynomials", spy)
     for mask in list_valid_masks(params):
-        default = build_gauged_operator(params, mask)
-        explicit = build_gauged_operator(params, mask, exponent=Fraction(1))
-        assert (explicit.charge, explicit.scalar) == (default.charge, default.scalar)
-        assert (default.charge, default.scalar) == division(params.roots, mask, 1, params.coupling_b)
+        op = build_gauged_operator(params, mask)
+        assert (op.charge, op.scalar) == division(params.roots, mask, 1, params.coupling_b)
     assert calls == []
-    with pytest.raises(NonCancellingPole):
-        build_gauged_operator(params, GaugeMask((1,)), exponent=Fraction(1, 3))
-    assert len(calls) == 1
 
 
 # -- operator construction ---------------------------------------------------------
@@ -214,17 +209,17 @@ def test_invalid_sector_raises():
 
 
 def test_forced_exponent_reaches_pole_check():
-    # the sector is valid, so the forced exponent is what fails
+    # the sector is valid and builds at 1/2 - b, so the forced exponent 1/3
+    # is what fails, in the division that decides pole cancellation
+    params, mask = ModelParams(2, 0, 0, 2), GaugeMask((1, 2))
+    build_gauged_operator(params, mask)
     with pytest.raises(NonCancellingPole):
-        build_gauged_operator(
-            ModelParams(2, 0, 0, 2), GaugeMask((1, 2)), exponent=Fraction(1, 3)
-        )
+        gauge_polynomials(params.roots, mask, Fraction(1, 3), params.coupling_b)
 
 
 def test_cutoff_and_coupling_fields():
     op = build_gauged_operator(ModelParams(2, 1, 0, 2), GaugeMask((2, 3)))
     assert op.cutoff == 1
-    assert op.exponent == HALF
     # [2m + 2a(N-1) + 4b][2m + 1 + 2a(N-1) + 2b] at N=2, a=1, b=0, m=2
     assert external_field_coupling(ModelParams(2, 1, 0, 2)) == 42
 
@@ -413,7 +408,7 @@ def test_gauged_operator_stays_frozen_after_apply():
     op = build_gauged_operator(ModelParams(2, Fraction(1, 2), 0, 2), EMPTY)
     op.apply(Poly.constant(2, 1))
     names = [field.name for field in dataclasses.fields(op)]
-    assert names == ["params", "mask", "exponent", "cutoff", "cubic", "charge", "scalar"]
+    assert names == ["params", "mask", "cutoff", "cubic", "charge", "scalar"]
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(op, name, getattr(op, name))

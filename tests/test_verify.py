@@ -10,7 +10,7 @@ from fractions import Fraction
 from elliptic_qes import operator, oracles, verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import OperatorMatrix
-from elliptic_qes.model import ALL_MASKS
+from elliptic_qes.model import ALL_MASKS, GaugeMask
 from elliptic_qes.polynomials import Poly
 
 
@@ -130,6 +130,24 @@ def test_gauge_exponents_check_sees_a_perturbed_closed_form_scalar(monkeypatch):
     [result] = verify.run_checks(only=["gauge-exponents"])
     assert not result.passed
     assert "differ from the division on mask none" in result.detail
+
+
+def test_gauge_exponents_check_fails_when_the_mixed_root_pole_cancels(monkeypatch):
+    """Mask (1, 2) on the double-root cubic holds the simple root e1, so
+    exponent 1/3 must leave a pole there; a division that cancels it fails
+    the check."""
+    division = verify.gauge_polynomials
+    double = tuple(map(Fraction, oracles.DEGENERATE_ROOTS))
+
+    def lenient(roots, mask, exponent, coupling_b):
+        if (roots, mask, exponent) == (double, GaugeMask((1, 2)), Fraction(1, 3)):
+            return Poly.zero(1), Poly.zero(1)
+        return division(roots, mask, exponent, coupling_b)
+
+    monkeypatch.setattr(verify, "gauge_polynomials", lenient)
+    [result] = verify.run_checks(only=["gauge-exponents"])
+    assert not result.passed
+    assert result.detail == "exponent 1/3 on a simple root cancelled"
 
 
 def test_eigensolver_check_fails_when_a_transform_moves_the_spectrum(monkeypatch):
