@@ -97,12 +97,12 @@ def test_characteristic_polynomial_at_zero_is_the_signed_determinant(nvars, m):
         assert mat.denominator > 1
         chi = mat.charpoly()
         assert chi.leading() == ((mat.dim,), 1)
-        det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                            for row in mat.rows]).det()
-        expected = Fraction(int(det.p), int(det.q))
+        reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                  for row in mat.rows]).det()
+        expected = Fraction(int(reference.p), int(reference.q))
         assert (-1) ** mat.dim * chi.evaluate((0,)) == expected
-        assert mat.determinant() == expected
-        assert isinstance(mat.determinant(), Fraction)
+        det = mat.determinant()
+        assert isinstance(det, Fraction) and det == expected
 
 
 def test_characteristic_polynomial_equals_sympy_on_random_rational_matrices():
