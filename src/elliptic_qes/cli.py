@@ -16,7 +16,8 @@ building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
-MAX_CHECK_WORK.  Exit codes: 0 success, 1 a verification or convergence
+MAX_CHECK_WORK.  A sector dimension with more digits than Python will print
+refuses --m.  Exit codes: 0 success, 1 a verification or convergence
 failure, 2 a parameter error or a refused size.
 """
 
@@ -71,8 +72,8 @@ MAX_CHECK_WORK = 50_000
 
 
 def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
+    parts = text.split(",")
+    if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ValueError(f"--roots needs three comma-separated rationals, got {text!r}")
     e1, e2, e3 = (parse_rational(p) for p in parts)
     return (e1, e2, e3)
@@ -112,6 +113,18 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
     return [GaugeMask.from_string(text)]
 
 
+def _dimension(params: ModelParams, mask: GaugeMask) -> int:
+    """The sector's basis dimension, refused when Python will not write it in
+    decimal (more digits than `sys.get_int_max_str_digits`)."""
+    dimension = params.basis_dimension(mask)
+    try:
+        str(dimension)
+    except ValueError:
+        raise ValueError(f"--m = {params.degree_m} gives a sector dimension with too many "
+                         "digits to print") from None
+    return dimension
+
+
 def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
                   *, z_space: bool = False) -> None:
     """Refuse N above MAX_PARTICLES, work above MAX_TOTAL_DIMENSION and, with
@@ -121,7 +134,7 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
     if n > MAX_PARTICLES:
         raise ValueError(f"N = {n} is above the limit of {MAX_PARTICLES} particles")
     valid = [mask for mask in masks if params.sector_is_valid(mask)]
-    total = points * sum(params.basis_dimension(mask) for mask in valid)
+    total = points * sum(_dimension(params, mask) for mask in valid)
     if total > MAX_TOTAL_DIMENSION:
         raise ValueError(
             f"the requested sectors have total dimension {total}, above the "
@@ -303,7 +316,7 @@ def cmd_masks(args: argparse.Namespace) -> int:
             {
                 "mask": str(mask),
                 "cutoff": str(cutoff),
-                "dimension": params.basis_dimension(mask) if valid else None,
+                "dimension": _dimension(params, mask) if valid else None,
                 "valid": valid,
             }
         )

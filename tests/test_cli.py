@@ -42,6 +42,8 @@ def run(capsys, *argv):
         ("sweep", "--sweep-var", "a", "--range", "0:1:2", "--a", "1"),
         ("sweep", "--sweep-var", "epsilon", "--range", "0:1:0"),  # steps < 1
         ("verify", "--only", ","),  # names no check
+        ("masks", "--roots", "2,,-1,-1"),  # an empty field is not dropped
+        ("masks", "--roots", "2,-1,-1,"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -107,6 +109,25 @@ def test_range_steps_that_are_not_an_integer_name_the_flag(capsys):
     code, out, err = run(capsys, "sweep", "--sweep-var", "a", "--range", "0:1:2.5")
     assert (code, out) == (2, "")
     assert err == "error: --range steps must be a positive integer, got '2.5'\n"
+
+
+@pytest.mark.parametrize("text", ["2,,-1,-1", "2,-1,-1,", "2,,-1"])
+def test_roots_with_an_empty_field_name_the_flag(capsys, text):
+    code, out, err = run(capsys, "masks", "--roots", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: --roots needs three comma-separated rationals, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("masks",), ("masks", "--format", "json"), ("spectrum", "--mask", "none")]
+)
+def test_a_sector_dimension_too_long_to_print_names_m(capsys, argv):
+    """C(32 + 10^140, 32) has about 4480 digits, above Python's default limit
+    of 4300 for int-to-decimal conversion."""
+    m = "1" + "0" * 140
+    code, out, err = run(capsys, *argv, "--n", "32", "--m", m)
+    assert (code, out) == (2, "")
+    assert err == f"error: --m = {m} gives a sector dimension with too many digits to print\n"
 
 
 def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):

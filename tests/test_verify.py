@@ -7,11 +7,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from elliptic_qes import operator, oracles, verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import OperatorMatrix
 from elliptic_qes.model import ALL_MASKS, GaugeMask
 from elliptic_qes.polynomials import Poly
+from elliptic_qes.spectral import Spectrum
+from elliptic_qes.symmetric import enumerate_basis
 
 
 def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
@@ -180,14 +184,43 @@ def test_eigensolver_transforms_are_exact_similarities_that_move_the_matrix(monk
     store = verify._SectorStore()
     assert verify._check_eigensolver(store).passed
     pool = [mat for _, mat, _ in verify._invariant_pool(store)]
-    # every pool matrix is converted first, then the five transforms
-    assert converted[: len(pool)] == pool and len(converted) == len(pool) + 5
+    # the pool's spectra come from `spectrum_of`; the check converts only the transforms
+    assert len(converted) == 5
     # the check's first draw from its generator picks the five sources
     sources = [pool[i] for i in random.Random(1010).sample(range(len(pool)), 5)]
-    for source, moved in zip(sources, converted[len(pool) :]):
+    for source, moved in zip(sources, converted):
         assert moved.basis == source.basis
         assert moved.rows != source.rows
         assert moved.charpoly() == source.charpoly()
+
+
+def test_eigensolver_check_fails_on_a_pair_that_is_conjugate_only_to_rounding(monkeypatch):
+    """LAPACK returns the complex pairs of a real matrix as exact conjugates,
+    so a pair that is conjugate to 1e-12 fails, though its trace and
+    determinant hold: the rotation [[0, -1], [1, 0]] with values -i and
+    1e-12 + i."""
+    rotation = OperatorMatrix(enumerate_basis(1, 1), denominator=1,
+                              columns=(((1, 1),), ((0, -1),)))
+    near_pair = Spectrum((complex(0, -1), complex(1e-12, 1)), 0, 1e-12)
+    original = verify._invariant_pool
+
+    def with_near_pair(store):
+        return original(store) + [("rotation", rotation, near_pair)]
+
+    monkeypatch.setattr(verify, "_invariant_pool", with_near_pair)
+    [result] = verify.run_checks(only=["eigensolver"])
+    assert not result.passed
+    assert result.detail == "rotation: eigenvalue -1j has no conjugate partner"
+
+
+def test_eigensolver_check_fails_through_the_trace_gate(monkeypatch):
+    """The check compares no trace itself: a spectrum shifted off the trace
+    fails in `spectrum_of`, whose NoConvergence the runner reports."""
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: original(a) + 1e-6)
+    [result] = verify.run_checks(only=["eigensolver"])
+    assert not result.passed
+    assert result.detail.startswith("NoConvergence: eigenvalue sum deviates from trace by ")
 
 
 def test_exact_checks_fail_on_a_near_miss_matrix(monkeypatch):
