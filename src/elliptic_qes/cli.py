@@ -16,9 +16,9 @@ building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
-MAX_CHECK_WORK.  A sector dimension with more digits than Python will print
-refuses --m.  Exit codes: 0 success, 1 a verification or convergence
-failure, 2 a parameter error or a refused size.
+MAX_CHECK_WORK.  A sector dimension, or a sweep's total, with more digits than
+Python will print refuses --m or --range.  Exit codes: 0 success, 1 a
+verification or convergence failure, 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -136,12 +136,16 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
     valid = [mask for mask in masks if params.sector_is_valid(mask)]
     total = points * sum(_dimension(params, mask) for mask in valid)
     if total > MAX_TOTAL_DIMENSION:
-        raise ValueError(
-            f"the requested sectors have total dimension {total}, above the "
-            f"limit {MAX_TOTAL_DIMENSION}"
-        )
+        try:
+            text = str(total)
+        except ValueError:
+            flag = "--range" if points > 1 else f"--m = {params.degree_m}"
+            raise ValueError(f"{flag} gives a total dimension with too many digits to "
+                             "print") from None
+        raise ValueError(f"the requested sectors have total dimension {text}, above the limit "
+                         f"{MAX_TOTAL_DIMENSION}")
     s = 2**n - 1  # sum_i C(N, i), and sum_i C(N, i)^2 = C(2N, N) - 1
-    for cutoff in (params.shifted_degree(mask) for mask in valid if z_space):
+    for cutoff in (params.cutoff(mask) for mask in valid if z_space):
         terms = 1 + s * (cutoff >= 1) + (s * s + comb(2 * n, n) - 1) // 2 * (cutoff >= 2)
         if (work := comb(n, 2) * terms) > MAX_CHECK_WORK:
             raise ValueError(f"the z-space check takes work {work}, above the limit "
@@ -198,7 +202,7 @@ def _sector_payload(params: ModelParams, mask: GaugeMask) -> dict:
     spectrum = spectrum_of(build_matrix(build_gauged_operator(params, mask)))
     return {
         "mask": str(mask),
-        "cutoff": int(params.shifted_degree(mask)),
+        "cutoff": params.cutoff(mask),
         "dimension": params.basis_dimension(mask),
         "eigenvalues": [{"re": v.real, "im": v.imag} for v in spectrum.values],
     }
@@ -369,7 +373,7 @@ def cmd_eigenfunctions(args: argparse.Namespace) -> int:
     mat = build_matrix(build_gauged_operator(params, mask))
     spectrum, vectors = eigenvector(to_float(mat))
     lines = [
-        f"sector mask {mask}: cutoff {int(params.shifted_degree(mask))}, "
+        f"sector mask {mask}: cutoff {params.cutoff(mask)}, "
         f"dimension {mat.dim}",
         f"gauge prefix: {_gauge_prefix_text(params, mask)}",
     ]

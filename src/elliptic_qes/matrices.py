@@ -20,7 +20,7 @@ Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
 and a non-zero component outside the basis raises OperatorNotClosed.  The exact
 linear algebra here is one route, `OperatorMatrix.charpoly`, by Berkowitz's
-algorithm in ints; `OperatorMatrix.determinant` reads (-1)^n chi_M(0) from it.
+algorithm in ints and kept on the matrix; `determinant` reads (-1)^n chi_M(0).
 `verify` transforms a matrix by similarity with unimodular row and column
 operations on K, which keep it integral over D.
 Equality and `matches_operator` compare in ints too, and `to_float` forms the
@@ -81,9 +81,12 @@ class OperatorMatrix:
         return Fraction((-1) ** self.dim * self.charpoly().coefficient((0,)))
 
     def charpoly(self) -> Poly:
-        """chi_M(t) = det(t I - M) exactly, as a one-variable Poly.
+        """chi_M(t) = det(t I - M) exactly, as a one-variable Poly."""
+        return self._charpoly
 
-        Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984)
+    @cached_property
+    def _charpoly(self) -> Poly:
+        """Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984)
         147) forms chi_K in Python ints, growing the leading principal block
         of K one row and column at a time; then chi_M(t) = chi_K(D t) / D^n.
         """
@@ -240,13 +243,11 @@ def _weights(op: GaugedOperator) -> tuple[int, dict[_Term, int]]:
     and drift = 2q + (b + 1/2) p'.  Each product is a rational weight (V,
     s_r, 2a q_r, drift_r, 2a p_r, p_r) times a parameter-free integer term
     (`_term_entries`), keyed by the term's kind and r.  With a, b, m = A, B,
-    M over c and p, q, s over u, each weight is an integer over 2 u c^2, e.g.
-    V = M (12B + 8A(N-1) + 4M + 2c) / c^2; the gcd reduction leaves D.
+    M over c (`ModelParams.ints`) and p, q, s over u, each weight is an
+    integer over 2 u c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c) / c^2; gcd leaves D.
     """
     prm = op.params
-    c = lcm(*(x.denominator for x in (prm.coupling_a, prm.coupling_b, prm.degree_m)))
-    a, b, m = (x.numerator * (c // x.denominator)
-               for x in (prm.coupling_a, prm.coupling_b, prm.degree_m))
+    c, a, b, m = prm.ints
     polys = (op.scalar, op.charge, op.cubic)
     u = lcm(*(x.denominator for poly in polys for x in poly.terms.values()))
     s, q, p = ({r: x.numerator * (u // x.denominator) for (r,), x in poly.terms.items()}

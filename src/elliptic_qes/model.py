@@ -10,13 +10,15 @@ contributes a factor (z - e_i)^nu to the gauge prefactor, with the common
 exponent nu = 1/2 - b, and shifts the invariant degree cutoff from m to
 mt = m + n_f * (b - 1/2) where n_f is the mask size.  A mask is usable only
 when mt is a non-negative integer, since mt is the top tau-degree of the
-preserved polynomial space.
-"""
+preserved polynomial space.  Per-sector formulas read the integer view
+`ModelParams.ints` = (c, a c, b c, m c), c = lcm(den a, den b, den m), formed
+at first use and kept on the parameter set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 
 from .errors import InvalidDegree
@@ -67,7 +69,7 @@ ALL_MASKS: tuple[GaugeMask, ...] = tuple(
 def _as_fraction(x: RationalLike, name: str) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"{name} must be exact (int, Fraction, or string), got float")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def cubic_invariants(
@@ -79,7 +81,7 @@ def cubic_invariants(
     The symmetric functions are formed in ints, with the roots times the lcm
     r of their denominators, and each invariant is one Fraction over r^2 or r^3.
     """
-    fs = tuple(Fraction(x) for x in roots)
+    fs = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in roots)
     r = lcm(*(x.denominator for x in fs))
     e1, e2, e3 = (x.numerator * (r // x.denominator) for x in fs)
     if e1 + e2 + e3 != 0:
@@ -89,37 +91,40 @@ def cubic_invariants(
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Exact parameter set: particle number, couplings, degree, cubic roots."""
+    """Exact parameter set: particle number, couplings, degree, cubic roots.
+
+    Rationals are given as int, Fraction or str (never float) and kept as
+    Fractions; the hash is formed once, at construction, and kept."""
 
     nvars: int
     coupling_a: Fraction
     coupling_b: Fraction
     degree_m: Fraction
-    roots: tuple[Fraction, Fraction, Fraction]
+    roots: tuple[Fraction, Fraction, Fraction] = (2, -1, -1)
 
-    def __init__(
-        self,
-        nvars: int,
-        coupling_a: RationalLike,
-        coupling_b: RationalLike,
-        degree_m: RationalLike,
-        roots: tuple[RationalLike, RationalLike, RationalLike] = (2, -1, -1),
-    ) -> None:
-        if nvars < 1:
-            raise ValueError(f"nvars must be >= 1, got {nvars}")
-        a = _as_fraction(coupling_a, "coupling_a")
-        b = _as_fraction(coupling_b, "coupling_b")
-        m = _as_fraction(degree_m, "degree_m")
-        if len(roots) != 3:
-            raise ValueError(f"exactly three roots required, got {len(roots)}")
-        e = tuple(_as_fraction(r, "root") for r in roots)
+    def __post_init__(self) -> None:
+        if self.nvars < 1:
+            raise ValueError(f"nvars must be >= 1, got {self.nvars}")
+        for name in ("coupling_a", "coupling_b", "degree_m"):
+            object.__setattr__(self, name, _as_fraction(getattr(self, name), name))
+        if len(self.roots) != 3:
+            raise ValueError(f"exactly three roots required, got {len(self.roots)}")
+        e = tuple(_as_fraction(r, "root") for r in self.roots)
         if sum(e) != 0:
             raise ValueError(f"roots must sum to zero, got {e[0]} + {e[1]} + {e[2]}")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coupling_a", a)
-        object.__setattr__(self, "coupling_b", b)
-        object.__setattr__(self, "degree_m", m)
         object.__setattr__(self, "roots", e)
+        object.__setattr__(self, "_hash", hash((self.nvars, self.coupling_a, self.coupling_b,
+                                                self.degree_m, e)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def ints(self) -> tuple[int, int, int, int]:
+        """(c, a c, b c, m c), c the lcm of the denominators of a, b and m."""
+        xs = (self.coupling_a, self.coupling_b, self.degree_m)
+        c = lcm(*(x.denominator for x in xs))
+        return (c, *(x.numerator * (c // x.denominator) for x in xs))
 
     def gauge_exponent(self) -> Fraction:
         """Exponent nu = 1/2 - b carried by every masked root factor."""
@@ -127,21 +132,26 @@ class ModelParams:
 
     def shifted_degree(self, mask: GaugeMask) -> Fraction:
         """Degree cutoff mt = m + n_f (b - 1/2) of the sector gauged by `mask`."""
-        return self.degree_m + mask.n_f * (self.coupling_b - Fraction(1, 2))
+        c, _, b, m = self.ints
+        return Fraction(2 * m + mask.n_f * (2 * b - c), 2 * c)
 
     def sector_is_valid(self, mask: GaugeMask) -> bool:
         """Whether the masked sector has a non-negative integer degree cutoff."""
-        mt = self.shifted_degree(mask)
-        return mt.denominator == 1 and mt >= 0
+        c, _, b, m = self.ints
+        top = 2 * m + mask.n_f * (2 * b - c)
+        return top >= 0 and top % (2 * c) == 0
+
+    def cutoff(self, mask: GaugeMask) -> int:
+        """The sector's degree cutoff mt; InvalidDegree unless it is a non-negative integer."""
+        if not self.sector_is_valid(mask):
+            mt = self.shifted_degree(mask)
+            raise InvalidDegree(f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
+                                "non-negative integer; no invariant space exists")
+        return self.shifted_degree(mask).numerator
 
     def basis_dimension(self, mask: GaugeMask) -> int:
         """Dimension C(N + mt, N) of the preserved space for a valid mask."""
-        mt = self.shifted_degree(mask)
-        if not self.sector_is_valid(mask):
-            raise InvalidDegree(
-                f"mask {mask} has non-integer or negative degree cutoff {mt}"
-            )
-        return comb(self.nvars + int(mt), self.nvars)
+        return comb(self.nvars + self.cutoff(mask), self.nvars)
 
 
 def external_field_coupling(params: ModelParams) -> Fraction:
@@ -163,7 +173,6 @@ def list_valid_masks(params: ModelParams) -> tuple[GaugeMask, ...]:
     but the gauge exponent nu vanishes so all masks coincide with the trivial
     one, and only the empty mask is reported.
     """
-    if params.coupling_b == Fraction(1, 2):
-        trivial = ALL_MASKS[0]
-        return (trivial,) if params.sector_is_valid(trivial) else ()
-    return tuple(mask for mask in ALL_MASKS if params.sector_is_valid(mask))
+    c, _, b, _ = params.ints
+    masks = ALL_MASKS[:1] if 2 * b == c else ALL_MASKS
+    return tuple(mask for mask in masks if params.sector_is_valid(mask))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from .errors import InvalidDegree, NonCancellingPole, NonZeroRemainder
+from .errors import NonCancellingPole, NonZeroRemainder
 from .model import GaugeMask, ModelParams, cubic_invariants
 from .polynomials import Exponents, Poly, weierstrass_cubic
 from .symmetric import tau_to_z, z_to_tau
@@ -63,15 +63,14 @@ def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Frac
 
     mt the sector's shifted degree cutoff.  The factor (d - mt) annihilates
     the top degree, which is what closes the operator on the finite space.
-    Both factors are formed in ints, times c = 2 lcm(denominators of a, b, m, d).
+    Both factors are formed in ints, times 2 c e: `ModelParams.ints`, e = den d.
     """
-    xs = (params.coupling_a, params.coupling_b, params.degree_m, Fraction(degree))
-    c = 2 * lcm(*(x.denominator for x in xs))
-    a, b, m, d = (x.numerator * (c // x.denominator) for x in xs)
-    n_f, half = mask.n_f, c // 2
+    c, a, b, m = params.ints
+    d, e = degree.as_integer_ratio()
+    n_f, half, d, a, b, m = mask.n_f, c * e, 2 * c * d, 2 * e * a, 2 * e * b, 2 * e * m
     top = d - m - n_f * (b - half)
     rest = d + m + 2 * a * (params.nvars - 1) + (3 - n_f) * b + (1 + n_f) * half
-    return Fraction(-4 * top * rest, c * c)
+    return Fraction(-top * rest, half * half)
 
 
 def gauge_polynomials(
@@ -285,17 +284,12 @@ def build_gauged_operator(params: ModelParams, mask: GaugeMask) -> GaugedOperato
     every mask cancel, so q and s take their closed forms.  Raises
     InvalidDegree unless the sector's shifted cutoff is a non-negative integer.
     """
-    mt = params.shifted_degree(mask)
-    if mt.denominator != 1 or mt < 0:
-        raise InvalidDegree(
-            f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
-            "non-negative integer; no invariant space exists"
-        )
+    cutoff = params.cutoff(mask)
     charge, scalar = _natural_gauge_polynomials(params.roots, mask, params.coupling_b)
     return GaugedOperator(
         params=params,
         mask=mask,
-        cutoff=int(mt),
+        cutoff=cutoff,
         cubic=weierstrass_cubic(*cubic_invariants(params.roots)),
         charge=charge,
         scalar=scalar,

@@ -107,7 +107,7 @@ def count_symmetric_solutions(
     sectors = tuple(
         SectorCount(
             mask=str(mask),
-            cutoff=int(params.shifted_degree(mask)),
+            cutoff=params.cutoff(mask),
             dimension=params.basis_dimension(mask),
         )
         for mask in list_valid_masks(params)

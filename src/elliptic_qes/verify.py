@@ -16,14 +16,15 @@ sectors from it: the reference matrices, the closure grid that `closure` and
 checks test, as exact identities of characteristic polynomials; only
 `eigensolver` diagonalizes, and it leaves the eigenvalue sum to the trace gate
 of `spectrum_of`.  The store builds a sector's operator and matrix at most
-once per run.  A sample operator scales its coefficients to integers once, at
-its first `apply`.  The oracles behind `oscillator` and `decoupling` build
-their own sectors, so a few sectors are built two or three times per run.
-Nothing outlives the run, so repeated runs in one process each do the full work.
-`gauge-exponents` compares the oracle division `gauge_polynomials` with the
-closed-form q and s of one-variable operators from `build_gauged_operator`, so
-it checks the engine's own path; exponent 1/3, at which the engine builds
-nothing, goes to the division alone.
+once per run, keyed by (params, mask), whose hash the parameter set forms once
+and keeps; a matrix keeps its characteristic polynomial, and a sample operator
+scales its coefficients to integers at its first `apply`.  The oracles behind
+`oscillator` and `decoupling` build their own sectors, so a few sectors are
+built two or three times per run.  Nothing outlives the run, so repeated runs
+in one process each do the full work.  `gauge-exponents` compares the oracle
+division `gauge_polynomials` with the closed-form q and s of one-variable
+operators from `build_gauged_operator`, so it checks the engine's own path;
+exponent 1/3, at which the engine builds nothing, goes to the division alone.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def _grid_entry(
 ) -> GridEntry:
     """The sector of `mask` at the given cutoff, with the original degree
     solved as m = cutoff + n_f (1/2 - b) so that it is valid."""
-    params = ModelParams(nvars, a, b, cutoff + mask.n_f * (Fraction(1, 2) - b), roots)
-    return store.sector(params, mask)
+    q, n_f = b.denominator, mask.n_f
+    m = Fraction((2 * cutoff + n_f) * q - 2 * n_f * b.numerator, 2 * q)
+    return store.sector(ModelParams(nvars, a, b, m, roots), mask)
 
 
 def _closure_grid(store: _SectorStore) -> list[GridEntry]:

@@ -130,6 +130,15 @@ def test_a_sector_dimension_too_long_to_print_names_m(capsys, argv):
     assert err == f"error: --m = {m} gives a sector dimension with too many digits to print\n"
 
 
+def test_a_sweep_total_too_long_to_print_names_range(capsys):
+    """Each N=2, m=8 point has total dimension 153, so 4300 nines of steps give
+    a total of 4303 digits, above Python's default limit of 4300."""
+    code, out, err = run(capsys, "sweep", "--sweep-var", "a", "--range", "0:1:" + "9" * 4300,
+                         "--n", "2", "--m", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: --range gives a total dimension with too many digits to print\n"
+
+
 def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
     cli._check_budget(ModelParams(cli.MAX_PARTICLES, 0, 0, 0), [GaugeMask.from_string("none")])
     code, out, _ = run(capsys, "spectrum", "--n", "16", "--m", "0", "--mask", "none")

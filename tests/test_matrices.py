@@ -86,6 +86,25 @@ def test_determinant_and_characteristic_values():
     assert big.charpoly() == from_roots((-20, -8, 28))
 
 
+def test_a_matrix_keeps_its_characteristic_polynomial_and_a_transformed_copy_has_its_own():
+    mat = build_matrix(build_gauged_operator(ModelParams(2, F("1/3"), 0, 2), EMPTY))
+    chi = mat.charpoly()
+    assert mat.charpoly() is chi
+    rows = mat.dense(lambda k, _: k, 0)
+    rows[1] = [x + y for x, y in zip(rows[1], rows[0])]  # E M E^-1, E = I + e_1 e_0^T
+    for row in rows:
+        row[0] -= row[1]
+    similar = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(
+        tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)))
+    doubled = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(
+        tuple((i, 2 * k) for i, k in col) for col in mat.columns))
+    assert similar != mat and similar.charpoly() is not chi and similar.charpoly() == chi
+    n = mat.dim
+    assert doubled.charpoly() == Poly(1, {(n - i,): 2**i * chi.coefficient((n - i,))
+                                          for i in range(n + 1)})
+    assert mat.charpoly() is chi and doubled.determinant() == 2**n * mat.determinant()
+
+
 @pytest.mark.parametrize("nvars,m", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_characteristic_polynomial_at_zero_is_the_signed_determinant(nvars, m):
     """(-1)^n chi(0), and `determinant` read from it, equal sympy's det of the

@@ -1,8 +1,11 @@
 """Parameter sets, gauge masks, and sector bookkeeping."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elliptic_qes.errors import InvalidDegree
 from elliptic_qes.model import (
@@ -106,3 +109,43 @@ def test_field_coupling_product():
     assert external_field_coupling(
         ModelParams(3, Fraction(1, 2), Fraction(1, 4), 1)
     ) == Fraction(55, 2)
+
+
+def rationals(lo: int, hi: int):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 12))
+
+
+@given(rationals(-6, 6), st.one_of(rationals(-6, 6), st.just(Fraction(1, 2))),
+       rationals(-6, 12), st.integers(1, 4))
+def test_integer_sector_arithmetic_equals_the_fraction_formulas(a, b, m, nvars):
+    """mt = m + n_f (b - 1/2) must be a non-negative integer; the dimension is
+    C(N + mt, N); at b = 1/2 only the empty mask is listed."""
+    params = ModelParams(nvars, a, b, m)
+    listed = []
+    for mask in ALL_MASKS:
+        mt = m + mask.n_f * (b - Fraction(1, 2))
+        valid = mt.denominator == 1 and mt >= 0
+        assert params.shifted_degree(mask) == mt
+        assert params.sector_is_valid(mask) == valid
+        if valid:
+            assert params.basis_dimension(mask) == comb(nvars + int(mt), nvars)
+            listed += [mask] if b != Fraction(1, 2) or not mask.indices else []
+        else:
+            with pytest.raises(InvalidDegree, match=f"degree cutoff to {mt},"):
+                params.basis_dimension(mask)
+    assert list_valid_masks(params) == tuple(listed)
+
+
+def test_params_from_int_str_and_fraction_inputs_are_one_key():
+    ints = ModelParams(2, 1, 0, 2, (2, -1, -1))
+    strs = ModelParams(2, "1", "0", "2", ("2", "-1", "-1"))
+    fractions = ModelParams(2, Fraction(1), Fraction(0), Fraction(2), (Fraction(2), -1, -1))
+    assert ints == strs == fractions
+    assert hash(ints) == hash(strs) == hash(fractions)
+    keys = {ints: "ints"}
+    assert keys[strs] == keys[fractions] == "ints"
+    assert {strs, fractions} == {ints}
+    half = ModelParams(1, "1/2", Fraction(-3, 6), "0.25")
+    assert half == ModelParams(1, Fraction(1, 2), "-1/2", Fraction(1, 4))
+    assert half.ints == (4, 2, -2, 1) and half.ints is half.ints
+    assert {half: 1}[ModelParams(1, Fraction(2, 4), "-0.5", Fraction(1, 4))] == 1
