@@ -128,6 +128,7 @@ def test_integer_sector_arithmetic_equals_the_fraction_formulas(a, b, m, nvars):
         assert params.shifted_degree(mask) == mt
         assert params.sector_is_valid(mask) == valid
         if valid:
+            assert params.cutoff(mask) == mt
             assert params.basis_dimension(mask) == comb(nvars + int(mt), nvars)
             listed += [mask] if b != Fraction(1, 2) or not mask.indices else []
         else:
