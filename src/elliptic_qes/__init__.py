@@ -37,7 +37,6 @@ from .operator import (
     GaugedOperator,
     build_gauged_operator,
     gauge_polynomials,
-    potential_coefficient,
     raising_coefficient,
 )
 from .oracles import (
@@ -92,7 +91,6 @@ __all__ = [
     "oscillator_energy",
     "oscillator_membership",
     "parse_rational",
-    "potential_coefficient",
     "raising_coefficient",
     "raising_coefficient_check",
     "report_json",

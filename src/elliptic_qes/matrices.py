@@ -12,8 +12,10 @@ whose coefficients combine integer tau-polynomials fixed by N
 sector matrix is M = sum_j c_j S_j, with S_j a parameter-free integer term
 matrix and c_j a rational weight, and it is stored as M = K / D, with D the
 lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
-columns.  Each sector sums the entries of its S_j once, in ints, and images
-every basis column from them by exponent shifts in tau-space.  Assembly never
+columns.  The weights D c_j are the operator's own table,
+`GaugedOperator.weights`, which `apply` reads too.  Each sector sums the
+entries of its S_j once, in ints, and images every basis column from them by
+exponent shifts in tau-space.  Assembly never
 passes through z-space; `GaugedOperator.apply` stays the independent oracle.
 
 Assembling a matrix is itself the closure proof for its parameter point:
@@ -31,13 +33,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 import numpy as np
 
 from .errors import OperatorNotClosed
-from .operator import GaugedOperator, raising_coefficient
+from .operator import GaugedOperator, Term, raising_coefficient
 from .polynomials import Exponents, Poly, parse_rational
 from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
@@ -141,7 +143,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space, as K / D.
 
     K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
-    their denominators (`_weights`).  Once per sector, the entries of
+    their denominators (`GaugedOperator.weights`).  Once per sector, the entries of
     `_term_entries` of non-zero weight are scaled and summed per derivative
     index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
     tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l of K is
@@ -153,7 +155,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
     row_of = {_pack(exps): i for i, exps in enumerate(basis)}
-    denominator, scaled = _weights(op)
+    denominator, scaled = op.weights
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for term, idx, e, c in _term_entries(n):
         k = scaled.get(term)
@@ -203,9 +205,6 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     )
 
 
-# A term of L: its kind and the power r of z in its weight (0 for V).
-_Term = tuple[str, int]
-
 # A tau-monomial packed into one int, _BITS bits per exponent, so that an
 # exponent shift is one integer addition.  Exponents stay far below 2**_BITS:
 # a basis that reached it could not be stored.
@@ -215,7 +214,7 @@ _BITS = 32
 # with i <= j: the term, idx, the packed monomial minus the packed product of
 # tau_k over k in idx, and its integer coefficient.  Adding the packed l gives
 # the monomial it contributes to the image of tau^l.
-_Entry = tuple[_Term, tuple[int, ...], int, int]
+_Entry = tuple[Term, tuple[int, ...], int, int]
 
 
 def _pack(exps: Exponents) -> int:
@@ -226,48 +225,27 @@ def _unpack(code: int, nvars: int) -> Exponents:
     return tuple((code >> (_BITS * k)) & ((1 << _BITS) - 1) for k in range(nvars))
 
 
-def _weights(op: GaugedOperator) -> tuple[int, dict[_Term, int]]:
-    """The sector's D and its non-zero scaled weight D c_j of each term of L.
+@lru_cache(maxsize=None)
+def _term_entries(nvars: int) -> tuple[_Entry, ...]:
+    """The entries of every integer term S_j, keyed like `GaugedOperator.weights`.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
-    operator of `GaugedOperator.apply`, with p_r, p'_r, q_r and s_r the
-    coefficients of z^r in the cubic, its derivative, the gauge charge and
-    the gauge scalar, and the sums of `symmetric.StructureSums`, L is
-    sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C with
+    operator of `GaugedOperator.apply`, with p_r, q_r and s_r the coefficients
+    of z^r in the cubic, the gauge charge and the gauge scalar, and the sums of
+    `symmetric.StructureSums`, L is sum_{i<=j} A_ij d_i d_j + sum_i B_i d_i + C
+    with
 
         C    = V tau_1 - sum_r s_r P_r - 2a sum_r q_r D_r
         B_i  = -sum_r drift_r T_ri - 2a sum_r p_r E_ri
-        A_ij = -(2 - delta_ij) sum_r p_r Q_rij
+        A_ij = -(2 - delta_ij) sum_r p_r Q_rij .
 
-    and drift = 2q + (b + 1/2) p'.  Each product is a rational weight (V,
-    s_r, 2a q_r, drift_r, 2a p_r, p_r) times a parameter-free integer term
-    (`_term_entries`), keyed by the term's kind and r.  With a, b, m = A, B,
-    M over c (`ModelParams.ints`) and p, q, s over u, each weight is an
-    integer over 2 u c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c) / c^2; gcd leaves D.
+    Each product is a weight (V, s_r, 2a q_r, drift_r, 2a p_r, p_r) times a
+    parameter-free integer term, listed here by its kind and r.
     """
-    prm = op.params
-    c, a, b, m = prm.ints
-    polys = (op.scalar, op.charge, op.cubic)
-    u = lcm(*(x.denominator for poly in polys for x in poly.terms.values()))
-    s, q, p = ({r: x.numerator * (u // x.denominator) for (r,), x in poly.terms.items()}
-               for poly in polys)
-    one, two_a = 2 * c * c, 4 * a * c
-    weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (prm.nvars - 1) + 4 * m + 2 * c)}
-    for kind, coeffs, f in (("s", s, one), ("2a.q", q, two_a), ("2a.p", p, two_a), ("p", p, one)):
-        weights.update(((kind, r), f * x) for r, x in coeffs.items())
-    for r in range(4):  # the powers of z that `_term_entries` lists
-        weights["drift", r] = 2 * one * q.get(r, 0) + (2 * b + c) * c * (r + 1) * p.get(r + 1, 0)
-    g = gcd(u * one, *weights.values())
-    return u * one // g, {term: w // g for term, w in weights.items() if w}
-
-
-@lru_cache(maxsize=None)
-def _term_entries(nvars: int) -> tuple[_Entry, ...]:
-    """The entries of every integer term of `_weights`, from the structure sums."""
     n = nvars
     sums = structure_sums(n)
-    terms: dict[_Term, list[tuple[tuple[int, ...], Poly]]] = {
+    terms: dict[Term, list[tuple[tuple[int, ...], Poly]]] = {
         ("V", 0): [((), Poly.monomial((1,) + (0,) * (n - 1)))]
     }
     for r in range(len(sums.P)):

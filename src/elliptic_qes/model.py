@@ -130,16 +130,19 @@ class ModelParams:
         """Exponent nu = 1/2 - b carried by every masked root factor."""
         return Fraction(1, 2) - self.coupling_b
 
+    def _twice_cutoff(self, mask: GaugeMask) -> tuple[int, int]:
+        """mt = m + n_f (b - 1/2) as 2 c mt over 2 c, in ints."""
+        c, _, b, m = self.ints
+        return 2 * m + mask.n_f * (2 * b - c), 2 * c
+
     def shifted_degree(self, mask: GaugeMask) -> Fraction:
         """Degree cutoff mt = m + n_f (b - 1/2) of the sector gauged by `mask`."""
-        c, _, b, m = self.ints
-        return Fraction(2 * m + mask.n_f * (2 * b - c), 2 * c)
+        return Fraction(*self._twice_cutoff(mask))
 
     def sector_is_valid(self, mask: GaugeMask) -> bool:
         """Whether the masked sector has a non-negative integer degree cutoff."""
-        c, _, b, m = self.ints
-        top = 2 * m + mask.n_f * (2 * b - c)
-        return top >= 0 and top % (2 * c) == 0
+        top, den = self._twice_cutoff(mask)
+        return top >= 0 and top % den == 0
 
     def cutoff(self, mask: GaugeMask) -> int:
         """The sector's degree cutoff mt; InvalidDegree unless it is a non-negative integer."""
@@ -147,7 +150,8 @@ class ModelParams:
             mt = self.shifted_degree(mask)
             raise InvalidDegree(f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
                                 "non-negative integer; no invariant space exists")
-        return self.shifted_degree(mask).numerator
+        top, den = self._twice_cutoff(mask)
+        return top // den
 
     def basis_dimension(self, mask: GaugeMask) -> int:
         """Dimension C(N + mt, N) of the preserved space for a valid mask."""

@@ -21,10 +21,12 @@ polynomial spaces.  q always is, since every masked factor divides p.  s is a
 polynomial exactly when the residue nu (nu - 1/2 + b) p'(e_i) vanishes at each
 masked root, which for simple roots means nu in {0, 1/2 - b}; any other
 exponent leaves a genuine pole and raises NonCancellingPole.  Every sector is
-built at the natural exponent, with q and s in closed form.  `gauge_polynomials`
-performs the divisions exactly for any exponent, so pole cancellation is
-decided by arithmetic rather than asserted; it is the oracle for the closed
-forms, and only `verify` and the tests call it.
+built at the natural exponent, with p, q and s in closed form, as ints over one
+scale; the operator's weight table (V, the drift and the products with 2a, all
+over one denominator D) is what both `apply` and the matrix assembly read.
+`gauge_polynomials` performs the divisions exactly for any exponent, so pole
+cancellation is decided by arithmetic rather than asserted; it is the oracle
+for the closed forms, and only `verify` and the tests call it.
 """
 
 from __future__ import annotations
@@ -33,24 +35,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import NonCancellingPole, NonZeroRemainder
 from .model import GaugeMask, ModelParams, cubic_invariants
 from .polynomials import Exponents, Poly, weierstrass_cubic
 from .symmetric import tau_to_z, z_to_tau
 
-_HALF = Fraction(1, 2)
-
-
-def potential_coefficient(params: ModelParams) -> Fraction:
-    """Coefficient of tau_1 in the multiplicative potential term.
-
-    Equals m (12b + 8a(N-1) + 4m + 2); it is part of the operator itself and
-    does not change under gauge conjugation, so all masked sectors share it.
-    """
-    a, b, m = params.coupling_a, params.coupling_b, params.degree_m
-    return m * (12 * b + 8 * a * (params.nvars - 1) + 4 * m + 2)
+# A term of the operator: its kind and the power r of z in its weight (0 for V).
+Term = tuple[str, int]
 
 
 def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> Fraction:
@@ -109,7 +102,7 @@ def gauge_polynomials(
     da = numer_a.diff(0)
     dd = denom.diff(0)
     scalar_numer = p * (numer_a * numer_a + da * denom - numer_a * dd) + (
-        (coupling_b + _HALF) * (dp * numer_a * denom)
+        (coupling_b + Fraction(1, 2)) * (dp * numer_a * denom)
     )
     try:
         scalar = scalar_numer.divide_exact(denom * denom)
@@ -123,27 +116,29 @@ def gauge_polynomials(
 
 def _natural_gauge_polynomials(
     roots: tuple[Fraction, Fraction, Fraction], mask: GaugeMask, coupling_b: Fraction
-) -> tuple[Poly, Poly]:
-    """(q, s) at the natural exponent nu = 1/2 - b, in closed form:
+) -> tuple[int, dict[int, int], dict[int, int], dict[int, int]]:
+    """U and the z-power -> int maps of U p, U q and U s at nu = 1/2 - b:
 
+        p = 4 z^3 + 4 (e1 e2 + e1 e3 + e2 e3) z - 4 e1 e2 e3 ,
         q = 4 nu sum_{i in mask} (z^2 + e_i z + e_j e_k) ,   {i, j, k} = {1, 2, 3}
         s = 4 nu n_f (2 + nu (n_f - 3)) z + 4 nu (1 + nu (2 n_f - 3)) S ,
 
     S = sum_{i in mask} e_i.  q is p lambda with the roots summing to zero; s has
     degree <= 1, so it is the polynomial part of its expansion at z -> infinity.
-    The sums are formed in ints, with nu and the roots times u = lcm of the
-    denominators of 2b and the roots, and each coefficient is one Fraction.
+    With u the lcm of the denominators of 2b and the roots, the roots times u
+    and w = 2 nu u are ints, and U = u^3 clears every denominator; zeros are
+    left out of the maps.
     """
-    u = lcm(2 * coupling_b.denominator, *(e.denominator for e in roots))
-    nu = u // 2 - coupling_b.numerator * (u // coupling_b.denominator)
+    b = coupling_b
+    u = lcm(b.denominator // gcd(2, b.denominator), *(x.denominator for x in roots))
+    w = u - 2 * b.numerator * u // b.denominator
     e = [x.numerator * (u // x.denominator) for x in roots]
     n_f, total = mask.n_f, sum(e[i - 1] for i in mask.indices)
     pairs = sum(e[i % 3] * e[(i + 1) % 3] for i in mask.indices)
-    charge = Poly(1, {(2,): Fraction(4 * nu * n_f, u), (1,): Fraction(4 * nu * total, u * u),
-                      (0,): Fraction(4 * nu * pairs, u**3)})
-    scalar = Poly(1, {(1,): Fraction(4 * nu * n_f * (2 * u + nu * (n_f - 3)), u * u),
-                      (0,): Fraction(4 * nu * (u + nu * (2 * n_f - 3)) * total, u**3)})
-    return charge, scalar
+    cubic = {3: 4 * u**3, 1: 4 * u * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]), 0: -4 * prod(e)}
+    charge = {2: 2 * w * n_f * u * u, 1: 2 * w * total * u, 0: 2 * w * pairs}
+    scalar = {1: w * n_f * u * (4 * u + w * (n_f - 3)), 0: w * (2 * u + w * (2 * n_f - 3)) * total}
+    return u**3, *({r: x for r, x in coeffs.items() if x} for coeffs in (cubic, charge, scalar))
 
 
 def _pair_quotient(numer: dict[Exponents, int], k: int, l: int) -> dict[Exponents, int]:
@@ -191,33 +186,46 @@ def _shifted(terms: dict[Exponents, int], k: int, weights: list[tuple[int, int, 
 class GaugedOperator:
     """One algebraised sector: exact operator data, ready to apply.
 
-    Single-variable ingredients are stored once: the cubic, the gauge charge
-    q and the gauge scalar s.  `apply` scales the cubic, drift, q and s to
-    integer coefficients of each power of z at its first call;
-    `matrices._weights` reads the coefficients of the cubic, q and s directly.
+    The sector's data is held once, in ints: a scale U and the z-power -> int
+    maps of U p, U q and U s (the cubic, the gauge charge and the gauge
+    scalar).  `weights` combines them with `ModelParams.ints` into the one
+    weight table that `apply` and `matrices.build_matrix` both read.
     """
 
     params: ModelParams
     mask: GaugeMask
     cutoff: int
-    cubic: Poly
-    charge: Poly
-    scalar: Poly
+    scale: int
+    cubic: dict[int, int]
+    charge: dict[int, int]
+    scalar: dict[int, int]
 
     @property
     def nvars(self) -> int:
         return self.params.nvars
 
     @cached_property
-    def _scaled(self) -> tuple[int, int, tuple[dict[int, int], ...]]:
-        """`apply`'s D, D V and the z-power -> int maps of D (p, drift, q, s)."""
-        potential = potential_coefficient(self.params)
-        drift = 2 * self.charge + (self.params.coupling_b + _HALF) * self.cubic.diff(0)
-        coeffs = (self.cubic, drift, self.charge, self.scalar)
-        scale = lcm(potential.denominator,
-                    *(c.denominator for poly in coeffs for c in poly.terms.values()))
-        return scale, int(potential * scale), tuple(
-            {e: int(c * scale) for (e,), c in poly.terms.items()} for poly in coeffs)
+    def weights(self) -> tuple[int, dict[Term, int]]:
+        """D and the non-zero D c_j of each term of the operator.
+
+        The weights c_j are V = m (12b + 8a(N-1) + 4m + 2) and, per power r of
+        z, p_r, s_r, 2a p_r, 2a q_r and drift_r, with drift = 2q + (b + 1/2) p'.
+        With a, b, m = A, B, M over c (`ModelParams.ints`) and p, q, s over U,
+        each is an integer over 2 U c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c)
+        / c^2; the gcd leaves D, the lcm of the weights' denominators.
+        """
+        c, a, b, m = self.params.ints
+        u, p, q = self.scale, self.cubic, self.charge
+        one, two_a = 2 * c * c, 4 * a * c
+        weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (self.nvars - 1) + 4 * m + 2 * c)}
+        for kind, coeffs, f in (("s", self.scalar, one), ("2a.q", q, two_a), ("2a.p", p, two_a),
+                                ("p", p, one)):
+            weights.update(((kind, r), f * x) for r, x in coeffs.items())
+        for r in range(3):  # the drift has degree 2
+            weights["drift", r] = (2 * one * q.get(r, 0)
+                                   + (2 * b + c) * c * (r + 1) * p.get(r + 1, 0))
+        g = gcd(u * one, *weights.values())
+        return u * one // g, {term: w // g for term, w in weights.items() if w}
 
     def apply(self, f: Poly) -> Poly:
         """Exact image of a tau-space polynomial under the gauged operator.
@@ -230,41 +238,39 @@ class GaugedOperator:
 
         and reduced back to the tau basis.  Each term of F puts its images
         straight into one result map, with no intermediate polynomial; a pair
-        numerator is the difference of the maps of p_k F_k + q_k F and
-        p_l F_l + q_l F, and its quotient a synthetic division in z_k
+        numerator is the difference of the maps of 2a (p_k F_k + q_k F) and
+        2a (p_l F_l + q_l F), and its quotient a synthetic division in z_k
         (`_pair_quotient`).  For symmetric F the remainder is identically zero
         (the numerators are antisymmetric in z_k, z_l), so a non-zero
         remainder, or a stall in the final reduction, reports NonCancellingPole
         or NotSymmetric respectively: the input or engine broke an invariant.
 
-        It runs in integer arithmetic: with D the lcm of the denominators of
-        p, the drift, q, s and V, f_s that of f and 2a = n_a / d_a, the image
-        of f_s f scaled by D d_a has integer coefficients (every divisor is
-        monic), and it is divided by D d_a f_s once, after the reduction.
-        D, D V and the coefficients of D p, D drift, D q and D s depend on the
-        operator alone, so its first call forms them and the operator keeps them.
+        It runs in integer arithmetic on the weight table D c_j (`weights`):
+        with f_s the lcm of the denominators of f, the image of f_s f scaled
+        by D has integer coefficients (every divisor is monic), and it is
+        divided by D f_s once, after the reduction.
         """
         n = self.nvars
         if f.nvars != n:
             raise ValueError(f"polynomial has {f.nvars} variables, operator expects {n}")
-        a2 = 2 * self.params.coupling_a
-        scale, potential, (p, drift, q, s) = self._scaled
+        scale, table = self.weights
         f_scale = lcm(*(c.denominator for c in f.terms.values()))
         big_f = tau_to_z(f * f_scale).terms
 
-        # z_k^e goes to d_a w(e) z_k^(e+t), w(e) = -p_(t+2) e(e-1) - drift_(t+1) e
+        # z_k^e goes to w(e) z_k^(e+t), w(e) = -p_(t+2) e(e-1) - drift_(t+1) e
         # - s_t, plus V at t = 1; p has degree 3, the drift and q degree 2 and s
         # degree <= 1, and every w vanishes where e + t < 0
-        d_a = a2.denominator
-        single = [(t, -d_a * p.get(t + 2, 0), -d_a * drift.get(t + 1, 0),
-                   d_a * (potential * (t == 1) - s.get(t, 0))) for t in range(-2, 2)]
+        single = [(t, -table.get(("p", t + 2), 0), -table.get(("drift", t + 1), 0),
+                   table.get(("V", 0), 0) * (t == 1) - table.get(("s", t), 0))
+                  for t in range(-2, 2)]
         out: dict[Exponents, int] = {}
         for k in range(n):
             _shifted(big_f, k, single, out)
 
-        if a2:
-            # p_k F_k + q_k F: z_k^e goes to (p_(t+1) e + q_t) z_k^(e+t)
-            pair = [(t, 0, p.get(t + 1, 0), q.get(t, 0)) for t in range(-1, 3)]
+        if self.params.coupling_a:
+            # 2a (p_k F_k + q_k F): z_k^e goes to (2a p_(t+1) e + 2a q_t) z_k^(e+t)
+            pair = [(t, 0, table.get(("2a.p", t + 1), 0), table.get(("2a.q", t), 0))
+                    for t in range(-1, 3)]
             parts: list[dict[Exponents, int]] = [{} for _ in range(n)]
             for k, part in enumerate(parts):
                 _shifted(big_f, k, pair, part)
@@ -273,24 +279,19 @@ class GaugedOperator:
                 for exps, c in parts[l].items():
                     numer[exps] = numer.get(exps, 0) - c
                 for exps, c in _pair_quotient(numer, k, l).items():
-                    out[exps] = out.get(exps, 0) - a2.numerator * c
-        return z_to_tau(Poly(n, out)) * Fraction(1, scale * d_a * f_scale)
+                    out[exps] = out.get(exps, 0) - c
+        return z_to_tau(Poly(n, out)) * Fraction(1, scale * f_scale)
 
 
 def build_gauged_operator(params: ModelParams, mask: GaugeMask) -> GaugedOperator:
     """Construct the exact gauged operator for one mask.
 
     The gauge exponent is the natural nu = 1/2 - b, at which the poles of
-    every mask cancel, so q and s take their closed forms.  Raises
-    InvalidDegree unless the sector's shifted cutoff is a non-negative integer.
+    every mask cancel, so q and s take their closed forms, formed in ints
+    with the cubic.  Raises InvalidDegree unless the sector's shifted cutoff
+    is a non-negative integer.
     """
     cutoff = params.cutoff(mask)
-    charge, scalar = _natural_gauge_polynomials(params.roots, mask, params.coupling_b)
-    return GaugedOperator(
-        params=params,
-        mask=mask,
-        cutoff=cutoff,
-        cubic=weierstrass_cubic(*cubic_invariants(params.roots)),
-        charge=charge,
-        scalar=scalar,
-    )
+    scale, cubic, charge, scalar = _natural_gauge_polynomials(params.roots, mask,
+                                                              params.coupling_b)
+    return GaugedOperator(params, mask, cutoff, scale, cubic, charge, scalar)

@@ -17,13 +17,14 @@ checks test, as exact identities of characteristic polynomials; only
 `eigensolver` diagonalizes, and it leaves the eigenvalue sum to the trace gate
 of `spectrum_of`.  The store builds a sector's operator and matrix at most
 once per run, keyed by (params, mask), whose hash the parameter set forms once
-and keeps; a matrix keeps its characteristic polynomial, and a sample operator
-scales its coefficients to integers at its first `apply`.  The oracles behind
+and keeps; a matrix keeps its characteristic polynomial, and an operator keeps
+the integer weight table that its matrix and `apply` both read.  The oracles behind
 `oscillator` and `decoupling` build their own sectors, so a few sectors are
 built two or three times per run.  Nothing outlives the run, so repeated runs
 in one process each do the full work.  `gauge-exponents` compares the oracle
-division `gauge_polynomials` with the closed-form q and s of one-variable
-operators from `build_gauged_operator`, so it checks the engine's own path;
+division `gauge_polynomials`, times the operator's scale U, with the integer
+maps of U q and U s of one-variable operators from `build_gauged_operator`,
+so it checks the engine's own path;
 exponent 1/3, at which the engine builds nothing, goes to the division alone.
 """
 
@@ -350,7 +351,9 @@ def _check_gauge_exponents() -> CheckResult:
         roots = _random_roots(rng)
         for mask in ALL_MASKS:
             op = build_gauged_operator(ModelParams(1, 0, b, mask.n_f * (half - b), roots), mask)
-            if gauge_polynomials(roots, mask, half - b, b) != (op.charge, op.scalar):
+            q, s = gauge_polynomials(roots, mask, half - b, b)
+            closed = [Poly(1, {(r,): x for r, x in c.items()}) for c in (op.charge, op.scalar)]
+            if [q * op.scale, s * op.scale] != closed:
                 return CheckResult("gauge-exponents", False, f"closed-form q, s differ from "
                                    f"the division on mask {mask} at roots {roots}, b = {b}")
             gauge_polynomials(roots, mask, Fraction(0), b)

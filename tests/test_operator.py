@@ -26,7 +26,6 @@ from elliptic_qes.operator import (
     _natural_gauge_polynomials,
     build_gauged_operator,
     gauge_polynomials,
-    potential_coefficient,
     raising_coefficient,
 )
 from elliptic_qes.polynomials import Poly, weierstrass_cubic
@@ -37,6 +36,11 @@ HALF = Fraction(1, 2)
 
 def rationals(lo=-3, hi=3, dens=(1, 2, 4)):
     return st.builds(Fraction, st.integers(lo, hi), st.sampled_from(dens))
+
+
+def _poly(coeffs):
+    """The one-variable Poly of a z-power -> coefficient map."""
+    return Poly(1, {(r,): x for r, x in coeffs.items()})
 
 
 # -- gauge polynomials ----------------------------------------------------------
@@ -114,7 +118,11 @@ def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
     assert [(e1.denominator, e2.denominator) for e1, e2, _ in roots[-3:]] == [(9, 11)] * 3
     assert {b.denominator for b in couplings[-3:]} == {8}
     for e, b, mask in itertools.product(roots, couplings, ALL_MASKS):
-        assert _natural_gauge_polynomials(e, mask, b) == gauge_polynomials(e, mask, HALF - b, b)
+        scale, cubic, charge, scalar = _natural_gauge_polynomials(e, mask, b)
+        q, s = gauge_polynomials(e, mask, HALF - b, b)
+        assert (q * scale, s * scale) == (_poly(charge), _poly(scalar))
+        assert weierstrass_cubic(*cubic_invariants(e)) * scale == _poly(cubic)
+        assert all(type(x) is int and x for c in (cubic, charge, scalar) for x in c.values())
 
 
 def test_cubic_equals_the_symmetric_function_formulas():
@@ -177,8 +185,10 @@ def test_closed_form_gauge_is_an_identity():
         for x1, x2, y in itertools.product(grid, repeat=3):
             point = {e1: x1, e2: x2, b: y}
             r1, r2 = Fraction(str(x1)), Fraction(str(x2))
-            expected = (at(q_terms, point), at(s_terms, point))
-            assert _natural_gauge_polynomials((r1, r2, -r1 - r2), mask, Fraction(str(y))) == expected
+            scale, _, charge, scalar = _natural_gauge_polynomials((r1, r2, -r1 - r2), mask,
+                                                                  Fraction(str(y)))
+            expected = (at(q_terms, point) * scale, at(s_terms, point) * scale)
+            assert (_poly(charge), _poly(scalar)) == expected
 
 
 def test_build_takes_the_closed_form_never_the_division(monkeypatch):
@@ -194,7 +204,8 @@ def test_build_takes_the_closed_form_never_the_division(monkeypatch):
     monkeypatch.setattr(operator, "gauge_polynomials", spy)
     for mask in list_valid_masks(params):
         op = build_gauged_operator(params, mask)
-        assert (op.charge, op.scalar) == division(params.roots, mask, 1, params.coupling_b)
+        q, s = division(params.roots, mask, 1, params.coupling_b)
+        assert (_poly(op.charge), _poly(op.scalar)) == (q * op.scale, s * op.scale)
     assert calls == []
 
 
@@ -222,6 +233,56 @@ def test_cutoff_and_coupling_fields():
     assert op.cutoff == 1
     # [2m + 2a(N-1) + 4b][2m + 1 + 2a(N-1) + 2b] at N=2, a=1, b=0, m=2
     assert external_field_coupling(ModelParams(2, 1, 0, 2)) == 42
+
+
+def test_building_a_sector_forms_no_fraction(monkeypatch):
+    # b = -1/2 makes every mask valid; a and the roots are over 3, 9, 11 and 99
+    params = ModelParams(2, Fraction(2, 3), Fraction(-1, 2), 3,
+                         (Fraction(5, 9), Fraction(-3, 11), Fraction(-28, 99)))
+    masks = list_valid_masks(params)
+    assert masks == ALL_MASKS
+    for mask in masks:  # from here on `ints` and the term entries exist
+        build_matrix(build_gauged_operator(params, mask))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for mask in masks:
+        build_matrix(build_gauged_operator(params, mask))
+    monkeypatch.undo()
+    assert made == []
+
+
+_TWELFTHS = tuple(range(1, 13))
+
+
+@given(st.just(Fraction(0)) | rationals(-6, 6, _TWELFTHS), rationals(-6, 6, _TWELFTHS),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 4),
+       rationals(-6, 6, _TWELFTHS), rationals(-6, 6, _TWELFTHS))
+def test_weights_equal_the_fraction_formulas(a, b, cutoff, n_f, nvars, e1, e2):
+    # `apply` and the matrix read the same table, so neither can check it;
+    # m puts the masks of size n_f at the drawn cutoff
+    params = ModelParams(nvars, a, b, cutoff - n_f * (b - HALF), (e1, e2, -e1 - e2))
+    m = params.degree_m
+    p = weierstrass_cubic(*cubic_invariants(params.roots))
+    masks = list_valid_masks(params)
+    assert masks
+    for mask in masks:
+        q, s = gauge_polynomials(params.roots, mask, HALF - b, b)
+        expected = {("V", 0): m * (12 * b + 8 * a * (nvars - 1) + 4 * m + 2)}
+        for r in range(4):
+            p_r, q_r = p.coefficient((r,)), q.coefficient((r,))
+            expected["p", r], expected["s", r] = p_r, s.coefficient((r,))
+            expected["2a.p", r], expected["2a.q", r] = 2 * a * p_r, 2 * a * q_r
+            expected["drift", r] = 2 * q_r + (b + HALF) * (r + 1) * p.coefficient((r + 1,))
+        d, weights = build_gauged_operator(params, mask).weights
+        assert all(weights.values())
+        assert {term: Fraction(w, d) for term, w in weights.items()} == {
+            term: x for term, x in expected.items() if x}
 
 
 # -- applying the operator ------------------------------------------------------------
@@ -270,15 +331,18 @@ def test_potential_coefficient_property(a, b, m):
     # for the ungauged sector the image of 1 is the potential term alone
     params = ModelParams(2, a, b, m)
     op = build_gauged_operator(params, EMPTY)
-    expected = potential_coefficient(params)
+    d, weights = op.weights
+    expected = Fraction(weights.get(("V", 0), 0), d)
     assert op.apply(Poly.constant(2, 1)) == Poly(2, {(1, 0): expected})
     assert expected == Fraction(m) * (12 * b + 8 * a + 4 * m + 2)
+    assert expected == raising_coefficient(params, EMPTY, 0)
 
 
 @given(rationals(), rationals(), st.integers(0, 3))
 def test_potential_matches_raising_at_degree_zero(a, b, m):
     params = ModelParams(2, a, b, m)
-    assert potential_coefficient(params) == raising_coefficient(params, EMPTY, 0)
+    d, weights = build_gauged_operator(params, EMPTY).weights
+    assert Fraction(weights.get(("V", 0), 0), d) == raising_coefficient(params, EMPTY, 0)
 
 
 def _fraction_raising_coefficient(params, mask, degree):
@@ -408,7 +472,7 @@ def test_gauged_operator_stays_frozen_after_apply():
     op = build_gauged_operator(ModelParams(2, Fraction(1, 2), 0, 2), EMPTY)
     op.apply(Poly.constant(2, 1))
     names = [field.name for field in dataclasses.fields(op)]
-    assert names == ["params", "mask", "cutoff", "cubic", "charge", "scalar"]
+    assert names == ["params", "mask", "cutoff", "scale", "cubic", "charge", "scalar"]
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(op, name, getattr(op, name))
@@ -479,9 +543,11 @@ def test_apply_equals_the_z_space_formula(nvars):
         f = Poly(nvars, {exps: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                          for exps in rng.sample(list(build_matrix(op).basis), 4)})
         big_f = to_sympy(f, taus)
-        p, q, s = (to_sympy(c, (x,)) for c in (op.cubic, op.charge, op.scalar))
+        p, q, s = (sp.Add(*(sp.Rational(c, op.scale) * x**r for r, c in coeffs.items()))
+                   for coeffs in (op.cubic, op.charge, op.scalar))
         drift = 2 * q + rational(b + HALF) * sp.diff(p, x)
-        image = rational(potential_coefficient(params)) * taus[0] * big_f
+        m = params.degree_m
+        image = rational(m * (12 * b + 8 * a * (nvars - 1) + 4 * m + 2)) * taus[0] * big_f
         for zk in z:
             fk = sp.diff(big_f, zk)
             image -= (p.subs(x, zk) * sp.diff(fk, zk) + drift.subs(x, zk) * fk

@@ -127,8 +127,8 @@ def test_gauge_exponents_check_sees_a_perturbed_closed_form_scalar(monkeypatch):
     original = operator._natural_gauge_polynomials
 
     def perturbed(roots, mask, coupling_b):
-        charge, scalar = original(roots, mask, coupling_b)
-        return charge, scalar + Poly.constant(1, Fraction(1, 3))
+        scale, cubic, charge, scalar = original(roots, mask, coupling_b)
+        return scale, cubic, charge, {**scalar, 0: scalar.get(0, 0) + 1}
 
     monkeypatch.setattr(operator, "_natural_gauge_polynomials", perturbed)
     [result] = verify.run_checks(only=["gauge-exponents"])
