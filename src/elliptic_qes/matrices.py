@@ -15,8 +15,8 @@ lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
 columns.  The weights D c_j are the operator's own table,
 `GaugedOperator.weights`, which `apply` reads too.  Each sector sums the
 entries of its S_j once, in ints, and images every basis column from them by
-exponent shifts in tau-space.  Assembly never
-passes through z-space; `GaugedOperator.apply` stays the independent oracle.
+exponent shifts in tau-space.  Assembly never passes through z-space;
+`GaugedOperator.apply` stays the independent oracle for the term matrices.
 
 Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
@@ -143,9 +143,9 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space, as K / D.
 
     K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
-    their denominators (`GaugedOperator.weights`).  Once per sector, the entries of
-    `_term_entries` of non-zero weight are scaled and summed per derivative
-    index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
+    their denominators (`GaugedOperator.weights`).  Once per sector, the
+    entries of `_term_entries` of non-zero weight are scaled and summed per
+    derivative index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
     tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l of K is
     each summed entry shifted by l and times the falling factor of its index.
     The images hold every component, those above the sector cutoff included,
@@ -195,6 +195,8 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     and C; every other column follows from them by the tau-space formula.
     So this checks the closed-form coefficients of a built matrix against
     the operator they were derived from, at C(N+2, 2) applications at most.
+    Both read the same `GaugedOperator.weights`, so a wrong weight passes:
+    this checks the term matrices and the assembly, not the weight table.
     """
     basis, d = mat.basis, mat.denominator
     return all(
