@@ -129,12 +129,13 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
                   *, z_space: bool = False) -> None:
     """Refuse N above MAX_PARTICLES, work above MAX_TOTAL_DIMENSION and, with
     ``z_space`` (`matrix`), a z-space check above MAX_CHECK_WORK, before
-    anything is built.  Invalid masks are skipped; building them reports the error."""
+    anything is built.  Every mask's cutoff is decided first, so an invalid mask
+    raises InvalidDegree before a sweep forms its grid."""
     n = params.nvars
     if n > MAX_PARTICLES:
         raise ValueError(f"N = {n} is above the limit of {MAX_PARTICLES} particles")
-    valid = [mask for mask in masks if params.sector_is_valid(mask)]
-    total = points * sum(_dimension(params, mask) for mask in valid)
+    cutoffs = [params.cutoff(mask) for mask in masks]
+    total = points * sum(_dimension(params, mask) for mask in masks)
     if total > MAX_TOTAL_DIMENSION:
         try:
             text = str(total)
@@ -145,7 +146,7 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
         raise ValueError(f"the requested sectors have total dimension {text}, above the limit "
                          f"{MAX_TOTAL_DIMENSION}")
     s = 2**n - 1  # sum_i C(N, i), and sum_i C(N, i)^2 = C(2N, N) - 1
-    for cutoff in (params.cutoff(mask) for mask in valid if z_space):
+    for cutoff in cutoffs if z_space else []:
         terms = 1 + s * (cutoff >= 1) + (s * s + comb(2 * n, n) - 1) // 2 * (cutoff >= 2)
         if (work := comb(n, 2) * terms) > MAX_CHECK_WORK:
             raise ValueError(f"the z-space check takes work {work}, above the limit "

@@ -72,6 +72,16 @@ def _as_fraction(x: RationalLike, name: str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _integer_roots(roots: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(r, the roots times r), r the lcm of their denominators; ValueError
+    unless the roots sum to zero, tested in ints."""
+    r = lcm(*(x.denominator for x in roots))
+    e = tuple(x.numerator * (r // x.denominator) for x in roots)
+    if sum(e) != 0:
+        raise ValueError(f"roots must sum to zero, got {' + '.join(map(str, roots))}")
+    return r, e
+
+
 def cubic_invariants(
     roots: tuple[RationalLike, RationalLike, RationalLike],
 ) -> tuple[Fraction, Fraction]:
@@ -81,11 +91,8 @@ def cubic_invariants(
     The symmetric functions are formed in ints, with the roots times the lcm
     r of their denominators, and each invariant is one Fraction over r^2 or r^3.
     """
-    fs = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in roots)
-    r = lcm(*(x.denominator for x in fs))
-    e1, e2, e3 = (x.numerator * (r // x.denominator) for x in fs)
-    if e1 + e2 + e3 != 0:
-        raise ValueError(f"roots must sum to zero, got {fs[0]} + {fs[1]} + {fs[2]}")
+    r, (e1, e2, e3) = _integer_roots(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                                           for x in roots))
     return Fraction(-4 * (e1 * e2 + e1 * e3 + e2 * e3), r * r), Fraction(4 * e1 * e2 * e3, r**3)
 
 
@@ -110,8 +117,7 @@ class ModelParams:
         if len(self.roots) != 3:
             raise ValueError(f"exactly three roots required, got {len(self.roots)}")
         e = tuple(_as_fraction(r, "root") for r in self.roots)
-        if sum(e) != 0:
-            raise ValueError(f"roots must sum to zero, got {e[0]} + {e[1]} + {e[2]}")
+        _integer_roots(e)
         object.__setattr__(self, "roots", e)
         object.__setattr__(self, "_hash", hash((self.nvars, self.coupling_a, self.coupling_b,
                                                 self.degree_m, e)))

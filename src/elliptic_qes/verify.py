@@ -4,8 +4,10 @@ Ten named checks compare the operator pipeline against the independent
 oracles: hand-derived reference matrices, closed-form eigenvalue families,
 the oscillator limit, the counting formulas, invariant-space closure, gauge
 pole cancellation, the degree-raising coefficient, two-particle decoupling,
-the spectral-flow degeneracy pattern, and eigensolver invariants.  Each check
-returns a CheckResult; the CLI turns failures into a nonzero exit code.
+the spectral-flow degeneracy pattern, and eigensolver invariants.  A check
+returns the detail of its pass or raises `_Failed` with the detail of its
+failure; `_run_guarded` alone turns either, or any other exception, into a
+CheckResult, and the CLI turns failures into a nonzero exit code.
 
 Randomized checks draw from seeded generators, one per check, so any subset
 selected with ``only`` sees the same parameter tuples as a full run.
@@ -75,6 +77,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+class _Failed(Exception):
+    """A check's failure; its message is the detail the runner reports."""
 
 
 def report_json(results: list[CheckResult]) -> dict:
@@ -160,10 +166,18 @@ def _closure_grid(store: _SectorStore) -> list[GridEntry]:
     return grid
 
 
+# The parameter points of the exact checks on eigenvalues, which
+# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms`, the
+# (m, b) of `decoupling` and the (eps, a) of `figure-degeneracy`.
+_CLOSED_FORM_A = (Fraction(0), Fraction(1, 2), Fraction(5))
+_DECOUPLING = tuple((m, b) for m in (1, 2) for b in (Fraction(0), Fraction(1, 4)))
+_FLOW = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)), (Fraction(1, 2), Fraction(5)))
+
+
 # -- individual checks -----------------------------------------------------------
 
 
-def _check_matrices(store: _SectorStore) -> CheckResult:
+def _check_matrices(store: _SectorStore) -> str:
     """Five random rational parameter tuples: the built 6x6 sector and the
     three 3x3 double-mask sectors (at b = 0) must equal the hand-derived
     references entry for entry."""
@@ -174,115 +188,75 @@ def _check_matrices(store: _SectorStore) -> CheckResult:
         b = _random_fraction(rng, -3, 3, (1, 2, 3))
         roots = _random_roots(rng)
         _, built = store.sector(ModelParams(2, a, b, 2, roots), _EMPTY)
-        expected = reference_empty_mask_matrix(a, b, roots)
-        if built != OperatorMatrix(built.basis, expected):
-            return CheckResult(
-                "matrices",
-                False,
-                f"6x6 mismatch at a={a}, b={b}, roots={roots}",
-            )
+        if built != OperatorMatrix(built.basis, reference_empty_mask_matrix(a, b, roots)):
+            raise _Failed(f"6x6 mismatch at a={a}, b={b}, roots={roots}")
         compared += 1
         params0 = ModelParams(2, a, 0, 2, roots)
         for i in (1, 2, 3):
-            mask = mask_for_unmasked_index(i)
-            _, built3 = store.sector(params0, mask)
+            _, built3 = store.sector(params0, mask_for_unmasked_index(i))
             if built3 != OperatorMatrix(built3.basis, reference_double_mask_matrix(a, roots, i)):
-                return CheckResult(
-                    "matrices",
-                    False,
-                    f"3x3 mismatch for unmasked root {i} at a={a}, roots={roots}",
-                )
+                raise _Failed(f"3x3 mismatch for unmasked root {i} at a={a}, roots={roots}")
             compared += 1
-    return CheckResult(
-        "matrices",
-        True,
-        f"{compared} matrices over 5 random rational tuples match the "
-        "hand-derived references exactly",
-    )
+    return (f"{compared} matrices over 5 random rational tuples match the "
+            "hand-derived references exactly")
 
 
-def _check_closed_forms(store: _SectorStore) -> CheckResult:
+def _check_closed_forms(store: _SectorStore) -> str:
     """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues follow
     nine closed linear-in-a forms (three values shared between two sectors,
     two sectors identical): each sector's characteristic polynomial equals
     the product of (t - x) over its closed-form values."""
     count = 0
-    for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
+    for a in _CLOSED_FORM_A:
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
         forms = degenerate_closed_forms(a)
         for mask in list_valid_masks(params):
             values = forms.sector_values(str(mask))
             chi = store.sector(params, mask)[1].charpoly()
             if chi != from_roots(values):
-                return CheckResult(
-                    "closed-forms",
-                    False,
-                    f"a={a}, mask {mask}: characteristic polynomial {chi} is not the "
-                    "closed-form product",
-                )
+                raise _Failed(f"a={a}, mask {mask}: characteristic polynomial {chi} is not "
+                              "the closed-form product")
             count += len(values)
-    return CheckResult(
-        "closed-forms",
-        True,
-        f"{count} eigenvalues at a in {{0, 1/2, 5}}: each sector's characteristic "
-        "polynomial equals the product of (t - x) over its closed forms",
-    )
+    return (f"{count} eigenvalues at a in {{0, 1/2, 5}}: each sector's characteristic "
+            "polynomial equals the product of (t - x) over its closed forms")
 
 
-def _check_oscillator() -> CheckResult:
+def _check_oscillator() -> str:
     """At a = b = 0 every algebraic eigenvalue is an even two-oscillator
     level 3(j1^2 + j2^2) - 40: dividing those (t - level) out of each
     sector's characteristic polynomial leaves 1."""
     report = oscillator_membership()
     if not report.ok:
-        return CheckResult("oscillator", False, report.witness)
+        raise _Failed(report.witness)
     parities = ", ".join(f"{k}:{v}" for k, v in sorted(report.sector_parities.items()))
-    return CheckResult(
-        "oscillator",
-        True,
-        f"all {len(report.assignments)} eigenvalues are even oscillator levels, "
-        f"with multiplicity (sector parities {parities})",
-    )
+    return (f"all {len(report.assignments)} eigenvalues are even oscillator levels, "
+            f"with multiplicity (sector parities {parities})")
 
 
-def _check_counting() -> CheckResult:
+def _check_counting() -> str:
     """Counting formula versus actual sector dimensions: N=2, m=2 gives 15;
     exact agreement for all N <= 4 and m in {0, 1/2, ..., 4}; the N=1
     integer-m count is 4m + 1."""
     report = count_symmetric_solutions(2, 2)
     if report.total != 15 or not report.matches:
-        return CheckResult(
-            "counting",
-            False,
-            f"N=2, m=2: sector total {report.total}, formula {report.formula}",
-        )
+        raise _Failed(f"N=2, m=2: sector total {report.total}, formula {report.formula}")
     cells = 0
     for nvars in (1, 2, 3, 4):
         m = Fraction(0)
         while m <= 4:
             r = count_symmetric_solutions(nvars, m)
             if not r.matches:
-                return CheckResult(
-                    "counting",
-                    False,
-                    f"N={nvars}, m={m}: sector total {r.total} != formula {r.formula}",
-                )
+                raise _Failed(f"N={nvars}, m={m}: sector total {r.total} != formula {r.formula}")
             cells += 1
             m += Fraction(1, 2)
     for k in range(5):
         if counting_formula(1, k) != 4 * k + 1:
-            return CheckResult(
-                "counting", False, f"N=1, m={k}: formula {counting_formula(1, k)} != {4 * k + 1}"
-            )
-    return CheckResult(
-        "counting",
-        True,
-        f"N=2, m=2 gives 15; formula matches sector dimensions on {cells} "
-        "(N, m) cells; N=1 integer count is 4m+1",
-    )
+            raise _Failed(f"N=1, m={k}: formula {counting_formula(1, k)} != {4 * k + 1}")
+    return (f"N=2, m=2 gives 15; formula matches sector dimensions on {cells} "
+            "(N, m) cells; N=1 integer count is 4m+1")
 
 
-def _check_closure(store: _SectorStore) -> CheckResult:
+def _check_closure(store: _SectorStore) -> str:
     """Every valid sector on the random grid builds a matrix without leaving
     the invariant space and without a surviving gauge pole, and on a sample
     of cutoff-2 sectors every column equals the image that
@@ -293,21 +267,13 @@ def _check_closure(store: _SectorStore) -> CheckResult:
         if not matches_operator(op, mat):
             params = op.params
             roots = ",".join(map(str, params.roots))
-            return CheckResult(
-                "closure",
-                False,
-                f"mask {op.mask}, N={params.nvars}, m={params.degree_m}, "
-                f"a={params.coupling_a}, b={params.coupling_b}, roots {roots}: "
-                "the tau-space matrix differs from the z-space images",
-            )
-    return CheckResult(
-        "closure",
-        True,
-        f"{len(grid)} sectors (all masks, N <= 3, cutoff <= 3, 5 random "
-        "tuples per cell) closed on their invariant spaces; "
-        f"{len(sample)} cutoff-2 sectors with a, g3 and 1/2 +- b non-zero "
-        "cross-checked against z-space images",
-    )
+            raise _Failed(f"mask {op.mask}, N={params.nvars}, m={params.degree_m}, "
+                          f"a={params.coupling_a}, b={params.coupling_b}, roots {roots}: "
+                          "the tau-space matrix differs from the z-space images")
+    return (f"{len(grid)} sectors (all masks, N <= 3, cutoff <= 3, 5 random "
+            "tuples per cell) closed on their invariant spaces; "
+            f"{len(sample)} cutoff-2 sectors with a, g3 and 1/2 +- b non-zero "
+            "cross-checked against z-space images")
 
 
 def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
@@ -335,7 +301,7 @@ def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
     return sample
 
 
-def _check_gauge_exponents() -> CheckResult:
+def _check_gauge_exponents() -> str:
     """Pole cancellation holds exactly for exponents 0 and 1/2 - b on every
     mask, at 1/2 - b with the q and s of the operator the engine builds (one
     variable, cutoff 0); exponent 1/3 at b = 0 must raise NonCancellingPole on
@@ -354,8 +320,8 @@ def _check_gauge_exponents() -> CheckResult:
             q, s = gauge_polynomials(roots, mask, half - b, b)
             closed = [Poly(1, {(r,): x for r, x in c.items()}) for c in (op.charge, op.scalar)]
             if [q * op.scale, s * op.scale] != closed:
-                return CheckResult("gauge-exponents", False, f"closed-form q, s differ from "
-                                   f"the division on mask {mask} at roots {roots}, b = {b}")
+                raise _Failed(f"closed-form q, s differ from the division on mask {mask} "
+                              f"at roots {roots}, b = {b}")
             gauge_polynomials(roots, mask, Fraction(0), b)
             successes += 2
             if not mask.indices:
@@ -365,33 +331,25 @@ def _check_gauge_exponents() -> CheckResult:
             except NonCancellingPole:
                 failures += 1
             else:
-                return CheckResult(
-                    "gauge-exponents",
-                    False,
-                    f"exponent 1/3 left no pole on mask {mask} with simple "
-                    f"roots {roots}",
-                )
+                raise _Failed(f"exponent 1/3 left no pole on mask {mask} with simple "
+                              f"roots {roots}")
     double = tuple(map(Fraction, DEGENERATE_ROOTS))
     try:
         gauge_polynomials(double, GaugeMask((2, 3)), third, Fraction(0))
     except NonCancellingPole as exc:
-        return CheckResult("gauge-exponents", False,
-                           f"double root failed to cancel exponent 1/3: {exc}")
+        raise _Failed(f"double root failed to cancel exponent 1/3: {exc}") from None
     try:
         gauge_polynomials(double, GaugeMask((1, 2)), third, Fraction(0))
-        return CheckResult("gauge-exponents", False, "exponent 1/3 on a simple root cancelled")
     except NonCancellingPole:
         failures += 1
-    return CheckResult(
-        "gauge-exponents",
-        True,
-        f"{successes} valid exponents cancelled exactly; {successes // 2} closed-form "
-        f"q, s agree with the division at 1/2 - b; {failures} simple-root sectors "
-        "rejected exponent 1/3; a double root cancels any exponent",
-    )
+    else:
+        raise _Failed("exponent 1/3 on a simple root cancelled")
+    return (f"{successes} valid exponents cancelled exactly; {successes // 2} closed-form "
+            f"q, s agree with the division at 1/2 - b; {failures} simple-root sectors "
+            "rejected exponent 1/3; a double root cancels any exponent")
 
 
-def _check_raising(store: _SectorStore) -> CheckResult:
+def _check_raising(store: _SectorStore) -> str:
     """The degree-raising coefficient formula holds exactly at every degree
     up to the cutoff for every sector on the random grid."""
     checked = 0
@@ -399,42 +357,25 @@ def _check_raising(store: _SectorStore) -> CheckResult:
         for degree in range(op.cutoff + 1):
             if not raising_coefficient_check(op, degree, mat):
                 params = op.params
-                return CheckResult(
-                    "raising",
-                    False,
-                    f"coefficient mismatch at degree {degree}, mask {op.mask}, "
-                    f"N={params.nvars}, m={params.degree_m}, b={params.coupling_b}",
-                )
+                raise _Failed(f"coefficient mismatch at degree {degree}, mask {op.mask}, "
+                              f"N={params.nvars}, m={params.degree_m}, b={params.coupling_b}")
             checked += 1
-    return CheckResult(
-        "raising",
-        True,
-        f"raising coefficient exact at {checked} (sector, degree) pairs",
-    )
+    return f"raising coefficient exact at {checked} (sector, degree) pairs"
 
 
-def _check_decoupling() -> CheckResult:
+def _check_decoupling() -> str:
     """With the interaction off (a = 0) the two-particle spectrum is the
     multiset of pairwise sums of the one-particle spectrum: their power sums
     agree exactly up to the two-particle dimension."""
-    for m in (1, 2):
-        for b in (Fraction(0), Fraction(1, 4)):
-            report = decoupling_check(b, m)
-            if not report.ok:
-                k = next(k for k, (x, y) in enumerate(zip(report.two_particle, report.pair_sums))
-                         if x != y)
-                return CheckResult(
-                    "decoupling",
-                    False,
-                    f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum is "
-                    f"{report.two_particle[k]}, of the pair sums {report.pair_sums[k]}",
-                )
-    return CheckResult(
-        "decoupling",
-        True,
-        "two-particle spectra are pairwise sums for m in {1,2}, b in {0,1/4}: "
-        "power sums p_0..p_dim agree exactly",
-    )
+    for m, b in _DECOUPLING:
+        report = decoupling_check(b, m)
+        if not report.ok:
+            k = next(k for k, (x, y) in enumerate(zip(report.two_particle, report.pair_sums))
+                     if x != y)
+            raise _Failed(f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum is "
+                          f"{report.two_particle[k]}, of the pair sums {report.pair_sums[k]}")
+    return ("two-particle spectra are pairwise sums for m in {1,2}, b in {0,1/4}: "
+            "power sums p_0..p_dim agree exactly")
 
 
 def _coprime(f: Poly, g: Poly) -> bool:
@@ -449,44 +390,28 @@ def _coprime(f: Poly, g: Poly) -> bool:
     return f.leading()[0] == (0,)
 
 
-def _check_figure_degeneracy(store: _SectorStore) -> CheckResult:
+def _check_figure_degeneracy(store: _SectorStore) -> str:
     """Along the root family (2, -1+eps, -1-eps) at b=0, N=m=2: at eps=0 the
     characteristic polynomial of mask 23 divides that of the 6-dimensional
     sector and masks 13 and 12 have equal ones; at eps=1/2, a=5 both pairs
     are coprime, so every such coincidence is gone."""
-
-    def chi(params: ModelParams, mask: tuple[int, ...]) -> Poly:
-        return store.sector(params, GaugeMask(mask))[1].charpoly()
-
-    for a in (Fraction(0), Fraction(5)):
-        params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        try:
-            chi(params, ()).divide_exact(chi(params, (2, 3)))
-        except NonZeroRemainder:
-            return CheckResult(
-                "figure-degeneracy",
-                False,
-                f"eps=0, a={a}: mask 23 does not share its eigenvalues with the 6x6 sector",
-            )
-        if chi(params, (1, 3)) != chi(params, (1, 2)):
-            return CheckResult(
-                "figure-degeneracy",
-                False,
-                f"eps=0, a={a}: the two root-1 masked sectors have different spectra",
-            )
-
-    params = ModelParams(2, 5, 0, 2, epsilon_roots(Fraction(1, 2)))
-    if not (_coprime(chi(params, ()), chi(params, (2, 3)))
-            and _coprime(chi(params, (1, 3)), chi(params, (1, 2)))):
-        return CheckResult(
-            "figure-degeneracy", False, "eps=1/2, a=5: a cross-sector coincidence survives"
-        )
-    return CheckResult(
-        "figure-degeneracy",
-        True,
-        "degeneracy pattern holds exactly at eps=0 (mask 23 divides none, 13 equals 12) "
-        "and is fully broken at eps=1/2, a=5 (both pairs coprime)",
-    )
+    for eps, a in _FLOW:
+        params = ModelParams(2, a, 0, 2, epsilon_roots(eps))
+        none, m23, m13, m12 = (store.sector(params, GaugeMask(mask))[1].charpoly()
+                               for mask in ((), (2, 3), (1, 3), (1, 2)))
+        if eps == 0:
+            try:
+                none.divide_exact(m23)
+            except NonZeroRemainder:
+                raise _Failed(f"eps=0, a={a}: mask 23 does not share its eigenvalues with the "
+                              "6x6 sector") from None
+            if m13 != m12:
+                raise _Failed(f"eps=0, a={a}: the two root-1 masked sectors have different "
+                              "spectra")
+        elif not (_coprime(none, m23) and _coprime(m13, m12)):
+            raise _Failed(f"eps={eps}, a={a}: a cross-sector coincidence survives")
+    return ("degeneracy pattern holds exactly at eps=0 (mask 23 divides none, 13 equals 12) "
+            "and is fully broken at eps=1/2, a=5 (both pairs coprime)")
 
 
 # -- eigensolver invariants -------------------------------------------------------
@@ -502,22 +427,21 @@ def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spec
             mat = store.sector(params, mask)[1]
             pool[params, mask] = (label, mat, spectrum_of(mat))
 
-    for a in (Fraction(0), Fraction(1, 2), Fraction(5)):
+    for a in _CLOSED_FORM_A:
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
         for mask in list_valid_masks(params):
             add(params, mask, f"degenerate a={a} mask {mask}")
-    for m in (1, 2):
-        for b in (Fraction(0), Fraction(1, 4)):
-            add(ModelParams(1, 0, b, m, DEGENERATE_ROOTS), _EMPTY, f"1-var m={m} b={b}")
-            add(ModelParams(2, 0, b, m, DEGENERATE_ROOTS), _EMPTY, f"2-var m={m} b={b}")
-    for eps, a in ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)), (Fraction(1, 2), Fraction(5))):
+    for m, b in _DECOUPLING:
+        for nvars in (1, 2):
+            add(ModelParams(nvars, 0, b, m, DEGENERATE_ROOTS), _EMPTY, f"{nvars}-var m={m} b={b}")
+    for eps, a in _FLOW:
         params = ModelParams(2, a, 0, 2, epsilon_roots(eps))
         for mask in list_valid_masks(params):
             add(params, mask, f"flow eps={eps} a={a} mask {mask}")
     return list(pool.values())
 
 
-def _check_eigensolver(store: _SectorStore) -> CheckResult:
+def _check_eigensolver(store: _SectorStore) -> str:
     """On every matrix of `_invariant_pool`: the eigenvalue product matches
     the exact determinant (relative 1e-8), the values equal their conjugates
     as a multiset, exactly (LAPACK gives each complex pair of a real matrix
@@ -537,14 +461,9 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
         det_defect = abs(product - det) / max(1.0, abs(det))
         worst_det = max(worst_det, det_defect)
         if det_defect > 1e-8:
-            return CheckResult(
-                "eigensolver",
-                False,
-                f"{label}: eigenvalue product {product} vs determinant {det}",
-            )
+            raise _Failed(f"{label}: eigenvalue product {product} vs determinant {det}")
         if unpaired := Counter(values) - Counter(v.conjugate() for v in values):
-            return CheckResult("eigensolver", False, f"{label}: eigenvalue "
-                               f"{next(iter(unpaired))} has no conjugate partner")
+            raise _Failed(f"{label}: eigenvalue {next(iter(unpaired))} has no conjugate partner")
 
     rng = random.Random(1010)
     worst_sim = 0.0
@@ -564,24 +483,16 @@ def _check_eigensolver(store: _SectorStore) -> CheckResult:
         defect = max(abs(x - y) for x, y in zip(moved, spec.values)) / scale
         worst_sim = max(worst_sim, defect)
         if defect > 1e-8:
-            return CheckResult(
-                "eigensolver",
-                False,
-                f"{label}: similarity transform moved the spectrum by {defect:.3e}",
-            )
-    return CheckResult(
-        "eigensolver",
-        True,
-        f"trace, determinant, and conjugate pairing hold on {len(pool)} matrices "
-        f"(worst determinant defect {worst_det:.2e}); 5 similarity transforms "
-        f"preserve spectra (worst defect {worst_sim:.2e})",
-    )
+            raise _Failed(f"{label}: similarity transform moved the spectrum by {defect:.3e}")
+    return (f"trace, determinant, and conjugate pairing hold on {len(pool)} matrices "
+            f"(worst determinant defect {worst_det:.2e}); 5 similarity transforms "
+            f"preserve spectra (worst defect {worst_sim:.2e})")
 
 
 # -- runner -----------------------------------------------------------------------
 
 # Every check in run order; `run_checks` hands each the run's sector store.
-_CHECKS: dict[str, Callable[[_SectorStore], CheckResult]] = {
+_CHECKS: dict[str, Callable[[_SectorStore], str]] = {
     "matrices": _check_matrices,
     "closed-forms": _check_closed_forms,
     "oscillator": lambda _: _check_oscillator(),
@@ -601,8 +512,8 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
     """Run the named verification checks (all ten by default), in order.
 
     Raises ValueError when ``only`` names an unknown check or no check at all.
-    A check that raises is reported as failed with the exception's type and
-    message.
+    A failed check reports its own detail; a check that raises any other
+    exception is reported as failed with the exception's type and message.
     """
     requested = list(CHECK_NAMES) if only is None else list(only)
     if not requested:
@@ -617,7 +528,13 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
 
 
 def _run_guarded(name: str, store: _SectorStore) -> CheckResult:
+    """Run one check: passed with the detail it returns, failed with the
+    detail of its `_Failed`, or failed with the type and message of any
+    other exception, since a crashed check is a failed check."""
     try:
-        return _CHECKS[name](store)
-    except Exception as exc:  # a crashed check is a failed check
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        passed, detail = True, _CHECKS[name](store)
+    except _Failed as exc:
+        passed, detail = False, str(exc)
+    except Exception as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, passed, detail)

@@ -146,6 +146,20 @@ def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
     assert len(json.loads(out)["sectors"][0]["eigenvalues"]) == 1
 
 
+
+def test_sweep_with_an_invalid_named_mask_exits_2_before_forming_its_grid(capsys, monkeypatch):
+    """Mask 1 has cutoff 3/2 at m = 2, b = 0: the budget check refuses it by
+    name, so a million-point sweep neither forms its grid nor builds."""
+    calls = []
+    monkeypatch.setattr(cli, "_grid", lambda *args: calls.append("_grid") or [])
+    monkeypatch.setattr(cli, "build_gauged_operator",
+                        lambda *args: calls.append("build_gauged_operator"))
+    code, out, err = run(capsys, "sweep", "--sweep-var", "a", "--range", "0:1:1000000",
+                         "--n", "2", "--m", "2", "--mask", "1")
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("error: mask 1 shifts the degree cutoff to 3/2, which is not a non-negative "
+                   "integer; no invariant space exists\n")
+
 @pytest.mark.parametrize(
     ("n", "m", "work"),
     [
@@ -171,7 +185,7 @@ def test_z_space_limit_admits_its_timed_inputs_and_bounds_the_checked_terms(caps
     none = GaugeMask.from_string("none")
     for n, m in ((6, 2), (10, 1), (2, 8)):
         cli._check_budget(ModelParams(n, 0, 0, m), [none], z_space=True)
-    # an invalid mask is left to the build, which names it
+    # an invalid mask is refused by name
     code, _, err = run(capsys, "matrix", "--n", "12", "--mask", "1")
     assert code == 2 and "mask 1 shifts the degree cutoff" in err
     # with every check refused, the message reports the work: C(N, 2) pairs

@@ -49,6 +49,29 @@ def test_params_validation():
         ModelParams(2, 0.5, 0, 1)  # binary floats are not exact
 
 
+def test_the_roots_sum_test_runs_in_ints_with_one_message(monkeypatch):
+    """ModelParams and cubic_invariants share one sum-to-zero test over the
+    roots' common denominator: building a parameter set from Fractions forms
+    no Fraction, and both refuse a non-zero sum with the same text."""
+    a, b, m = Fraction(2, 3), Fraction(-1, 2), Fraction(3)
+    roots = (Fraction(5, 9), Fraction(-3, 11), Fraction(-28, 99))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    ModelParams(2, a, b, m, roots)
+    monkeypatch.undo()
+    assert made == []
+    bad = (Fraction(1, 2), Fraction(1), Fraction(-1))
+    for build in (lambda: ModelParams(2, 0, 0, 1, bad), lambda: cubic_invariants(bad)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "roots must sum to zero, got 1/2 + 1 + -1"
+
 def test_cubic_invariants():
     # roots (2, -1, -1): g2 = 12, g3 = 8
     assert cubic_invariants((2, -1, -1)) == (Fraction(12), Fraction(8))

@@ -30,6 +30,26 @@ def test_no_import_inside_a_function_and_no_private_name_across_modules():
     assert found == []
 
 
+def _is_check_result(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+
+
+def test_only_the_verify_runner_forms_a_check_result():
+    """In verify.py a check returns its detail string, and `_run_guarded`
+    alone constructs CheckResult."""
+    tree = ast.parse((ROOT / "src" / "elliptic_qes" / "verify.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    [runner] = [f for f in functions if f.name == "_run_guarded"]
+    allowed = {node for node in ast.walk(runner) if _is_check_result(node)}
+    assert allowed
+    found = [f"line {node.lineno} calls CheckResult" for node in ast.walk(tree)
+             if _is_check_result(node) and node not in allowed]
+    found += [f"{f.name} returns {ast.unparse(f.returns) if f.returns else 'no annotation'}"
+              for f in functions if f.name.startswith("_check_")
+              and not (f.returns and ast.unparse(f.returns) == "str")]
+    assert found == []
+
+
 # The span names one warm run of each command records.  Only verify checks
 # matrices against z-space, so only it records the polynomial arithmetic.
 _SPECTRUM = {"operator.build_gauged_operator", "matrices.build_matrix",

@@ -45,13 +45,13 @@ def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
     store = verify._SectorStore()
     sample = verify._cross_check_sample(store)
     assert len(sample) == 24
-    assert verify._check_closure(store).passed
+    assert verify._run_guarded("closure", store).passed
     op, mat = sample[-1]
     rows = [list(row) for row in mat.rows]
     rows[0][0] += 1
     tampered = OperatorMatrix(mat.basis, tuple(map(tuple, rows)))
     store._sectors[op.params, op.mask] = (op, tampered)
-    result = verify._check_closure(store)
+    result = verify._run_guarded("closure", store)
     assert not result.passed
     assert f"mask {op.mask}, N={op.params.nvars}" in result.detail
 
@@ -165,7 +165,7 @@ def test_eigensolver_check_fails_when_a_transform_moves_the_spectrum(monkeypatch
         return dataclasses.replace(spec, values=tuple(v + 1e-6 * scale for v in spec.values))
 
     monkeypatch.setattr(verify, "eigenvalues", shifted)
-    result = verify._check_eigensolver(verify._SectorStore())
+    result = verify._run_guarded("eigensolver", verify._SectorStore())
     assert not result.passed
     assert "similarity transform moved the spectrum" in result.detail
 
@@ -182,7 +182,7 @@ def test_eigensolver_transforms_are_exact_similarities_that_move_the_matrix(monk
 
     monkeypatch.setattr(verify, "to_float", capturing)
     store = verify._SectorStore()
-    assert verify._check_eigensolver(store).passed
+    assert verify._run_guarded("eigensolver", store).passed
     pool = [mat for _, mat, _ in verify._invariant_pool(store)]
     # the pool's spectra come from `spectrum_of`; the check converts only the transforms
     assert len(converted) == 5
@@ -245,3 +245,38 @@ def test_exact_checks_fail_on_a_near_miss_matrix(monkeypatch):
     assert [r.name for r in results] == names
     assert [r.passed for r in results] == [False] * 4, results
 
+
+
+class _RecordingStore(verify._SectorStore):
+    """A sector store that records the (params, mask) keys read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = set()
+
+    def sector(self, params, mask):
+        self.keys.add((params, mask))
+        return super().sector(params, mask)
+
+
+def test_eigensolver_pool_is_every_sector_the_exact_checks_read(monkeypatch):
+    """The pool holds the sectors whose characteristic polynomials
+    `closed-forms` and `figure-degeneracy` read from the store and the N=1
+    and N=2 sectors that the `decoupling` oracle builds, and no other."""
+    store = _RecordingStore()
+    for name in ("closed-forms", "figure-degeneracy"):
+        assert verify._run_guarded(name, store).passed
+    built = set()
+    original = oracles.build_gauged_operator
+
+    def recording(params, mask):
+        built.add((params, mask))
+        return original(params, mask)
+
+    monkeypatch.setattr(oracles, "build_gauged_operator", recording)
+    assert verify._run_guarded("decoupling", store).passed
+    assert {params.nvars for params, _ in built} == {1, 2}
+    pool_store = _RecordingStore()
+    pool = verify._invariant_pool(pool_store)
+    assert len(pool) == len(pool_store.keys)
+    assert pool_store.keys == store.keys | built
