@@ -24,6 +24,7 @@ verification or convergence failure, 2 a parameter error or a refused size.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -378,30 +379,39 @@ def cmd_eigenfunctions(args: argparse.Namespace) -> int:
         f"dimension {mat.dim}",
         f"gauge prefix: {_gauge_prefix_text(params, mask)}",
     ]
-    names = [_monomial_name(exps) for exps in mat.basis]
-    anchors = np.argmax(np.abs(vectors), axis=0)
-    for value, vec, anchor in zip(spectrum.values, vectors.T, anchors):
-        phase = vec[anchor] / abs(vec[anchor])
-        vec = vec / phase
-        printed = np.flatnonzero(np.abs(vec) >= 1e-12)
-        text = ""
-        for c, k in zip(vec[printed].tolist(), printed.tolist()):
-            name = names[k]
-            if abs(c.imag) < 1e-9:
-                sign, c_text = ("-", f"{-c.real:.9g}") if c.real < 0 else ("+", f"{c.real:.9g}")
-            else:
-                sign, c_text = "+", f"({c.real:.9g}{c.imag:+.9g}j)"
-            term = c_text if name == "1" else f"{c_text}*{name}"
-            if not text:
-                text = term if sign == "+" else f"-{term}"
-            else:
-                text += f" {sign} {term}"
+    factors = _polynomial_factors(vectors, [_monomial_name(exps) for exps in mat.basis])
+    for value, text in zip(spectrum.values, factors, strict=True):
         value_text = (
             f"{value.real:.9g}" if abs(value.imag) < 1e-9 else f"{value.real:.9g}{value.imag:+.9g}j"
         )
         lines.append(f"eigenvalue {value_text}: polynomial factor {text}")
     _emit("\n".join(lines), args.out)
     return 0
+
+
+# A printed term by kind 0-2: positive, negative, complex; kinds 3-5 open a factor.
+_TERM_PIECES = (" + %.9g", " - %.9g", " + (%.9g%+.9gj)", "\n%.9g", "\n-%.9g", "\n(%.9g%+.9gj)")
+
+
+def _polynomial_factors(vectors: np.ndarray, names: list[str]) -> list[str]:
+    """The text of each column of ``vectors`` over the monomials ``names``, scaled
+    so that its entry of largest modulus is real and positive, without terms
+    below 1e-12 or imaginary parts below 1e-9.  One ``%`` fills one template
+    for all columns from one flat tuple of floats: each term's value, then its
+    imaginary part if it has one."""
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    terms = (vectors / (peaks / np.abs(peaks))).T  # one row per column, walked in order
+    re, im = terms.real, terms.imag
+    real = np.abs(im) < 1e-9
+    negative = real & (re < 0)
+    printed = np.abs(terms) >= 1e-12
+    kind = np.where(real, negative, 2) + 3 * (np.cumsum(printed, axis=1) == 1)
+    suffixes = ["" if name == "1" else "*" + name for name in names]
+    pieces = np.array([[piece + s for piece in _TERM_PIECES] for s in suffixes], dtype=object)
+    template = "".join(pieces[np.nonzero(printed)[1], kind[printed]])
+    keep = np.stack([printed, printed & ~real], -1)  # a value, then the imaginary part if complex
+    slots = np.stack([np.where(negative, -re, re), im], -1)[keep]
+    return (template % tuple(slots.tolist())).split("\n")[1:]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -445,7 +455,9 @@ def _add_param_flags(sub: argparse.ArgumentParser, *, roots_default: str | None)
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="elliptic-qes",
         description="Exact sector matrices and spectra of a quasi-exactly-solvable "

@@ -39,7 +39,7 @@ from operator import mul
 import numpy as np
 
 from .errors import OperatorNotClosed
-from .operator import GaugedOperator, Term, raising_coefficient
+from .operator import GaugedOperator, Term, raising_ratio
 from .polynomials import Exponents, Poly, parse_rational
 from .symmetric import BasisIndex, enumerate_basis, structure_sums
 
@@ -272,23 +272,23 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
     """Verify the closed-form degree-raising coefficient at one tau-degree.
 
     For every basis monomial t of the given degree, the degree-(degree+1)
-    part of its image must equal coeff * tau_1 * t exactly, with coeff from
-    `raising_coefficient`: the degree-(degree+1) entries of column t of K
-    are exactly {tau_1 t: coeff D}.  At the cutoff there is no higher degree
-    in the basis, so the coefficient itself must vanish there.
+    part of its image must equal coeff * tau_1 * t exactly, with coeff = num /
+    den from `raising_ratio`: the degree-(degree+1) entries of column t of K
+    are exactly {tau_1 t: k} with k den == num D, compared in ints.  At the
+    cutoff there is no higher degree in the basis, so num itself must vanish.
     """
     if not 0 <= degree <= op.cutoff:
         raise ValueError(f"degree must lie in [0, {op.cutoff}], got {degree}")
-    expected = raising_coefficient(op.params, op.mask, degree)
+    num, den = raising_ratio(op.params, op.mask, degree)
     if degree == op.cutoff:
-        return expected == 0
+        return num == 0
     basis = matrix.basis
-    k = expected * matrix.denominator
+    k = num * matrix.denominator
     for j, exps in enumerate(basis):
         if sum(exps) != degree:
             continue
         want = {basis.index_of((exps[0] + 1,) + exps[1:]): k} if k else {}
-        if {i: v for i, v in matrix.columns[j] if sum(basis[i]) == degree + 1} != want:
+        if {i: v * den for i, v in matrix.columns[j] if sum(basis[i]) == degree + 1} != want:
             return False
     return True
 

@@ -47,7 +47,12 @@ Term = tuple[str, int]
 
 
 def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> Fraction:
-    """Predicted degree-raising coefficient at the given tau-degree.
+    """`raising_ratio`: the predicted degree-raising coefficient, as a Fraction."""
+    return Fraction(*raising_ratio(params, mask, degree))
+
+
+def raising_ratio(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> tuple[int, int]:
+    """Predicted degree-raising coefficient as ints (num, den), den > 0, unreduced.
 
     The component of the gauged operator that raises tau-degree by one sends
     every degree-d monomial t to  coeff(d) * tau_1 * t  with
@@ -56,14 +61,15 @@ def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Frac
 
     mt the sector's shifted degree cutoff.  The factor (d - mt) annihilates
     the top degree, which is what closes the operator on the finite space.
-    Both factors are formed in ints, times 2 c e: `ModelParams.ints`, e = den d.
+    Both factors are formed in ints, times 2 c e: `ModelParams.ints`, e = den d,
+    so coeff(d) = -top rest / (c e)^2.
     """
     c, a, b, m = params.ints
     d, e = degree.as_integer_ratio()
     n_f, half, d, a, b, m = mask.n_f, c * e, 2 * c * d, 2 * e * a, 2 * e * b, 2 * e * m
     top = d - m - n_f * (b - half)
     rest = d + m + 2 * a * (params.nvars - 1) + (3 - n_f) * b + (1 + n_f) * half
-    return Fraction(-top * rest, half * half)
+    return -top * rest, half * half
 
 
 def gauge_polynomials(

@@ -58,13 +58,15 @@ def _diagonalize(matrix: np.ndarray, vectors: bool) -> tuple[Spectrum, np.ndarra
     order = sorted(range(len(raw)), key=lambda k: (raw[k].real, raw[k].imag))
     values = tuple(complex(raw[k]) for k in order)
 
+    # ||a|| = s ||a / s|| for s the largest |entry|, which cannot overflow
     trace = float(np.trace(a))
-    scale = max(1.0, abs(trace), float(np.linalg.norm(a)))
+    s = float(np.abs(a).max()) or 1.0
+    norm = float(np.linalg.norm(a / s))
     defect = abs(sum(values) - trace)
-    if defect > _TRACE_TOL * scale:
+    if not (defect <= _TRACE_TOL * max(1.0, abs(trace)) or defect / s <= _TRACE_TOL * norm):
         raise NoConvergence(
             f"eigenvalue sum deviates from trace by {defect:.3e} "
-            f"(allowed {_TRACE_TOL * scale:.3e})"
+            f"(allowed {_TRACE_TOL * max(1.0, abs(trace), s * norm):.3e})"
         )
     return Spectrum(values, 0, defect), None if vecs is None else vecs[:, order].astype(complex)
 
@@ -74,7 +76,7 @@ def eigenvalues(matrix: np.ndarray) -> Spectrum:
 
     A LAPACK failure raises NoConvergence.  The sum of the returned values is
     checked against the matrix trace at 1e-9 relative to max(1, |trace|,
-    Frobenius norm) on every call; a larger defect raises NoConvergence.
+    Frobenius norm) on every call; a larger or NaN defect raises NoConvergence.
     """
     return _diagonalize(matrix, vectors=False)[0]
 

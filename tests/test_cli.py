@@ -587,6 +587,100 @@ def test_eigenfunctions_show_gauge_prefix(capsys):
     assert "(z_k - 2)^(1/2)" in out
 
 
+# SHA-256 of the stdout of two eigenfunctions commands, recorded with
+# OPENBLAS_NUM_THREADS=1 from the per-term formatter `_term_by_term` below: a
+# Jordan point with complex terms (dim 15) and the benchmark's dim-66 sector.
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (("--n", "2", "--m", "4", "--a=-3"),
+         "21bda37381c3709b7b86fa5fb20c1ce3f7e7dc526892f00b6d6f91e8f7148540"),
+        (("--n", "2", "--m", "10", "--mask", "none", "--a=1", "--roots=5/3,2/3,-7/3"),
+         "cc64edde5a04c23f68b9077c3b5a260d43b518ec4ea3d9590249c778a318efd0"),
+    ],
+    ids=["jordan", "dim66"],
+)
+def test_eigenfunctions_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "eigenfunctions", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _term_by_term(vectors: np.ndarray, names: list[str]) -> list[str]:
+    """Reference for `cli._polynomial_factors`: each column phased by its entry
+    of largest modulus and printed one term at a time."""
+    texts = []
+    anchors = np.argmax(np.abs(vectors), axis=0)
+    for vec, anchor in zip(vectors.T, anchors):
+        phase = vec[anchor] / abs(vec[anchor])
+        vec = vec / phase
+        printed = np.flatnonzero(np.abs(vec) >= 1e-12)
+        text = ""
+        for c, k in zip(vec[printed].tolist(), printed.tolist()):
+            name = names[k]
+            if abs(c.imag) < 1e-9:
+                sign, c_text = ("-", f"{-c.real:.9g}") if c.real < 0 else ("+", f"{c.real:.9g}")
+            else:
+                sign, c_text = "+", f"({c.real:.9g}{c.imag:+.9g}j)"
+            term = c_text if name == "1" else f"{c_text}*{name}"
+            if not text:
+                text = term if sign == "+" else f"-{term}"
+            else:
+                text += f" {sign} {term}"
+        texts.append(text)
+    return texts
+
+
+def test_polynomial_factors_match_the_term_by_term_reference():
+    """Seeded random complex columns and columns at each formatting edge: a
+    real part -0.0, |Im| just under and over 1e-9, |c| just under and over
+    1e-12, and a first printed term that is negative or complex.  The edge
+    columns hold 1.0 as their largest entry, so phasing leaves them exact."""
+    names = [cli._monomial_name(exps) for exps in enumerate_basis(2, 3)]
+    dim = len(names)
+    rng = np.random.default_rng(7)
+    size = 10.0 ** rng.uniform(-14, 0, (dim, 3 * dim))
+    angle = np.exp(2j * np.pi * rng.uniform(size=(dim, 3 * dim)))
+    random = size * angle
+    random[:, dim:2 * dim] = random[:, dim:2 * dim].real  # real columns, random sign
+    random[:, 2 * dim:] = random[:, 2 * dim:].real * np.exp(0.3j)  # one shared phase
+    edges = []
+    for entries in ([-0.0 - 5e-10j, 0.3 + 0.99e-9j, 0.3 - 1.01e-9j, -0.2 - 0.99e-9j],
+                    [0.99e-12, -1.01e-12, 1.01e-12j, 0.5 + 1.01e-9j],
+                    [-0.4, 0.25, -0.0 + 0.99e-9j, 1e-13 - 1e-13j],
+                    [0.2 + 0.3j, -0.5, 0.0, -0.99e-12],
+                    [0.0, 0.99e-12j, -1.01e-12 + 0j, 0.7 - 0.0j]):
+        column = np.zeros(dim, dtype=complex)
+        column[:len(entries)] = entries
+        column[dim - 1] = 1.0
+        edges.append(column)
+    vectors = np.column_stack([random, *edges])
+    expected = _term_by_term(vectors, names)
+    assert cli._polynomial_factors(vectors, names) == expected
+    assert expected[-len(edges):] == [
+        "-0 + 0.3*t1 + (0.3-1.01e-09j)*t2 - 0.2*t1^2 + 1*t2^3",
+        "-1.01e-12*t1 + 0*t2 + (0.5+1.01e-09j)*t1^2 + 1*t2^3",
+        "-0.4 + 0.25*t1 + 0*t2 + 1*t2^3",
+        "(0.2+0.3j) - 0.5*t1 + 1*t2^3",
+        "-1.01e-12*t2 + 0.7*t1^2 + 1*t2^3",
+    ]
+
+
+def test_one_parser_serves_every_call_without_carrying_state(capsys):
+    """The parser is built once per process; a parse error and a one-mask
+    spectrum leave a later default spectrum printing every valid sector."""
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--format", "xml"])
+    assert info.value.code == 2
+    code, out, _ = run(capsys, "spectrum", "--mask", "none")
+    assert code == 0 and [s["mask"] for s in json.loads(out)["sectors"]] == ["none"]
+    code, out, _ = run(capsys, "spectrum")
+    valid = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
+    assert code == 0 and [s["mask"] for s in json.loads(out)["sectors"]] == valid
+    assert len(valid) > 1
+
+
 # -- verify ----------------------------------------------------------------------------------
 
 

@@ -22,7 +22,12 @@ from elliptic_qes.matrices import (
     raising_coefficient_check,
 )
 from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
-from elliptic_qes.operator import GaugedOperator, build_gauged_operator, raising_coefficient
+from elliptic_qes.operator import (
+    GaugedOperator,
+    build_gauged_operator,
+    raising_coefficient,
+    raising_ratio,
+)
 from elliptic_qes.oracles import (
     mask_for_unmasked_index,
     reference_double_mask_matrix,
@@ -477,6 +482,26 @@ def test_raising_check_fails_when_d_times_the_coefficient_is_not_integral():
         coarse = OperatorMatrix(mat.basis, denominator=1, columns=tuple(rounded))
         assert (coeff * coarse.denominator).denominator != 1
         assert not raising_coefficient_check(op, degree, coarse)
+
+
+def test_the_raising_check_compares_in_ints(monkeypatch):
+    """coeff = num / den from `raising_ratio`; an entry k passes when
+    k den == num D, so the check forms no Fraction."""
+    op = build_gauged_operator(ModelParams(3, Fraction(2, 7), Fraction(1, 3), 3), EMPTY)
+    mat = build_matrix(op)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    passed = [raising_coefficient_check(op, d, mat) for d in range(op.cutoff + 1)]
+    monkeypatch.undo()
+    assert passed == [True] * (op.cutoff + 1) and made == []
+    num, den = raising_ratio(op.params, op.mask, 0)
+    assert Fraction(num, den) == raising_coefficient(op.params, op.mask, 0) != 0 and den > 0
 
 
 def test_json_round_trip():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,6 +304,29 @@ def test_trace_gate_rejects_a_shifted_spectrum(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: lapack(a) + 1e-6)
     with pytest.raises(NoConvergence, match="trace"):
         eigenvalues(np.diag([1.0, 2.0, 3.0]))
+
+
+def test_trace_gate_rejects_a_nan_spectrum(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), np.nan))
+    with pytest.raises(NoConvergence, match="trace"):
+        eigenvalues(np.diag([1.0, 2.0, 3.0]))
+
+
+def test_trace_gate_scale_does_not_overflow(monkeypatch, capsys):
+    """Entries near 1e200 overflow a plain Frobenius norm (its square is
+    above the double range): the gate still measures the defect, with no
+    RuntimeWarning, and rejects a wrong value at that scale."""
+    big = np.diag([1e200, 2e200, 3e200])
+    lapack = np.linalg.eigvals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalues(big).values == (1e200, 2e200, 3e200)
+        assert main(["spectrum", "--n", "2", "--m", "2", "--mask", "none",
+                     "--a=1" + "0" * 200]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: lapack(a) * np.array([1, 1, 4 / 3]))
+        with pytest.raises(NoConvergence, match="trace"):
+            eigenvalues(big)
 
 
 def test_eigendecomposition_failure_raises_no_convergence_and_exits_1(monkeypatch, capsys):
