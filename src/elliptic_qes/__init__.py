@@ -5,8 +5,8 @@ The pipeline: `ModelParams` fixes couplings, degree, and cubic roots;
 `build_gauged_operator` constructs the exact gauged differential operator for
 one of eight gauge sectors; `build_matrix` represents it on its invariant
 space of symmetric polynomials; `spectrum_of` diagonalizes the result.  The
-`oracles` module carries independent cross-checks and `verify.run_checks`
-runs the built-in verification suite.
+`oracles` module holds reference data derived without the engine, and
+`verify.run_checks` runs the built-in verification suite against it.
 """
 
 from .errors import (
@@ -37,16 +37,12 @@ from .operator import (
     GaugedOperator,
     build_gauged_operator,
     gauge_polynomials,
-    raising_coefficient,
 )
 from .oracles import (
-    count_symmetric_solutions,
     counting_formula,
-    decoupling_check,
     degenerate_closed_forms,
     epsilon_roots,
     oscillator_energy,
-    oscillator_membership,
 )
 from .polynomials import Poly, parse_rational, weierstrass_cubic
 from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of
@@ -73,10 +69,8 @@ __all__ = [
     "Spectrum",
     "build_gauged_operator",
     "build_matrix",
-    "count_symmetric_solutions",
     "counting_formula",
     "cubic_invariants",
-    "decoupling_check",
     "degenerate_closed_forms",
     "eigenvalues",
     "eigenvector",
@@ -89,9 +83,7 @@ __all__ = [
     "list_valid_masks",
     "matrix_from_json",
     "oscillator_energy",
-    "oscillator_membership",
     "parse_rational",
-    "raising_coefficient",
     "raising_coefficient_check",
     "report_json",
     "run_checks",

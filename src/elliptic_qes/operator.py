@@ -46,11 +46,6 @@ from .symmetric import tau_to_z, z_to_tau
 Term = tuple[str, int]
 
 
-def raising_coefficient(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> Fraction:
-    """`raising_ratio`: the predicted degree-raising coefficient, as a Fraction."""
-    return Fraction(*raising_ratio(params, mask, degree))
-
-
 def raising_ratio(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> tuple[int, int]:
     """Predicted degree-raising coefficient as ints (num, den), den > 0, unreduced.
 

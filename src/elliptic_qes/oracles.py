@@ -1,65 +1,33 @@
-"""Independent cross-checks for the operator pipeline.
+"""Reference data for the operator pipeline, derived by routes that do not go
+through the operator engine.
 
-The reference data here is derived by a route that does not go through the
-operator engine: hand-computed reference matrices for the N=2, m=2 sectors,
-closed-form eigenvalue families for the degenerate root configuration
-(2, -1, -1), the decoupled-oscillator spectrum at a = b = 0, the
-algebraic-solution counting formulas, and the additive structure of
-two-particle spectra at a = 0.  Tests and the verification runner compare
-pipeline output against these oracles.  The oscillator and decoupling
-oracles build their sectors through the public pipeline
-(`build_gauged_operator`, `build_matrix`) and test the exact characteristic
-polynomial (`OperatorMatrix.charpoly`) against the independent structure;
-everything else shares no code with the engine beyond scalar arithmetic.
+Hand-computed reference matrices for the N=2, m=2 sectors, the closed-form
+eigenvalue families for the degenerate root configuration (2, -1, -1), the
+levels of the decoupled-oscillator limit at a = b = 0, the algebraic-solution
+counting formula and the root family of the spectral-flow sweeps.  Nothing
+here builds a sector: the `verify` checks and the tests compare the sectors
+they build against this data, and it shares no code with the engine beyond
+scalar arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import NonZeroRemainder
-from .matrices import build_matrix
-from .model import GaugeMask, ModelParams, cubic_invariants, list_valid_masks
-from .operator import build_gauged_operator
-from .polynomials import Coeff, Poly, RationalLike, from_roots
+from .model import GaugeMask, cubic_invariants
+from .polynomials import RationalLike
 
-# Not called here: the benchmark's tracer wraps `spectrum_of` where each
-# module binds it, `oracles` included, so the name stays bound.
+# Not called here: the benchmark's tracer wraps these names where each module
+# binds them, `oracles` included, so they stay bound.
+from .matrices import build_matrix  # noqa: F401
+from .operator import build_gauged_operator  # noqa: F401
 from .spectral import spectrum_of  # noqa: F401
 
 DEGENERATE_ROOTS: tuple[int, int, int] = (2, -1, -1)
 
-_J_BOUND = 5  # largest oscillator quantum number searched
-
 
 # -- counting ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectorCount:
-    """One valid gauge sector: mask, shifted degree cutoff, space dimension."""
-
-    mask: str
-    cutoff: int
-    dimension: int
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Mask-by-mask dimension count against the closed-form total."""
-
-    nvars: int
-    degree_m: Fraction
-    coupling_b: Fraction
-    sectors: tuple[SectorCount, ...]
-    total: int
-    formula: int
-
-    @property
-    def matches(self) -> bool:
-        return self.total == self.formula
 
 
 def _choose(top: int, k: int) -> int:
@@ -88,39 +56,6 @@ def counting_formula(nvars: int, degree_m: RationalLike) -> int:
         k = int(m - Fraction(1, 2))
         return 3 * _choose(k + n, n) + _choose(k - 1 + n, n)
     raise ValueError(f"degree must be an integer or half-integer, got {m}")
-
-
-def count_symmetric_solutions(
-    nvars: int,
-    degree_m: RationalLike,
-    coupling_b: RationalLike = 0,
-) -> CountReport:
-    """Enumerate valid sectors and compare their total dimension to the formula.
-
-    The closed-form formula describes the b = 0 sector structure; at other b
-    the report still lists the actual sectors and the match flag simply
-    records whether the b = 0 formula happens to agree.
-    """
-    m = Fraction(degree_m)
-    b = Fraction(coupling_b)
-    params = ModelParams(nvars, 0, b, m)
-    sectors = tuple(
-        SectorCount(
-            mask=str(mask),
-            cutoff=params.cutoff(mask),
-            dimension=params.basis_dimension(mask),
-        )
-        for mask in list_valid_masks(params)
-    )
-    total = sum(s.dimension for s in sectors)
-    return CountReport(
-        nvars=nvars,
-        degree_m=m,
-        coupling_b=b,
-        sectors=sectors,
-        total=total,
-        formula=counting_formula(nvars, m),
-    )
 
 
 # -- hand-derived reference matrices (N = 2, m = 2) ---------------------------
@@ -195,38 +130,26 @@ def mask_for_unmasked_index(i: int) -> GaugeMask:
 # -- degenerate closed forms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerateSpectra:
-    """Exact eigenvalue families at roots (2, -1, -1), b=0, N=m=2.
+def degenerate_closed_forms(a: RationalLike) -> dict[str, tuple[Fraction, ...]]:
+    """Exact eigenvalue families at roots (2, -1, -1), b=0, N=m=2, sorted, by
+    mask name.
 
     All fifteen algebraic eigenvalues are linear in a.  The 6-dimensional
-    sector splits into a triple of its own plus a triple shared with the
-    sector that leaves root 1 unmasked; the two sectors that mask root 1
-    have identical spectra for every a (their matrices coincide when
-    e2 = e3).
+    sector `none` splits into a triple of its own plus a triple shared with
+    the sector `23` that leaves root 1 unmasked; the two sectors `13` and `12`
+    that mask root 1 have one spectrum for every a (their matrices coincide
+    when e2 = e3).
     """
-
-    unshared: tuple[Fraction, Fraction, Fraction]
-    shared: tuple[Fraction, Fraction, Fraction]
-    paired: tuple[Fraction, Fraction, Fraction]
-
-    def sector_values(self, mask: str) -> tuple[Fraction, ...]:
-        if mask == "none":
-            return tuple(sorted(self.unshared + self.shared))
-        if mask == "23":
-            return tuple(sorted(self.shared))
-        if mask in ("13", "12"):
-            return tuple(sorted(self.paired))
-        raise ValueError(f"no closed form for mask {mask!r}")
-
-
-def degenerate_closed_forms(a: RationalLike) -> DegenerateSpectra:
     a = Fraction(a)
-    return DegenerateSpectra(
-        unshared=(-8 * (5 + 4 * a), -4 * (7 + 2 * a), 8 * (1 + 2 * a)),
-        shared=(-8 * (2 + a), 4 * (5 + 4 * a), 8 * (7 + 2 * a)),
-        paired=(-2 * (17 + 10 * a), -2 * (5 - 2 * a), 2 * (7 + 2 * a)),
-    )
+    shared = (-8 * (2 + a), 4 * (5 + 4 * a), 8 * (7 + 2 * a))
+    unshared = (-8 * (5 + 4 * a), -4 * (7 + 2 * a), 8 * (1 + 2 * a))
+    paired = tuple(sorted((-2 * (17 + 10 * a), -2 * (5 - 2 * a), 2 * (7 + 2 * a))))
+    return {
+        "none": tuple(sorted(unshared + shared)),
+        "23": tuple(sorted(shared)),
+        "13": paired,
+        "12": paired,
+    }
 
 
 # -- oscillator limit ----------------------------------------------------------
@@ -235,102 +158,6 @@ def degenerate_closed_forms(a: RationalLike) -> DegenerateSpectra:
 def oscillator_energy(j1: int, j2: int) -> int:
     """Energy 3(j1^2 + j2^2) - 40 of the decoupled-oscillator limit."""
     return 3 * (j1 * j1 + j2 * j2) - 40
-
-
-@dataclass(frozen=True)
-class OscillatorAssignment:
-    mask: str
-    eigenvalue: int
-    levels: tuple[int, int]  # (j1, j2) with j1 >= j2
-
-
-@dataclass(frozen=True)
-class OscillatorReport:
-    ok: bool
-    assignments: tuple[OscillatorAssignment, ...]
-    sector_parities: dict[str, str]
-    witness: str | None
-
-
-def oscillator_membership() -> OscillatorReport:
-    """Check that every algebraic eigenvalue at a=b=0, roots (2,-1,-1) is an
-    even-parity two-oscillator level 3(j1^2+j2^2) - 40.
-
-    For each j1 >= j2 >= 0 up to 5 with j1 + j2 even, (t - level) is divided
-    out of each sector's characteristic polynomial as often as it divides
-    exactly, one assignment each time; what is left must be 1.  Also records
-    the per-sector parity of the matched levels: the ungauged sector and the
-    one leaving root 1 unmasked land on even (j1, j2), the other two on odd.
-    """
-    params = ModelParams(2, 0, 0, 2, DEGENERATE_ROOTS)
-    levels = [(j1, j2) for j1 in range(_J_BOUND + 1) for j2 in range(j1 % 2, j1 + 1, 2)]
-    assignments: list[OscillatorAssignment] = []
-    parities: dict[str, str] = {}
-    witness: str | None = None
-    for mask in list_valid_masks(params):
-        chi = build_matrix(build_gauged_operator(params, mask)).charpoly()
-        kinds = set()
-        for j1, j2 in levels:
-            energy = oscillator_energy(j1, j2)
-            try:
-                while True:
-                    chi = chi.divide_exact(from_roots((energy,)))
-                    assignments.append(OscillatorAssignment(str(mask), energy, (j1, j2)))
-                    kinds.add("even" if j1 % 2 == 0 else "odd")
-            except NonZeroRemainder:
-                pass
-        if chi != Poly.constant(1, 1) and witness is None:
-            witness = f"mask {mask}: characteristic polynomial leaves {chi} after the levels"
-        if len(kinds) == 1:
-            parities[str(mask)] = kinds.pop()
-        else:
-            parities[str(mask)] = "mixed" if kinds else "unmatched"
-    return OscillatorReport(witness is None, tuple(assignments), parities, witness)
-
-
-# -- two-particle decoupling ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecouplingReport:
-    """Power sums p_k = tr(M^k), k = 0..dim M2, of the one- and two-particle
-    sectors and of the one-particle pair sums."""
-
-    ok: bool
-    one_particle: tuple[Coeff, ...]
-    two_particle: tuple[Coeff, ...]
-    pair_sums: tuple[Coeff, ...]
-
-
-def _power_sums(chi: Poly, count: int) -> tuple[Coeff, ...]:
-    """p_0..p_(count-1) of the roots of a monic univariate chi, by Newton's
-    identities: p_k = -k c_k - sum_{0<i<k} c_i p_(k-i), with c_i the
-    coefficient of t^(n-i)."""
-    n = chi.leading()[0][0]
-    c = [chi.coefficient((n - i,)) for i in range(count)]
-    p = [n]
-    for k in range(1, count):
-        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
-    return tuple(p)
-
-
-def decoupling_check(coupling_b: RationalLike, degree_m: RationalLike) -> DecouplingReport:
-    """At a = 0 the two-particle ungauged spectrum is the multiset of pairwise
-    sums (with repetition) of the one-particle spectrum with the same b and m
-    at roots (2, -1, -1); the interaction term is the only coupling between
-    variables.  Exactly: for k = 0..dim M2 the two-particle power sums equal
-    those of the pair sums, (1/2)[sum_r C(k, r) p_r p_(k-r) + 2^k p_k] in
-    the one-particle p_r; over Q these fix the multiset, k = 0 its size.
-    """
-    m1, m2 = (build_matrix(build_gauged_operator(
-        ModelParams(n, 0, coupling_b, degree_m, DEGENERATE_ROOTS), GaugeMask(()))) for n in (1, 2))
-    count = m2.dim + 1
-    p1, p2 = (_power_sums(m.charpoly(), count) for m in (m1, m2))
-    pairs = tuple(
-        Fraction(sum(comb(k, r) * p1[r] * p1[k - r] for r in range(k + 1)) + 2**k * p1[k], 2)
-        for k in range(count)
-    )
-    return DecouplingReport(p2 == pairs, p1, p2, pairs)
 
 
 # -- root families -----------------------------------------------------------

@@ -1,13 +1,14 @@
 """Built-in verification suite.
 
-Ten named checks compare the operator pipeline against the independent
-oracles: hand-derived reference matrices, closed-form eigenvalue families,
-the oscillator limit, the counting formulas, invariant-space closure, gauge
-pole cancellation, the degree-raising coefficient, two-particle decoupling,
-the spectral-flow degeneracy pattern, and eigensolver invariants.  A check
-returns the detail of its pass or raises `_Failed` with the detail of its
-failure; `_run_guarded` alone turns either, or any other exception, into a
-CheckResult, and the CLI turns failures into a nonzero exit code.
+Ten named checks compare the operator pipeline against the reference data
+of `oracles` and against structure it must have: hand-derived reference
+matrices, closed-form eigenvalue families, the oscillator limit, the counting
+formula, invariant-space closure, gauge pole cancellation, the degree-raising
+coefficient, two-particle decoupling, the spectral-flow degeneracy pattern,
+and eigensolver invariants.  A check returns the detail of its pass or
+raises `_Failed` with the detail of its failure; `_run_guarded` alone turns
+either, or any other exception, into a CheckResult, and the CLI turns
+failures into a nonzero exit code.
 
 Randomized checks draw from seeded generators, one per check, so any subset
 selected with ``only`` sees the same parameter tuples as a full run.
@@ -19,11 +20,10 @@ checks test, as exact identities of characteristic polynomials; only
 `eigensolver` diagonalizes, and it leaves the eigenvalue sum to the trace gate
 of `spectrum_of`.  The store builds a sector's operator and matrix at most
 once per run, keyed by (params, mask), whose hash the parameter set forms once
-and keeps; a matrix keeps its characteristic polynomial, and an operator keeps
-the integer weight table that its matrix and `apply` both read.  The oracles behind
-`oscillator` and `decoupling` build their own sectors, so a few sectors are
-built two or three times per run.  Nothing outlives the run, so repeated runs
-in one process each do the full work.  `gauge-exponents` compares the oracle
+and keeps, and no check builds a sector matrix outside it; a matrix keeps
+its characteristic polynomial, and an operator keeps the integer weight table
+that its matrix and `apply` both read.  Nothing outlives the run, so repeated
+runs in one process each do the full work.  `gauge-exponents` compares the oracle
 division `gauge_polynomials`, times the operator's scale U, with the integer
 maps of U q and U s of one-variable operators from `build_gauged_operator`,
 so it checks the engine's own path;
@@ -36,7 +36,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Callable
 
 from .errors import NonCancellingPole, NonZeroRemainder
@@ -56,17 +56,15 @@ from .model import (
 from .operator import GaugedOperator, build_gauged_operator, gauge_polynomials
 from .oracles import (
     DEGENERATE_ROOTS,
-    count_symmetric_solutions,
     counting_formula,
-    decoupling_check,
     degenerate_closed_forms,
     epsilon_roots,
     mask_for_unmasked_index,
-    oscillator_membership,
+    oscillator_energy,
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
-from .polynomials import Poly, from_roots
+from .polynomials import Coeff, Poly, from_roots
 from .spectral import Spectrum, eigenvalues, spectrum_of
 
 _EMPTY = GaugeMask(())
@@ -167,8 +165,9 @@ def _closure_grid(store: _SectorStore) -> list[GridEntry]:
 
 
 # The parameter points of the exact checks on eigenvalues, which
-# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms`, the
-# (m, b) of `decoupling` and the (eps, a) of `figure-degeneracy`.
+# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms` (whose
+# a = 0 sectors `oscillator` reads too), the (m, b) of `decoupling` and the
+# (eps, a) of `figure-degeneracy`.
 _CLOSED_FORM_A = (Fraction(0), Fraction(1, 2), Fraction(5))
 _DECOUPLING = tuple((m, b) for m in (1, 2) for b in (Fraction(0), Fraction(1, 4)))
 _FLOW = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)), (Fraction(1, 2), Fraction(5)))
@@ -211,7 +210,7 @@ def _check_closed_forms(store: _SectorStore) -> str:
         params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
         forms = degenerate_closed_forms(a)
         for mask in list_valid_masks(params):
-            values = forms.sector_values(str(mask))
+            values = forms[str(mask)]
             chi = store.sector(params, mask)[1].charpoly()
             if chi != from_roots(values):
                 raise _Failed(f"a={a}, mask {mask}: characteristic polynomial {chi} is not "
@@ -221,34 +220,57 @@ def _check_closed_forms(store: _SectorStore) -> str:
             "polynomial equals the product of (t - x) over its closed forms")
 
 
-def _check_oscillator() -> str:
-    """At a = b = 0 every algebraic eigenvalue is an even two-oscillator
-    level 3(j1^2 + j2^2) - 40: dividing those (t - level) out of each
-    sector's characteristic polynomial leaves 1."""
-    report = oscillator_membership()
-    if not report.ok:
-        raise _Failed(report.witness)
-    parities = ", ".join(f"{k}:{v}" for k, v in sorted(report.sector_parities.items()))
-    return (f"all {len(report.assignments)} eigenvalues are even oscillator levels, "
-            f"with multiplicity (sector parities {parities})")
+def _check_oscillator(store: _SectorStore) -> str:
+    """At a = b = 0, roots (2, -1, -1), every algebraic eigenvalue is an even
+    two-oscillator level 3(j1^2 + j2^2) - 40, j1 >= j2 >= 0 up to 5 with
+    j1 + j2 even: dividing (t - level) out of each sector's characteristic
+    polynomial as often as it divides exactly leaves 1.  The sectors land on
+    one parity of (j1, j2) each: the ungauged sector and the one leaving root
+    1 unmasked on even, the other two on odd."""
+    params = ModelParams(2, 0, 0, 2, DEGENERATE_ROOTS)
+    levels = [(j1, from_roots((oscillator_energy(j1, j2),)))
+              for j1 in range(6) for j2 in range(j1 % 2, j1 + 1, 2)]
+    count = 0
+    parities: dict[str, str] = {}
+    for mask in list_valid_masks(params):
+        chi = store.sector(params, mask)[1].charpoly()
+        kinds = set()
+        for j1, factor in levels:
+            try:
+                while True:
+                    chi = chi.divide_exact(factor)
+                    count += 1
+                    kinds.add("even" if j1 % 2 == 0 else "odd")
+            except NonZeroRemainder:
+                pass
+        if chi != Poly.constant(1, 1):
+            raise _Failed(f"mask {mask}: characteristic polynomial leaves {chi} after the levels")
+        parities[str(mask)] = kinds.pop() if len(kinds) == 1 else "mixed"
+    listed = ", ".join(f"{k}:{v}" for k, v in sorted(parities.items()))
+    return (f"all {count} eigenvalues are even oscillator levels, "
+            f"with multiplicity (sector parities {listed})")
+
+
+def _sector_total(nvars: int, m: Fraction) -> int:
+    """The summed dimension of the valid sectors at N = nvars, degree m, b = 0."""
+    params = ModelParams(nvars, 0, 0, m)
+    return sum(params.basis_dimension(mask) for mask in list_valid_masks(params))
 
 
 def _check_counting() -> str:
     """Counting formula versus actual sector dimensions: N=2, m=2 gives 15;
     exact agreement for all N <= 4 and m in {0, 1/2, ..., 4}; the N=1
     integer-m count is 4m + 1."""
-    report = count_symmetric_solutions(2, 2)
-    if report.total != 15 or not report.matches:
-        raise _Failed(f"N=2, m=2: sector total {report.total}, formula {report.formula}")
+    total, formula = _sector_total(2, Fraction(2)), counting_formula(2, 2)
+    if total != 15 or total != formula:
+        raise _Failed(f"N=2, m=2: sector total {total}, formula {formula}")
     cells = 0
     for nvars in (1, 2, 3, 4):
-        m = Fraction(0)
-        while m <= 4:
-            r = count_symmetric_solutions(nvars, m)
-            if not r.matches:
-                raise _Failed(f"N={nvars}, m={m}: sector total {r.total} != formula {r.formula}")
+        for m in (Fraction(k, 2) for k in range(9)):
+            total, formula = _sector_total(nvars, m), counting_formula(nvars, m)
+            if total != formula:
+                raise _Failed(f"N={nvars}, m={m}: sector total {total} != formula {formula}")
             cells += 1
-            m += Fraction(1, 2)
     for k in range(5):
         if counting_formula(1, k) != 4 * k + 1:
             raise _Failed(f"N=1, m={k}: formula {counting_formula(1, k)} != {4 * k + 1}")
@@ -363,17 +385,37 @@ def _check_raising(store: _SectorStore) -> str:
     return f"raising coefficient exact at {checked} (sector, degree) pairs"
 
 
-def _check_decoupling() -> str:
-    """With the interaction off (a = 0) the two-particle spectrum is the
-    multiset of pairwise sums of the one-particle spectrum: their power sums
-    agree exactly up to the two-particle dimension."""
+def _power_sums(chi: Poly, count: int) -> list[Coeff]:
+    """p_0..p_(count-1) of the roots of a monic univariate chi, by Newton's
+    identities: p_k = -k c_k - sum_{0<i<k} c_i p_(k-i), with c_i the
+    coefficient of t^(n-i)."""
+    n = chi.leading()[0][0]
+    c = [chi.coefficient((n - i,)) for i in range(count)]
+    p = [n]
+    for k in range(1, count):
+        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
+    return p
+
+
+def _check_decoupling(store: _SectorStore) -> str:
+    """With the interaction off (a = 0) the two-particle ungauged spectrum at
+    roots (2, -1, -1) is the multiset of pairwise sums (with repetition) of
+    the one-particle spectrum with the same b and m: the interaction term is
+    the only coupling between variables.  Exactly: for k = 0..dim M2 the
+    two-particle power sums equal those of the pair sums,
+    (1/2)[sum_r C(k, r) p_r p_(k-r) + 2^k p_k] in the one-particle p_r; over
+    Q these fix the multiset, k = 0 its size."""
     for m, b in _DECOUPLING:
-        report = decoupling_check(b, m)
-        if not report.ok:
-            k = next(k for k, (x, y) in enumerate(zip(report.two_particle, report.pair_sums))
-                     if x != y)
-            raise _Failed(f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum is "
-                          f"{report.two_particle[k]}, of the pair sums {report.pair_sums[k]}")
+        m1, m2 = (store.sector(ModelParams(n, 0, b, m, DEGENERATE_ROOTS), _EMPTY)[1]
+                  for n in (1, 2))
+        count = m2.dim + 1
+        p1, p2 = (_power_sums(mat.charpoly(), count) for mat in (m1, m2))
+        for k in range(count):
+            pair_sum = Fraction(sum(comb(k, r) * p1[r] * p1[k - r] for r in range(k + 1))
+                             + 2**k * p1[k], 2)
+            if p2[k] != pair_sum:
+                raise _Failed(f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum "
+                              f"is {p2[k]}, of the pair sums {pair_sum}")
     return ("two-particle spectra are pairwise sums for m in {1,2}, b in {0,1/4}: "
             "power sums p_0..p_dim agree exactly")
 
@@ -495,12 +537,12 @@ def _check_eigensolver(store: _SectorStore) -> str:
 _CHECKS: dict[str, Callable[[_SectorStore], str]] = {
     "matrices": _check_matrices,
     "closed-forms": _check_closed_forms,
-    "oscillator": lambda _: _check_oscillator(),
+    "oscillator": _check_oscillator,
     "counting": lambda _: _check_counting(),
     "closure": _check_closure,
     "gauge-exponents": lambda _: _check_gauge_exponents(),
     "raising": _check_raising,
-    "decoupling": lambda _: _check_decoupling(),
+    "decoupling": _check_decoupling,
     "figure-degeneracy": _check_figure_degeneracy,
     "eigensolver": _check_eigensolver,
 }

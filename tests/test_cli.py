@@ -709,3 +709,17 @@ def test_verify_json_shape(capsys):
     assert payload["passed"] is True
     # checks always run in their canonical order, whatever --only lists
     assert [c["name"] for c in payload["checks"]] == ["oscillator", "counting"]
+
+
+# SHA-256 of the stdout of the nine exact checks, whose details print no float;
+# `eigensolver`, left out, prints float defects.  Recorded before the
+# oscillator, decoupling and counting checks moved from oracles into verify.
+EXACT_CHECKS_DIGEST = "a14ea8e4485f8f39535adfb7fc5c3b42a247e4fb80e852f458b14b2fb05a8301"
+
+
+def test_verify_exact_check_text_is_pinned(capsys):
+    exact = ("matrices,closed-forms,oscillator,counting,closure,gauge-exponents,raising,"
+             "decoupling,figure-degeneracy")
+    code, out, _ = run(capsys, "verify", "--only", exact)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_CHECKS_DIGEST

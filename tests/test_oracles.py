@@ -4,18 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from elliptic_qes import verify
 from elliptic_qes.matrices import build_matrix
-from elliptic_qes.model import ModelParams, list_valid_masks
+from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import (
     DEGENERATE_ROOTS,
-    count_symmetric_solutions,
     counting_formula,
-    decoupling_check,
     degenerate_closed_forms,
     epsilon_roots,
     oscillator_energy,
-    oscillator_membership,
     reference_double_mask_matrix,
 )
 from elliptic_qes.polynomials import from_roots
@@ -24,13 +22,21 @@ from elliptic_qes.polynomials import from_roots
 # -- counting ---------------------------------------------------------------------
 
 
+def sectors(nvars, m, b=0):
+    """Each valid sector's (cutoff, dimension), by mask name."""
+    params = ModelParams(nvars, 0, b, m)
+    return {str(mask): (params.cutoff(mask), params.basis_dimension(mask))
+            for mask in list_valid_masks(params)}
+
+
+def total(nvars, m, b=0):
+    """The summed dimension of the valid sectors."""
+    return sum(dimension for _, dimension in sectors(nvars, m, b).values())
+
+
 def test_two_particle_quartic_count():
-    report = count_symmetric_solutions(2, 2)
-    assert report.total == 15
-    assert report.formula == 15
-    assert report.matches
-    by_mask = {s.mask: (s.cutoff, s.dimension) for s in report.sectors}
-    assert by_mask == {
+    assert total(2, 2) == counting_formula(2, 2) == 15
+    assert sectors(2, 2) == {
         "none": (2, 6),
         "12": (1, 3),
         "13": (1, 3),
@@ -40,23 +46,17 @@ def test_two_particle_quartic_count():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_one_particle_integer_count(m):
-    report = count_symmetric_solutions(1, m)
-    assert report.total == 4 * m + 1
-    assert report.matches
+    assert total(1, m) == counting_formula(1, m) == 4 * m + 1
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)])
 def test_one_particle_half_integer_count(m):
-    report = count_symmetric_solutions(1, m)
-    assert report.total == 4 * m + 1
-    assert report.matches
+    assert total(1, m) == counting_formula(1, m) == 4 * m + 1
 
 
 def test_smallest_half_integer_sectors():
-    report = count_symmetric_solutions(1, Fraction(1, 2))
-    assert report.total == 3
-    assert sorted(s.mask for s in report.sectors) == ["1", "2", "3"]
-    assert all(s.cutoff == 0 and s.dimension == 1 for s in report.sectors)
+    assert total(1, Fraction(1, 2)) == counting_formula(1, Fraction(1, 2)) == 3
+    assert sectors(1, Fraction(1, 2)) == {"1": (0, 1), "2": (0, 1), "3": (0, 1)}
 
 
 @pytest.mark.parametrize(
@@ -64,7 +64,7 @@ def test_smallest_half_integer_sectors():
     [(n, Fraction(k, 2)) for n in (2, 3, 4) for k in range(0, 9)],
 )
 def test_formula_matches_enumeration(nvars, m):
-    assert count_symmetric_solutions(nvars, m).matches
+    assert total(nvars, m) == counting_formula(nvars, m)
 
 
 def test_formula_rejects_bad_degree():
@@ -76,10 +76,9 @@ def test_formula_rejects_bad_degree():
 
 def test_count_away_from_reference_coupling():
     # At b = 1/2 only the unmasked sector survives; the closed-form count is
-    # specific to b = 0, so the report flags the mismatch instead of raising.
-    report = count_symmetric_solutions(2, 2, coupling_b=Fraction(1, 2))
-    assert report.total == 6
-    assert not report.matches
+    # specific to b = 0, so the sector total differs from it.
+    assert sectors(2, 2, b=Fraction(1, 2)) == {"none": (2, 6)}
+    assert total(2, 2, b=Fraction(1, 2)) == 6 != counting_formula(2, 2)
 
 
 # -- degenerate closed forms ----------------------------------------------------------
@@ -87,26 +86,26 @@ def test_count_away_from_reference_coupling():
 
 def test_degenerate_closed_forms_at_zero_coupling():
     forms = degenerate_closed_forms(0)
-    assert sorted(forms.unshared) == [-40, -28, 8]
-    assert sorted(forms.shared) == [-16, 20, 56]
-    assert sorted(forms.paired) == [-34, -10, 14]
+    assert forms["none"] == (-40, -28, -16, 8, 20, 56)
+    assert forms["23"] == (-16, 20, 56)
+    assert forms["13"] == forms["12"] == (-34, -10, 14)
 
 
 def test_degenerate_closed_forms_linear_in_coupling():
     forms = degenerate_closed_forms(1)
-    assert -8 * (5 + 4) in forms.unshared
-    assert -8 * (2 + 1) in forms.shared
-    assert -2 * (17 + 10) in forms.paired
+    assert -8 * (5 + 4) in forms["none"] and -8 * (5 + 4) not in forms["23"]
+    assert -8 * (2 + 1) in forms["23"]
+    assert -2 * (17 + 10) in forms["13"]
 
 
 def test_sector_values_sharing_structure():
     forms = degenerate_closed_forms(Fraction(1, 2))
-    assert forms.sector_values("13") == forms.sector_values("12")
-    assert len(forms.sector_values("none")) == 6
-    assert set(forms.sector_values("23")) <= set(forms.sector_values("none"))
-    assert sum(len(forms.sector_values(mask)) for mask in ("none", "23", "13", "12")) == 15
-    with pytest.raises(ValueError):
-        forms.sector_values("1")
+    assert set(forms) == {"none", "23", "13", "12"}
+    assert forms["13"] is forms["12"]
+    assert len(forms["none"]) == 6
+    assert set(forms["23"]) <= set(forms["none"])
+    assert sum(len(values) for values in forms.values()) == 15
+    assert all(list(values) == sorted(values) for values in forms.values())
 
 
 @pytest.mark.parametrize("a", ["-7/2", "-3", "-2", "-3/2", "-5/4", "-1", "-1/2"])
@@ -120,7 +119,7 @@ def test_closed_forms_hold_exactly_where_levels_cross(a):
     forms = degenerate_closed_forms(Fraction(a))
     for mask in list_valid_masks(params):
         mat = build_matrix(build_gauged_operator(params, mask))
-        assert mat.charpoly() == from_roots(forms.sector_values(str(mask))), mask
+        assert mat.charpoly() == from_roots(forms[str(mask)]), mask
 
 
 # -- oscillator limit -------------------------------------------------------------------
@@ -132,50 +131,35 @@ def test_oscillator_energy_examples():
     assert oscillator_energy(1, 1) == -34
 
 
-def assignment(report, mask, value):
-    [found] = [a for a in report.assignments if a.mask == mask and a.eigenvalue == value]
-    return found
-
-
 def test_oscillator_membership():
-    report = oscillator_membership()
-    assert report.ok
-    assert len(report.assignments) == 15
-    assert assignment(report, "23", -16).levels == (2, 2)
-    assert assignment(report, "13", -34).levels == (1, 1)
-    assert report.sector_parities == {
-        "none": "even",
-        "23": "even",
-        "13": "odd",
-        "12": "odd",
-    }
-    for a in report.assignments:
-        j1, j2 = a.levels
-        assert a.eigenvalue == oscillator_energy(j1, j2)
+    """The `oscillator` check divides all 15 eigenvalues out as even levels;
+    the sectors that mask root 1 land on odd (j1, j2), the others on even."""
+    [result] = verify.run_checks(only=["oscillator"])
+    assert result.passed
+    assert result.detail == (
+        "all 15 eigenvalues are even oscillator levels, with multiplicity "
+        "(sector parities 12:odd, 13:odd, 23:even, none:even)")
 
 
 # -- decoupled limit ----------------------------------------------------------------------
 
 
-def power_sums(values, count):
-    return tuple(sum(Fraction(x) ** k for x in values) for k in range(count))
+def charpoly(nvars, m, b=0):
+    """The ungauged sector's characteristic polynomial at a = 0, roots (2, -1, -1)."""
+    params = ModelParams(nvars, 0, b, m, DEGENERATE_ROOTS)
+    return build_matrix(build_gauged_operator(params, GaugeMask(()))).charpoly()
 
 
 def test_decoupling_reports():
-    report = decoupling_check(0, 1)
-    assert report.ok
-    assert report.one_particle == power_sums((-6, 6), 4)
-    assert report.two_particle == report.pair_sums == power_sums((-12, 0, 12), 4)
-
-    report = decoupling_check(0, 2)
-    assert report.ok
-    assert report.one_particle == power_sums((-20, -8, 28), 7)
+    assert charpoly(1, 1) == from_roots((-6, 6))
+    assert charpoly(2, 1) == from_roots((-12, 0, 12))  # the pairwise sums of -6, 6
+    assert charpoly(1, 2) == from_roots((-20, -8, 28))
+    [result] = verify.run_checks(only=["decoupling"])
+    assert result.passed, result.detail
 
 
 def test_decoupling_with_shifted_exponent():
-    report = decoupling_check(Fraction(1, 4), 2)
-    assert report.ok
-    assert report.one_particle == power_sums((-26, -8, 34), 7)
+    assert charpoly(1, 2, b=Fraction(1, 4)) == from_roots((-26, -8, 34))
 
 
 # -- helpers ------------------------------------------------------------------------------

@@ -50,6 +50,22 @@ def test_only_the_verify_runner_forms_a_check_result():
     assert found == []
 
 
+def test_oracles_defines_no_class_and_uses_no_pipeline_function():
+    """oracles.py holds reference data only: it defines no class, and it binds
+    `build_gauged_operator`, `build_matrix` and `spectrum_of` for the tracer
+    without calling them."""
+    tree = ast.parse((ROOT / "src" / "elliptic_qes" / "oracles.py").read_text())
+    pipeline = {"build_gauged_operator", "build_matrix", "spectrum_of"}
+    bound = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert pipeline <= bound
+    found = [f"line {node.lineno} defines class {node.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)]
+    found += [f"line {node.lineno} uses {node.id}" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in pipeline]
+    assert found == []
+
+
 # The span names one warm run of each command records.  Only verify checks
 # matrices against z-space, so only it records the polynomial arithmetic.
 _SPECTRUM = {"operator.build_gauged_operator", "matrices.build_matrix",

@@ -41,6 +41,23 @@ def test_sectors_built_once_per_run_and_not_across_runs(monkeypatch):
     assert sum(second.values()) == sum(first.values())
 
 
+def test_every_sector_is_built_once_per_run_across_modules(monkeypatch):
+    """Counted wherever `verify` and `oracles` bind `build_matrix`, a run
+    builds each of its 547 distinct sectors exactly once."""
+    builds = Counter()
+    for module in (verify, oracles):
+        original = module.build_matrix
+
+        def counting_build(op, original=original):
+            builds[op.params, op.mask] += 1
+            return original(op)
+
+        monkeypatch.setattr(module, "build_matrix", counting_build)
+    assert all(r.passed for r in verify.run_checks())
+    assert len(builds) == 547
+    assert sum(builds.values()) == 547
+
+
 def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
     store = verify._SectorStore()
     sample = verify._cross_check_sample(store)
@@ -239,7 +256,6 @@ def test_exact_checks_fail_on_a_near_miss_matrix(monkeypatch):
                               columns=tuple(tuple(col.items()) for col in columns))
 
     monkeypatch.setattr(verify, "build_matrix", near_miss)
-    monkeypatch.setattr(oracles, "build_matrix", near_miss)
     names = ["closed-forms", "oscillator", "decoupling", "figure-degeneracy"]
     results = verify.run_checks(only=names)
     assert [r.name for r in results] == names
@@ -259,24 +275,15 @@ class _RecordingStore(verify._SectorStore):
         return super().sector(params, mask)
 
 
-def test_eigensolver_pool_is_every_sector_the_exact_checks_read(monkeypatch):
+def test_eigensolver_pool_is_every_sector_the_exact_checks_read():
     """The pool holds the sectors whose characteristic polynomials
-    `closed-forms` and `figure-degeneracy` read from the store and the N=1
-    and N=2 sectors that the `decoupling` oracle builds, and no other."""
+    `closed-forms`, `oscillator`, `decoupling` and `figure-degeneracy` read
+    from the store, and no other."""
     store = _RecordingStore()
-    for name in ("closed-forms", "figure-degeneracy"):
+    for name in ("closed-forms", "oscillator", "decoupling", "figure-degeneracy"):
         assert verify._run_guarded(name, store).passed
-    built = set()
-    original = oracles.build_gauged_operator
-
-    def recording(params, mask):
-        built.add((params, mask))
-        return original(params, mask)
-
-    monkeypatch.setattr(oracles, "build_gauged_operator", recording)
-    assert verify._run_guarded("decoupling", store).passed
-    assert {params.nvars for params, _ in built} == {1, 2}
+    assert {params.nvars for params, _ in store.keys} == {1, 2}
     pool_store = _RecordingStore()
     pool = verify._invariant_pool(pool_store)
     assert len(pool) == len(pool_store.keys)
-    assert pool_store.keys == store.keys | built
+    assert pool_store.keys == store.keys
