@@ -29,7 +29,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -266,8 +268,8 @@ def sweep_rows(
         params = params_at(value)
         for sector_mask in masks:
             spectrum = spectrum_of(build_matrix(build_gauged_operator(params, sector_mask)))
-            for i, v in enumerate(spectrum.values):
-                rows.append((value, str(sector_mask), i, v.real, v.imag))
+            text = str(sector_mask)
+            rows.extend((value, text, i, v.real, v.imag) for i, v in enumerate(spectrum.values))
     return rows
 
 
@@ -288,23 +290,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         roots=explicit_roots,
         mask=args.mask,
     )
+    # one (grid point, sector) group of rows shares its value and mask text
+    groups = groupby(rows, itemgetter(0, 1))
     if args.format == "csv":
         lines = [SWEEP_HEADER]
-        for value, mask, i, re, im in rows:
-            lines.append(f"{float(value)!r},{mask},{i},{re!r},{im!r}")
+        for (value, mask), group in groups:
+            head = f"{float(value)!r},{mask},"
+            lines.extend(f"{head}{i},{re!r},{im!r}" for _, _, i, re, im in group)
         _emit("\n".join(lines), args.out)
     else:
         payload = {
             "sweep_var": args.sweep_var,
             "rows": [
-                {
-                    "value": str(value),
-                    "mask": mask,
-                    "eig_index": i,
-                    "re": re,
-                    "im": im,
-                }
-                for value, mask, i, re, im in rows
+                {"value": text, "mask": mask, "eig_index": i, "re": re, "im": im}
+                for (value, mask), group in groups
+                for text in [str(value)]
+                for _, _, i, re, im in group
             ],
         }
         _emit(json.dumps(payload, indent=2), args.out)

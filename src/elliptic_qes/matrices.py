@@ -15,7 +15,10 @@ lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
 columns.  The weights D c_j are the operator's own table,
 `GaugedOperator.weights`, which `apply` reads too.  Each sector sums the
 entries of its S_j once, in ints, and images every basis column from them by
-exponent shifts in tau-space.  Assembly never passes through z-space;
+exponent shifts in tau-space.  The shifts are the few distinct packed offsets
+of a per-N table, so a column accumulates in a plain list indexed by offset
+position and looks up the row of an offset only where its sum is non-zero.
+Assembly never passes through z-space;
 `GaugedOperator.apply` stays the independent oracle for the term matrices.
 
 Assembling a matrix is itself the closure proof for its parameter point:
@@ -145,9 +148,11 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
     their denominators (`GaugedOperator.weights`).  Once per sector, the
     entries of `_term_entries` of non-zero weight are scaled and summed per
-    derivative index and monomial.  As d_i d_j tau^l = l_i (l_j - delta_ij)
-    tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), column l of K is
-    each summed entry shifted by l and times the falling factor of its index.
+    derivative index and offset position into (position, value) pairs.  As
+    d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
+    d_i tau^l = l_i tau^(l - e_i), column l of K is each summed entry times
+    the falling factor of its index, added up by position in one list, and
+    the row of each non-zero sum is that of its offset shifted by l.
     The images hold every component, those above the sector cutoff included,
     so this raises OperatorNotClosed if the image of any basis monomial has a
     non-zero component outside the basis.
@@ -156,16 +161,18 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     basis = enumerate_basis(n, op.cutoff)
     row_of = {_pack(exps): i for i, exps in enumerate(basis)}
     denominator, scaled = op.weights
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for term, idx, e, c in _term_entries(n):
+    entries, offsets = _term_entries(n)
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
+    for term, idx, p, c in entries:
         k = scaled.get(term)
         if k:
-            group = groups.setdefault(idx, {})
-            group[e] = group.get(e, 0) + k * c
+            group = sums.setdefault(idx, {})
+            group[p] = group.get(p, 0) + k * c
+    groups = [(idx, tuple((p, v) for p, v in group.items() if v)) for idx, group in sums.items()]
     columns = []
     for exps, code in zip(basis, row_of):
-        image: dict[int, int] = {}
-        for idx, group in groups.items():
+        image = [0] * len(offsets)
+        for idx, group in groups:
             if not idx:
                 f = 1
             elif len(idx) == 1:
@@ -174,11 +181,10 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
                 i, j = idx
                 f = exps[i] * (exps[j] - (i == j))
             if f:
-                for e, v in group.items():
-                    target = code + e
-                    image[target] = image.get(target, 0) + f * v
+                for p, v in group:
+                    image[p] += f * v
         try:
-            columns.append(tuple((row_of[target], v) for target, v in image.items() if v))
+            columns.append(tuple([(row_of[code + e], v) for e, v in zip(offsets, image) if v]))
         except KeyError as exc:
             iexps = _unpack(exc.args[0], n)
             raise OperatorNotClosed(
@@ -213,9 +219,10 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
 _BITS = 32
 
 # One monomial of a term's coefficient of d_idx, idx being (), (i,) or (i, j)
-# with i <= j: the term, idx, the packed monomial minus the packed product of
-# tau_k over k in idx, and its integer coefficient.  Adding the packed l gives
-# the monomial it contributes to the image of tau^l.
+# with i <= j: the term, idx, the position in the per-N offset table of the
+# packed monomial minus the packed product of tau_k over k in idx, and its
+# integer coefficient.  Adding the packed l to that offset gives the monomial
+# it contributes to the image of tau^l.
 _Entry = tuple[Term, tuple[int, ...], int, int]
 
 
@@ -228,8 +235,10 @@ def _unpack(code: int, nvars: int) -> Exponents:
 
 
 @lru_cache(maxsize=None)
-def _term_entries(nvars: int) -> tuple[_Entry, ...]:
-    """The entries of every integer term S_j, keyed like `GaugedOperator.weights`.
+def _term_entries(nvars: int) -> tuple[tuple[_Entry, ...], tuple[int, ...]]:
+    """The entries of every integer term S_j, keyed like `GaugedOperator.weights`,
+    and the sorted distinct packed offsets that their positions index (6, 13,
+    25, 42, 67 and 102 of them for N = 1..6).
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
@@ -260,12 +269,15 @@ def _term_entries(nvars: int) -> tuple[_Entry, ...]:
             for i in range(n)
             for j in range(i, n)
         ]
-    return tuple(
+    entries = [
         (term, idx, _pack(e) - sum(1 << (_BITS * k) for k in idx), c)
         for term, parts in terms.items()
         for idx, poly in parts
         for e, c in poly.terms.items()
-    )
+    ]
+    offsets = tuple(sorted({e for _, _, e, _ in entries}))
+    position = {e: p for p, e in enumerate(offsets)}
+    return tuple((term, idx, position[e], c) for term, idx, e, c in entries), offsets
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:

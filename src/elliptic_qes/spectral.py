@@ -55,8 +55,8 @@ def _diagonalize(matrix: np.ndarray, vectors: bool) -> tuple[Spectrum, np.ndarra
         raw, vecs = np.linalg.eig(a) if vectors else (np.linalg.eigvals(a), None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigenvalue solver failed: {exc}") from exc
-    order = sorted(range(len(raw)), key=lambda k: (raw[k].real, raw[k].imag))
-    values = tuple(complex(raw[k]) for k in order)
+    order = np.lexsort((raw.imag, raw.real))
+    values = tuple(raw[order].astype(complex, copy=False).tolist())
 
     # ||a|| = s ||a / s|| for s the largest |entry|, which cannot overflow
     trace = float(np.trace(a))

@@ -331,6 +331,35 @@ def test_readme_flow_sweeps_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of a one-mask sweep over three points, whose mask text "1" repeats
+# on every row, as printed before the value and mask texts were formed once
+# per grid point and sector.
+@pytest.mark.parametrize(
+    ("fmt", "digest"),
+    [
+        ("csv", "c210ec266861820e5cc77f5cf63e83a22d5d9776b9b73f0f2935ea23eec8c55a"),
+        ("json", "3a98380f1cdfefa1ae408617112acc7d2ea2248e18746088595fc7e61b9c253f"),
+    ],
+)
+def test_single_mask_sweep_is_pinned_and_labels_each_row_with_its_own_sector(
+    capsys, fmt, digest
+):
+    argv = ("sweep", "--sweep-var", "a", "--range", "0:1:3", "--n", "2", "--m", "1",
+            "--b", "1/2", "--mask", "1", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "csv":
+        fields = [line.split(",") for line in out.splitlines()[1:]]
+        labels = [(Fraction(value), mask) for value, mask, *_ in fields]
+    else:
+        labels = [(Fraction(row["value"]), row["mask"]) for row in json.loads(out)["rows"]]
+    params = ModelParams(2, 0, Fraction(1, 2), 1, (2, -1, -1))
+    dim = params.basis_dimension(GaugeMask.from_string("1"))
+    assert labels == [(value, "1") for value in cli._grid(Fraction(0), Fraction(1), 3)
+                      for _ in range(dim)]
+
+
 def test_sweep_single_point_matches_spectrum(capsys):
     code, sweep_out, _ = run(
         capsys, "sweep", "--sweep-var", "epsilon", "--range", "1/4:1/4:1", "--mask", "none"

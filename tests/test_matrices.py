@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import elliptic_qes.verify as verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import (
     OperatorMatrix,
@@ -317,6 +318,29 @@ def test_large_sector_matrices_equal_the_recorded_engine(nvars, cutoff, digest):
         for row in mat.rows:
             sha.update((",".join(str(x) for x in row) + "\n").encode())
     assert sha.hexdigest() == digest
+
+
+def _large_sectors(nvars, cutoff):
+    roots = (Fraction(9, 4), Fraction(-3, 5), Fraction(-33, 20))
+    return [build_matrix(sector(nvars, Fraction(5, 3), Fraction(-2, 7), roots, mask, cutoff))
+            for mask in ALL_MASKS]
+
+
+# Equality compares columns as dicts and `to_float` keeps the last of two
+# values assigned to one entry, so neither would notice a repeated row index.
+@pytest.mark.parametrize(
+    "matrices",
+    [lambda: [mat for _, mat in verify._SectorStore().closure_grid()],
+     lambda: _large_sectors(4, 4),
+     lambda: _large_sectors(5, 5)],
+    ids=["closure-grid", "n4-cutoff4", "n5-cutoff5"],
+)
+def test_every_column_lists_each_row_once(matrices):
+    for mat in matrices():
+        for column in mat.columns:
+            rows = [i for i, _ in column]
+            assert len(set(rows)) == len(rows)
+            assert all(k for _, k in column)
 
 
 @pytest.mark.parametrize(

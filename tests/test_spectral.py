@@ -216,6 +216,74 @@ def test_sorting_convention():
     assert spec.values[0].real < spec.values[1].real
 
 
+def _reference_order(raw) -> list[int]:
+    """Indices sorted by (real, imaginary) part, ties kept in index order."""
+    return sorted(range(len(raw)), key=lambda k: (raw[k].real, raw[k].imag))
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    """Both parts of each value as float.hex, which tells -0.0 from 0.0."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+_ROTATION = np.array([[0.0, -3.0], [3.0, 0.0]])
+_TILTED = np.array([[1.0, -2.0], [2.0, 1.0]])
+ORDER_CASES = {
+    **{f"random-{seed}": np.random.default_rng(seed).standard_normal((2 + seed % 7,) * 2)
+       for seed in range(12)},
+    "diag-repeats": np.diag([2.0, -1.0, 2.0, -0.0, -1.0, 0.0, 2.0]),
+    "rotation-copies": np.kron(np.eye(3), _ROTATION),
+    "tilted-copies": np.kron(np.eye(3), _TILTED),
+    "mixed-copies": np.block([[np.kron(np.eye(2), _TILTED), np.zeros((4, 3))],
+                              [np.zeros((3, 4)), np.diag([1.0, 1.0, -0.0])]]),
+}
+
+
+@pytest.mark.parametrize("m", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+def test_values_and_vectors_follow_the_stable_real_then_imaginary_order(m):
+    raw = np.linalg.eigvals(m)
+    want = [complex(raw[k]) for k in _reference_order(raw)]
+    assert _bits(eigenvalues(m).values) == _bits(want)
+
+    raw, vecs = np.linalg.eig(m)
+    order = _reference_order(raw)
+    spec, vectors = eigenvector(m)
+    assert _bits(spec.values) == _bits([complex(raw[k]) for k in order])
+    assert np.array_equal(vectors, vecs[:, order])
+
+
+@pytest.mark.parametrize("name", ["diag-repeats", "rotation-copies", "tilted-copies",
+                                  "mixed-copies"])
+def test_the_repeated_cases_repeat_exactly(name):
+    raw = np.linalg.eigvals(ORDER_CASES[name]).tolist()
+    assert len(set(raw)) < len(raw)
+
+
+# LAPACK's output as given, with exact ties that differ only in the sign of a
+# zero part; every sum of real parts is 0, the trace of the zero matrix.
+SIGNED_ZERO_SPECTRA = {
+    "complex": [complex(0.0, -1.0), complex(-0.0, 0.0), complex(0.0, 1.0), complex(0.0, -0.0),
+                complex(-0.0, -0.0), complex(0.0, 0.0), complex(-0.0, -1.0), complex(-0.0, 1.0)],
+    "real": [0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("raw", SIGNED_ZERO_SPECTRA.values(), ids=SIGNED_ZERO_SPECTRA.keys())
+def test_signed_zero_ties_keep_their_index_order(monkeypatch, raw):
+    raw = np.array(raw)
+    n = len(raw)
+    vecs = np.arange(n * n, dtype=complex).reshape(n, n)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: raw.copy())
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (raw.copy(), vecs.copy()))
+    order = _reference_order(raw)
+    want = _bits([complex(raw[k]) for k in order])
+    assert _bits(eigenvalues(np.zeros((n, n))).values) == want
+    spec, vectors = eigenvector(np.zeros((n, n)))
+    assert _bits(spec.values) == want
+    assert np.array_equal(vectors, vecs[:, order])
+    assert order != list(range(n))
+
+
 # -- eigenvectors --------------------------------------------------------------------
 
 
