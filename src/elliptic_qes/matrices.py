@@ -168,7 +168,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
         if k:
             group = sums.setdefault(idx, {})
             group[p] = group.get(p, 0) + k * c
-    groups = [(idx, tuple((p, v) for p, v in group.items() if v)) for idx, group in sums.items()]
+    groups = [(idx, tuple(group.items())) for idx, group in sums.items()]
     columns = []
     for exps, code in zip(basis, row_of):
         image = [0] * len(offsets)
