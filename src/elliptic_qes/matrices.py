@@ -18,8 +18,8 @@ entries of its S_j once, in ints, and images every basis column from them by
 exponent shifts in tau-space.  The shifts are the few distinct packed offsets
 of a per-N table, so a column accumulates in a plain list indexed by offset
 position and looks up the row of an offset only where its sum is non-zero.
-Assembly never passes through z-space;
-`GaugedOperator.apply` stays the independent oracle for the term matrices.
+Assembly never passes through z-space; `GaugedOperator.apply` stays the
+independent oracle for the term matrices.
 
 Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
