@@ -17,21 +17,24 @@ MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
 MAX_CHECK_WORK.  A sector dimension, or a sweep's total, with more digits than
-Python will print refuses --m or --range.  Exit codes: 0 success, 1 a
-verification or convergence failure, 2 a parameter error or a refused size.
+Python will print refuses --m or --range.  spectrum and sweep hold one
+`SectorRecord` per sector and write it by one renderer per format; an
+eigenvalue that is NaN or infinite is refused, not printed.  Exit codes: 0
+success, 1 a verification or convergence failure (such an eigenvalue
+included), 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from itertools import groupby
 from math import comb
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,34 +205,117 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sector_payload(params: ModelParams, mask: GaugeMask) -> dict:
+class SectorRecord(NamedTuple):
+    """What `spectrum` and `sweep` print of one sector: its mask text, cutoff,
+    dimension and the eigenvalues of its `Spectrum`."""
+
+    mask: str
+    cutoff: int
+    dimension: int
+    values: tuple[complex, ...]
+
+
+def _sector_record(params: ModelParams, mask: GaugeMask) -> SectorRecord:
     spectrum = spectrum_of(build_matrix(build_gauged_operator(params, mask)))
-    return {
-        "mask": str(mask),
-        "cutoff": params.cutoff(mask),
-        "dimension": params.basis_dimension(mask),
-        "eigenvalues": [{"re": v.real, "im": v.imag} for v in spectrum.values],
-    }
+    return SectorRecord(str(mask), params.cutoff(mask), params.basis_dimension(mask),
+                        spectrum.values)
+
+
+def _finite(record: SectorRecord) -> tuple[complex, ...]:
+    """The record's eigenvalues; a NaN or infinite one raises NoConvergence, so no
+    renderer prints nan, inf, NaN or Infinity."""
+    for i, v in enumerate(record.values):
+        if not cmath.isfinite(v):
+            raise NoConvergence(f"sector {record.mask}: eigenvalue {i} is {v}, not finite")
+    return record.values
+
+
+# The JSON renderers fill these templates with what json.dumps(payload,
+# indent=2) wrote, without its pure-Python encoder: %r writes a finite float
+# as json does, and `_json_text` C-encodes a string.  No list they fill is
+# empty: every sweep has a grid point, every command a sector and every sector
+# an eigenvalue.
+_SPECTRUM_JSON = """\
+{
+  "params": {
+    "nvars": %d,
+    "a": %s,
+    "b": %s,
+    "m": %s,
+    "roots": [
+      %s,
+      %s,
+      %s
+    ]
+  },
+  "sectors": [
+%s
+  ]
+}"""
+_SECTOR_JSON = """\
+    {
+      "mask": %s,
+      "cutoff": %d,
+      "dimension": %d,
+      "eigenvalues": [
+%s
+      ]
+    }"""
+_EIGENVALUE_JSON = """\
+        {
+          "re": %r,
+          "im": %r
+        }"""
+_SWEEP_JSON = """\
+{
+  "sweep_var": %s,
+  "rows": [
+%s
+  ]
+}"""
+_SWEEP_ROW_JSON = """\
+    {
+      "value": %s,
+      "mask": %s,
+      "eig_index": %d,
+      "re": %r,
+      "im": %r
+    }"""
+
+
+def _json_text(x: object) -> str:
+    return json.dumps(str(x))
+
+
+def _spectrum_json(params: ModelParams, records: list[SectorRecord]) -> str:
+    texts = (params.coupling_a, params.coupling_b, params.degree_m, *params.roots)
+    sectors = ",\n".join(
+        _SECTOR_JSON % (_json_text(r.mask), r.cutoff, r.dimension, ",\n".join(
+            [_EIGENVALUE_JSON % (v.real, v.imag) for v in _finite(r)]))
+        for r in records)
+    return _SPECTRUM_JSON % (params.nvars, *map(_json_text, texts), sectors)
+
+
+def _spectrum_csv(records: list[SectorRecord]) -> str:
+    lines = ["mask,eig_index,re,im"]
+    for r in records:
+        lines.extend(f"{r.mask},{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
+    return "\n".join(lines)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     masks = _selected_masks(params, args.mask)
     _check_budget(params, masks)
-    sectors = [_sector_payload(params, mask) for mask in masks]
+    records = [_sector_record(params, mask) for mask in masks]
     if args.format == "json":
-        payload = {"params": _params_payload(params), "sectors": sectors}
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_spectrum_json(params, records), args.out)
     else:
-        lines = ["mask,eig_index,re,im"]
-        for sector in sectors:
-            for i, v in enumerate(sector["eigenvalues"]):
-                lines.append(f"{sector['mask']},{i},{v['re']!r},{v['im']!r}")
-        _emit("\n".join(lines), args.out)
+        _emit(_spectrum_csv(records), args.out)
     return 0
 
 
-def sweep_rows(
+def sweep_sectors(
     sweep_var: str,
     lo: Fraction,
     hi: Fraction,
@@ -241,13 +327,14 @@ def sweep_rows(
     coupling_b: Fraction,
     roots: tuple[Fraction, Fraction, Fraction] | None,
     mask: str,
-) -> list[tuple[Fraction, str, int, float, float]]:
-    """Spectra along an exact grid, one row per eigenvalue.
+) -> list[tuple[Fraction, SectorRecord]]:
+    """Spectra along an exact grid, one (value, record) pair per grid point and
+    sector.
 
     sweep_var 'epsilon' moves the roots along (2, -1+eps, -1-eps) and rejects
     an explicit root tuple; sweep_var 'a' sweeps the interaction coupling
-    over fixed roots.  Rows are (value, mask, index, re, im), ordered by grid
-    point, then canonical mask order, then eigenvalue order.
+    over fixed roots.  Pairs are ordered by grid point, then canonical mask
+    order.
     """
     if sweep_var == "epsilon" and roots is not None:
         raise ValueError("an epsilon sweep fixes the root family; drop --roots")
@@ -263,14 +350,35 @@ def sweep_rows(
     first = params_at(lo)
     masks = _selected_masks(first, mask)
     _check_budget(first, masks, steps)
-    rows: list[tuple[Fraction, str, int, float, float]] = []
-    for value in _grid(lo, hi, steps):
-        params = params_at(value)
-        for sector_mask in masks:
-            spectrum = spectrum_of(build_matrix(build_gauged_operator(params, sector_mask)))
-            text = str(sector_mask)
-            rows.extend((value, text, i, v.real, v.imag) for i, v in enumerate(spectrum.values))
-    return rows
+    return [(value, _sector_record(params, sector_mask))
+            for value in _grid(lo, hi, steps)
+            for params in [params_at(value)]
+            for sector_mask in masks]
+
+
+def sweep_rows(*args, **kwargs) -> list[tuple[Fraction, str, int, float, float]]:
+    """`sweep_sectors`, given the same arguments, as one (value, mask, index,
+    re, im) row per eigenvalue, in the order the sweep prints them."""
+    return [(value, r.mask, i, v.real, v.imag)
+            for value, r in sweep_sectors(*args, **kwargs)
+            for i, v in enumerate(r.values)]
+
+
+def _sweep_csv(points: list[tuple[Fraction, SectorRecord]]) -> str:
+    lines = [SWEEP_HEADER]
+    for value, r in points:
+        head = f"{float(value)!r},{r.mask},"
+        lines.extend(f"{head}{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
+    return "\n".join(lines)
+
+
+def _sweep_json(sweep_var: str, points: list[tuple[Fraction, SectorRecord]]) -> str:
+    rows = []
+    for value, r in points:
+        value_text, mask_text = _json_text(value), _json_text(r.mask)
+        rows.extend(_SWEEP_ROW_JSON % (value_text, mask_text, i, v.real, v.imag)
+                    for i, v in enumerate(_finite(r)))
+    return _SWEEP_JSON % (_json_text(sweep_var), ",\n".join(rows))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -278,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     explicit_roots = _parse_roots(args.roots) if args.roots is not None else None
     if args.sweep_var == "a" and args.a is not None:
         raise ValueError("the swept coupling comes from --range; drop --a")
-    rows = sweep_rows(
+    points = sweep_sectors(
         args.sweep_var,
         lo,
         hi,
@@ -290,25 +398,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         roots=explicit_roots,
         mask=args.mask,
     )
-    # one (grid point, sector) group of rows shares its value and mask text
-    groups = groupby(rows, itemgetter(0, 1))
     if args.format == "csv":
-        lines = [SWEEP_HEADER]
-        for (value, mask), group in groups:
-            head = f"{float(value)!r},{mask},"
-            lines.extend(f"{head}{i},{re!r},{im!r}" for _, _, i, re, im in group)
-        _emit("\n".join(lines), args.out)
+        _emit(_sweep_csv(points), args.out)
     else:
-        payload = {
-            "sweep_var": args.sweep_var,
-            "rows": [
-                {"value": text, "mask": mask, "eig_index": i, "re": re, "im": im}
-                for (value, mask), group in groups
-                for text in [str(value)]
-                for _, _, i, re, im in group
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_sweep_json(args.sweep_var, points), args.out)
     return 0
 
 

@@ -159,7 +159,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
-    row_of = {_pack(exps): i for i, exps in enumerate(basis)}
+    row_of = _row_of(basis)
     denominator, scaled = op.weights
     entries, offsets = _term_entries(n)
     sums: dict[tuple[int, ...], dict[int, int]] = {}
@@ -232,6 +232,13 @@ def _pack(exps: Exponents) -> int:
 
 def _unpack(code: int, nvars: int) -> Exponents:
     return tuple((code >> (_BITS * k)) & ((1 << _BITS) - 1) for k in range(nvars))
+
+
+@lru_cache(maxsize=32)
+def _row_of(basis: BasisIndex) -> dict[int, int]:
+    """The row of each packed basis monomial, its keys in basis order.  Cached
+    per basis, as many as `enumerate_basis` keeps; callers only read it."""
+    return {_pack(exps): i for i, exps in enumerate(basis)}
 
 
 @lru_cache(maxsize=None)

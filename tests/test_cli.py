@@ -18,7 +18,7 @@ from elliptic_qes.errors import NonCancellingPole
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import epsilon_roots
 from elliptic_qes.polynomials import Poly
-from elliptic_qes.spectral import spectrum_of, to_float
+from elliptic_qes.spectral import Spectrum, spectrum_of, to_float
 from elliptic_qes.symmetric import enumerate_basis, tau_to_z
 
 
@@ -467,6 +467,86 @@ def test_sweep_rows_equal_spectra_built_point_by_point(var, lo, hi, steps):
                 (value, str(mask), i, v.real, v.imag) for i, v in enumerate(spectrum.values)
             ]
     assert rows == expected
+
+
+# -- eigenvalue records ------------------------------------------------------------------
+
+_SPECTRUM_N4 = ("spectrum", "--n", "4", "--m", "4", "--mask", "all", "--a=1/2",
+                "--roots=3/2,1/2,-2")
+_JORDAN = ("spectrum", "--n", "2", "--m", "4", "--a=-3")
+
+
+# SHA-256 of the stdout of spectrum and all-mask sweeps, as printed by
+# json.dumps(payload, indent=2) and per-row f-strings, recorded with
+# OPENBLAS_NUM_THREADS=1 and 2, which agree.  The Jordan point prints complex
+# values.
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (_SPECTRUM_N4 + ("--format", "json"),
+         "99f311cc548186e01572db37423f553cfb4c768b70b177c246725b031f93743f"),
+        (_SPECTRUM_N4 + ("--format", "csv"),
+         "e80ca012ab1e386b198c261eff5e86cc3cfff43b49a3ae924a15a2ef8b37218e"),
+        (_JORDAN + ("--format", "json"),
+         "85a867762c0c9d14bb62e03598df9fa3cec4cc91c396df6b8dec85fc8bebd7cd"),
+        (_JORDAN + ("--format", "csv"),
+         "181f9b4bc8df1ed5d352f15f6a7ab248ab0c835793bc6e24524fd3cf7962170d"),
+        (("sweep", "--sweep-var", "epsilon", "--range", "0:1/2:3", "--mask", "all",
+          "--format", "json"),
+         "ffe79f84d8eb3e2b3097dd77dc213c30adbc3db7cc07b5b9fb24f1978cc2bb6f"),
+        (("sweep", "--sweep-var", "a", "--range", "0:1:3", "--n", "2", "--m", "4",
+          "--roots=2,-3/2,-1/2", "--mask", "all", "--format", "json"),
+         "cf142cb53f831d32eb10bec5bd0637a73286b0a511af42187320c568ac1100a6"),
+    ],
+    ids=["spectrum-n4-json", "spectrum-n4-csv", "jordan-json", "jordan-csv", "sweep-epsilon-json",
+         "sweep-a-json"],
+)
+def test_eigenvalue_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_SWEEP = ("sweep", "--sweep-var", "a", "--range", "0:1:2")
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.inf), -math.inf])
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--format", "json"), ("spectrum", "--format", "csv"),
+     _SWEEP + ("--format", "csv"), _SWEEP + ("--format", "json")],
+    ids=["spectrum-json", "spectrum-csv", "sweep-csv", "sweep-json"],
+)
+def test_a_non_finite_eigenvalue_exits_1_naming_its_sector_and_index(capsys, monkeypatch, argv,
+                                                                     bad):
+    """Every eigenvalue renderer refuses NaN and infinity; nothing is printed."""
+
+    def corrupted(mat):
+        values = list(spectrum_of(mat).values)
+        values[2] = complex(bad)
+        return Spectrum(tuple(values), 0, 0.0)
+
+    monkeypatch.setattr(cli, "spectrum_of", corrupted)
+    # one sector, "13" at cutoff 1, of dimension 3
+    code, out, err = run(capsys, *argv, "--n", "2", "--m", "1", "--b", "1/2", "--mask", "13")
+    assert (code, out) == (1, "")
+    assert "sector 13: eigenvalue 2 is" in err and "not finite" in err
+
+
+def test_eigenvalue_json_does_not_use_the_pure_python_encoder(capsys, monkeypatch):
+    """json.dumps(..., indent=2) encodes through `json.encoder._make_iterencode`,
+    in pure Python; the spectrum and sweep JSON never reach it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"x": [1.5]}, indent=2)
+    for argv in [("spectrum", "--format", "json"), _SWEEP + ("--format", "json")]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)
 
 
 # -- masks ------------------------------------------------------------------------------
