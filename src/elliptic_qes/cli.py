@@ -27,7 +27,6 @@ included), 2 a parameter error or a refused size.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import re
@@ -224,9 +223,11 @@ def _sector_record(params: ModelParams, mask: GaugeMask) -> SectorRecord:
 def _finite(record: SectorRecord) -> tuple[complex, ...]:
     """The record's eigenvalues; a NaN or infinite one raises NoConvergence, so no
     renderer prints nan, inf, NaN or Infinity."""
-    for i, v in enumerate(record.values):
-        if not cmath.isfinite(v):
-            raise NoConvergence(f"sector {record.mask}: eigenvalue {i} is {v}, not finite")
+    finite = np.isfinite(record.values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NoConvergence(f"sector {record.mask}: eigenvalue {i} is {record.values[i]}, "
+                            "not finite")
     return record.values
 
 

@@ -30,4 +30,5 @@ class OperatorNotClosed(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """An iterative eigenvalue computation exceeded its iteration budget."""
+    """An eigenvalue computation failed, or gave values that cannot be trusted or
+    printed: a LAPACK failure, a trace-gate defect, a NaN or infinite value."""
