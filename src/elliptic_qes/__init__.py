@@ -21,7 +21,6 @@ from .matrices import (
     OperatorMatrix,
     build_matrix,
     export_matrix,
-    matrix_from_json,
     raising_coefficient_check,
     to_float,
 )
@@ -46,7 +45,7 @@ from .oracles import (
 )
 from .polynomials import Poly, parse_rational, weierstrass_cubic
 from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of
-from .symmetric import BasisIndex, enumerate_basis, is_symmetric, tau_to_z, z_to_tau
+from .symmetric import BasisIndex, enumerate_basis, tau_to_z, z_to_tau
 from .verify import CheckResult, report_json, run_checks
 
 __version__ = "0.1.0"
@@ -79,9 +78,7 @@ __all__ = [
     "export_matrix",
     "external_field_coupling",
     "gauge_polynomials",
-    "is_symmetric",
     "list_valid_masks",
-    "matrix_from_json",
     "oscillator_energy",
     "parse_rational",
     "raising_coefficient_check",

@@ -17,11 +17,11 @@ MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
 MAX_CHECK_WORK.  A sector dimension, or a sweep's total, with more digits than
-Python will print refuses --m or --range.  spectrum and sweep hold one
-`SectorRecord` per sector and write it by one renderer per format; an
-eigenvalue that is NaN or infinite is refused, not printed.  Exit codes: 0
-success, 1 a verification or convergence failure (such an eigenvalue
-included), 2 a parameter error or a refused size.
+Python will print refuses --m or --range.  spectrum and sweep make each
+`SectorRecord` by `_sector_record` and write it by one CSV renderer or a JSON
+template; an eigenvalue that is NaN or infinite is refused, not printed.
+Exit codes: 0 success, 1 a verification or convergence failure (such an
+eigenvalue included), 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from .oracles import epsilon_roots
 from .polynomials import Exponents, parse_rational
 from .spectral import eigenvector, spectrum_of
 from .verify import CHECK_NAMES, report_json, run_checks
-
-SWEEP_HEADER = "sweep_value,mask,eig_index,re,im"
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  `spectrum` at N=6, m=6 over all masks
@@ -297,10 +295,13 @@ def _spectrum_json(params: ModelParams, records: list[SectorRecord]) -> str:
     return _SPECTRUM_JSON % (params.nvars, *map(_json_text, texts), sectors)
 
 
-def _spectrum_csv(records: list[SectorRecord]) -> str:
-    lines = ["mask,eig_index,re,im"]
-    for r in records:
-        lines.extend(f"{r.mask},{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
+def _eigenvalue_csv(columns: str, records: list[tuple[str, SectorRecord]]) -> str:
+    """One CSV line per eigenvalue: the header names ``columns`` before
+    mask,eig_index,re,im, and each line writes its record's prefix there."""
+    lines = [columns + "mask,eig_index,re,im"]
+    for prefix, r in records:
+        head = f"{prefix}{r.mask},"
+        lines.extend(f"{head}{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
     return "\n".join(lines)
 
 
@@ -312,65 +313,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_spectrum_json(params, records), args.out)
     else:
-        _emit(_spectrum_csv(records), args.out)
+        _emit(_eigenvalue_csv("", [("", r) for r in records]), args.out)
     return 0
-
-
-def sweep_sectors(
-    sweep_var: str,
-    lo: Fraction,
-    hi: Fraction,
-    steps: int,
-    *,
-    nvars: int,
-    degree_m: Fraction,
-    coupling_a: Fraction,
-    coupling_b: Fraction,
-    roots: tuple[Fraction, Fraction, Fraction] | None,
-    mask: str,
-) -> list[tuple[Fraction, SectorRecord]]:
-    """Spectra along an exact grid, one (value, record) pair per grid point and
-    sector.
-
-    sweep_var 'epsilon' moves the roots along (2, -1+eps, -1-eps) and rejects
-    an explicit root tuple; sweep_var 'a' sweeps the interaction coupling
-    over fixed roots.  Pairs are ordered by grid point, then canonical mask
-    order.
-    """
-    if sweep_var == "epsilon" and roots is not None:
-        raise ValueError("an epsilon sweep fixes the root family; drop --roots")
-    if sweep_var not in ("epsilon", "a"):
-        raise ValueError(f"sweep variable must be 'epsilon' or 'a', got {sweep_var!r}")
-
-    def params_at(value: Fraction) -> ModelParams:
-        if sweep_var == "epsilon":
-            return ModelParams(nvars, coupling_a, coupling_b, degree_m, epsilon_roots(value))
-        return ModelParams(nvars, value, coupling_b, degree_m, roots or (2, -1, -1))
-
-    # every grid point has the same sectors: they depend on N, m and b only
-    first = params_at(lo)
-    masks = _selected_masks(first, mask)
-    _check_budget(first, masks, steps)
-    return [(value, _sector_record(params, sector_mask))
-            for value in _grid(lo, hi, steps)
-            for params in [params_at(value)]
-            for sector_mask in masks]
-
-
-def sweep_rows(*args, **kwargs) -> list[tuple[Fraction, str, int, float, float]]:
-    """`sweep_sectors`, given the same arguments, as one (value, mask, index,
-    re, im) row per eigenvalue, in the order the sweep prints them."""
-    return [(value, r.mask, i, v.real, v.imag)
-            for value, r in sweep_sectors(*args, **kwargs)
-            for i, v in enumerate(r.values)]
-
-
-def _sweep_csv(points: list[tuple[Fraction, SectorRecord]]) -> str:
-    lines = [SWEEP_HEADER]
-    for value, r in points:
-        head = f"{float(value)!r},{r.mask},"
-        lines.extend(f"{head}{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
-    return "\n".join(lines)
 
 
 def _sweep_json(sweep_var: str, points: list[tuple[Fraction, SectorRecord]]) -> str:
@@ -383,24 +327,36 @@ def _sweep_json(sweep_var: str, points: list[tuple[Fraction, SectorRecord]]) -> 
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Spectra along an exact grid, one record per grid point and sector, in
+    grid-then-mask order.  --sweep-var epsilon moves the roots along
+    (2, -1+eps, -1-eps) and rejects explicit --roots; --sweep-var a sweeps the
+    interaction coupling over fixed roots."""
     lo, hi, steps = _parse_range(args.range)
-    explicit_roots = _parse_roots(args.roots) if args.roots is not None else None
+    roots = _parse_roots(args.roots) if args.roots is not None else None
     if args.sweep_var == "a" and args.a is not None:
         raise ValueError("the swept coupling comes from --range; drop --a")
-    points = sweep_sectors(
-        args.sweep_var,
-        lo,
-        hi,
-        steps,
-        nvars=args.n,
-        degree_m=parse_rational(args.m),
-        coupling_a=parse_rational(args.a) if args.a is not None else Fraction(0),
-        coupling_b=parse_rational(args.b),
-        roots=explicit_roots,
-        mask=args.mask,
-    )
+    m = parse_rational(args.m)
+    a = parse_rational(args.a) if args.a is not None else Fraction(0)
+    b = parse_rational(args.b)
+    if args.sweep_var == "epsilon" and roots is not None:
+        raise ValueError("an epsilon sweep fixes the root family; drop --roots")
+
+    def params_at(value: Fraction) -> ModelParams:
+        if args.sweep_var == "epsilon":
+            return ModelParams(args.n, a, b, m, epsilon_roots(value))
+        return ModelParams(args.n, value, b, m, roots or (2, -1, -1))
+
+    # every grid point has the same sectors: they depend on N, m and b only
+    first = params_at(lo)
+    masks = _selected_masks(first, args.mask)
+    _check_budget(first, masks, steps)
+    points = [(value, _sector_record(params, mask))
+              for value in _grid(lo, hi, steps)
+              for params in [params_at(value)]
+              for mask in masks]
     if args.format == "csv":
-        _emit(_sweep_csv(points), args.out)
+        _emit(_eigenvalue_csv("sweep_value,", [(f"{float(v)!r},", r) for v, r in points]),
+              args.out)
     else:
         _emit(_sweep_json(args.sweep_var, points), args.out)
     return 0

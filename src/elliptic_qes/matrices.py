@@ -17,7 +17,7 @@ columns.  The weights D c_j are the operator's own table,
 entries of its S_j once, in ints, and images every basis column from them by
 exponent shifts in tau-space.  The shifts are the few distinct packed offsets
 of a per-N table, so a column accumulates in a plain list indexed by offset
-position and looks up the row of an offset only where its sum is non-zero.
+position and reads `BasisIndex.row_of` only where its sum is non-zero.
 Assembly never passes through z-space; `GaugedOperator.apply` stays the
 independent oracle for the term matrices.
 
@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, Term, raising_ratio
-from .polynomials import Exponents, Poly, parse_rational
-from .symmetric import BasisIndex, enumerate_basis, structure_sums
+from .polynomials import Poly, parse_rational
+from .symmetric import BITS, BasisIndex, enumerate_basis, pack, structure_sums, unpack
 
 
 class OperatorMatrix:
@@ -159,7 +159,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
-    row_of = _row_of(basis)
+    row_of = basis.row_of
     denominator, scaled = op.weights
     entries, offsets = _term_entries(n)
     sums: dict[tuple[int, ...], dict[int, int]] = {}
@@ -186,7 +186,7 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
         try:
             columns.append(tuple([(row_of[code + e], v) for e, v in zip(offsets, image) if v]))
         except KeyError as exc:
-            iexps = _unpack(exc.args[0], n)
+            iexps = unpack(exc.args[0], n)
             raise OperatorNotClosed(
                 f"image of tau-monomial {exps} contains {iexps} of degree "
                 f"{sum(iexps)}, above the cutoff {op.cutoff}"
@@ -213,32 +213,12 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     )
 
 
-# A tau-monomial packed into one int, _BITS bits per exponent, so that an
-# exponent shift is one integer addition.  Exponents stay far below 2**_BITS:
-# a basis that reached it could not be stored.
-_BITS = 32
-
 # One monomial of a term's coefficient of d_idx, idx being (), (i,) or (i, j)
 # with i <= j: the term, idx, the position in the per-N offset table of the
 # packed monomial minus the packed product of tau_k over k in idx, and its
 # integer coefficient.  Adding the packed l to that offset gives the monomial
 # it contributes to the image of tau^l.
 _Entry = tuple[Term, tuple[int, ...], int, int]
-
-
-def _pack(exps: Exponents) -> int:
-    return sum(e << (_BITS * k) for k, e in enumerate(exps))
-
-
-def _unpack(code: int, nvars: int) -> Exponents:
-    return tuple((code >> (_BITS * k)) & ((1 << _BITS) - 1) for k in range(nvars))
-
-
-@lru_cache(maxsize=32)
-def _row_of(basis: BasisIndex) -> dict[int, int]:
-    """The row of each packed basis monomial, its keys in basis order.  Cached
-    per basis, as many as `enumerate_basis` keeps; callers only read it."""
-    return {_pack(exps): i for i, exps in enumerate(basis)}
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +257,7 @@ def _term_entries(nvars: int) -> tuple[tuple[_Entry, ...], tuple[int, ...]]:
             for j in range(i, n)
         ]
     entries = [
-        (term, idx, _pack(e) - sum(1 << (_BITS * k) for k in idx), c)
+        (term, idx, pack(e) - sum(1 << (BITS * k) for k in idx), c)
         for term, parts in terms.items()
         for idx, poly in parts
         for e, c in poly.terms.items()
@@ -293,8 +273,9 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
     For every basis monomial t of the given degree, the degree-(degree+1)
     part of its image must equal coeff * tau_1 * t exactly, with coeff = num /
     den from `raising_ratio`: the degree-(degree+1) entries of column t of K
-    are exactly {tau_1 t: k} with k den == num D, compared in ints.  At the
-    cutoff there is no higher degree in the basis, so num itself must vanish.
+    are exactly {tau_1 t: k} with k den == num D, compared in ints.  tau_1 t
+    is the packed code of t plus one.  At the cutoff there is no higher degree
+    in the basis, so num itself must vanish.
     """
     if not 0 <= degree <= op.cutoff:
         raise ValueError(f"degree must lie in [0, {op.cutoff}], got {degree}")
@@ -302,11 +283,12 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
     if degree == op.cutoff:
         return num == 0
     basis = matrix.basis
+    row_of = basis.row_of
     k = num * matrix.denominator
-    for j, exps in enumerate(basis):
+    for exps, (code, j) in zip(basis, row_of.items()):
         if sum(exps) != degree:
             continue
-        want = {basis.index_of((exps[0] + 1,) + exps[1:]): k} if k else {}
+        want = {row_of[code + 1]: k} if k else {}
         if {i: v * den for i, v in matrix.columns[j] if sum(basis[i]) == degree + 1} != want:
             return False
     return True

@@ -9,7 +9,8 @@ each function's contract, not of the type.
 The grading used throughout the operator pipeline is the *tau*-degree
 sum(l_i) of a tau-monomial tau_1^{l_1}...tau_N^{l_N}, not the z-degree
 sum(k*l_k) of its expansion.  The two differ for N >= 2, and every closure and
-degree-raising statement downstream refers to the tau-degree.
+degree-raising statement downstream refers to the tau-degree.  A basis keys
+its rows by `pack` code, so `matrices` shifts exponents by int addition.
 
 `structure_sums` writes, once per N, the symmetric z-space sums that the
 gauged operator's tau-space coefficients are built from.  They come from
@@ -30,6 +31,20 @@ from .errors import NotSymmetric
 from .polynomials import Coeff, Exponents, Poly
 
 
+# A tau-monomial packed into one int, BITS bits per exponent, so that an
+# exponent shift is one integer addition.  Exponents stay far below 2**BITS:
+# a basis that reached it could not be stored.
+BITS = 32
+
+
+def pack(exps: Exponents) -> int:
+    return sum(e << (BITS * k) for k, e in enumerate(exps))
+
+
+def unpack(code: int, nvars: int) -> Exponents:
+    return tuple((code >> (BITS * k)) & ((1 << BITS) - 1) for k in range(nvars))
+
+
 @dataclass(frozen=True, eq=False)
 class BasisIndex:
     """Ordered tau-monomial basis of the space {sum(l_i) <= max_degree}.
@@ -37,12 +52,14 @@ class BasisIndex:
     Monomials are listed degree by degree, tau_1-dominant first within a
     degree, so position 0 is the constant monomial and (N=2, max_degree=2)
     lists [1, t1, t2, t1^2, t1*t2, t2^2].  Size is C(N + max_degree, N).
+    `row_of` maps each monomial's `pack` code to its row, its keys in basis
+    order; callers only read it.
     """
 
     nvars: int
     max_degree: int
     monomials: tuple[Exponents, ...]
-    _position: dict[Exponents, int] = field(repr=False)
+    row_of: dict[int, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -54,11 +71,17 @@ class BasisIndex:
         return iter(self.monomials)
 
     def index_of(self, exponents: Exponents) -> int:
-        """Position of a tau-monomial; KeyError if it lies outside the basis."""
-        return self._position[exponents]
+        """Position of a tau-monomial; KeyError if it lies outside the basis.
+        A code can stand for more than one tuple (an exponent of 2**BITS or
+        more, or a wrong length), so a hit is confirmed against `monomials`."""
+        row = self.row_of.get(pack(exponents), -1)
+        if row < 0 or self.monomials[row] != exponents:
+            raise KeyError(exponents)
+        return row
 
     def __contains__(self, exponents: Exponents) -> bool:
-        return exponents in self._position
+        row = self.row_of.get(pack(exponents), -1)
+        return row >= 0 and self.monomials[row] == exponents
 
 
 @lru_cache(maxsize=32)
@@ -75,8 +98,7 @@ def enumerate_basis(nvars: int, max_degree: int) -> BasisIndex:
         for d in range(max_degree + 1)
         for combo in combinations_with_replacement(range(nvars), d)
     )
-    position = {exps: i for i, exps in enumerate(monomials)}
-    return BasisIndex(nvars, max_degree, monomials, position)
+    return BasisIndex(nvars, max_degree, monomials, {pack(e): i for i, e in enumerate(monomials)})
 
 
 @lru_cache(maxsize=None)

@@ -420,8 +420,21 @@ def _direct(var, value, nvars, b, m, mask):
     return build_matrix(build_gauged_operator(_sweep_params(var, value, nvars, b, m), mask))
 
 
+def _sweep_csv_rows(capsys, var, lo, hi, steps, *flags):
+    """`sweep --format csv` over lo:hi:steps at N=2, m=2, b=0, all masks, as
+    (value, mask, index, re, im) rows; the CSV writes floats with repr."""
+    code, out, err = run(capsys, "sweep", "--sweep-var", var, "--range", f"{lo}:{hi}:{steps}",
+                         "--n", "2", "--m", "2", "--b", "0", "--mask", "all", "--format", "csv",
+                         *flags)
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert header == "sweep_value,mask,eig_index,re,im"
+    return [(float(value), mask, int(i), float(re), float(im))
+            for value, mask, i, re, im in (line.split(",") for line in lines)]
+
+
 @pytest.mark.parametrize("var", ["a", "epsilon"])
-def test_sweep_builds_every_sector_once_at_every_grid_point(monkeypatch, var):
+def test_sweep_builds_every_sector_once_at_every_grid_point(capsys, monkeypatch, var):
     calls = []
 
     def counting(op):
@@ -431,10 +444,7 @@ def test_sweep_builds_every_sector_once_at_every_grid_point(monkeypatch, var):
 
     monkeypatch.setattr(cli, "build_matrix", counting)
     lo, hi, steps = Fraction(0), Fraction(7, 4), 8
-    cli.sweep_rows(
-        var, lo, hi, steps, nvars=2, degree_m=Fraction(2),
-        coupling_a=Fraction(1), coupling_b=Fraction(0), roots=None, mask="all",
-    )
+    _sweep_csv_rows(capsys, var, lo, hi, steps, *(("--a", "1") if var == "epsilon" else ()))
     masks = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
     assert len(masks) == 4
     assert calls == [(value, mask) for value in cli._grid(lo, hi, steps) for mask in masks]
@@ -451,22 +461,54 @@ def test_sweep_builds_every_sector_once_at_every_grid_point(monkeypatch, var):
         ("epsilon", Fraction(5, 2), Fraction(-1, 3), 7),
     ],
 )
-def test_sweep_rows_equal_spectra_built_point_by_point(var, lo, hi, steps):
+def test_sweep_rows_equal_spectra_built_point_by_point(capsys, var, lo, hi, steps):
     nvars, b, m = 2, Fraction(0), Fraction(2)
-    rows = cli.sweep_rows(
-        var, lo, hi, steps, nvars=nvars, degree_m=m,
-        coupling_a=Fraction(3, 2), coupling_b=b,
-        roots=(2, Fraction(-3, 2), Fraction(-1, 2)) if var == "a" else None, mask="all",
-    )
+    flags = ("--roots=2,-3/2,-1/2",) if var == "a" else ("--a", "3/2")
+    rows = _sweep_csv_rows(capsys, var, lo, hi, steps, *flags)
     expected = []
     for value in cli._grid(lo, hi, steps):
         params = _sweep_params(var, value, nvars, b, m)
         for mask in list_valid_masks(params):
             spectrum = spectrum_of(_direct(var, value, nvars, b, m, mask))
             expected += [
-                (value, str(mask), i, v.real, v.imag) for i, v in enumerate(spectrum.values)
+                (float(value), str(mask), i, v.real, v.imag)
+                for i, v in enumerate(spectrum.values)
             ]
     assert rows == expected
+
+
+# The sweep's flag conflicts, each with the error it reports first: --range,
+# then --roots' format, then --a against an a-sweep, then --m, --a and --b as
+# rationals, then --roots against an epsilon sweep.
+@pytest.mark.parametrize(
+    ("flags", "error"),
+    [
+        (("--sweep-var", "epsilon", "--roots", "2,-1,-1"),
+         "an epsilon sweep fixes the root family; drop --roots"),
+        (("--sweep-var", "a", "--a", "1"), "the swept coupling comes from --range; drop --a"),
+        (("--sweep-var", "epsilon", "--roots", "2,,-1"),
+         "--roots needs three comma-separated rationals, got '2,,-1'"),
+        (("--sweep-var", "a", "--roots", "2,,-1"),
+         "--roots needs three comma-separated rationals, got '2,,-1'"),
+        (("--sweep-var", "epsilon", "--roots", "2,,-1", "--a", "1"),
+         "--roots needs three comma-separated rationals, got '2,,-1'"),
+        (("--sweep-var", "a", "--roots", "2,,-1", "--a", "1"),
+         "--roots needs three comma-separated rationals, got '2,,-1'"),
+        (("--sweep-var", "a", "--m", "x", "--roots", "2,,-1"),
+         "--roots needs three comma-separated rationals, got '2,,-1'"),
+        (("--sweep-var", "epsilon", "--m", "x", "--roots", "2,-1,-1"),
+         "not a rational number: 'x'"),
+        (("--sweep-var", "a", "--a", "x", "--m", "y"),
+         "the swept coupling comes from --range; drop --a"),
+        (("--sweep-var", "epsilon", "--a", "x", "--b", "y"), "not a rational number: 'x'"),
+        (("--sweep-var", "a", "--m", "x", "--b", "y"), "not a rational number: 'x'"),
+        (("--sweep-var", "epsilon", "--range", "0:1:0", "--roots", "2,,-1"),
+         "--range needs at least one step, got 0"),
+    ],
+)
+def test_sweep_flag_conflicts_exit_2_in_order(capsys, flags, error):
+    range_flags = () if "--range" in flags else ("--range", "0:1:2")
+    assert run(capsys, "sweep", *range_flags, *flags) == (2, "", f"error: {error}\n")
 
 
 # -- eigenvalue records ------------------------------------------------------------------

@@ -67,6 +67,21 @@ def test_basis_lookup():
         basis.index_of((3, 0))
 
 
+# Tuples outside the N=2 basis whose 32-bit packed codes are those of basis
+# monomials: 2**32 overflows into tau_2's field, and a third exponent of 0
+# adds nothing to tau_1's code.
+@pytest.mark.parametrize(
+    ("alias", "monomial"),
+    [((2**32, 0), (0, 1)), ((1, 0, 0), (1, 0)), ((2**32 + 1, 0), (1, 1)), ((0,), (0, 0))],
+)
+def test_basis_lookup_confirms_a_packed_code_against_the_monomial(alias, monomial):
+    basis = enumerate_basis(2, 2)
+    assert monomial in basis
+    assert alias not in basis
+    with pytest.raises(KeyError):
+        basis.index_of(alias)
+
+
 # -- elementary symmetric polynomials ---------------------------------------------
 
 
