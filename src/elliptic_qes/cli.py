@@ -10,16 +10,19 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
-sector at every grid point, so each point proves its own closure.  Before
+their grid points exactly as lo + k (hi - lo)/(steps - 1).  A sweep builds
+each sector at its first two grid points; a later point whose weight table
+lies on the line through theirs gets the same exact combination of their
+matrices, which proves its closure as a build would, and any other point is
+built (`_weight_line`).  Before
 building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
 MAX_CHECK_WORK.  A sector dimension, or a sweep's total, with more digits than
-Python will print refuses --m or --range.  spectrum and sweep make each
-`SectorRecord` by `_sector_record` and write it by one CSV renderer or a JSON
-template; an eigenvalue that is NaN or infinite is refused, not printed.
+Python will print refuses --m or --range.  spectrum and sweep make one
+`SectorRecord` per sector and grid point and write it by one CSV renderer or a
+JSON template; an eigenvalue that is NaN or infinite is refused, not printed.
 Exit codes: 0 success, 1 a verification or convergence failure (such an
 eigenvalue included), 2 a parameter error or a refused size.
 """
@@ -29,10 +32,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from .errors import (
     NotSymmetric,
     OperatorNotClosed,
 )
-from .matrices import build_matrix, export_matrix, matches_operator, to_float
+from .matrices import OperatorMatrix, build_matrix, export_matrix, matches_operator, to_float
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
@@ -212,10 +214,55 @@ class SectorRecord(NamedTuple):
     values: tuple[complex, ...]
 
 
-def _sector_record(params: ModelParams, mask: GaugeMask) -> SectorRecord:
-    spectrum = spectrum_of(build_matrix(build_gauged_operator(params, mask)))
-    return SectorRecord(str(mask), params.cutoff(mask), params.basis_dimension(mask),
-                        spectrum.values)
+def _weight_line(first, second):
+    """The exact matrix of an operator whose weights lie on the line through
+    those of two built (operator, matrix) pairs, as a function of the operator.
+
+    `build_matrix` is linear in the weight table, components above the cutoff
+    included.  So if an operator on the same basis has c = (1 - t) c0 + t c1,
+    with c0, c1 the tables of ``first`` and ``second``, its matrix is
+    (1 - t) M0 + t M1, and it is closed because M0 and M1 are.  The function
+    tests that identity in ints: with x_j = (c_j - c0_j) D D0 D1 and
+    y_j = (c1_j - c0_j) D0 D1, and a pivot p where y_p != 0, t = x_p / (D y_p)
+    if x_j y_p == x_p y_j for every term j.  It then forms alpha K0 + beta K1
+    over one denominator, on the union of the two sparsity patterns (formed
+    here once, each column in ascending packed code, the order of
+    `build_matrix`), without zero entries.  It returns None when the identity
+    fails, the basis differs, or the two tables are equal.
+    """
+    (op0, mat0), (op1, mat1) = first, second
+    (d0, u), (d1, v) = op0.weights, op1.weights
+    y = {}
+    for j in {**u, **v}:
+        y[j] = v.get(j, 0) * d0 - u.get(j, 0) * d1
+    p = next(filter(y.get, y), None)
+    code = tuple(mat0.basis.row_of).__getitem__
+    pattern = []
+    for c0, c1 in zip(mat0.columns, mat1.columns):
+        k0, k1 = dict(c0), dict(c1)
+        zeros = dict.fromkeys(sorted(k0.keys() | k1.keys(), key=code), 0)
+        pattern.append(tuple(zip(zeros, (zeros | k0).values(), (zeros | k1).values())))
+
+    def combined(op):
+        d, w = op.weights
+        if p is None or (op.nvars, op.cutoff) != (op0.nvars, op0.cutoff):
+            return None
+        xp, yp = (w.get(p, 0) * d0 - d * u.get(p, 0)) * d1, y[p]
+        for j in {**y, **w}:
+            if (w.get(j, 0) * d0 - d * u.get(j, 0)) * d1 * yp != xp * y.get(j, 0):
+                return None
+        alpha, beta, e = (d * yp - xp) * d1, xp * d0, d * yp * d0 * d1
+        g = gcd(alpha, beta, e) if e > 0 else -gcd(alpha, beta, e)
+        alpha, beta, columns = alpha // g, beta // g, []
+        for column in pattern:
+            entries = []
+            for i, a, b in column:
+                if k := alpha * a + beta * b:
+                    entries.append((i, k))
+            columns.append(tuple(entries))
+        return OperatorMatrix(mat0.basis, denominator=e // g, columns=tuple(columns))
+
+    return combined
 
 
 def _finite(record: SectorRecord) -> tuple[complex, ...]:
@@ -309,7 +356,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     masks = _selected_masks(params, args.mask)
     _check_budget(params, masks)
-    records = [_sector_record(params, mask) for mask in masks]
+    records = []
+    for mask in masks:
+        mat = build_matrix(build_gauged_operator(params, mask))
+        records.append(SectorRecord(str(mask), params.cutoff(mask), mat.dim,
+                                    spectrum_of(mat).values))
     if args.format == "json":
         _emit(_spectrum_json(params, records), args.out)
     else:
@@ -330,7 +381,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Spectra along an exact grid, one record per grid point and sector, in
     grid-then-mask order.  --sweep-var epsilon moves the roots along
     (2, -1+eps, -1-eps) and rejects explicit --roots; --sweep-var a sweeps the
-    interaction coupling over fixed roots."""
+    interaction coupling over fixed roots.
+
+    Each sector is built at its first two grid points.  At a later point only
+    the operator is built: if its weights lie on the line through those two
+    tables, its matrix is their exact combination (`_weight_line`), else it is
+    built too.  No branch depends on the sweep variable.  Every weight is
+    affine in a, so an a-sweep builds each sector twice; on the epsilon family
+    the sectors whose weights are affine in eps^2 are built twice, and the
+    others at every point."""
     lo, hi, steps = _parse_range(args.range)
     roots = _parse_roots(args.roots) if args.roots is not None else None
     if args.sweep_var == "a" and args.a is not None:
@@ -350,10 +409,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     first = params_at(lo)
     masks = _selected_masks(first, args.mask)
     _check_budget(first, masks, steps)
-    points = [(value, _sector_record(params, mask))
-              for value in _grid(lo, hi, steps)
-              for params in [params_at(value)]
-              for mask in masks]
+    firsts, lines = {}, {}  # each sector's first (operator, matrix), then its weight line
+    points = []
+    for value in _grid(lo, hi, steps):
+        params = params_at(value)
+        for mask in masks:
+            op = build_gauged_operator(params, mask)
+            mat = lines[mask](op) if mask in lines else None
+            if mat is None:
+                mat = build_matrix(op)
+                if mask in firsts and mask not in lines:
+                    lines[mask] = _weight_line(firsts[mask], (op, mat))
+                firsts.setdefault(mask, (op, mat))
+            points.append((value, SectorRecord(str(mask), op.cutoff, mat.dim,
+                                               spectrum_of(mat).values)))
     if args.format == "csv":
         _emit(_eigenvalue_csv("sweep_value,", [(f"{float(v)!r},", r) for v, r in points]),
               args.out)
@@ -579,9 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_VALUE = re.compile(r"-\d")
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Join each flag to a following value that starts with '-' and a digit.
 
@@ -592,7 +658,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for token in argv:
         prev = out[-1] if out else ""
-        if _NEGATIVE_VALUE.match(token) and prev.startswith("--") and "=" not in prev:
+        if (token[:1] == "-" and token[1:2].isdecimal() and prev.startswith("--")
+                and "=" not in prev):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)

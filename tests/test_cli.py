@@ -1,13 +1,20 @@
 """Command-line behaviour: payload shapes, determinism, exit codes."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import elliptic_qes.cli as cli
 import elliptic_qes.verify as verify
@@ -20,6 +27,9 @@ from elliptic_qes.oracles import epsilon_roots
 from elliptic_qes.polynomials import Poly
 from elliptic_qes.spectral import Spectrum, spectrum_of, to_float
 from elliptic_qes.symmetric import enumerate_basis, tau_to_z
+
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "perfbench")]
+import tracing  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -433,8 +443,17 @@ def _sweep_csv_rows(capsys, var, lo, hi, steps, *flags):
             for value, mask, i, re, im in (line.split(",") for line in lines)]
 
 
+# How many leading grid points of the test sweep below build each sector.  An
+# a-sweep builds every sector at its first two points and combines the others
+# from them.  On the epsilon family the weights of the sectors none and 23 are
+# affine in eps^2, so they are built twice too; those of 12 and 13 hold eps
+# itself, leave the line and are built at every point.
+_BUILT_POINTS = {"a": {"none": 2, "12": 2, "13": 2, "23": 2},
+                 "epsilon": {"none": 2, "12": 8, "13": 8, "23": 2}}
+
+
 @pytest.mark.parametrize("var", ["a", "epsilon"])
-def test_sweep_builds_every_sector_once_at_every_grid_point(capsys, monkeypatch, var):
+def test_sweep_build_schedule_is_pinned(capsys, monkeypatch, var):
     calls = []
 
     def counting(op):
@@ -446,8 +465,9 @@ def test_sweep_builds_every_sector_once_at_every_grid_point(capsys, monkeypatch,
     lo, hi, steps = Fraction(0), Fraction(7, 4), 8
     _sweep_csv_rows(capsys, var, lo, hi, steps, *(("--a", "1") if var == "epsilon" else ()))
     masks = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
-    assert len(masks) == 4
-    assert calls == [(value, mask) for value in cli._grid(lo, hi, steps) for mask in masks]
+    assert masks == ["none", "12", "13", "23"]
+    assert calls == [(value, mask) for k, value in enumerate(cli._grid(lo, hi, steps))
+                     for mask in masks if k < _BUILT_POINTS[var][mask]]
 
 
 @pytest.mark.parametrize(
@@ -475,6 +495,145 @@ def test_sweep_rows_equal_spectra_built_point_by_point(capsys, var, lo, hi, step
                 for i, v in enumerate(spectrum.values)
             ]
     assert rows == expected
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4]))
+
+
+@given(nvars=st.integers(1, 3), b=st.builds(Fraction, st.integers(-4, 4), st.just(2)),
+       m=st.builds(Fraction, st.integers(0, 6), st.just(2)), e1=_RATIONAL, e2=_RATIONAL,
+       a=st.lists(_RATIONAL, min_size=3, max_size=3))
+def test_a_point_on_the_weight_line_is_combined_exactly(nvars, b, m, e1, e2, a):
+    """At a third coupling, the matrix combined from the builds at two others
+    equals its own build, and so does its float image, bit for bit.  A table
+    nudged by one unit in a term where the two built tables agree, or one on
+    another basis, is refused, so the sweep builds it."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3 and a[0] != a[1])
+    params = [ModelParams(nvars, x, b, m, roots) for x in a]
+    masks = list_valid_masks(params[0])
+    assume(masks)
+    for mask in masks:
+        ops = [build_gauged_operator(p, mask) for p in params]
+        line = cli._weight_line(*[(op, build_matrix(op)) for op in ops[:2]])
+        combined, built = line(ops[2]), build_matrix(ops[2])
+        assert combined is not None and combined == built
+        assert to_float(combined).tobytes() == to_float(built).tobytes()
+        # each column lists its rows in the build's order, which fixes the
+        # entry that to_float reports first when several overflow
+        assert [[i for i, _ in c] for c in combined.columns] == (
+            [[i for i, _ in c] for c in built.columns])
+        assert line(dataclasses.replace(ops[2], cutoff=ops[2].cutoff + 1)) is None
+        (d0, u), (d1, v), (d, w) = (op.weights for op in ops)
+        for term in {*u, *v, ("s", 0), ("s", 1)}:
+            if u.get(term, 0) * d1 == v.get(term, 0) * d0:
+                nudged = dataclasses.replace(ops[2])
+                nudged.__dict__["weights"] = (d, {**w, term: w.get(term, 0) + 1})
+                assert line(nudged) is None, (mask, term)
+
+
+def test_sweep_builds_a_point_whose_table_leaves_the_line(capsys, monkeypatch):
+    """The ungauged sector has no scalar weight s_0 at any a; one unit of it at
+    a = 2 takes that point off the line through a = 0 and a = 1, so a = 2 is
+    built, from the nudged table, and a = 3 is combined."""
+    builds = []
+
+    def nudging(params, mask):
+        op = build_gauged_operator(params, mask)
+        if params.coupling_a == 2:
+            d, w = op.weights
+            op.__dict__["weights"] = (d, {**w, ("s", 0): 1})
+        return op
+
+    def counting(op):
+        builds.append(op.params.coupling_a)
+        return build_matrix(op)
+
+    monkeypatch.setattr(cli, "build_gauged_operator", nudging)
+    monkeypatch.setattr(cli, "build_matrix", counting)
+    rows = _sweep_csv_rows(capsys, "a", 0, 3, 4, "--mask", "none", "--roots=2,-3/2,-1/2")
+    assert builds == [0, 1, 2]
+    params = ModelParams(2, 2, 0, 2, (2, Fraction(-3, 2), Fraction(-1, 2)))
+    values = spectrum_of(counting(nudging(params, GaugeMask(())))).values
+    assert [row[3:] for row in rows if row[0] == 2] == [(v.real, v.imag) for v in values]
+    direct = spectrum_of(build_matrix(build_gauged_operator(params, GaugeMask(())))).values
+    assert values != direct
+
+
+def test_a_sweep_whose_built_tables_are_equal_builds_every_point(capsys, monkeypatch):
+    """--range=1:1:3 builds the same table twice, so no line exists and the
+    third point is built too; every row equals a build of its own point."""
+    builds = []
+
+    def counting(op):
+        builds.append(str(op.mask))
+        return build_matrix(op)
+
+    monkeypatch.setattr(cli, "build_matrix", counting)
+    rows = _sweep_csv_rows(capsys, "a", 1, 1, 3, "--roots=2,-3/2,-1/2")
+    masks = [str(mask) for mask in list_valid_masks(ModelParams(2, 1, 0, 2))]
+    assert builds == masks * 3
+    expected = [(1.0, str(mask), i, v.real, v.imag)
+                for mask in list_valid_masks(ModelParams(2, 1, 0, 2))
+                for i, v in enumerate(spectrum_of(_direct("a", 1, 2, 0, 2, mask)).values)]
+    assert rows == expected * 3
+
+
+_OVERFLOW = re.compile(r"error: entry \((\d+),(\d+)\) = (-?\d+)/(\d+) overflows a double\n")
+
+
+def test_sweep_overflow_at_a_combined_point_reports_the_entry_a_build_reports(
+        capsys, monkeypatch):
+    """Over 0:H:4 the sector none of N=2, m=1 fits in a double at a = 0 and
+    H/3, and not at 2H/3, a combined point: the sweep exits 2 naming the entry
+    (i, j) and the rational value that the point's own build reports."""
+    def matrix_at(a):
+        return build_matrix(build_gauged_operator(ModelParams(2, a, 0, 1), GaugeMask(())))
+
+    slope = max(abs(x - y) for r0, r1 in zip(matrix_at(0).rows, matrix_at(1).rows)
+                for x, y in zip(r0, r1))
+    grid = cli._grid(Fraction(0), Fraction(2 * 2**1024 // slope), 4)
+    to_float(matrix_at(grid[0]))
+    to_float(matrix_at(grid[1]))
+    with pytest.raises(ValueError) as built:
+        to_float(matrix_at(grid[2]))
+    builds = []
+
+    def counting(op):
+        builds.append(op.params.coupling_a)
+        return build_matrix(op)
+
+    monkeypatch.setattr(cli, "build_matrix", counting)
+    code, out, err = run(capsys, "sweep", "--sweep-var", "a", f"--range=0:{grid[-1]}:4",
+                         "--n", "2", "--m", "1", "--mask", "none")
+    assert (code, out, builds) == (2, "", grid[:2])
+    i, j, k, d = map(int, _OVERFLOW.fullmatch(err).groups())
+    i0, j0, k0, d0 = map(int, _OVERFLOW.fullmatch(f"error: {built.value}\n").groups())
+    assert (i, j, Fraction(k, d)) == (i0, j0, Fraction(k0, d0))
+
+
+def test_a_traced_sweep_builds_two_matrices_per_sector(tmp_path):
+    """A 5-point a-sweep over the four sectors of N=2, m=2 assembles each
+    sector twice and diagonalizes every point, each from one float image."""
+    argv = ["sweep", "--sweep-var", "a", "--range", "0:2:5", "--n", "2", "--m", "2",
+            "--roots=2,-3/2,-1/2"]
+    dims = [ModelParams(2, 0, 0, 2).basis_dimension(mask)
+            for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
+    tracer = tracing.Tracer(tmp_path / "spans.csv.gz")
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            tracer.begin_op(0)
+            code = main(argv)
+            calls = tracer.end_op()
+    finally:
+        tracer.close()
+    assert code == 0 and len(dims) == 4
+    assert calls["matrices.build_matrix.calls"] == 2 * 4
+    assert calls["matrices.build_matrix.columns"] == 2 * sum(dims)
+    assert calls["operator.build_gauged_operator.calls"] == 5 * 4
+    assert calls["spectral.spectrum_of.calls"] == calls["spectral.to_float.calls"] == 5 * 4
 
 
 # The sweep's flag conflicts, each with the error it reports first: --range,
