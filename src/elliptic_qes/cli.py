@@ -10,12 +10,10 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1).  A sweep builds
-each sector at its first two grid points; a later point whose weight table
-lies on the line through theirs gets the same exact combination of their
-matrices, which proves its closure as a build would, and any other point is
-built (`_weight_line`).  Before
-building or counting anything, every command but verify refuses N above
+their grid points exactly as lo + k (hi - lo)/(steps - 1) and build each
+sector at its first two; a later point on their weight line gets the exact
+combination of their matrices, which proves its closure as a build would.
+Before building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
@@ -215,20 +213,17 @@ class SectorRecord(NamedTuple):
 
 
 def _weight_line(first, second):
-    """The exact matrix of an operator whose weights lie on the line through
-    those of two built (operator, matrix) pairs, as a function of the operator.
+    """A function from an operator to its exact matrix, or None, given two
+    built (operator, matrix) pairs with weight tables c0 and c1.
 
-    `build_matrix` is linear in the weight table, components above the cutoff
-    included.  So if an operator on the same basis has c = (1 - t) c0 + t c1,
-    with c0, c1 the tables of ``first`` and ``second``, its matrix is
-    (1 - t) M0 + t M1, and it is closed because M0 and M1 are.  The function
-    tests that identity in ints: with x_j = (c_j - c0_j) D D0 D1 and
-    y_j = (c1_j - c0_j) D0 D1, and a pivot p where y_p != 0, t = x_p / (D y_p)
-    if x_j y_p == x_p y_j for every term j.  It then forms alpha K0 + beta K1
-    over one denominator, on the union of the two sparsity patterns (formed
-    here once, each column in ascending packed code, the order of
-    `build_matrix`), without zero entries.  It returns None when the identity
-    fails, the basis differs, or the two tables are equal.
+    An operator on the same basis with c = (1 - t) c0 + t c1 has the matrix
+    (1 - t) M0 + t M1 and is closed, since assembly is linear in the weights.
+    With x_j = (c_j - c0_j) D D0 D1, y_j = (c1_j - c0_j) D0 D1 and a pivot p
+    where y_p != 0, the identity holds, at t = x_p / (D y_p), iff
+    x_j y_p == x_p y_j for every term j; it is then alpha K0 + beta K1 over
+    one denominator, on the union of the two patterns formed here once, each
+    column in ascending packed code as `build_matrix` lists it.  None means
+    the identity fails, the basis differs or the two tables are equal.
     """
     (op0, mat0), (op1, mat1) = first, second
     (d0, u), (d1, v) = op0.weights, op1.weights
@@ -381,15 +376,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Spectra along an exact grid, one record per grid point and sector, in
     grid-then-mask order.  --sweep-var epsilon moves the roots along
     (2, -1+eps, -1-eps) and rejects explicit --roots; --sweep-var a sweeps the
-    interaction coupling over fixed roots.
-
-    Each sector is built at its first two grid points.  At a later point only
-    the operator is built: if its weights lie on the line through those two
-    tables, its matrix is their exact combination (`_weight_line`), else it is
-    built too.  No branch depends on the sweep variable.  Every weight is
-    affine in a, so an a-sweep builds each sector twice; on the epsilon family
-    the sectors whose weights are affine in eps^2 are built twice, and the
-    others at every point."""
+    interaction coupling over fixed roots.  Each sector is built at its first
+    two grid points, and a later point off their weight line (`_weight_line`)
+    is built too: every weight is affine in a, so an a-sweep builds each
+    sector twice, and an epsilon sweep those whose weights are affine in
+    eps^2."""
     lo, hi, steps = _parse_range(args.range)
     roots = _parse_roots(args.roots) if args.roots is not None else None
     if args.sweep_var == "a" and args.a is not None:

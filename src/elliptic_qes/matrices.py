@@ -23,12 +23,10 @@ independent oracle for the term matrices.
 
 Assembling a matrix is itself the closure proof for its parameter point:
 every column is the full exact image, components above the cutoff included,
-and a non-zero component outside the basis raises OperatorNotClosed.  The
-images, and with them K / D, are linear in the weight table.  So an operator
-on the same basis whose weights are (1 - t) c0 + t c1 for the tables of two
-built matrices M0, M1 has the matrix (1 - t) M0 + t M1 and is closed because
-they are; `sweep` combines its later grid points from two builds this way,
-after an exact check of that identity on each point's table.  The exact
+and a non-zero component outside the basis raises OperatorNotClosed.  Both
+are linear in the weight table, so weights (1 - t) c0 + t c1 on one basis
+give the matrix (1 - t) M0 + t M1, closed if M0 and M1 are; `sweep` combines
+its later grid points from two builds this way.  The exact
 linear algebra here is one route, `OperatorMatrix.charpoly`, by Berkowitz's
 algorithm in ints and kept on the matrix; `determinant` reads (-1)^n chi_M(0).
 `verify` transforms a matrix by similarity with unimodular row and column
