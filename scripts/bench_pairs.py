@@ -12,10 +12,15 @@ so a drift in machine speed does not favour either side.
 
 Every result line of `perfbench/run.py` (its last stdout line) is appended,
 unedited, to `BENCH_<NAME>.json` at the repository root, one JSON object per
-line with the workload, seed and short revision.  At the end the medians of
-the end-to-end metrics are printed for each workload and revision, the base
-median followed by the base's first and third quartiles, with the number of
-pairs in which the head revision was lower.
+line with the workload, seed and short revision, and with `setup_wall_s`, the
+median wall-clock (unscaled) import time of the run's setup probes, read from
+`perfbench/out/<workload>-seed<seed>-trace0.json` in that export.  At the end
+the medians of the end-to-end metrics are printed for each workload and
+revision, the base median followed by the base's first and third quartiles,
+with the number of pairs in which the head revision was lower; `setup_s` is
+followed by the two medians of `setup_wall_s`.  The nominal `setup_s` scales
+the import by the machine speed sampled before and after it, so a garbage
+collection that falls into the last sample moves it while the wall time stays.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ def _export(repo: Path, revision: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def _run(checkout: Path, workload: str) -> dict:
-    """One `perfbench/run.py` run; returns its last stdout line, parsed."""
+def _run(checkout: Path, workload: str) -> tuple[dict, float]:
+    """One `perfbench/run.py` run: its last stdout line, parsed, and the
+    median wall-clock `setup_s` of its setup probes."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload],
         cwd=checkout,
@@ -65,16 +71,18 @@ def _run(checkout: Path, workload: str) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} at {checkout.name} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(lines[-1])
+    out = checkout / "perfbench" / "out" / f"{workload}-seed{DEFAULT_SEED}-trace0.json"
+    probes = json.loads(out.read_text())["setup_probes"]
+    return json.loads(lines[-1]), statistics.median(p["setup_s"] for p in probes)
 
 
 def _summary(records: list[dict], base: str, head: str) -> list[str]:
     out = []
     for workload in dict.fromkeys(r["workload"] for r in records):
-        runs = {rev: [r["result"]["metrics"] for r in records
-                      if r["workload"] == workload and r["revision"] == rev]
+        rows = {rev: [r for r in records if r["workload"] == workload and r["revision"] == rev]
                 for rev in (base, head)}
-        failed = sum(r["result"]["failed"] for r in records if r["workload"] == workload)
+        runs = {rev: [r["result"]["metrics"] for r in rows[rev]] for rev in rows}
+        failed = sum(r["result"]["failed"] for rev in rows for r in rows[rev])
         out.append(f"{workload}: {len(runs[head])} pairs, {failed} failed operations")
         for name in END_TO_END:
             if not all(name in m for rev in runs for m in runs[rev]):
@@ -87,9 +95,14 @@ def _summary(records: list[dict], base: str, head: str) -> list[str]:
             if len(base_values) > 1:
                 q1, _, q3 = statistics.quantiles(base_values, n=4)
                 spread = f" [{q1:.4g}, {q3:.4g}]"
+            wall = ""
+            if name == "setup_s":
+                base_wall, head_wall = (statistics.median(r["setup_wall_s"] for r in rows[rev])
+                                        for rev in (base, head))
+                wall = f"; wall {base_wall:.4g} -> {head_wall:.4g}"
             out.append(f"  {name}: {statistics.median(base_values):.4g}{spread} -> "
                        f"{statistics.median(head_values):.4g} (head lower in "
-                       f"{lower}/{len(head_values)} pairs)")
+                       f"{lower}/{len(head_values)} pairs){wall}")
     return out
 
 
@@ -114,13 +127,15 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload or WORKLOADS:
             for pair in range(PAIRS):
                 for rev in revisions if pair % 2 == 0 else revisions[::-1]:
+                    result, setup_wall_s = _run(checkouts[rev], workload)
                     record = {"workload": workload, "seed": DEFAULT_SEED, "revision": rev,
-                              "result": _run(checkouts[rev], workload)}
+                              "result": result, "setup_wall_s": setup_wall_s}
                     records.append(record)
                     with out_path.open("a", encoding="utf-8") as fh:
                         fh.write(json.dumps(record) + "\n")
                     print(f"{workload} pair {pair + 1} {rev}: "
-                          f"{json.dumps(record['result'].get('metrics', {}))}", flush=True)
+                          f"{json.dumps(result.get('metrics', {}))}, "
+                          f"setup wall {setup_wall_s:.4g} s", flush=True)
     print("\n".join(_summary(records, *revisions)))
     return 0
 

@@ -17,10 +17,14 @@ Before building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
 MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
-MAX_CHECK_WORK.  A sector dimension, or a sweep's total, with more digits than
-Python will print refuses --m or --range.  spectrum and sweep make one
-`SectorRecord` per sector and grid point and write it by one CSV renderer or a
+MAX_CHECK_WORK.  A rational flag value, sector dimension or sweep total with more
+digits than Python will print is refused by an error that names the flag behind
+it (--m and --b for a masked sector), and so is a sweep grid value that its
+output format cannot write (--range).
+spectrum and sweep make their `SectorRecord`s, one per sector and parameter
+point, in one loop (`_sector_records`) and write them by one CSV renderer or a
 JSON template; an eigenvalue that is NaN or infinite is refused, not printed.
+The flags that several subcommands share are declared once, in `build_parser`.
 Exit codes: 0 success, 1 a verification or convergence failure (such an
 eigenvalue included), 2 a parameter error or a refused size.
 """
@@ -74,26 +78,23 @@ MAX_PARTICLES = 32
 MAX_CHECK_WORK = 50_000
 
 
+def _rational(text, flag):
+    """The exact value of ``flag``'s ``text``, refused when Python will not
+    write it in decimal (more digits than `sys.get_int_max_str_digits`)."""
+    value = parse_rational(text)
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError(f"{flag} has too many digits to print") from None
+    return value
+
+
 def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ValueError(f"--roots needs three comma-separated rationals, got {text!r}")
-    e1, e2, e3 = (parse_rational(p) for p in parts)
+    e1, e2, e3 = (_rational(p, "--roots") for p in parts)
     return (e1, e2, e3)
-
-
-def _parse_range(text: str) -> tuple[Fraction, Fraction, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--range must be lo:hi:steps, got {text!r}")
-    lo, hi = parse_rational(parts[0]), parse_rational(parts[1])
-    try:
-        steps = int(parts[2])
-    except ValueError:
-        raise ValueError(f"--range steps must be a positive integer, got {parts[2]!r}") from None
-    if steps < 1:
-        raise ValueError(f"--range needs at least one step, got {steps}")
-    return lo, hi, steps
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
@@ -118,12 +119,14 @@ def _selected_masks(params: ModelParams, text: str) -> list[GaugeMask]:
 
 def _dimension(params: ModelParams, mask: GaugeMask) -> int:
     """The sector's basis dimension, refused when Python will not write it in
-    decimal (more digits than `sys.get_int_max_str_digits`)."""
+    decimal.  The message names --m, and --b too when the mask is not empty,
+    its cutoff being m + n_f (b - 1/2)."""
     dimension = params.basis_dimension(mask)
     try:
         str(dimension)
     except ValueError:
-        raise ValueError(f"--m = {params.degree_m} gives a sector dimension with too many "
+        b = f", with --b = {params.coupling_b}," if mask.indices else ""
+        raise ValueError(f"--m = {params.degree_m}{b} gives a sector dimension with too many "
                          "digits to print") from None
     return dimension
 
@@ -169,21 +172,11 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
     roots = _parse_roots(args.roots)
     return ModelParams(
         args.n,
-        parse_rational(args.a),
-        parse_rational(args.b),
-        parse_rational(args.m),
+        _rational(args.a, "--a"),
+        _rational(args.b, "--b"),
+        _rational(args.m, "--m"),
         roots,
     )
-
-
-def _params_payload(params: ModelParams) -> dict:
-    return {
-        "nvars": params.nvars,
-        "a": str(params.coupling_a),
-        "b": str(params.coupling_b),
-        "m": str(params.degree_m),
-        "roots": [str(e) for e in params.roots],
-    }
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -260,6 +253,26 @@ def _weight_line(first, second):
     return combined
 
 
+def _sector_records(points, masks):
+    """A (label, record) pair for each mask at each (label, parameter point)
+    of ``points``, in point-then-mask order.  Each sector is built at its
+    first two points, and a later point off their weight line (`_weight_line`)
+    is built too."""
+    firsts, lines, rows = {}, {}, []  # each sector's first (operator, matrix), then its line
+    for label, params in points:
+        for mask in masks:
+            op = build_gauged_operator(params, mask)
+            mat = lines[mask](op) if mask in lines else None
+            if mat is None:
+                mat = build_matrix(op)
+                if mask in firsts and mask not in lines:
+                    lines[mask] = _weight_line(firsts[mask], (op, mat))
+                firsts.setdefault(mask, (op, mat))
+            rows.append((label, SectorRecord(str(mask), op.cutoff, mat.dim,
+                                             spectrum_of(mat).values)))
+    return rows
+
+
 def _finite(record: SectorRecord) -> tuple[complex, ...]:
     """The record's eigenvalues; a NaN or infinite one raises NoConvergence, so no
     renderer prints nan, inf, NaN or Infinity."""
@@ -328,12 +341,12 @@ def _json_text(x: object) -> str:
     return json.dumps(str(x))
 
 
-def _spectrum_json(params: ModelParams, records: list[SectorRecord]) -> str:
+def _spectrum_json(params: ModelParams, rows: list[tuple[str, SectorRecord]]) -> str:
     texts = (params.coupling_a, params.coupling_b, params.degree_m, *params.roots)
     sectors = ",\n".join(
         _SECTOR_JSON % (_json_text(r.mask), r.cutoff, r.dimension, ",\n".join(
             [_EIGENVALUE_JSON % (v.real, v.imag) for v in _finite(r)]))
-        for r in records)
+        for _, r in rows)
     return _SPECTRUM_JSON % (params.nvars, *map(_json_text, texts), sectors)
 
 
@@ -351,22 +364,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     masks = _selected_masks(params, args.mask)
     _check_budget(params, masks)
-    records = []
-    for mask in masks:
-        mat = build_matrix(build_gauged_operator(params, mask))
-        records.append(SectorRecord(str(mask), params.cutoff(mask), mat.dim,
-                                    spectrum_of(mat).values))
+    rows = _sector_records([("", params)], masks)
     if args.format == "json":
-        _emit(_spectrum_json(params, records), args.out)
+        _emit(_spectrum_json(params, rows), args.out)
     else:
-        _emit(_eigenvalue_csv("", [("", r) for r in records]), args.out)
+        _emit(_eigenvalue_csv("", rows), args.out)
     return 0
 
 
-def _sweep_json(sweep_var: str, points: list[tuple[Fraction, SectorRecord]]) -> str:
+def _sweep_json(sweep_var: str, points: list[tuple[str, SectorRecord]]) -> str:
     rows = []
-    for value, r in points:
-        value_text, mask_text = _json_text(value), _json_text(r.mask)
+    for value_text, r in points:
+        mask_text = _json_text(r.mask)
         rows.extend(_SWEEP_ROW_JSON % (value_text, mask_text, i, v.real, v.imag)
                     for i, v in enumerate(_finite(r)))
     return _SWEEP_JSON % (_json_text(sweep_var), ",\n".join(rows))
@@ -376,18 +385,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Spectra along an exact grid, one record per grid point and sector, in
     grid-then-mask order.  --sweep-var epsilon moves the roots along
     (2, -1+eps, -1-eps) and rejects explicit --roots; --sweep-var a sweeps the
-    interaction coupling over fixed roots.  Each sector is built at its first
-    two grid points, and a later point off their weight line (`_weight_line`)
-    is built too: every weight is affine in a, so an a-sweep builds each
-    sector twice, and an epsilon sweep those whose weights are affine in
-    eps^2."""
-    lo, hi, steps = _parse_range(args.range)
+    interaction coupling over fixed roots.  Every weight is affine in a, so an
+    a-sweep builds each sector twice (`_sector_records`), and an epsilon sweep
+    those whose weights are affine in eps^2.  A grid value that the format
+    cannot write, beyond a double in CSV or with too many digits in JSON, is
+    refused before anything is built."""
+    parts = args.range.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--range must be lo:hi:steps, got {args.range!r}")
+    lo, hi = _rational(parts[0], "--range"), _rational(parts[1], "--range")
+    try:
+        steps = int(parts[2])
+    except ValueError:
+        raise ValueError(f"--range steps must be a positive integer, got {parts[2]!r}") from None
+    if steps < 1:
+        raise ValueError(f"--range needs at least one step, got {steps}")
     roots = _parse_roots(args.roots) if args.roots is not None else None
     if args.sweep_var == "a" and args.a is not None:
         raise ValueError("the swept coupling comes from --range; drop --a")
-    m = parse_rational(args.m)
-    a = parse_rational(args.a) if args.a is not None else Fraction(0)
-    b = parse_rational(args.b)
+    m = _rational(args.m, "--m")
+    a = _rational(args.a, "--a") if args.a is not None else Fraction(0)
+    b = _rational(args.b, "--b")
     if args.sweep_var == "epsilon" and roots is not None:
         raise ValueError("an epsilon sweep fixes the root family; drop --roots")
 
@@ -400,25 +418,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     first = params_at(lo)
     masks = _selected_masks(first, args.mask)
     _check_budget(first, masks, steps)
-    firsts, lines = {}, {}  # each sector's first (operator, matrix), then its weight line
-    points = []
-    for value in _grid(lo, hi, steps):
-        params = params_at(value)
-        for mask in masks:
-            op = build_gauged_operator(params, mask)
-            mat = lines[mask](op) if mask in lines else None
-            if mat is None:
-                mat = build_matrix(op)
-                if mask in firsts and mask not in lines:
-                    lines[mask] = _weight_line(firsts[mask], (op, mat))
-                firsts.setdefault(mask, (op, mat))
-            points.append((value, SectorRecord(str(mask), op.cutoff, mat.dim,
-                                               spectrum_of(mat).values)))
+    grid = _grid(lo, hi, steps)
+    try:
+        labels = [f"{float(v)!r}," if args.format == "csv" else _json_text(v) for v in grid]
+    except OverflowError:
+        raise ValueError("--range gives a grid value too large for a double") from None
+    except ValueError:
+        raise ValueError("--range gives a grid value with too many digits to print") from None
+    rows = _sector_records(zip(labels, map(params_at, grid)), masks)
     if args.format == "csv":
-        _emit(_eigenvalue_csv("sweep_value,", [(f"{float(v)!r},", r) for v, r in points]),
-              args.out)
+        _emit(_eigenvalue_csv("sweep_value,", rows), args.out)
     else:
-        _emit(_sweep_json(args.sweep_var, points), args.out)
+        _emit(_sweep_json(args.sweep_var, rows), args.out)
     return 0
 
 
@@ -438,7 +449,9 @@ def cmd_masks(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "json":
-        _emit(json.dumps({"params": _params_payload(params), "masks": records}, indent=2), args.out)
+        payload = {"nvars": params.nvars, "a": str(params.coupling_a), "b": str(params.coupling_b),
+                   "m": str(params.degree_m), "roots": [str(e) for e in params.roots]}
+        _emit(json.dumps({"params": payload, "masks": records}, indent=2), args.out)
     else:
         lines = ["mask  cutoff  dimension  valid"]
         for r in records:
@@ -544,26 +557,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-_A_HELP = "interaction coupling a, exact rational (default 0)"
-
-
-def _add_param_flags(sub: argparse.ArgumentParser, *, roots_default: str | None) -> None:
-    sub.add_argument("--n", type=int, default=2, help="number of variables (default 2)")
-    sub.add_argument(
-        "--m",
-        default="2",
-        help="degree parameter, exact rational (default 2)",
-    )
-    sub.add_argument(
-        "--b",
-        default="0",
-        help="external coupling b, exact rational (default 0)",
-    )
-    sub.add_argument(
-        "--roots",
-        default=roots_default,
-        help="three cubic roots e1,e2,e3 summing to zero (default 2,-1,-1)",
-    )
+# The help of each flag that two or more subcommands share, and the defaults of
+# the model's parameters; `build_parser` gives each subcommand the shared flags
+# it has a default for.
+_HELP = {
+    "n": "number of variables (default %(default)s)",
+    "m": "degree parameter, exact rational (default %(default)s)",
+    "b": "external coupling b, exact rational (default %(default)s)",
+    "roots": "three cubic roots e1,e2,e3 summing to zero (default 2,-1,-1; an epsilon "
+             "sweep sets them to 2,-1+eps,-1-eps)",
+    "a": "interaction coupling a, exact rational (default 0; an a-sweep takes it from "
+         "--range)",
+    "mask": "gauge mask such as none or 13 (default %(default)s)",
+    "format": "output format (default %(default)s)",
+    "out": "write to a file instead of stdout",
+}
+_MODEL = {"n": 2, "m": "2", "b": "0", "roots": "2,-1,-1", "a": "0"}
 
 
 @functools.cache
@@ -575,67 +584,30 @@ def build_parser() -> argparse.ArgumentParser:
         "elliptic many-body operator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_matrix = sub.add_parser(
-        "matrix", help="print one sector matrix, checked against the z-space operator"
-    )
-    _add_param_flags(p_matrix, roots_default="2,-1,-1")
-    p_matrix.add_argument("--a", default="0", help=_A_HELP)
-    p_matrix.add_argument("--mask", default="none", help="gauge mask (default none)")
-    p_matrix.add_argument("--format", choices=("json", "csv"), default="json")
-    p_matrix.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p_matrix.set_defaults(func=cmd_matrix)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalues of one or all sectors")
-    _add_param_flags(p_spec, roots_default="2,-1,-1")
-    p_spec.add_argument("--a", default="0", help=_A_HELP)
-    p_spec.add_argument("--mask", default="all", help="gauge mask or 'all' (default all)")
-    p_spec.add_argument("--format", choices=("json", "csv"), default="json")
-    p_spec.add_argument("--out", default=None)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_sweep = sub.add_parser("sweep", help="spectra along an exact parameter grid")
-    _add_param_flags(p_sweep, roots_default=None)
-    p_sweep.add_argument(
-        "--a",
-        default=None,
-        help="interaction coupling a, epsilon sweeps only",
-    )
-    p_sweep.add_argument("--mask", default="all", help="gauge mask or 'all' (default all)")
-    p_sweep.add_argument(
-        "--sweep-var", choices=("epsilon", "a"), required=True, dest="sweep_var"
-    )
-    p_sweep.add_argument("--range", required=True, help="grid as lo:hi:steps")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_masks = sub.add_parser("masks", help="list the eight gauge sectors")
-    _add_param_flags(p_masks, roots_default="2,-1,-1")
-    p_masks.add_argument("--a", default="0", help=_A_HELP)
-    p_masks.add_argument("--format", choices=("text", "json"), default="text")
-    p_masks.add_argument("--out", default=None)
-    p_masks.set_defaults(func=cmd_masks)
-
-    p_eig = sub.add_parser(
-        "eigenfunctions", help="gauge prefactor and polynomial factor per eigenvalue"
-    )
-    _add_param_flags(p_eig, roots_default="2,-1,-1")
-    p_eig.add_argument("--a", default="0", help=_A_HELP)
-    p_eig.add_argument("--mask", default="none", help="gauge mask (default none)")
-    p_eig.add_argument("--out", default=None)
-    p_eig.set_defaults(func=cmd_eigenfunctions)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument(
-        "--only",
-        default=None,
-        help="comma-separated subset of checks: " + ", ".join(CHECK_NAMES),
-    )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
-
+    json_csv, text_json = ("json", "csv"), ("text", "json")
+    for func, help_, formats, defaults in (
+        (cmd_matrix, "print one sector matrix, checked against the z-space operator", json_csv,
+         {**_MODEL, "mask": "none", "format": "json"}),
+        (cmd_spectrum, "eigenvalues of one or all sectors", json_csv,
+         {**_MODEL, "mask": "all", "format": "json"}),
+        (cmd_sweep, "spectra along an exact parameter grid", json_csv,
+         {**_MODEL, "roots": None, "a": None, "mask": "all", "format": "csv"}),
+        (cmd_masks, "list the eight gauge sectors", text_json, {**_MODEL, "format": "text"}),
+        (cmd_eigenfunctions, "gauge prefactor and polynomial factor per eigenvalue", None,
+         {**_MODEL, "mask": "none"}),
+        (cmd_verify, "run the verification suite", text_json, {"format": "text"}),
+    ):
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help_)
+        for dest, default in {**defaults, "out": None}.items():
+            p.add_argument(f"--{dest}", type=int if dest == "n" else None, default=default,
+                           choices=formats if dest == "format" else None, help=_HELP[dest])
+        p.set_defaults(func=func)
+    sweep, verify = sub.choices["sweep"], sub.choices["verify"]
+    sweep.add_argument("--sweep-var", choices=("epsilon", "a"), required=True,
+                       help="the swept parameter")
+    sweep.add_argument("--range", required=True, help="grid as lo:hi:steps")
+    verify.add_argument("--only", default=None,
+                        help="comma-separated subset of checks: " + ", ".join(CHECK_NAMES))
     return parser
 
 

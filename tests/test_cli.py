@@ -1,5 +1,6 @@
 """Command-line behaviour: payload shapes, determinism, exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -147,6 +148,69 @@ def test_a_sweep_total_too_long_to_print_names_range(capsys):
                          "--n", "2", "--m", "8")
     assert (code, out) == (2, "")
     assert err == "error: --range gives a total dimension with too many digits to print\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (("spectrum", "--n", "2", "--m", "1", "--a=1e5000"), "--a"),
+        (("matrix", "--n", "2", "--m", "1", "--a=1e5000"), "--a"),
+        (("eigenfunctions", "--n", "2", "--m", "1", "--a=1e5000"), "--a"),
+        (("masks", "--n", "1", "--m", "1", "--a=1e5000", "--format", "json"), "--a"),
+        (("masks", "--n", "1", "--m", "1", "--a=1e5000"), "--a"),
+        (("sweep", "--sweep-var", "a", "--range=0:1e5000:2", "--n", "2", "--m", "1"), "--range"),
+        (("sweep", "--sweep-var", "epsilon", "--range=0:1:2", "--b=-1e5000"), "--b"),
+        (("spectrum", "--m=1e5000"), "--m"),
+        (("matrix", "--roots=1e5000,-1e5000,0"), "--roots"),
+    ],
+)
+def test_a_flag_value_too_long_to_print_names_the_flag(capsys, monkeypatch, argv, flag):
+    """10^5000 has 5001 digits, above Python's default limit of 4300 for
+    int-to-decimal conversion; the value is refused where its flag is parsed."""
+    monkeypatch.setattr(cli, "build_gauged_operator", None)
+    assert run(capsys, *argv) == (2, "", f"error: {flag} has too many digits to print\n")
+
+
+def test_a_masked_sector_too_long_to_print_names_m_and_b(capsys):
+    """At b = 10^200 + 1/2 a mask of one root has cutoff m + 10^200, and its
+    dimension at N = 32 has about 6400 digits; the mask none, at cutoff m,
+    has 33."""
+    b = f"{2 * 10**200 + 1}/2"
+    code, out, err = run(capsys, "masks", "--n", "32", "--m", "1", "--b", b)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --m = 1, with --b = {b}, gives a sector dimension with too many "
+                   "digits to print\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--sweep-var", "a", "--range=1e400:1e400:1", "--n", "1", "--m", "1"),
+     ("sweep", "--sweep-var", "epsilon", "--range=1e400:1e400:1", "--n", "1", "--m", "0",
+      "--mask", "none")],
+)
+def test_a_csv_sweep_refuses_a_grid_value_beyond_a_double_before_building(capsys, monkeypatch,
+                                                                          argv):
+    """The sector's entries fit in a double (a does not enter at N = 1, nor
+    eps at cutoff 0), so the JSON output, which writes the value exactly, is
+    printed; CSV writes it as a double and refuses it by --range."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["rows"][0]["value"] == str(10**400)
+    monkeypatch.setattr(cli, "build_gauged_operator", None)
+    assert run(capsys, *argv, "--format", "csv") == (
+        2, "", "error: --range gives a grid value too large for a double\n")
+
+
+def test_a_json_sweep_refuses_a_grid_value_too_long_to_print_before_building(capsys,
+                                                                             monkeypatch):
+    """Both ends print, but the middle point (lo + hi)/2 has a denominator of
+    2 * 10^2200 * 3^4600, about 4400 digits."""
+    argv = ("sweep", "--sweep-var", "a", f"--range=1/{10**2200}:1/{3**4600}:3", "--n", "1",
+            "--m", "1")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * 5
+    monkeypatch.setattr(cli, "build_gauged_operator", None)
+    assert run(capsys, *argv, "--format", "json") == (
+        2, "", "error: --range gives a grid value with too many digits to print\n")
 
 
 def test_particle_limit_admits_its_own_n_and_sixteen_particles_run(capsys):
@@ -974,6 +1038,55 @@ def test_polynomial_factors_match_the_term_by_term_reference():
         "(0.2+0.3j) - 0.5*t1 + 1*t2^3",
         "-1.01e-12*t2 + 0.7*t1^2 + 1*t2^3",
     ]
+
+
+_MODEL_OPTIONS = {"--n": ("n", None, False, int), "--m": ("m", None, False, None),
+                  "--b": ("b", None, False, None), "--roots": ("roots", None, False, None),
+                  "--a": ("a", None, False, None), "--out": ("out", None, False, None)}
+_MODEL_DEFAULTS = {"n": 2, "m": "2", "b": "0", "roots": "2,-1,-1", "a": "0", "out": None}
+_JSON_CSV = ("format", ("json", "csv"), False, None)
+_TEXT_JSON = ("format", ("text", "json"), False, None)
+_MASK = ("mask", None, False, None)
+
+# Per subcommand: each option string's (dest, choices, required, type), and
+# the value of every dest whose flag is left out.
+CLI_SURFACE = {
+    "matrix": ({**_MODEL_OPTIONS, "--mask": _MASK, "--format": _JSON_CSV},
+               {**_MODEL_DEFAULTS, "mask": "none", "format": "json", "func": "cmd_matrix"}),
+    "spectrum": ({**_MODEL_OPTIONS, "--mask": _MASK, "--format": _JSON_CSV},
+                 {**_MODEL_DEFAULTS, "mask": "all", "format": "json", "func": "cmd_spectrum"}),
+    "sweep": ({**_MODEL_OPTIONS, "--mask": _MASK, "--format": _JSON_CSV,
+               "--sweep-var": ("sweep_var", ("epsilon", "a"), True, None),
+               "--range": ("range", None, True, None)},
+              {**_MODEL_DEFAULTS, "roots": None, "a": None, "mask": "all", "format": "csv",
+               "func": "cmd_sweep"}),
+    "masks": ({**_MODEL_OPTIONS, "--format": _TEXT_JSON},
+              {**_MODEL_DEFAULTS, "format": "text", "func": "cmd_masks"}),
+    "eigenfunctions": ({**_MODEL_OPTIONS, "--mask": _MASK},
+                       {**_MODEL_DEFAULTS, "mask": "none", "func": "cmd_eigenfunctions"}),
+    "verify": ({"--only": ("only", None, False, None), "--format": _TEXT_JSON,
+                "--out": ("out", None, False, None)},
+               {"only": None, "format": "text", "out": None, "func": "cmd_verify"}),
+}
+
+
+def test_the_command_line_surface_is_pinned():
+    """Every subcommand keeps its option strings, their dests, choices,
+    required flags and types, and the default of each dest."""
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(CLI_SURFACE)
+    for name, sub in commands.choices.items():
+        options = {flag: (action.dest, action.choices, action.required, action.type)
+                   for action in sub._actions for flag in action.option_strings
+                   if action.dest != "help"}
+        required = [word for action in sub._actions if action.required
+                    for word in (action.option_strings[0], (action.choices or ["0:1:2"])[0])]
+        given = {action.dest for action in sub._actions if action.required}
+        defaults = {dest: value for dest, value in vars(sub.parse_args(required)).items()
+                    if dest not in given}
+        defaults["func"] = defaults["func"].__name__
+        assert (options, defaults) == CLI_SURFACE[name], name
 
 
 def test_one_parser_serves_every_call_without_carrying_state(capsys):
