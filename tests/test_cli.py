@@ -1080,11 +1080,10 @@ def test_the_command_line_surface_is_pinned():
         options = {flag: (action.dest, action.choices, action.required, action.type)
                    for action in sub._actions for flag in action.option_strings
                    if action.dest != "help"}
-        required = [word for action in sub._actions if action.required
-                    for word in (action.option_strings[0], (action.choices or ["0:1:2"])[0])]
-        given = {action.dest for action in sub._actions if action.required}
-        defaults = {dest: value for dest, value in vars(sub.parse_args(required)).items()
-                    if dest not in given}
+        required = ["--sweep-var", "a", "--range", "0:1:2"] if name == "sweep" else []
+        defaults = vars(sub.parse_args(required))
+        for dest in ("sweep_var", "range"):
+            defaults.pop(dest, None)
         defaults["func"] = defaults["func"].__name__
         assert (options, defaults) == CLI_SURFACE[name], name
 
