@@ -18,9 +18,14 @@ median wall-clock (unscaled) import time of the run's setup probes, read from
 the medians of the end-to-end metrics are printed for each workload and
 revision, the base median followed by the base's first and third quartiles,
 with the number of pairs in which the head revision was lower; `setup_s` is
-followed by the two medians of `setup_wall_s`.  The nominal `setup_s` scales
+followed by the two medians of `setup_wall_s` and by each export's
+`gc.get_count()` at the end of the timed import.  The nominal `setup_s` scales
 the import by the machine speed sampled before and after it, so a garbage
-collection that falls into the last sample moves it while the wall time stays.
+collection that falls into the last sample moves it while the wall time stays;
+where it falls follows from those counts.  They are read once per export, in a
+fresh interpreter that enters `perfbench/probe.py`'s `ScaledTimer` and imports
+`elliptic_qes.cli` as the setup probe does, after a warm-up import has written
+the bytecode cache.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 # ten pairs: a gain is claimed only when the head is lower in nine of them
 PAIRS = 10
 END_TO_END = ("op_s_p50", "cold_op_s", "setup_s", "peak_rss_mb")
+WARM_UP = "import sys; sys.path.insert(0, 'src'); import elliptic_qes.cli"
+GC_COUNT = """\
+import gc, sys
+sys.path[:0] = ["perfbench"]
+from probe import SRC, ScaledTimer
+sys.path.insert(0, SRC)
+with ScaledTimer():
+    import elliptic_qes.cli
+    count = gc.get_count()
+print(count)
+"""
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -56,6 +72,15 @@ def _export(repo: Path, revision: str, target: Path) -> None:
     ).stdout
     target.mkdir()
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+
+
+def _gc_count(checkout: Path) -> str:
+    """`gc.get_count()` at the end of the setup probe's timed import, read in a
+    fresh interpreter of `checkout` after a warm-up import."""
+    for code in (WARM_UP, GC_COUNT):
+        out = subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True,
+                             capture_output=True, text=True).stdout
+    return out.strip()
 
 
 def _run(checkout: Path, workload: str) -> tuple[dict, float]:
@@ -76,7 +101,7 @@ def _run(checkout: Path, workload: str) -> tuple[dict, float]:
     return json.loads(lines[-1]), statistics.median(p["setup_s"] for p in probes)
 
 
-def _summary(records: list[dict], base: str, head: str) -> list[str]:
+def _summary(records: list[dict], base: str, head: str, counts: dict[str, str]) -> list[str]:
     out = []
     for workload in dict.fromkeys(r["workload"] for r in records):
         rows = {rev: [r for r in records if r["workload"] == workload and r["revision"] == rev]
@@ -99,7 +124,8 @@ def _summary(records: list[dict], base: str, head: str) -> list[str]:
             if name == "setup_s":
                 base_wall, head_wall = (statistics.median(r["setup_wall_s"] for r in rows[rev])
                                         for rev in (base, head))
-                wall = f"; wall {base_wall:.4g} -> {head_wall:.4g}"
+                wall = (f"; wall {base_wall:.4g} -> {head_wall:.4g}; gc count "
+                        f"{counts[base]} -> {counts[head]}")
             out.append(f"  {name}: {statistics.median(base_values):.4g}{spread} -> "
                        f"{statistics.median(head_values):.4g} (head lower in "
                        f"{lower}/{len(head_values)} pairs){wall}")
@@ -120,10 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     out_path = repo / f"BENCH_{args.label}.json"
     records = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {}
+        checkouts, counts = {}, {}
         for rev in revisions:
             checkouts[rev] = Path(tmp) / rev
             _export(repo, rev, checkouts[rev])
+            counts[rev] = _gc_count(checkouts[rev])
+            print(f"{rev}: gc count {counts[rev]} at the end of the timed import", flush=True)
         for workload in args.workload or WORKLOADS:
             for pair in range(PAIRS):
                 for rev in revisions if pair % 2 == 0 else revisions[::-1]:
@@ -136,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {pair + 1} {rev}: "
                           f"{json.dumps(result.get('metrics', {}))}, "
                           f"setup wall {setup_wall_s:.4g} s", flush=True)
-    print("\n".join(_summary(records, *revisions)))
+    print("\n".join(_summary(records, *revisions, counts)))
     return 0
 
 

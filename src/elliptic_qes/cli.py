@@ -12,18 +12,21 @@ Subcommands:
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
 their grid points exactly as lo + k (hi - lo)/(steps - 1) and build each
 sector at its first two; a later point on their weight line gets the exact
-combination of their matrices, which proves its closure as a build would.
+combination of their matrices, which proves its closure as a build would.  A
+sweep of one or two points forms no line.
 Before building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
-MAX_TOTAL_DIMENSION, and matrix refuses a z-space self-check above
-MAX_CHECK_WORK.  A rational flag value, sector dimension or sweep total with more
-digits than Python will print is refused by an error that names the flag behind
-it (--m and --b for a masked sector), and so is a sweep grid value that its
-output format cannot write (--range).
+MAX_TOTAL_DIMENSION (`_check_budget`), and matrix alone refuses its z-space
+self-check above MAX_CHECK_WORK (`_check_z_space`).  A rational flag value,
+sector dimension or sweep total with more digits than Python will print is
+refused by an error that names the flag behind it (--m and --b for a masked
+sector), and so is a sweep grid value that its output format cannot write
+(--range).
 spectrum and sweep make their `SectorRecord`s, one per sector and parameter
-point, in one loop (`_sector_records`) and write them by one CSV renderer or a
-JSON template; an eigenvalue that is NaN or infinite is refused, not printed.
+point, in one loop (`_sector_records`), which refuses an eigenvalue that is NaN
+or infinite as it makes the record, and write them by one CSV renderer or a
+JSON template.
 The flags that several subcommands share are declared once, in `build_parser`.
 Exit codes: 0 success, 1 a verification or convergence failure (such an
 eigenvalue included), 2 a parameter error or a refused size.
@@ -32,6 +35,7 @@ eigenvalue included), 2 a parameter error or a refused size.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -41,13 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidDegree,
-    NoConvergence,
-    NonCancellingPole,
-    NotSymmetric,
-    OperatorNotClosed,
-)
+from .errors import InvalidDegree, NoConvergence, NonCancellingPole, OperatorNotClosed
 from .matrices import OperatorMatrix, build_matrix, export_matrix, matches_operator, to_float
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
@@ -131,16 +129,12 @@ def _dimension(params: ModelParams, mask: GaugeMask) -> int:
     return dimension
 
 
-def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
-                  *, z_space: bool = False) -> None:
-    """Refuse N above MAX_PARTICLES, work above MAX_TOTAL_DIMENSION and, with
-    ``z_space`` (`matrix`), a z-space check above MAX_CHECK_WORK, before
-    anything is built.  Every mask's cutoff is decided first, so an invalid mask
-    raises InvalidDegree before a sweep forms its grid."""
-    n = params.nvars
-    if n > MAX_PARTICLES:
-        raise ValueError(f"N = {n} is above the limit of {MAX_PARTICLES} particles")
-    cutoffs = [params.cutoff(mask) for mask in masks]
+def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1) -> None:
+    """Refuse N above MAX_PARTICLES and work above MAX_TOTAL_DIMENSION before
+    anything is built; an invalid mask raises InvalidDegree as its dimension is
+    counted, before a sweep forms its grid."""
+    if params.nvars > MAX_PARTICLES:
+        raise ValueError(f"N = {params.nvars} is above the limit of {MAX_PARTICLES} particles")
     total = points * sum(_dimension(params, mask) for mask in masks)
     if total > MAX_TOTAL_DIMENSION:
         try:
@@ -151,12 +145,16 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1,
                              "print") from None
         raise ValueError(f"the requested sectors have total dimension {text}, above the limit "
                          f"{MAX_TOTAL_DIMENSION}")
+
+
+def _check_z_space(params: ModelParams, mask: GaugeMask) -> None:
+    """Refuse `matrix`'s z-space check above MAX_CHECK_WORK before it is built."""
+    n, cutoff = params.nvars, params.cutoff(mask)
     s = 2**n - 1  # sum_i C(N, i), and sum_i C(N, i)^2 = C(2N, N) - 1
-    for cutoff in cutoffs if z_space else []:
-        terms = 1 + s * (cutoff >= 1) + (s * s + comb(2 * n, n) - 1) // 2 * (cutoff >= 2)
-        if (work := comb(n, 2) * terms) > MAX_CHECK_WORK:
-            raise ValueError(f"the z-space check takes work {work}, above the limit "
-                             f"{MAX_CHECK_WORK}")
+    terms = 1 + s * (cutoff >= 1) + (s * s + comb(2 * n, n) - 1) // 2 * (cutoff >= 2)
+    if (work := comb(n, 2) * terms) > MAX_CHECK_WORK:
+        raise ValueError(f"the z-space check takes work {work}, above the limit "
+                         f"{MAX_CHECK_WORK}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -185,7 +183,8 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mask = GaugeMask.from_string(args.mask)
-    _check_budget(params, [mask], z_space=True)
+    _check_budget(params, [mask])
+    _check_z_space(params, mask)
     op = build_gauged_operator(params, mask)
     mat = build_matrix(op)
     if not matches_operator(op, mat):
@@ -253,35 +252,36 @@ def _weight_line(first, second):
     return combined
 
 
-def _sector_records(points, masks):
-    """A (label, record) pair for each mask at each (label, parameter point)
-    of ``points``, in point-then-mask order.  Each sector is built at its
-    first two points, and a later point off their weight line (`_weight_line`)
-    is built too."""
-    firsts, lines, rows = {}, {}, []  # each sector's first (operator, matrix), then its line
-    for label, params in points:
-        for mask in masks:
-            op = build_gauged_operator(params, mask)
-            mat = lines[mask](op) if mask in lines else None
-            if mat is None:
-                mat = build_matrix(op)
-                if mask in firsts and mask not in lines:
-                    lines[mask] = _weight_line(firsts[mask], (op, mat))
-                firsts.setdefault(mask, (op, mat))
-            rows.append((label, SectorRecord(str(mask), op.cutoff, mat.dim,
-                                             spectrum_of(mat).values)))
-    return rows
-
-
-def _finite(record: SectorRecord) -> tuple[complex, ...]:
-    """The record's eigenvalues; a NaN or infinite one raises NoConvergence, so no
-    renderer prints nan, inf, NaN or Infinity."""
-    finite = np.isfinite(record.values)
+def _finite_values(mask: GaugeMask, values: tuple[complex, ...]) -> tuple[complex, ...]:
+    """The eigenvalues ``values`` of sector ``mask``; a NaN or infinite one
+    raises NoConvergence naming the sector and its index."""
+    finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NoConvergence(f"sector {record.mask}: eigenvalue {i} is {record.values[i]}, "
-                            "not finite")
-    return record.values
+        raise NoConvergence(f"sector {mask}: eigenvalue {i} is {values[i]}, not finite")
+    return values
+
+
+def _sector_records(points: list[tuple[str, ModelParams]],
+                    masks: list[GaugeMask]) -> list[tuple[str, SectorRecord]]:
+    """A (label, record) pair for each mask at each (label, parameter point)
+    of the list ``points``, in point-then-mask order.  Each sector is built at
+    its first two points, and a later point off their weight line
+    (`_weight_line`, formed only when there is a third point) is built too.
+    Every record's eigenvalues are finite (`_finite_values`), so no renderer
+    prints nan, inf, NaN or Infinity."""
+    states, rows = {}, []  # each sector's first (operator, matrix), then its line
+    for k, (label, params) in enumerate(points):
+        for mask in masks:
+            op = build_gauged_operator(params, mask)
+            mat = states[mask](op) if k > 1 else None
+            if mat is None:
+                mat = build_matrix(op)
+                if k < 2 and len(points) > 2:
+                    states[mask] = _weight_line(states[mask], (op, mat)) if k else (op, mat)
+            values = _finite_values(mask, spectrum_of(mat).values)
+            rows.append((label, SectorRecord(str(mask), op.cutoff, mat.dim, values)))
+    return rows
 
 
 # The JSON renderers fill these templates with what json.dumps(payload,
@@ -345,7 +345,7 @@ def _spectrum_json(params: ModelParams, rows: list[tuple[str, SectorRecord]]) ->
     texts = (params.coupling_a, params.coupling_b, params.degree_m, *params.roots)
     sectors = ",\n".join(
         _SECTOR_JSON % (_json_text(r.mask), r.cutoff, r.dimension, ",\n".join(
-            [_EIGENVALUE_JSON % (v.real, v.imag) for v in _finite(r)]))
+            [_EIGENVALUE_JSON % (v.real, v.imag) for v in r.values]))
         for _, r in rows)
     return _SPECTRUM_JSON % (params.nvars, *map(_json_text, texts), sectors)
 
@@ -356,7 +356,7 @@ def _eigenvalue_csv(columns: str, records: list[tuple[str, SectorRecord]]) -> st
     lines = [columns + "mask,eig_index,re,im"]
     for prefix, r in records:
         head = f"{prefix}{r.mask},"
-        lines.extend(f"{head}{i},{v.real!r},{v.imag!r}" for i, v in enumerate(_finite(r)))
+        lines.extend(f"{head}{i},{v.real!r},{v.imag!r}" for i, v in enumerate(r.values))
     return "\n".join(lines)
 
 
@@ -377,7 +377,7 @@ def _sweep_json(sweep_var: str, points: list[tuple[str, SectorRecord]]) -> str:
     for value_text, r in points:
         mask_text = _json_text(r.mask)
         rows.extend(_SWEEP_ROW_JSON % (value_text, mask_text, i, v.real, v.imag)
-                    for i, v in enumerate(_finite(r)))
+                    for i, v in enumerate(r.values))
     return _SWEEP_JSON % (_json_text(sweep_var), ",\n".join(rows))
 
 
@@ -408,16 +408,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     b = _rational(args.b, "--b")
     if args.sweep_var == "epsilon" and roots is not None:
         raise ValueError("an epsilon sweep fixes the root family; drop --roots")
-
-    def params_at(value: Fraction) -> ModelParams:
-        if args.sweep_var == "epsilon":
-            return ModelParams(args.n, a, b, m, epsilon_roots(value))
-        return ModelParams(args.n, value, b, m, roots or (2, -1, -1))
-
     # every grid point has the same sectors: they depend on N, m and b only
-    first = params_at(lo)
-    masks = _selected_masks(first, args.mask)
-    _check_budget(first, masks, steps)
+    params = ModelParams(args.n, a, b, m, roots or (2, -1, -1))
+    masks = _selected_masks(params, args.mask)
+    _check_budget(params, masks, steps)
     grid = _grid(lo, hi, steps)
     try:
         labels = [f"{float(v)!r}," if args.format == "csv" else _json_text(v) for v in grid]
@@ -425,7 +419,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--range gives a grid value too large for a double") from None
     except ValueError:
         raise ValueError("--range gives a grid value with too many digits to print") from None
-    rows = _sector_records(zip(labels, map(params_at, grid)), masks)
+    field, at = ("coupling_a", Fraction) if args.sweep_var == "a" else ("roots", epsilon_roots)
+    points = [(label, dataclasses.replace(params, **{field: at(v)}))
+              for label, v in zip(labels, grid)]
+    rows = _sector_records(points, masks)
     if args.format == "csv":
         _emit(_eigenvalue_csv("sweep_value,", rows), args.out)
     else:
@@ -637,14 +634,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoConvergence, OperatorNotClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ValueError,
-        InvalidDegree,
-        NonCancellingPole,
-        NotSymmetric,
-        ZeroDivisionError,
-        OSError,
-    ) as exc:
+    except (ValueError, NonCancellingPole, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,13 @@ import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
 from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
 from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
-from elliptic_qes.errors import NonCancellingPole
+from elliptic_qes.errors import (
+    InvalidDegree,
+    NoConvergence,
+    NonCancellingPole,
+    NotSymmetric,
+    OperatorNotClosed,
+)
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import epsilon_roots
 from elliptic_qes.polynomials import Poly
@@ -61,6 +67,31 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    ("error", "code"),
+    [
+        (ValueError, 2),
+        (InvalidDegree, 2),
+        (NotSymmetric, 2),
+        (NonCancellingPole, 2),
+        (ZeroDivisionError, 2),
+        (OSError, 2),
+        (NoConvergence, 1),
+        (OperatorNotClosed, 1),
+    ],
+)
+def test_main_maps_each_error_to_its_exit_code(capsys, monkeypatch, error, code):
+    """A parameter error or a refused input exits 2, a failed computation 1;
+    either way `main` prints the message and nothing on stdout."""
+
+    def fail(*args):
+        raise error(f"planted {error.__name__}")
+
+    monkeypatch.setattr(cli, "build_gauged_operator", fail)
+    assert run(capsys, "spectrum", "--mask", "none") == (
+        code, "", f"error: planted {error.__name__}\n")
 
 
 # N=8, m=8 has sectors of dimension C(16, 8) = 12870 and 3 x C(15, 7); an
@@ -258,7 +289,7 @@ def test_matrix_z_space_check_above_its_limit_exits_2_before_building(capsys, mo
 def test_z_space_limit_admits_its_timed_inputs_and_bounds_the_checked_terms(capsys, monkeypatch):
     none = GaugeMask.from_string("none")
     for n, m in ((6, 2), (10, 1), (2, 8)):
-        cli._check_budget(ModelParams(n, 0, 0, m), [none], z_space=True)
+        cli._check_z_space(ModelParams(n, 0, 0, m), none)
     # an invalid mask is refused by name
     code, _, err = run(capsys, "matrix", "--n", "12", "--mask", "1")
     assert code == 2 and "mask 1 shifts the degree cutoff" in err
@@ -270,7 +301,7 @@ def test_z_space_limit_admits_its_timed_inputs_and_bounds_the_checked_terms(caps
             basis = enumerate_basis(n, cutoff)
             terms = sum(len(tau_to_z(Poly.monomial(e)).terms) for e in basis if sum(e) <= 2)
             with pytest.raises(ValueError, match=r"takes work \d+,") as info:
-                cli._check_budget(ModelParams(n, 0, 0, cutoff), [none], z_space=True)
+                cli._check_z_space(ModelParams(n, 0, 0, cutoff), none)
             work = int(re.search(r"takes work (\d+),", str(info.value)).group(1))
             assert work >= math.comb(n, 2) * terms
             assert work == math.comb(n, 2) * terms or cutoff >= 2
@@ -532,6 +563,32 @@ def test_sweep_build_schedule_is_pinned(capsys, monkeypatch, var):
     assert masks == ["none", "12", "13", "23"]
     assert calls == [(value, mask) for k, value in enumerate(cli._grid(lo, hi, steps))
                      for mask in masks if k < _BUILT_POINTS[var][mask]]
+
+
+@pytest.mark.parametrize(
+    ("argv", "lines"),
+    [
+        (("spectrum",), []),
+        (("sweep", "--sweep-var", "a", "--range", "0:1:1"), []),
+        (("sweep", "--sweep-var", "a", "--range", "0:1:2"), []),
+        (("sweep", "--sweep-var", "a", "--range", "0:1:3"), ["none", "12", "13", "23"]),
+        (("sweep", "--sweep-var", "a", "--range", "0:1:5"), ["none", "12", "13", "23"]),
+    ],
+)
+def test_a_weight_line_is_formed_once_per_sector_and_only_for_a_third_point(
+        capsys, monkeypatch, argv, lines):
+    """A sector's line serves the points after its first two, so a spectrum
+    or a sweep of one or two points forms none."""
+    formed = []
+
+    def counting(first, second):
+        formed.append(str(first[0].mask))
+        return weight_line(first, second)
+
+    weight_line = cli._weight_line
+    monkeypatch.setattr(cli, "_weight_line", counting)
+    code, _, _ = run(capsys, *argv, "--n", "2", "--m", "2", "--mask", "all")
+    assert (code, formed) == (0, lines)
 
 
 @pytest.mark.parametrize(
