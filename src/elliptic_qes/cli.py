@@ -10,10 +10,8 @@ Subcommands:
   verify          the built-in verification suite
 
 All rational inputs ("3", "-1/2", "0.25") are parsed exactly; sweeps place
-their grid points exactly as lo + k (hi - lo)/(steps - 1) and build each
-sector at its first two; a later point on their weight line gets the exact
-combination of their matrices, which proves its closure as a build would.  A
-sweep of one or two points forms no line.
+their grid points exactly as lo + k (hi - lo)/(steps - 1) and build every
+sector at every point, each build being its own closure proof.
 Before building or counting anything, every command but verify refuses N above
 MAX_PARTICLES; matrix, spectrum, sweep and eigenfunctions also sum the basis
 dimensions of their sectors over every grid point and refuse a total above
@@ -40,13 +38,13 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDegree, NoConvergence, NonCancellingPole, OperatorNotClosed
-from .matrices import OperatorMatrix, build_matrix, export_matrix, matches_operator, to_float
+from .matrices import build_matrix, export_matrix, matches_operator, to_float
 from .model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from .operator import build_gauged_operator
 from .oracles import epsilon_roots
@@ -204,54 +202,6 @@ class SectorRecord(NamedTuple):
     values: tuple[complex, ...]
 
 
-def _weight_line(first, second):
-    """A function from an operator to its exact matrix, or None, given two
-    built (operator, matrix) pairs with weight tables c0 and c1.
-
-    An operator on the same basis with c = (1 - t) c0 + t c1 has the matrix
-    (1 - t) M0 + t M1 and is closed, since assembly is linear in the weights.
-    With x_j = (c_j - c0_j) D D0 D1, y_j = (c1_j - c0_j) D0 D1 and a pivot p
-    where y_p != 0, the identity holds, at t = x_p / (D y_p), iff
-    x_j y_p == x_p y_j for every term j; it is then alpha K0 + beta K1 over
-    one denominator, on the union of the two patterns formed here once, each
-    column in ascending packed code as `build_matrix` lists it.  None means
-    the identity fails, the basis differs or the two tables are equal.
-    """
-    (op0, mat0), (op1, mat1) = first, second
-    (d0, u), (d1, v) = op0.weights, op1.weights
-    y = {}
-    for j in {**u, **v}:
-        y[j] = v.get(j, 0) * d0 - u.get(j, 0) * d1
-    p = next(filter(y.get, y), None)
-    code = tuple(mat0.basis.row_of).__getitem__
-    pattern = []
-    for c0, c1 in zip(mat0.columns, mat1.columns):
-        k0, k1 = dict(c0), dict(c1)
-        zeros = dict.fromkeys(sorted(k0.keys() | k1.keys(), key=code), 0)
-        pattern.append(tuple(zip(zeros, (zeros | k0).values(), (zeros | k1).values())))
-
-    def combined(op):
-        d, w = op.weights
-        if p is None or (op.nvars, op.cutoff) != (op0.nvars, op0.cutoff):
-            return None
-        xp, yp = (w.get(p, 0) * d0 - d * u.get(p, 0)) * d1, y[p]
-        for j in {**y, **w}:
-            if (w.get(j, 0) * d0 - d * u.get(j, 0)) * d1 * yp != xp * y.get(j, 0):
-                return None
-        alpha, beta, e = (d * yp - xp) * d1, xp * d0, d * yp * d0 * d1
-        g = gcd(alpha, beta, e) if e > 0 else -gcd(alpha, beta, e)
-        alpha, beta, columns = alpha // g, beta // g, []
-        for column in pattern:
-            entries = []
-            for i, a, b in column:
-                if k := alpha * a + beta * b:
-                    entries.append((i, k))
-            columns.append(tuple(entries))
-        return OperatorMatrix(mat0.basis, denominator=e // g, columns=tuple(columns))
-
-    return combined
-
-
 def _finite_values(mask: GaugeMask, values: tuple[complex, ...]) -> tuple[complex, ...]:
     """The eigenvalues ``values`` of sector ``mask``; a NaN or infinite one
     raises NoConvergence naming the sector and its index."""
@@ -265,20 +215,14 @@ def _finite_values(mask: GaugeMask, values: tuple[complex, ...]) -> tuple[comple
 def _sector_records(points: list[tuple[str, ModelParams]],
                     masks: list[GaugeMask]) -> list[tuple[str, SectorRecord]]:
     """A (label, record) pair for each mask at each (label, parameter point)
-    of the list ``points``, in point-then-mask order.  Each sector is built at
-    its first two points, and a later point off their weight line
-    (`_weight_line`, formed only when there is a third point) is built too.
+    of the list ``points``, in point-then-mask order, each from its own build.
     Every record's eigenvalues are finite (`_finite_values`), so no renderer
     prints nan, inf, NaN or Infinity."""
-    states, rows = {}, []  # each sector's first (operator, matrix), then its line
-    for k, (label, params) in enumerate(points):
+    rows = []
+    for label, params in points:
         for mask in masks:
             op = build_gauged_operator(params, mask)
-            mat = states[mask](op) if k > 1 else None
-            if mat is None:
-                mat = build_matrix(op)
-                if k < 2 and len(points) > 2:
-                    states[mask] = _weight_line(states[mask], (op, mat)) if k else (op, mat)
+            mat = build_matrix(op)
             values = _finite_values(mask, spectrum_of(mat).values)
             rows.append((label, SectorRecord(str(mask), op.cutoff, mat.dim, values)))
     return rows
@@ -385,9 +329,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Spectra along an exact grid, one record per grid point and sector, in
     grid-then-mask order.  --sweep-var epsilon moves the roots along
     (2, -1+eps, -1-eps) and rejects explicit --roots; --sweep-var a sweeps the
-    interaction coupling over fixed roots.  Every weight is affine in a, so an
-    a-sweep builds each sector twice (`_sector_records`), and an epsilon sweep
-    those whose weights are affine in eps^2.  A grid value that the format
+    interaction coupling over fixed roots.  A grid value that the format
     cannot write, beyond a double in CSV or with too many digits in JSON, is
     refused before anything is built."""
     parts = args.range.split(":")

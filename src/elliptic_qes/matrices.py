@@ -13,20 +13,16 @@ sector matrix is M = sum_j c_j S_j, with S_j a parameter-free integer term
 matrix and c_j a rational weight, and it is stored as M = K / D, with D the
 lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
 columns.  The weights D c_j are the operator's own table,
-`GaugedOperator.weights`, which `apply` reads too.  Each sector sums the
-entries of its S_j once, in ints, and images every basis column from them by
-exponent shifts in tau-space.  The shifts are the few distinct packed offsets
-of a per-N table, so a column accumulates in a plain list indexed by offset
-position and reads `BasisIndex.row_of` only where its sum is non-zero.
-Assembly never passes through z-space; `GaugedOperator.apply` stays the
-independent oracle for the term matrices.
+`GaugedOperator.weights`, which `apply` reads too.  The S_j depend on N
+and the cutoff alone: they are formed once per (N, cutoff), on one entry
+pattern shared by all of them, from a per-N table of their entries as
+exponent shifts in tau-space, and each build sums (D c_j) S_j over that
+pattern in Python ints.  Assembly never passes through z-space;
+`GaugedOperator.apply` stays the independent oracle for the term matrices.
 
-Assembling a matrix is itself the closure proof for its parameter point:
-every column is the full exact image, components above the cutoff included,
-and a non-zero component outside the basis raises OperatorNotClosed.  Both
-are linear in the weight table, so weights (1 - t) c0 + t c1 on one basis
-give the matrix (1 - t) M0 + t M1, closed if M0 and M1 are; `sweep` combines
-its later grid points from two builds this way.  The exact
+Assembling a matrix is itself the closure proof for its parameter point: the
+S_j hold every component of the images, those above the cutoff included, and
+a non-zero component outside the basis raises OperatorNotClosed.  The exact
 linear algebra here is one route, `OperatorMatrix.charpoly`, by Berkowitz's
 algorithm in ints and kept on the matrix; `determinant` reads (-1)^n chi_M(0).
 `verify` transforms a matrix by similarity with unimodular row and column
@@ -39,15 +35,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, Term, raising_ratio
 from .polynomials import Poly, parse_rational
-from .symmetric import BITS, BasisIndex, enumerate_basis, pack, structure_sums, unpack
+from .symmetric import BasisIndex, enumerate_basis, pack, structure_sums, unpack
 
 
 class OperatorMatrix:
@@ -149,51 +146,33 @@ def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space, as K / D.
 
     K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
-    their denominators (`GaugedOperator.weights`).  Once per sector, the
-    entries of `_term_entries` of non-zero weight are scaled and summed per
-    derivative index and offset position into (position, value) pairs.  As
-    d_i d_j tau^l = l_i (l_j - delta_ij) tau^(l - e_i - e_j) and
-    d_i tau^l = l_i tau^(l - e_i), column l of K is each summed entry times
-    the falling factor of its index, added up by position in one list, and
-    the row of each non-zero sum is that of its offset shifted by l.
-    The images hold every component, those above the sector cutoff included,
-    so this raises OperatorNotClosed if the image of any basis monomial has a
-    non-zero component outside the basis.
+    their denominators (`GaugedOperator.weights`), summed in Python ints, so
+    exactly for weights of any size, over the entry pattern of the S_j that
+    `_term_basis` keeps per (N, cutoff); each column lists its non-zero sums
+    in ascending packed code.  The S_j hold every component of the images, so
+    this raises OperatorNotClosed if the image of a basis monomial has a
+    non-zero component outside the basis, naming the first in that order.
     """
     n = op.nvars
     basis = enumerate_basis(n, op.cutoff)
-    row_of = basis.row_of
+    rows, ends, terms, outside = _term_basis(n, op.cutoff)
     denominator, scaled = op.weights
-    entries, offsets = _term_entries(n)
-    sums: dict[tuple[int, ...], dict[int, int]] = {}
-    for term, idx, p, c in entries:
-        k = scaled.get(term)
-        if k:
-            group = sums.setdefault(idx, {})
-            group[p] = group.get(p, 0) + k * c
-    groups = [(idx, tuple(group.items())) for idx, group in sums.items()]
-    columns = []
-    for exps, code in zip(basis, row_of):
-        image = [0] * len(offsets)
-        for idx, group in groups:
-            if not idx:
-                f = 1
-            elif len(idx) == 1:
-                f = exps[idx[0]]
-            else:
-                i, j = idx
-                f = exps[i] * (exps[j] - (i == j))
-            if f:
-                for p, v in group:
-                    image[p] += f * v
-        try:
-            columns.append(tuple([(row_of[code + e], v) for e, v in zip(offsets, image) if v]))
-        except KeyError as exc:
-            iexps = unpack(exc.args[0], n)
+    values = [0] * len(rows)
+    for term, k in scaled.items():
+        for p, c in zip(*terms[term]):
+            values[p] += k * c
+    for p in outside:
+        if values[p]:
+            exps, iexps = basis[np.searchsorted(ends, p, "right")], unpack(rows[p], n)
             raise OperatorNotClosed(
                 f"image of tau-monomial {exps} contains {iexps} of degree "
                 f"{sum(iexps)}, above the cutoff {op.cutoff}"
-            ) from None
+            )
+    columns, start = [], 0
+    for end in ends:
+        column = values[start:end]
+        columns.append(tuple(compress(zip(rows[start:end], column), column)))
+        start = end
     return OperatorMatrix(basis, denominator=denominator, columns=tuple(columns))
 
 
@@ -216,19 +195,26 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     )
 
 
-# One monomial of a term's coefficient of d_idx, idx being (), (i,) or (i, j)
-# with i <= j: the term, idx, the position in the per-N offset table of the
-# packed monomial minus the packed product of tau_k over k in idx, and its
-# integer coefficient.  Adding the packed l to that offset gives the monomial
-# it contributes to the image of tau^l.
-_Entry = tuple[Term, tuple[int, ...], int, int]
+# A derivative index's (i, j) and delta, and the int64 rows of its entries'
+# term indices, offset positions and coefficients (`_term_entries`).
+_Group = tuple[tuple[int, int], bool, np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _term_entries(nvars: int) -> tuple[tuple[_Entry, ...], tuple[int, ...]]:
-    """The entries of every integer term S_j, keyed like `GaugedOperator.weights`,
-    and the sorted distinct packed offsets that their positions index (6, 13,
-    25, 42, 67 and 102 of them for N = 1..6).
+def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], tuple[_Group, ...]]:
+    """The integer terms S_j, keyed like `GaugedOperator.weights`, the sorted
+    distinct packed offsets of their entries (6, 13, 25, 42, 67 and 102 of
+    them for N = 1..6), and their entries grouped by derivative index.
+
+    An entry is one monomial of a term's coefficient of d_idx, idx being (),
+    (i,) or (i, j) with i <= j.  As d_i d_j tau^l = l_i (l_j - delta_ij)
+    tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), it adds its
+    coefficient times the falling factor l'_i (l'_j - delta) to the image of
+    tau^l, l' being l with a 1 appended, so that () reads (N, N) with delta 0
+    and (i,) reads (i, N).  Its offset, the packed monomial minus the packed
+    product of tau_k over k in idx, added to the packed l gives the monomial
+    it contributes to.  Each group is ((i, j), delta) and one int64 row each
+    of its entries' term indices, offset positions and coefficients.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
@@ -259,15 +245,80 @@ def _term_entries(nvars: int) -> tuple[tuple[_Entry, ...], tuple[int, ...]]:
             for i in range(n)
             for j in range(i, n)
         ]
-    entries = [
-        (term, idx, pack(e) - sum(1 << (BITS * k) for k in idx), c)
-        for term, parts in terms.items()
-        for idx, poly in parts
-        for e, c in poly.terms.items()
-    ]
-    offsets = tuple(sorted({e for _, _, e, _ in entries}))
-    position = {e: p for p, e in enumerate(offsets)}
-    return tuple((term, idx, position[e], c) for term, idx, e, c in entries), offsets
+    groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for t, parts in enumerate(terms.values()):
+        for idx, poly in parts:
+            shift = pack(map(idx.count, range(n)))
+            for e, c in poly.terms.items():
+                groups.setdefault(idx, []).append((t, pack(e) - shift, c))
+    offsets = tuple(sorted({e for entries in groups.values() for _, e, _ in entries}))
+    position = dict(zip(offsets, range(len(offsets))))
+    return tuple(terms), offsets, tuple(
+        ((*idx, n, n)[:2], len(idx) == 2 and idx[0] == idx[1],
+         np.array([(t, position[e], c) for t, e, c in entries], np.int64).T)
+        for idx, entries in groups.items())
+
+
+@lru_cache(maxsize=32)
+def _term_basis(nvars: int, cutoff: int) -> tuple[list[int], list[int],
+                                                  dict[Term, tuple[memoryview, memoryview]],
+                                                  list[int]]:
+    """The terms S_j of `_term_entries` on the basis of (nvars, cutoff), on
+    one entry pattern: the union of their entries, in (column, offset) order.
+
+    Each entry of a group adds its coefficient times the group's falling
+    factor to every column where that factor is non-zero; one sort sums the
+    contributions per (term, column, offset), and the sums that do not cancel
+    make the pattern.  It returns each pattern entry's row or, outside the
+    basis, the packed code of its monomial; the end of each column's entries;
+    for each term key, the pattern positions and the coefficients of its
+    non-zero entries, as int64 memoryviews, which yield Python ints and keep
+    the N = 6 cells near 1.5 MB; and the positions of the entries outside the
+    basis.  The sort's arrays are dropped as soon as they are used, which
+    keeps the setup's peak at N = 6, cutoff 6 near 3 MB.
+    """
+    basis = enumerate_basis(nvars, cutoff)
+    keys, offsets, groups = _term_entries(nvars)
+    dim, width = len(basis), len(offsets)
+    exps = np.ones((dim, nvars + 1), np.int64)
+    exps[:, :nvars] = basis.monomials
+    key, contribution = [], []
+    for (i, j), delta, (term, position, coefficient) in groups:
+        factor = exps[:, i] * (exps[:, j] - delta)
+        column = np.flatnonzero(factor)[:, None]
+        key.append(((term * dim + column) * width + position).ravel())
+        contribution.append((factor[column] * coefficient).ravel())
+    key, contribution = np.concatenate(key), np.concatenate(contribution)
+    order = np.argsort(key)
+    key, contribution = key[order], contribution[order]
+    del order, factor
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    value = np.add.reduceat(contribution, first)
+    del contribution
+    nonzero = value != 0
+    term, cell = np.divmod(key[first[nonzero]], dim * width)
+    del key, first
+    value = value[nonzero]
+    present = np.zeros(dim * width, bool)
+    present[cell] = True
+    cells = np.flatnonzero(present)
+    column, offset = np.divmod(cells, width)
+    codes = list(basis.row_of)
+    targets = map(add, map(codes.__getitem__, column.data), map(offsets.__getitem__, offset.data))
+    rows, outside = [], []
+    for p, code in enumerate(targets):
+        row = basis.row_of.get(code)
+        if row is None:
+            outside.append(p)
+            row = code
+        rows.append(row)
+    ends = np.searchsorted(column, np.arange(1, dim + 1)).tolist()
+    bounds = np.searchsorted(term, np.arange(len(keys) + 1)).tolist()
+    index, value = np.searchsorted(cells, cell).data, value.data
+    terms = {}
+    for t, a, b in zip(keys, bounds, bounds[1:]):
+        terms[t] = index[a:b], value[a:b]
+    return rows, ends, terms, outside
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:

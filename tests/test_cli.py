@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 import elliptic_qes.cli as cli
 import elliptic_qes.verify as verify
@@ -35,7 +32,9 @@ from elliptic_qes.polynomials import Poly
 from elliptic_qes.spectral import Spectrum, spectrum_of, to_float
 from elliptic_qes.symmetric import enumerate_basis, tau_to_z
 
-sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "perfbench")]
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+import diff_cli  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -538,17 +537,28 @@ def _sweep_csv_rows(capsys, var, lo, hi, steps, *flags):
             for value, mask, i, re, im in (line.split(",") for line in lines)]
 
 
-# How many leading grid points of the test sweep below build each sector.  An
-# a-sweep builds every sector at its first two points and combines the others
-# from them.  On the epsilon family the weights of the sectors none and 23 are
-# affine in eps^2, so they are built twice too; those of 12 and 13 hold eps
-# itself, leave the line and are built at every point.
-_BUILT_POINTS = {"a": {"none": 2, "12": 2, "13": 2, "23": 2},
-                 "epsilon": {"none": 2, "12": 8, "13": 8, "23": 2}}
+_QUARTERS = [Fraction(k, 4) for k in range(8)]
 
 
-@pytest.mark.parametrize("var", ["a", "epsilon"])
-def test_sweep_build_schedule_is_pinned(capsys, monkeypatch, var):
+# Each argv runs at N=2, m=2 over the sectors none, 12, 13 and 23, and builds
+# every sector once at each value of its grid (the coupling a, or eps on the
+# epsilon family at a = 1), in point-then-mask order.
+@pytest.mark.parametrize(
+    ("var", "argv", "grid"),
+    [
+        pytest.param("a", ("sweep", "--sweep-var", "a", "--range", "0:7/4:8"), _QUARTERS, id="a"),
+        pytest.param("epsilon", ("sweep", "--sweep-var", "epsilon", "--range", "0:7/4:8",
+                                 "--a", "1"), _QUARTERS, id="epsilon"),
+        pytest.param("a", ("spectrum",), [0], id="spectrum"),
+        pytest.param("a", ("sweep", "--sweep-var", "a", "--range", "0:1:1"), [0], id="a-1"),
+        pytest.param("a", ("sweep", "--sweep-var", "a", "--range", "0:1:2"), [0, 1], id="a-2"),
+        pytest.param("a", ("sweep", "--sweep-var", "a", "--range", "0:1:3"),
+                     [0, Fraction(1, 2), 1], id="a-3"),
+        pytest.param("a", ("sweep", "--sweep-var", "a", "--range", "0:1:5"),
+                     [Fraction(k, 4) for k in range(5)], id="a-5"),
+    ],
+)
+def test_sweep_build_schedule_is_pinned(capsys, monkeypatch, var, argv, grid):
     calls = []
 
     def counting(op):
@@ -557,38 +567,10 @@ def test_sweep_build_schedule_is_pinned(capsys, monkeypatch, var):
         return build_matrix(op)
 
     monkeypatch.setattr(cli, "build_matrix", counting)
-    lo, hi, steps = Fraction(0), Fraction(7, 4), 8
-    _sweep_csv_rows(capsys, var, lo, hi, steps, *(("--a", "1") if var == "epsilon" else ()))
+    code, _, _ = run(capsys, *argv, "--n", "2", "--m", "2", "--mask", "all")
     masks = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
     assert masks == ["none", "12", "13", "23"]
-    assert calls == [(value, mask) for k, value in enumerate(cli._grid(lo, hi, steps))
-                     for mask in masks if k < _BUILT_POINTS[var][mask]]
-
-
-@pytest.mark.parametrize(
-    ("argv", "lines"),
-    [
-        (("spectrum",), []),
-        (("sweep", "--sweep-var", "a", "--range", "0:1:1"), []),
-        (("sweep", "--sweep-var", "a", "--range", "0:1:2"), []),
-        (("sweep", "--sweep-var", "a", "--range", "0:1:3"), ["none", "12", "13", "23"]),
-        (("sweep", "--sweep-var", "a", "--range", "0:1:5"), ["none", "12", "13", "23"]),
-    ],
-)
-def test_a_weight_line_is_formed_once_per_sector_and_only_for_a_third_point(
-        capsys, monkeypatch, argv, lines):
-    """A sector's line serves the points after its first two, so a spectrum
-    or a sweep of one or two points forms none."""
-    formed = []
-
-    def counting(first, second):
-        formed.append(str(first[0].mask))
-        return weight_line(first, second)
-
-    weight_line = cli._weight_line
-    monkeypatch.setattr(cli, "_weight_line", counting)
-    code, _, _ = run(capsys, *argv, "--n", "2", "--m", "2", "--mask", "all")
-    assert (code, formed) == (0, lines)
+    assert (code, calls) == (0, [(value, mask) for value in grid for mask in masks])
 
 
 @pytest.mark.parametrize(
@@ -618,69 +600,6 @@ def test_sweep_rows_equal_spectra_built_point_by_point(capsys, var, lo, hi, step
     assert rows == expected
 
 
-_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
-
-
-@given(nvars=st.integers(1, 3), b=_RATIONAL,
-       m=st.builds(Fraction, st.integers(0, 6), st.just(2)), e1=_RATIONAL, e2=_RATIONAL,
-       a=st.lists(_RATIONAL, min_size=3, max_size=3))
-def test_a_point_on_the_weight_line_is_combined_exactly(nvars, b, m, e1, e2, a):
-    """At a third coupling, the matrix combined from the builds at two others
-    equals its own build, and so does its float image, bit for bit.  A table
-    nudged by one unit in a term where the two built tables agree, or one on
-    another basis, is refused, so the sweep builds it."""
-    roots = (e1, e2, -e1 - e2)
-    assume(len(set(roots)) == 3 and a[0] != a[1])
-    params = [ModelParams(nvars, x, b, m, roots) for x in a]
-    masks = list_valid_masks(params[0])
-    assume(masks)
-    for mask in masks:
-        ops = [build_gauged_operator(p, mask) for p in params]
-        line = cli._weight_line(*[(op, build_matrix(op)) for op in ops[:2]])
-        combined, built = line(ops[2]), build_matrix(ops[2])
-        assert combined is not None and combined == built
-        assert to_float(combined).tobytes() == to_float(built).tobytes()
-        # each column lists its rows in the build's order, which fixes the
-        # entry that to_float reports first when several overflow
-        assert [[i for i, _ in c] for c in combined.columns] == (
-            [[i for i, _ in c] for c in built.columns])
-        assert line(dataclasses.replace(ops[2], cutoff=ops[2].cutoff + 1)) is None
-        (d0, u), (d1, v), (d, w) = (op.weights for op in ops)
-        for term in {*u, *v, ("s", 0), ("s", 1)}:
-            if u.get(term, 0) * d1 == v.get(term, 0) * d0:
-                nudged = dataclasses.replace(ops[2])
-                nudged.__dict__["weights"] = (d, {**w, term: w.get(term, 0) + 1})
-                assert line(nudged) is None, (mask, term)
-
-
-def test_sweep_builds_a_point_whose_table_leaves_the_line(capsys, monkeypatch):
-    """The ungauged sector has no scalar weight s_0 at any a; one unit of it at
-    a = 2 takes that point off the line through a = 0 and a = 1, so a = 2 is
-    built, from the nudged table, and a = 3 is combined."""
-    builds = []
-
-    def nudging(params, mask):
-        op = build_gauged_operator(params, mask)
-        if params.coupling_a == 2:
-            d, w = op.weights
-            op.__dict__["weights"] = (d, {**w, ("s", 0): 1})
-        return op
-
-    def counting(op):
-        builds.append(op.params.coupling_a)
-        return build_matrix(op)
-
-    monkeypatch.setattr(cli, "build_gauged_operator", nudging)
-    monkeypatch.setattr(cli, "build_matrix", counting)
-    rows = _sweep_csv_rows(capsys, "a", 0, 3, 4, "--mask", "none", "--roots=2,-3/2,-1/2")
-    assert builds == [0, 1, 2]
-    params = ModelParams(2, 2, 0, 2, (2, Fraction(-3, 2), Fraction(-1, 2)))
-    values = spectrum_of(counting(nudging(params, GaugeMask(())))).values
-    assert [row[3:] for row in rows if row[0] == 2] == [(v.real, v.imag) for v in values]
-    direct = spectrum_of(build_matrix(build_gauged_operator(params, GaugeMask(())))).values
-    assert values != direct
-
-
 def test_a_sweep_whose_built_tables_are_equal_builds_every_point(capsys, monkeypatch):
     """--range=1:1:3 builds the same table twice, so no line exists and the
     third point is built too; every row equals a build of its own point."""
@@ -703,11 +622,12 @@ def test_a_sweep_whose_built_tables_are_equal_builds_every_point(capsys, monkeyp
 _OVERFLOW = re.compile(r"error: entry \((\d+),(\d+)\) = (-?\d+)/(\d+) overflows a double\n")
 
 
-def test_sweep_overflow_at_a_combined_point_reports_the_entry_a_build_reports(
+def test_sweep_overflow_at_a_later_point_reports_the_entry_its_build_reports(
         capsys, monkeypatch):
     """Over 0:H:4 the sector none of N=2, m=1 fits in a double at a = 0 and
-    H/3, and not at 2H/3, a combined point: the sweep exits 2 naming the entry
-    (i, j) and the rational value that the point's own build reports."""
+    H/3, and not at 2H/3: the sweep builds the first three points and exits 2
+    naming the entry (i, j) and the rational value that the point's own build
+    reports."""
     def matrix_at(a):
         return build_matrix(build_gauged_operator(ModelParams(2, a, 0, 1), GaugeMask(())))
 
@@ -727,15 +647,15 @@ def test_sweep_overflow_at_a_combined_point_reports_the_entry_a_build_reports(
     monkeypatch.setattr(cli, "build_matrix", counting)
     code, out, err = run(capsys, "sweep", "--sweep-var", "a", f"--range=0:{grid[-1]}:4",
                          "--n", "2", "--m", "1", "--mask", "none")
-    assert (code, out, builds) == (2, "", grid[:2])
+    assert (code, out, builds) == (2, "", grid[:3])
     i, j, k, d = map(int, _OVERFLOW.fullmatch(err).groups())
     i0, j0, k0, d0 = map(int, _OVERFLOW.fullmatch(f"error: {built.value}\n").groups())
     assert (i, j, Fraction(k, d)) == (i0, j0, Fraction(k0, d0))
 
 
-def test_a_traced_sweep_builds_two_matrices_per_sector(tmp_path):
+def test_a_traced_sweep_builds_every_sector_at_every_point(tmp_path):
     """A 5-point a-sweep over the four sectors of N=2, m=2 assembles each
-    sector twice and diagonalizes every point, each from one float image."""
+    sector at each point and diagonalizes it from one float image."""
     argv = ["sweep", "--sweep-var", "a", "--range", "0:2:5", "--n", "2", "--m", "2",
             "--roots=2,-3/2,-1/2"]
     dims = [ModelParams(2, 0, 0, 2).basis_dimension(mask)
@@ -751,8 +671,8 @@ def test_a_traced_sweep_builds_two_matrices_per_sector(tmp_path):
     finally:
         tracer.close()
     assert code == 0 and len(dims) == 4
-    assert calls["matrices.build_matrix.calls"] == 2 * 4
-    assert calls["matrices.build_matrix.columns"] == 2 * sum(dims)
+    assert calls["matrices.build_matrix.calls"] == 5 * 4
+    assert calls["matrices.build_matrix.columns"] == 5 * sum(dims)
     assert calls["operator.build_gauged_operator.calls"] == 5 * 4
     assert calls["spectral.spectrum_of.calls"] == calls["spectral.to_float.calls"] == 5 * 4
 
@@ -1158,6 +1078,22 @@ def test_one_parser_serves_every_call_without_carrying_state(capsys):
     valid = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
     assert code == 0 and [s["mask"] for s in json.loads(out)["sectors"]] == valid
     assert len(valid) > 1
+
+
+def test_the_differential_argv_are_seeded_and_reach_every_subcommand_and_exit_code(capsys):
+    """`scripts/diff_cli.py` draws the same argv for a seed, and its first 60
+    for seed 0 reach all six subcommands and exit with 0 and with 2."""
+    argvs = diff_cli.generate(60, 0)
+    assert argvs == diff_cli.generate(60, 0) != diff_cli.generate(60, 1)
+    assert {argv[0] for argv in argvs} == set(diff_cli.SUBCOMMANDS)
+    codes = set()
+    for argv in argvs:
+        try:
+            codes.add(main(argv))
+        except SystemExit as exc:
+            codes.add(exc.code)
+    capsys.readouterr()
+    assert {0, 2} <= codes
 
 
 # -- verify ----------------------------------------------------------------------------------

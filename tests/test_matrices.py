@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import elliptic_qes.matrices as matrices
 import elliptic_qes.verify as verify
 from elliptic_qes.errors import OperatorNotClosed
 from elliptic_qes.matrices import (
@@ -34,7 +35,7 @@ from elliptic_qes.oracles import (
     reference_empty_mask_matrix,
 )
 from elliptic_qes.polynomials import Poly, from_roots
-from elliptic_qes.symmetric import enumerate_basis
+from elliptic_qes.symmetric import enumerate_basis, pack
 
 EMPTY = GaugeMask(())
 
@@ -242,6 +243,48 @@ def test_matrix_equals_applied_images(nvars, cutoff, mask, a, b, e1, e2):
     assert build_matrix(op).rows == oracle_rows(op)
 
 
+# The terms that `GaugedOperator.apply` reads; it reads the pair terms 2a.p and
+# 2a.q only at a != 0.
+_SINGLE_TERMS = [("V", 0), ("s", 0), ("s", 1), *(("p", r) for r in range(4)),
+                 *(("drift", r) for r in range(3))]
+_PAIR_TERMS = [*(("2a.p", r) for r in range(4)), *(("2a.q", r) for r in range(3))]
+
+
+@given(
+    nvars=st.integers(1, 3),
+    cutoff=st.integers(0, 3),
+    mask=st.sampled_from(ALL_MASKS),
+    a=rationals(),
+    b=rationals(),
+    e1=rationals(),
+    e2=rationals(),
+    term=st.sampled_from(_SINGLE_TERMS + _PAIR_TERMS),
+    step=st.sampled_from([-1, 1]),
+)
+def test_a_nudged_weight_table_builds_its_applied_images_or_is_refused(
+        nvars, cutoff, mask, a, b, e1, e2, term, step):
+    """A weight table moved by one unit in one term, zero at that point or
+    not, gives the matrix of its z-space images where they stay in the basis,
+    and otherwise OperatorNotClosed naming the first monomial outside it, by
+    column and then by packed code."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3 and (a or term not in _PAIR_TERMS))
+    op = sector(nvars, a, b, roots, mask, cutoff)
+    d, table = op.weights
+    op.__dict__["weights"] = (d, {**table, term: table.get(term, 0) + step})
+    basis = enumerate_basis(nvars, cutoff)
+    outside = [(exps, e) for exps in basis
+               for e in sorted(op.apply(Poly.monomial(exps)).terms, key=pack) if e not in basis]
+    if not outside:
+        assert build_matrix(op).rows == oracle_rows(op)
+        return
+    exps, e = outside[0]
+    with pytest.raises(OperatorNotClosed) as refused:
+        build_matrix(op)
+    assert str(refused.value) == (f"image of tau-monomial {exps} contains {e} of degree "
+                                  f"{sum(e)}, above the cutoff {cutoff}")
+
+
 # a, b, e1, e2 (e3 = -e1 - e2) with denominators that are distinct primes, so
 # the common denominator of a sector collects a different prime power from
 # each weight.  The lcm of one sector's entry denominators, which divides that
@@ -268,21 +311,28 @@ def test_matrix_equals_applied_images_at_coprime_denominators(a, b, e1, e2, boun
 
 
 def test_a_dropped_matrix_leaves_nothing_allocated():
-    # the per-N term tables are built by the small sector; after that, building
-    # and dropping a dim-252 sector must not leave its columns cached.  It runs
-    # before this file's other N=5 builds, so a column cache would start cold.
+    # the per-N term tables are built by the small sector, and the term basis
+    # of (N=5, cutoff 5), at most 2 MB, by a build at other parameters; after
+    # that, building and dropping a dim-252 sector must not leave its columns
+    # cached.  The term basis is cleared first, so that it is built here.
     roots = (Fraction(5, 2), Fraction(-3, 4), Fraction(-7, 4))
     build_matrix(sector(5, Fraction(-2, 3), Fraction(1, 3), roots, EMPTY, 1))
+    matrices._term_basis.cache_clear()
+    other = sector(5, Fraction(3, 2), Fraction(-1, 5), roots, EMPTY, 5)
     op = sector(5, Fraction(-2, 3), Fraction(1, 3), roots, EMPTY, 5)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        assert build_matrix(other).dim == 252
+        gc.collect()
+        cell = tracemalloc.get_traced_memory()[0] - before
         assert build_matrix(op).dim == 252
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained = tracemalloc.get_traced_memory()[0] - before - cell
     finally:
         tracemalloc.stop()
+    assert cell < 2 * 2**20
     assert retained < 0.1 * 2**20
 
 
