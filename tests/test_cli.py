@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import elliptic_qes.cli as cli
 import elliptic_qes.verify as verify
@@ -598,6 +600,65 @@ def test_sweep_rows_equal_spectra_built_point_by_point(capsys, var, lo, hi, step
                 for i, v in enumerate(spectrum.values)
             ]
     assert rows == expected
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+
+
+@given(nvars=st.integers(1, 3), b=_RATIONAL,
+       m=st.builds(Fraction, st.integers(0, 6), st.just(2)), e1=_RATIONAL, e2=_RATIONAL,
+       a=st.lists(_RATIONAL, min_size=3, max_size=3))
+def test_a_point_on_the_weight_line_is_combined_exactly(nvars, b, m, e1, e2, a):
+    """Each sector's weights, and so its matrix, are affine in a: the matrix
+    combined from the builds at two couplings equals the build at a third, and
+    so does its float image, bit for bit.  One unit of the scalar weight s_0,
+    whose term is -N times the identity, takes the third build off that line."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3 and a[0] != a[1])
+    params = [ModelParams(nvars, x, b, m, roots) for x in a]
+    masks = list_valid_masks(params[0])
+    assume(masks)
+    t = (a[2] - a[0]) / (a[1] - a[0])
+    for mask in masks:
+        ops = [build_gauged_operator(p, mask) for p in params]
+        first, second, built = map(build_matrix, ops)
+        combined = OperatorMatrix(built.basis, [
+            [x + t * (y - x) for x, y in zip(r0, r1)]
+            for r0, r1 in zip(first.rows, second.rows)])
+        assert combined == built
+        assert to_float(combined).tobytes() == to_float(built).tobytes()
+        d, w = ops[2].weights
+        ops[2].__dict__["weights"] = (d, {**w, ("s", 0): w.get(("s", 0), 0) + 1})
+        assert build_matrix(ops[2]) != combined, mask
+
+
+def test_sweep_builds_a_point_whose_table_leaves_the_line(capsys, monkeypatch):
+    """The ungauged sector has no scalar weight s_0 at any a; one unit of it at
+    a = 2 takes that point off the line through a = 0 and a = 1.  The sweep
+    builds every point, a = 2 from the nudged table, and its rows are the
+    spectrum of that build, not of the unnudged one."""
+    builds = []
+
+    def nudging(params, mask):
+        op = build_gauged_operator(params, mask)
+        if params.coupling_a == 2:
+            d, w = op.weights
+            op.__dict__["weights"] = (d, {**w, ("s", 0): 1})
+        return op
+
+    def counting(op):
+        builds.append(op.params.coupling_a)
+        return build_matrix(op)
+
+    monkeypatch.setattr(cli, "build_gauged_operator", nudging)
+    monkeypatch.setattr(cli, "build_matrix", counting)
+    rows = _sweep_csv_rows(capsys, "a", 0, 3, 4, "--mask", "none", "--roots=2,-3/2,-1/2")
+    assert builds == [0, 1, 2, 3]
+    params = ModelParams(2, 2, 0, 2, (2, Fraction(-3, 2), Fraction(-1, 2)))
+    values = spectrum_of(build_matrix(nudging(params, GaugeMask(())))).values
+    assert [row[3:] for row in rows if row[0] == 2] == [(v.real, v.imag) for v in values]
+    direct = spectrum_of(build_matrix(build_gauged_operator(params, GaugeMask(())))).values
+    assert values != direct
 
 
 def test_a_sweep_whose_built_tables_are_equal_builds_every_point(capsys, monkeypatch):
