@@ -6,14 +6,15 @@ REV is exported with `git archive` into a temporary directory, as
 `scripts/bench_pairs.py` does.  `generate` draws N argv (default 1000) from
 seed S (default 0) over all six subcommands: mostly N <= 3 and one in ten at N
 in {4, 7, 11, 33}; both output formats; a- and epsilon-sweeps of 0 to 5
-points; conflicting flags, negative values spaced or joined, and values such
-as --a=1e400 or --m=x.  Each argv runs once in each tree, as `python -m
-elliptic_qes.cli` in a fresh process with OPENBLAS_NUM_THREADS=1, since the
-printed digits of large sectors depend on the BLAS thread count.  The two runs
-must give the same exit code, the same stdout (compared by SHA-256) and the
-same stderr, with each tree's path replaced by <tree>.  The script prints the
-count of argv per exit code and the first mismatches, and exits 1 if there
-is any.
+points; conflicting flags, negative values spaced or joined, values such as
+--a=1e400 or --m=x, and now and then a rational such as 1/9007199254740993,
+whose numerator or denominator exceeds 2**53.  Each argv runs once in each
+tree, as `python -m elliptic_qes.cli` in a fresh process with
+OPENBLAS_NUM_THREADS=1, since the printed digits of large sectors depend on
+the BLAS thread count.  The two runs must give the same exit code, the same
+stdout (compared by SHA-256) and the same stderr, with each tree's path
+replaced by <tree>.  The script prints the count of argv per exit code and
+the first mismatches, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -40,11 +41,17 @@ SUBCOMMANDS = ("matrix", "spectrum", "sweep", "masks", "eigenfunctions", "verify
 MASKS = ("all", "none", "1", "2", "3", "12", "13", "23", "123")
 # values that no flag accepts, or that no sector can print
 INVALID = ("x", "", "1/0", "1e400", "-1e400", "1e5000")
+# rationals whose numerator or denominator exceeds 2**53
+HUGE = (f"1/{2**53 + 1}", f"{2**53 + 1}/2", f"-{2**60}/3")
 # the seconds after which a run counts as hung
 TIMEOUT = 120
 
 
 def _rational(rng: random.Random, bound: int = 3) -> str:
+    # now and then a numerator or denominator beyond 2**53, past which a
+    # sector's K is summed in Python ints rather than int64
+    if rng.random() < 0.03:
+        return rng.choice(HUGE)
     value = Fraction(rng.randint(-2 * bound, 2 * bound), rng.choice((1, 2, 3, 4)))
     # a value whose denominator divides 4 is written in decimal now and then
     if value.denominator != 3 and rng.random() < 0.3:

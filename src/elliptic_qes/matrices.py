@@ -11,14 +11,14 @@ whose coefficients combine integer tau-polynomials fixed by N
 (`symmetric.structure_sums`) with scalar weights from the parameters.  So a
 sector matrix is M = sum_j c_j S_j, with S_j a parameter-free integer term
 matrix and c_j a rational weight, and it is stored as M = K / D, with D the
-lcm of the weights' denominators and K = sum_j (D c_j) S_j integer sparse
-columns.  The weights D c_j are the operator's own table,
-`GaugedOperator.weights`, which `apply` reads too.  The S_j depend on N
-and the cutoff alone: they are formed once per (N, cutoff), on one entry
-pattern shared by all of them, from a per-N table of their entries as
-exponent shifts in tau-space, and each build sums (D c_j) S_j over that
-pattern in Python ints.  Assembly never passes through z-space;
-`GaugedOperator.apply` stays the independent oracle for the term matrices.
+lcm of the weights' denominators and K = sum_j (D c_j) S_j sparse and
+integer.  The weights D c_j are the operator's own table,
+`GaugedOperator.weights`, which `apply` reads too.  The S_j depend on N and
+the cutoff alone: they are formed once per (N, cutoff), on one entry pattern
+shared by all of them, from a per-N table of their entries as exponent shifts
+in tau-space, and each build sums (D c_j) S_j over it in one numpy pass.
+Assembly never passes through z-space; `GaugedOperator.apply` stays the
+independent oracle for the term matrices.
 
 Assembling a matrix is itself the closure proof for its parameter point: the
 S_j hold every component of the images, those above the cutoff included, and
@@ -35,8 +35,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
-from math import lcm
+from itertools import islice, repeat
+from math import comb, lcm
 from operator import add, mul
 
 import numpy as np
@@ -50,20 +50,35 @@ from .symmetric import BasisIndex, enumerate_basis, pack, structure_sums, unpack
 class OperatorMatrix:
     """Exact matrix M = K / D over an ordered tau-monomial basis.
 
-    It stores a positive integer D, not always the least one, and the integer
-    matrix K as columns of (row index, k) pairs, k != 0.  `OperatorMatrix(basis,
-    rows)` derives D and K from dense rational rows; `rows` is built when read.
-    """
+    It stores a positive integer D, not always the least one, and the entries
+    k != 0 of K column by column as `positions` (row * dim + column) and
+    `values` (int64 if D and every |k| are at most 2**53, else Python ints).
+    `OperatorMatrix(basis, rows)` derives D and K from rational rows."""
 
-    def __init__(self, basis: BasisIndex, rows=None, *, denominator: int = 1, columns=()):
-        if ({len(columns)} if rows is None else {len(rows), *map(len, rows)}) != {len(basis)}:
-            raise ValueError("matrix shape does not match basis size")
-        if rows is not None:
-            denominator = lcm(*(x.denominator for row in rows for x in row))
-            columns = tuple(tuple((i, x.numerator * (denominator // x.denominator))
-                                  for i, x in enumerate(col) if x) for col in zip(*rows))
-        self.basis, self.dim = basis, len(basis)
-        self.denominator, self.columns = denominator, columns
+    def __init__(self, basis: BasisIndex, rows=None, *, denominator: int = 1, columns=(),
+                 entries=None):
+        dim = len(basis)
+        if entries is None:
+            if ({len(columns)} if rows is None else {len(rows), *map(len, rows)}) != {dim}:
+                raise ValueError("matrix shape does not match basis size")
+            if rows is not None:
+                denominator = lcm(*(x.denominator for row in rows for x in row))
+                columns = tuple(tuple((i, x.numerator * (denominator // x.denominator))
+                                      for i, x in enumerate(col) if x) for col in zip(*rows))
+            positions = [i * dim + j for j, column in enumerate(columns) for i, _ in column]
+            values = [k for column in columns for _, k in column]
+            exact = max(0, denominator, *map(abs, values)) <= 2**53
+            entries = np.array(positions, np.int64), np.array(values, np.int64 if exact else object)
+        self.basis, self.dim, self.denominator = basis, dim, denominator
+        self.positions, self.values = entries
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """K as columns of (row index, k) pairs, formed when first read."""
+        rows, cols = np.divmod(self.positions, self.dim)
+        pairs = list(zip(rows.tolist(), self.values.tolist()))
+        ends = np.searchsorted(cols, np.arange(1, self.dim + 1)).tolist()
+        return tuple(map(tuple, map(pairs.__getitem__, map(slice, [0, *ends], ends))))
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -71,15 +86,14 @@ class OperatorMatrix:
 
     def dense(self, convert, zero) -> list[list]:
         """Dense rows: convert(k, D) at each non-zero entry k of K, zero elsewhere."""
-        out = [[zero] * self.dim for _ in range(self.dim)]
-        for j, column in enumerate(self.columns):
-            for i, k in column:
-                out[i][j] = convert(k, self.denominator)
-        return out
+        out, dim = [zero] * self.dim**2, self.dim
+        for p, k in zip(self.positions.tolist(), self.values.tolist()):
+            out[p] = convert(k, self.denominator)
+        return [out[i : i + dim] for i in range(0, len(out), dim)]
 
     def trace(self) -> Fraction:
-        diagonal = (k for j, column in enumerate(self.columns) for i, k in column if i == j)
-        return Fraction(sum(diagonal), self.denominator)
+        diagonal = self.values[self.positions % (self.dim + 1) == 0]
+        return Fraction(sum(diagonal.tolist()), self.denominator)
 
     def determinant(self) -> Fraction:
         """Exact determinant, (-1)^n chi_M(0) from `charpoly`."""
@@ -111,69 +125,60 @@ class OperatorMatrix:
         return Poly(1, {(self.dim - i,): Fraction(c, d**i) for i, c in enumerate(chi)})
 
     def __eq__(self, other: object) -> bool:
-        """Same basis, and each column's k D' equal the other's k' D."""
+        """Same basis, and each entry's k D' equal the other's k' D."""
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         d, e = self.denominator, other.denominator
-        return self.basis.monomials == other.basis.monomials and all(
-            {i: k * e for i, k in mine} == {i: k * d for i, k in theirs}
-            for mine, theirs in zip(self.columns, other.columns))
+        return self.basis.monomials == other.basis.monomials and (
+            dict(zip(self.positions.tolist(), map(mul, self.values.tolist(), repeat(e))))
+            == dict(zip(other.positions.tolist(), map(mul, other.values.tolist(), repeat(d)))))
 
 
 def to_float(mat: OperatorMatrix) -> np.ndarray:
     """Nearest-double image of an exact matrix; rejects entries that overflow.
 
-    Each non-zero entry is k / D in Python ints, whose true division is
-    correctly rounded, so it equals float(Fraction(k, D)) bit for bit.  The
-    doubles are scattered into an array of zeros in one numpy assignment.
+    Each k / D is one correctly rounded division, in doubles where k and D are
+    int64 (so at most 2**53 and exact) and in Python ints otherwise, so it
+    equals float(Fraction(k, D)) bit for bit; one assignment scatters them.
     """
-    d = mat.denominator
-    rows, cols, values = [], [], []
-    for j, column in enumerate(mat.columns):
-        for i, k in column:
+    d, dim, out = mat.denominator, mat.dim, np.zeros(mat.dim**2)
+    try:
+        out[mat.positions] = mat.values / d
+    except OverflowError:
+        for p, k in zip(mat.positions.tolist(), mat.values.tolist()):
             try:
-                values.append(k / d)
+                k / d
             except OverflowError as exc:
-                raise ValueError(f"entry ({i},{j}) = {k}/{d} overflows a double") from exc
-            rows.append(i)
-            cols.append(j)
-    out = np.zeros((mat.dim, mat.dim), dtype=float)
-    out[rows, cols] = values
-    return out
+                raise ValueError(f"entry ({p // dim},{p % dim}) = {k}/{d} overflows a double"
+                                 ) from exc
+    return out.reshape(dim, dim)
 
 
 def build_matrix(op: GaugedOperator) -> OperatorMatrix:
     """Matrix of the operator on the basis of its invariant space, as K / D.
 
-    K = sum_j (D c_j) S_j, with c_j the sector's weights and D the lcm of
-    their denominators (`GaugedOperator.weights`), summed in Python ints, so
-    exactly for weights of any size, over the entry pattern of the S_j that
-    `_term_basis` keeps per (N, cutoff); each column lists its non-zero sums
-    in ascending packed code.  The S_j hold every component of the images, so
-    this raises OperatorNotClosed if the image of a basis monomial has a
-    non-zero component outside the basis, naming the first in that order.
-    """
-    n = op.nvars
-    basis = enumerate_basis(n, op.cutoff)
-    rows, ends, terms, outside = _term_basis(n, op.cutoff)
+    K = sum_j (D c_j) S_j (`GaugedOperator.weights`) is one `np.add.reduceat`
+    over the S_j entries that `_term_basis` keeps per (N, cutoff), in int64 if
+    D and sum_j |D c_j| max|S_j|, which bounds every partial sum, are at most
+    2**53, else in Python ints.  A non-zero sum outside the basis raises
+    OperatorNotClosed naming the first by column and packed code."""
+    n, basis = op.nvars, enumerate_basis(op.nvars, op.cutoff)
+    keys, largest, term, coef, starts, inside, positions, outside = _term_basis(n, op.cutoff)
     denominator, scaled = op.weights
-    values = [0] * len(rows)
-    for term, k in scaled.items():
-        for p, c in zip(*terms[term]):
-            values[p] += k * c
-    for p in outside:
-        if values[p]:
-            exps, iexps = basis[np.searchsorted(ends, p, "right")], unpack(rows[p], n)
-            raise OperatorNotClosed(
-                f"image of tau-monomial {exps} contains {iexps} of degree "
-                f"{sum(iexps)}, above the cutoff {op.cutoff}"
-            )
-    columns, start = [], 0
-    for end in ends:
-        column = values[start:end]
-        columns.append(tuple(compress(zip(rows[start:end], column), column)))
-        start = end
-    return OperatorMatrix(basis, denominator=denominator, columns=tuple(columns))
+    weights = list(map(scaled.get, keys, repeat(0)))
+    exact = max(denominator, sum(map(mul, map(abs, weights), largest))) <= 2**53
+    sums = np.add.reduceat(np.array(weights, np.int64 if exact else object)[term] * coef, starts)
+    unclosed = sums[inside:].nonzero()[0]
+    if unclosed.size:
+        offsets = _term_entries(n)[1]
+        column, offset = divmod(int(outside[unclosed[0]]), len(offsets))
+        exps, iexps = basis[column], unpack(pack(basis[column]) + offsets[offset], n)
+        raise OperatorNotClosed(
+            f"image of tau-monomial {exps} contains {iexps} of degree "
+            f"{sum(iexps)}, above the cutoff {op.cutoff}"
+        )
+    kept = sums[:inside].nonzero()[0]
+    return OperatorMatrix(basis, denominator=denominator, entries=(positions[kept], sums[kept]))
 
 
 def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
@@ -260,23 +265,19 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], tuple[
 
 
 @lru_cache(maxsize=32)
-def _term_basis(nvars: int, cutoff: int) -> tuple[list[int], list[int],
-                                                  dict[Term, tuple[memoryview, memoryview]],
-                                                  list[int]]:
-    """The terms S_j of `_term_entries` on the basis of (nvars, cutoff), on
-    one entry pattern: the union of their entries, in (column, offset) order.
+def _term_basis(nvars: int, cutoff: int) -> tuple:
+    """The terms S_j of `_term_entries` on the basis of (nvars, cutoff), on one
+    entry pattern: the union of their entries, those in the basis first, each
+    part in (column, offset) order.
 
     Each entry of a group adds its coefficient times the group's falling
     factor to every column where that factor is non-zero; one sort sums the
-    contributions per (term, column, offset), and the sums that do not cancel
-    make the pattern.  It returns each pattern entry's row or, outside the
-    basis, the packed code of its monomial; the end of each column's entries;
-    for each term key, the pattern positions and the coefficients of its
-    non-zero entries, as int64 memoryviews, which yield Python ints and keep
-    the N = 6 cells near 1.5 MB; and the positions of the entries outside the
-    basis.  The sort's arrays are dropped as soon as they are used, which
-    keeps the setup's peak at N = 6, cutoff 6 near 3 MB.
-    """
+    contributions per (term, column, offset); the sums that do not cancel are
+    the term entries.  It returns the keys of the terms with entries and each
+    one's largest |coefficient|; each entry's key index and int64 coefficient,
+    by position; each position's first entry; the number of positions in the
+    basis, their row * dim + column, and the column * len(offsets) + offset of
+    the others.  The sort's arrays are dropped once used."""
     basis = enumerate_basis(nvars, cutoff)
     keys, offsets, groups = _term_entries(nvars)
     dim, width = len(basis), len(offsets)
@@ -305,20 +306,22 @@ def _term_basis(nvars: int, cutoff: int) -> tuple[list[int], list[int],
     column, offset = np.divmod(cells, width)
     codes = list(basis.row_of)
     targets = map(add, map(codes.__getitem__, column.data), map(offsets.__getitem__, offset.data))
-    rows, outside = [], []
-    for p, code in enumerate(targets):
-        row = basis.row_of.get(code)
-        if row is None:
-            outside.append(p)
-            row = code
-        rows.append(row)
-    ends = np.searchsorted(column, np.arange(1, dim + 1)).tolist()
-    bounds = np.searchsorted(term, np.arange(len(keys) + 1)).tolist()
-    index, value = np.searchsorted(cells, cell).data, value.data
-    terms = {}
-    for t, a, b in zip(keys, bounds, bounds[1:]):
-        terms[t] = index[a:b], value[a:b]
-    return rows, ends, terms, outside
+    row = np.fromiter(map(basis.row_of.get, targets, repeat(-1)), np.int64, len(cells))
+    inside = row >= 0
+    position = np.searchsorted(cells, cell)
+    del cell
+    position += len(cells) * ~inside[position]
+    order = np.argsort(position)
+    term = term[order]
+    value = value[order]
+    position = position[order]
+    del order
+    largest = np.zeros(len(keys), np.int64)
+    np.maximum.at(largest, term, np.abs(value))
+    used = np.flatnonzero(largest)
+    return (tuple(map(keys.__getitem__, used.tolist())), largest[used].tolist(),
+            np.searchsorted(used, term), value, np.flatnonzero(np.diff(position, prepend=-1)),
+            int(inside.sum()), (row * dim + column)[inside], cells[~inside])
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:
@@ -326,26 +329,23 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
 
     For every basis monomial t of the given degree, the degree-(degree+1)
     part of its image must equal coeff * tau_1 * t exactly, with coeff = num /
-    den from `raising_ratio`: the degree-(degree+1) entries of column t of K
-    are exactly {tau_1 t: k} with k den == num D, compared in ints.  tau_1 t
-    is the packed code of t plus one.  At the cutoff there is no higher degree
-    in the basis, so num itself must vanish.
+    den from `raising_ratio`: the entries of K in the columns of that degree
+    and the rows of the next are exactly {(tau_1 t, t): k} with k den == num D,
+    compared in ints.  tau_1 t is the packed code of t plus one.  At the cutoff
+    there is no higher degree in the basis, so num itself must vanish.
     """
     if not 0 <= degree <= op.cutoff:
         raise ValueError(f"degree must lie in [0, {op.cutoff}], got {degree}")
     num, den = raising_ratio(op.params, op.mask, degree)
     if degree == op.cutoff:
         return num == 0
-    basis = matrix.basis
-    row_of = basis.row_of
-    k = num * matrix.denominator
-    for exps, (code, j) in zip(basis, row_of.items()):
-        if sum(exps) != degree:
-            continue
-        want = {row_of[code + 1]: k} if k else {}
-        if {i: v * den for i, v in matrix.columns[j] if sum(basis[i]) == degree + 1} != want:
-            return False
-    return True
+    basis, dim, n = matrix.basis, matrix.dim, matrix.basis.nvars
+    # the basis goes degree by degree: columns [lo, mid) have this one, rows [mid, hi) next
+    lo, mid, hi = comb(n + degree - 1, n), comb(n + degree, n), comb(n + degree + 1, n)
+    start, stop, k, row = mid * dim, hi * dim, num * matrix.denominator, basis.row_of
+    want = {row[code + 1] * dim + j: k for code, j in islice(row.items(), lo, mid)} if k else {}
+    return want == {p: v * den for p, v in zip(matrix.positions.tolist(), matrix.values.tolist())
+                    if start <= p < stop and lo <= p % dim < mid}
 
 
 def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from elliptic_qes.matrices import (
     matches_operator,
     matrix_from_json,
     raising_coefficient_check,
+    to_float,
 )
 from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.operator import (
@@ -283,6 +285,106 @@ def test_a_nudged_weight_table_builds_its_applied_images_or_is_refused(
         build_matrix(op)
     assert str(refused.value) == (f"image of tau-monomial {exps} contains {e} of degree "
                                   f"{sum(e)}, above the cutoff {cutoff}")
+
+
+def _python_int_route(op: GaugedOperator):
+    """The columns of K and the float image of K / D by the previous engine's
+    route, kept as the reference for `build_matrix` and `to_float`: K summed
+    term by term in Python ints over the entries of the (N, cutoff) cell, its
+    non-zero sums listed column by column, and k / D appended to three Python
+    lists and scattered."""
+    keys, _, term, coefficient, starts, _, positions, _ = matrices._term_basis(
+        op.nvars, op.cutoff)
+    d, table = op.weights
+    dim = len(enumerate_basis(op.nvars, op.cutoff))
+    position = np.repeat(np.arange(len(starts)), np.diff([*starts.tolist(), len(term)]))
+    sums = [0] * len(starts)
+    for t, key in enumerate(keys):
+        weight = table.get(key, 0)
+        for p, c in zip(position[term == t].tolist(), coefficient[term == t].tolist()):
+            sums[p] += weight * c
+    columns = [[] for _ in range(dim)]
+    for p, k in zip(positions.tolist(), sums):  # stops at the positions in the basis
+        if k:
+            columns[p % dim].append((p // dim, k))
+    rows, cols, values = [], [], []
+    for j, column in enumerate(columns):
+        for i, k in column:
+            values.append(k / d)
+            rows.append(i)
+            cols.append(j)
+    out = np.zeros((dim, dim))
+    out[rows, cols] = values
+    return tuple(map(tuple, columns)), out
+
+
+def _assert_equals_the_python_int_route(op: GaugedOperator, dtype) -> OperatorMatrix:
+    """`build_matrix` sums K in ``dtype``; its columns equal the reference's,
+    and `to_float` its doubles bit for bit, signs of zero included."""
+    mat = build_matrix(op)
+    columns, floats = _python_int_route(op)
+    assert mat.values.dtype == dtype
+    assert mat.columns == columns
+    assert to_float(mat).tobytes() == floats.tobytes()
+    return mat
+
+
+@given(
+    nvars=st.integers(1, 4),
+    cutoff=st.integers(0, 4),
+    mask=st.sampled_from(ALL_MASKS),
+    a=st.one_of(rationals(), st.sampled_from([Fraction(1, 2**53 + 1), Fraction(2**52),
+                                              Fraction(-(2**40), 3), Fraction(10**30)])),
+    b=rationals(),
+    e1=rationals(),
+    e2=rationals(),
+)
+def test_k_is_summed_in_int64_exactly_when_the_bound_allows_and_both_routes_agree(
+        nvars, cutoff, mask, a, b, e1, e2):
+    """K is int64 when D and sum_j |D c_j| max|S_j| over the terms with entries
+    in the cell are at most 2**53, and Python ints otherwise; either way it
+    equals the Python-int route, and so do its doubles."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3)
+    op = sector(nvars, a, b, roots, mask, cutoff)
+    d, table = op.weights
+    keys, largest = matrices._term_basis(nvars, cutoff)[:2]
+    bound = sum(abs(table.get(key, 0)) * m for key, m in zip(keys, largest))
+    _assert_equals_the_python_int_route(op, np.int64 if max(d, bound) <= 2**53 else object)
+
+
+def test_a_denominator_above_2_53_sums_k_in_python_ints():
+    """At a = 1/(2**53 + 1) D exceeds 2**53, so K is summed in Python ints;
+    the same matrix over D times 2**53 + 1 gives the same doubles."""
+    op = build_gauged_operator(ModelParams(2, Fraction(1, 2**53 + 1), Fraction(1, 3), 2), EMPTY)
+    mat = _assert_equals_the_python_int_route(op, object)
+    assert mat.denominator > 2**53
+    small = build_gauged_operator(ModelParams(2, Fraction(1, 3), Fraction(1, 3), 2), EMPTY)
+    d, table = small.weights
+    assert d <= 2**53 and build_matrix(small).values.dtype == np.int64
+    scale = 2**53 + 1
+    small.__dict__["weights"] = (d * scale, {key: w * scale for key, w in table.items()})
+    scaled = _assert_equals_the_python_int_route(small, object)
+    plain = build_matrix(build_gauged_operator(small.params, EMPTY))
+    assert scaled == plain and to_float(scaled).tobytes() == to_float(plain).tobytes()
+
+
+def test_a_weight_bound_above_2_53_at_a_small_denominator_sums_k_in_python_ints():
+    """At a = 2**52 and N = 2, D is 1 and the weights 2a p_r push
+    sum_j |D c_j| max|S_j| past 2**53."""
+    op = build_gauged_operator(ModelParams(2, Fraction(2**52), 0, 2), EMPTY)
+    mat = _assert_equals_the_python_int_route(op, object)
+    assert mat.denominator == 1 and max(map(abs, mat.values.tolist())) > 2**53
+
+
+def test_a_weight_beyond_int64_on_a_term_without_entries_keeps_k_in_int64():
+    """At N = 1 and cutoff 0 no derivative term has an entry, so the weights
+    2a p_r, beyond int64 at a = 10**30, neither raise nor leave int64."""
+    op = build_gauged_operator(ModelParams(1, Fraction(10**30), 0, 0), EMPTY)
+    d, table = op.weights
+    keys = matrices._term_basis(1, 0)[0]
+    assert any(abs(w) >= 2**63 and key not in keys for key, w in table.items())
+    _assert_equals_the_python_int_route(op, np.int64)
 
 
 # a, b, e1, e2 (e3 = -e1 - e2) with denominators that are distinct primes, so
