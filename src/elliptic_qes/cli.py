@@ -54,7 +54,7 @@ from .verify import CHECK_NAMES, report_json, run_checks
 
 # Largest total basis dimension one command may build and diagonalize, summed
 # over its sectors and grid points.  `spectrum` at N=6, m=6 over all masks
-# (2310) takes 0.56 s and peaks at 51.4-51.7 MB in one fresh process on a
+# (2310) takes 0.56 s and peaks at 50.6-50.9 MB in one fresh process on a
 # 2-core VM (OPENBLAS_NUM_THREADS=1), of which the term bases kept for N=6 at
 # cutoffs 6 and 5 hold 2.0 MB; N=7, m=6 (4092) and N=8, m=8 (32175) are
 # refused.
