@@ -206,17 +206,19 @@ _Group = tuple[tuple[int, int], bool, np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], tuple[_Group, ...]]:
+def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.ndarray,
+                                       tuple[_Group, ...]]:
     """The integer terms S_j, keyed like `GaugedOperator.weights`, the sorted
     distinct packed offsets of their entries (6, 13, 25, 42, 67 and 102 of
-    them for N = 1..6), and their entries grouped by derivative index.
+    them for N = 1..6), the rise in degree of each, sum(e) - len(idx) below,
+    and their entries grouped by derivative index.
 
     An entry is one monomial of a term's coefficient of d_idx, idx being (),
     (i,) or (i, j) with i <= j.  As d_i d_j tau^l = l_i (l_j - delta_ij)
     tau^(l - e_i - e_j) and d_i tau^l = l_i tau^(l - e_i), it adds its
     coefficient times the falling factor l'_i (l'_j - delta) to the image of
     tau^l, l' being l with a 1 appended, so that () reads (N, N) with delta 0
-    and (i,) reads (i, N).  Its offset, the packed monomial minus the packed
+    and (i,) reads (i, N).  Its offset, the packed monomial e minus the packed
     product of tau_k over k in idx, added to the packed l gives the monomial
     it contributes to.  Each group is ((i, j), delta) and one int64 row each
     of its entries' term indices, offset positions and coefficients.
@@ -251,14 +253,17 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], tuple[
             for j in range(i, n)
         ]
     groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    rise = {}
     for t, parts in enumerate(terms.values()):
         for idx, poly in parts:
             shift = pack(map(idx.count, range(n)))
             for e, c in poly.terms.items():
-                groups.setdefault(idx, []).append((t, pack(e) - shift, c))
-    offsets = tuple(sorted({e for entries in groups.values() for _, e, _ in entries}))
+                offset = pack(e) - shift
+                groups.setdefault(idx, []).append((t, offset, c))
+                rise[offset] = sum(e) - len(idx)
+    offsets = tuple(sorted(rise))
     position = dict(zip(offsets, range(len(offsets))))
-    return tuple(terms), offsets, tuple(
+    return tuple(terms), offsets, np.array(list(map(rise.get, offsets)), np.int64), tuple(
         ((*idx, n, n)[:2], len(idx) == 2 and idx[0] == idx[1],
          np.array([(t, position[e], c) for t, e, c in entries], np.int64).T)
         for idx, entries in groups.items())
@@ -271,57 +276,51 @@ def _term_basis(nvars: int, cutoff: int) -> tuple:
     part in (column, offset) order.
 
     Each entry of a group adds its coefficient times the group's falling
-    factor to every column where that factor is non-zero; one sort sums the
-    contributions per (term, column, offset); the sums that do not cancel are
-    the term entries.  It returns the keys of the terms with entries and each
+    factor to every column where that factor is non-zero, outside the basis
+    where the offset's rise exceeds the column's room, cutoff - degree; one
+    sort by (outside, column, offset, term) sums the contributions in the
+    pattern's order.  It returns the keys of the terms with entries and each
     one's largest |coefficient|; each entry's key index and int64 coefficient,
     by position; each position's first entry; the number of positions in the
     basis, their row * dim + column, and the column * len(offsets) + offset of
     the others.  The sort's arrays are dropped once used."""
     basis = enumerate_basis(nvars, cutoff)
-    keys, offsets, groups = _term_entries(nvars)
-    dim, width = len(basis), len(offsets)
+    keys, offsets, rise, groups = _term_entries(nvars)
+    dim, width, size = len(basis), len(offsets), len(keys)
     exps = np.ones((dim, nvars + 1), np.int64)
     exps[:, :nvars] = basis.monomials
+    room = cutoff + 1 - exps.sum(1)
     key, contribution = [], []
     for (i, j), delta, (term, position, coefficient) in groups:
         factor = exps[:, i] * (exps[:, j] - delta)
         column = np.flatnonzero(factor)[:, None]
-        key.append(((term * dim + column) * width + position).ravel())
+        outside = rise[position] > room[column]
+        key.append((((outside * dim + column) * width + position) * size + term).ravel())
         contribution.append((factor[column] * coefficient).ravel())
     key, contribution = np.concatenate(key), np.concatenate(contribution)
     order = np.argsort(key)
     key, contribution = key[order], contribution[order]
-    del order, factor
+    del order
     first = np.flatnonzero(np.diff(key, prepend=-1))
     value = np.add.reduceat(contribution, first)
     del contribution
     nonzero = value != 0
-    term, cell = np.divmod(key[first[nonzero]], dim * width)
+    cell, term = np.divmod(key[first[nonzero]], size)
     del key, first
     value = value[nonzero]
-    present = np.zeros(dim * width, bool)
-    present[cell] = True
-    cells = np.flatnonzero(present)
-    column, offset = np.divmod(cells, width)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    cells = cell[starts]
+    inside = int(np.searchsorted(cells, dim * width))
+    column, offset = np.divmod(cells[:inside], width)
     codes = list(basis.row_of)
     targets = map(add, map(codes.__getitem__, column.data), map(offsets.__getitem__, offset.data))
-    row = np.fromiter(map(basis.row_of.get, targets, repeat(-1)), np.int64, len(cells))
-    inside = row >= 0
-    position = np.searchsorted(cells, cell)
-    del cell
-    position += len(cells) * ~inside[position]
-    order = np.argsort(position)
-    term = term[order]
-    value = value[order]
-    position = position[order]
-    del order
-    largest = np.zeros(len(keys), np.int64)
+    row = np.fromiter(map(basis.row_of.__getitem__, targets), np.int64, inside)
+    largest = np.zeros(size, np.int64)
     np.maximum.at(largest, term, np.abs(value))
     used = np.flatnonzero(largest)
     return (tuple(map(keys.__getitem__, used.tolist())), largest[used].tolist(),
-            np.searchsorted(used, term), value, np.flatnonzero(np.diff(position, prepend=-1)),
-            int(inside.sum()), (row * dim + column)[inside], cells[~inside])
+            np.searchsorted(used, term), value, starts, inside, row * dim + column,
+            cells[inside:] - dim * width)
 
 
 def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorMatrix) -> bool:

@@ -25,7 +25,13 @@ from elliptic_qes.matrices import (
     raising_coefficient_check,
     to_float,
 )
-from elliptic_qes.model import ALL_MASKS, GaugeMask, ModelParams, list_valid_masks
+from elliptic_qes.model import (
+    ALL_MASKS,
+    GaugeMask,
+    ModelParams,
+    external_field_coupling,
+    list_valid_masks,
+)
 from elliptic_qes.operator import (
     GaugedOperator,
     build_gauged_operator,
@@ -287,6 +293,30 @@ def test_a_nudged_weight_table_builds_its_applied_images_or_is_refused(
                                   f"{sum(e)}, above the cutoff {cutoff}")
 
 
+@given(
+    nvars=st.integers(1, 4),
+    cutoff=st.integers(0, 4),
+    mask=st.sampled_from(ALL_MASKS),
+    a=rationals(),
+    b=rationals(),
+    e1=rationals(),
+    e2=rationals(),
+)
+def test_every_weight_table_closes_and_one_more_v_does_not(nvars, cutoff, mask, a, b, e1, e2):
+    """Closure is linear in the weight table: every valid sector's table lies
+    in the kernel of the map to the monomials above the cutoff, and the same
+    table with the V weight raised by one leaves it, its image reaching degree
+    cutoff + 1."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3)
+    op = sector(nvars, a, b, roots, mask, cutoff)
+    assert build_matrix(op).dim == len(enumerate_basis(nvars, cutoff))
+    d, table = op.weights
+    op.__dict__["weights"] = (d, {**table, ("V", 0): table.get(("V", 0), 0) + 1})
+    with pytest.raises(OperatorNotClosed, match=rf"of degree {cutoff + 1}, above the cutoff"):
+        build_matrix(op)
+
+
 def _python_int_route(op: GaugedOperator):
     """The columns of K and the float image of K / D by the previous engine's
     route, kept as the reference for `build_matrix` and `to_float`: K summed
@@ -436,6 +466,47 @@ def test_a_dropped_matrix_leaves_nothing_allocated():
         tracemalloc.stop()
     assert cell < 2 * 2**20
     assert retained < 0.1 * 2**20
+
+
+def test_forming_a_wide_cell_sorts_its_contributions_without_a_pattern_bitmap():
+    """The cell of N = 32, cutoff 2 (dim 561, 11,074 offsets) is formed by one
+    sort of its contributions and peaks below 4 MB; a dim x width bitmap of
+    the pattern alone would take 6.2 MB."""
+    matrices._term_entries(32)
+    enumerate_basis(32, 2)
+    matrices._term_basis.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrices._term_basis(32, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_the_b_dual_sector_has_the_same_matrix_and_the_same_mask_does_not():
+    """(m, b, S) and (m + 3b - 3/2, 1 - b, S^c), S^c the complementary mask,
+    have the same cutoff m + n_f (b - 1/2), the same matrix and the same
+    external-field coupling, over a seeded sample of N <= 3, cutoffs <= 3,
+    all eight masks and random a, b and roots; with S in place of S^c the
+    partner's matrix differs."""
+    rng, half, pairs = random.Random(14), Fraction(1, 2), 0
+    while pairs < 300:
+        nvars, cutoff, mask = rng.randint(1, 3), rng.randint(0, 3), rng.choice(ALL_MASKS)
+        a, b, e1, e2 = (Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for _ in "abcd")
+        roots = (e1, e2, -e1 - e2)
+        if b == half or len(set(roots)) < 3:  # at b = 1/2 the map fixes every sector
+            continue
+        params = ModelParams(nvars, a, b, cutoff + mask.n_f * (half - b), roots)
+        dual = ModelParams(nvars, a, 1 - b, params.degree_m + 3 * b - 3 * half, roots)
+        complement = GaugeMask(tuple(i for i in (1, 2, 3) if i not in mask))
+        mat = build_matrix(build_gauged_operator(params, mask))
+        assert build_matrix(build_gauged_operator(dual, complement)) == mat
+        assert external_field_coupling(dual) == external_field_coupling(params)
+        if dual.sector_is_valid(mask):
+            assert build_matrix(build_gauged_operator(dual, mask)) != mat
+        pairs += 1
 
 
 def test_matrix_equals_applied_images_four_particles_cutoff_four():
