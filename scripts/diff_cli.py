@@ -4,18 +4,18 @@
 
 REV is exported with `git archive` into a temporary directory, as
 `scripts/bench_pairs.py` does.  `generate` draws N argv (default 1000) from
-seed S (default 0) over all six subcommands: mostly N <= 3, one in ten at N
-in {4, 7, 11, 33}, and one in twenty at N in {5, 6} with m <= 3, which reach
-the term cells of N = 5 and 6 at cutoffs up to 6; both output formats; a- and
+seed S (default 0) over all six subcommands: mostly N <= 3, one in ten at N in
+{4, 7, 11, 33}, and one in twenty at N in {5, 6} with m <= 3, which reach the
+term cells of N = 5 and 6 at cutoffs up to 6; both output formats; a- and
 epsilon-sweeps of 0 to 5 points; conflicting flags, negative values spaced or
-joined, values such as --a=1e400 or --m=x, and now and then a rational such
-as 1/9007199254740993, whose numerator or denominator exceeds 2**53.  Each argv runs once in each
-tree, as `python -m elliptic_qes.cli` in a fresh process with
-OPENBLAS_NUM_THREADS=1, since the printed digits of large sectors depend on
-the BLAS thread count.  The two runs must give the same exit code, the same
+joined, values such as --a=1e400 or --m=x, and now and then a rational such as
+1/9007199254740993, whose numerator or denominator exceeds 2**53.  Each argv
+runs once in each tree, as `python -m elliptic_qes.cli` in a fresh process
+with OPENBLAS_NUM_THREADS=1, since the printed digits of large sectors depend
+on the BLAS thread count.  The two runs must give the same exit code, the same
 stdout (compared by SHA-256) and the same stderr, with each tree's path
-replaced by <tree>.  The script prints the count of argv per exit code and
-the first mismatches, and exits 1 if there is any.
+replaced by <tree>.  The script prints the count of argv per exit code and the
+first mismatches, and exits 1 if there is any.
 """
 
 from __future__ import annotations

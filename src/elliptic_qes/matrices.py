@@ -210,8 +210,8 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.nda
                                        tuple[_Group, ...]]:
     """The integer terms S_j, keyed like `GaugedOperator.weights`, the sorted
     distinct packed offsets of their entries (6, 13, 25, 42, 67 and 102 of
-    them for N = 1..6), the rise in degree of each, sum(e) - len(idx) below,
-    and their entries grouped by derivative index.
+    them for N = 1..6) with each one's rise in degree, and their entries
+    grouped by derivative index.
 
     An entry is one monomial of a term's coefficient of d_idx, idx being (),
     (i,) or (i, j) with i <= j.  As d_i d_j tau^l = l_i (l_j - delta_ij)
@@ -220,8 +220,9 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.nda
     tau^l, l' being l with a 1 appended, so that () reads (N, N) with delta 0
     and (i,) reads (i, N).  Its offset, the packed monomial e minus the packed
     product of tau_k over k in idx, added to the packed l gives the monomial
-    it contributes to.  Each group is ((i, j), delta) and one int64 row each
-    of its entries' term indices, offset positions and coefficients.
+    it contributes to, sum(e) - len(idx) above l in degree (its rise).  Each
+    group is ((i, j), delta) and one int64 row each of its entries' term
+    indices, offset positions and coefficients.
 
     For F(tau), F_k = sum_i F_i sigma^k_i and, tau being linear in each z_k,
     F_kk = sum_{i,j} F_ij sigma^k_i sigma^k_j.  Substituted into the z-space
@@ -275,13 +276,13 @@ def _term_basis(nvars: int, cutoff: int) -> tuple:
     entry pattern: the union of their entries, those in the basis first, each
     part in (column, offset) order.
 
-    Each entry of a group adds its coefficient times the group's falling
-    factor to every column where that factor is non-zero, outside the basis
-    where the offset's rise exceeds the column's room, cutoff - degree; one
-    sort by (outside, column, offset, term) sums the contributions in the
-    pattern's order.  It returns the keys of the terms with entries and each
-    one's largest |coefficient|; each entry's key index and int64 coefficient,
-    by position; each position's first entry; the number of positions in the
+    Each entry of a group adds its coefficient times the group's falling factor
+    to every column where that factor is non-zero, outside the basis where the
+    offset's rise exceeds the column's room, cutoff - degree; one sort by
+    (outside, column, offset, term) and one sum per term entry form the pattern
+    in order.  It returns the keys of the terms with entries and each one's
+    largest |coefficient|; each entry's key index and int64 coefficient, by
+    position; each position's first entry; the number of positions in the
     basis, their row * dim + column, and the column * len(offsets) + offset of
     the others.  The sort's arrays are dropped once used."""
     basis = enumerate_basis(nvars, cutoff)
