@@ -5,8 +5,10 @@
 REV is exported with `git archive` into a temporary directory, as
 `scripts/bench_pairs.py` does.  `generate` draws N argv (default 1000) from
 seed S (default 0) over all six subcommands: mostly N <= 3, one in ten at N in
-{4, 7, 11, 33}, and one in twenty at N in {5, 6} with m <= 3, which reach the
-term cells of N = 5 and 6 at cutoffs up to 6; both output formats; a- and
+{4, 7, 11, 33}, one in twenty at N in {5, 6} with m <= 3, which reach the
+term cells of N = 5 and 6 at cutoffs up to 6, and one in fifty at N in
+{16, 32} with m <= 1, which reach the largest per-N tables that the CLI
+builds (it refuses N = 33); both output formats; a- and
 epsilon-sweeps of 0 to 5 points; conflicting flags, negative values spaced or
 joined, values such as --a=1e400 or --m=x, and now and then a rational such as
 1/9007199254740993, whose numerator or denominator exceeds 2**53.  Each argv
@@ -94,10 +96,12 @@ def draw_argv(rng: random.Random) -> list[str]:
         n = rng.choice((4, 7, 11, 33))
     elif roll < 0.15:
         n = rng.choice((5, 6))
+    elif roll < 0.17:
+        n = rng.choice((16, 32))
     else:
         n = rng.randint(1, 3)
     argv += ["--n", str(n)]
-    m = rng.randint(0, 4 if n <= 4 else 3 if n <= 6 else 2)
+    m = rng.randint(0, 4 if n <= 4 else 3 if n <= 6 else 2 if n <= 11 else 1)
     if rng.random() < 0.8:
         argv += _value(rng, "--m", str(Fraction(2 * m + rng.choice((0, 0, 1)), 2)))
     if rng.random() < 0.5:

@@ -62,8 +62,8 @@ MAX_TOTAL_DIMENSION = 3000
 
 # Largest particle number N one command may build.  The dimension budget does
 # not bound N at cutoff 0 or 1, where the work still grows with N: `spectrum
-# --n 32 --m 0 --mask none` takes 1.3 s in one fresh process on the same VM,
-# and --n 48 takes 4.5 s and 97 MB.
+# --n 32 --m 0 --mask none` takes 0.28 s and peaks at 41 MB in one fresh process
+# on the same VM, and --n 48, with this limit lifted, 0.86 s and 73 MB.
 MAX_PARTICLES = 32
 
 # Largest work `matrix` may spend checking its columns 1, tau_i, tau_i tau_j

@@ -16,7 +16,8 @@ integer.  The weights D c_j are the operator's own table,
 `GaugedOperator.weights`, which `apply` reads too.  The S_j depend on N and
 the cutoff alone: they are formed once per (N, cutoff), on one entry pattern
 shared by all of them, from a per-N table of their entries as exponent shifts
-in tau-space, and each build sums (D c_j) S_j over it in one numpy pass.
+in tau-space, and each build sums (D c_j) S_j over it in one numpy pass.  That
+table, of int64 rows, is the one per-N copy of the structure sums' terms.
 Assembly never passes through z-space; `GaugedOperator.apply` stays the
 independent oracle for the term matrices.
 
@@ -236,31 +237,29 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.nda
         A_ij = -(2 - delta_ij) sum_r p_r Q_rij .
 
     Each product is a weight (V, s_r, 2a q_r, drift_r, 2a p_r, p_r) times a
-    parameter-free integer term, listed here by its kind and r.
+    parameter-free integer term, listed here by its kind and r: the sums' own
+    coefficients times the sign or factor shown, read in place.
     """
     n = nvars
     sums = structure_sums(n)
-    terms: dict[Term, list[tuple[tuple[int, ...], Poly]]] = {
-        ("V", 0): [((), Poly.monomial((1,) + (0,) * (n - 1)))]
+    terms: dict[Term, list[tuple[tuple[int, ...], int, Poly]]] = {
+        ("V", 0): [((), 1, Poly.monomial((1,) + (0,) * (n - 1)))]
     }
     for r in range(len(sums.P)):
-        terms["s", r] = [((), -sums.P[r])]
-        terms["2a.q", r] = [((), -sums.D[r])]
-        terms["drift", r] = [((i,), -sums.T[r][i]) for i in range(n)]
-        terms["2a.p", r] = [((i,), -sums.E[r][i]) for i in range(n)]
-        terms["p", r] = [
-            ((i, j), (-1 if i == j else -2) * sums.Q[r][i][j])
-            for i in range(n)
-            for j in range(i, n)
-        ]
+        terms["s", r] = [((), -1, sums.P[r])]
+        terms["2a.q", r] = [((), -1, sums.D[r])]
+        terms["drift", r] = [((i,), -1, sums.T[r][i]) for i in range(n)]
+        terms["2a.p", r] = [((i,), -1, sums.E[r][i]) for i in range(n)]
+        terms["p", r] = [((i, j), -1 if i == j else -2, sums.Q[r][i][j])
+                         for i in range(n) for j in range(i, n)]
     groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     rise = {}
     for t, parts in enumerate(terms.values()):
-        for idx, poly in parts:
+        for idx, factor, poly in parts:
             shift = pack(map(idx.count, range(n)))
             for e, c in poly.terms.items():
                 offset = pack(e) - shift
-                groups.setdefault(idx, []).append((t, offset, c))
+                groups.setdefault(idx, []).append((t, offset, factor * c))
                 rise[offset] = sum(e) - len(idx)
     offsets = tuple(sorted(rise))
     position = dict(zip(offsets, range(len(offsets))))

@@ -12,11 +12,11 @@ sum(k*l_k) of its expansion.  The two differ for N >= 2, and every closure and
 degree-raising statement downstream refers to the tau-degree.  A basis keys
 its rows by `pack` code, so `matrices` shifts exponents by int addition.
 
-`structure_sums` writes, once per N, the symmetric z-space sums that the
-gauged operator's tau-space coefficients are built from.  They come from
-two-term recurrences in the generating function E(t) = sum_m tau_m t^m,
-without a trip through z-space; `tau_to_z` and `z_to_tau` remain the exact
-conversions that check them.
+`structure_sums` writes the symmetric z-space sums that the gauged operator's
+tau-space coefficients are built from, by two-term recurrences in E(t) =
+sum_m tau_m t^m, without a trip through z-space.  Its one engine caller,
+`matrices._term_entries`, forms them once per N and keeps only int64 rows;
+`tau_to_z` and `z_to_tau` remain the exact conversions that check them.
 """
 
 from __future__ import annotations
@@ -180,7 +180,8 @@ class StructureSums(NamedTuple):
         D[r]       = sum_{k<l} (z_k^r - z_l^r) / (z_k - z_l)
         E[r][j]    = sum_{k<l} (z_k^r sigma^k_j - z_l^r sigma^l_j) / (z_k - z_l)
 
-    Every entry is a polynomial in tau with integer coefficients.
+    Every entry is a polynomial in tau with integer coefficients; Q is
+    symmetric in (i, j), and Q[r][j][i] is the same `Poly` as Q[r][i][j].
     """
 
     P: tuple[Poly, ...]
@@ -190,9 +191,8 @@ class StructureSums(NamedTuple):
     E: tuple[tuple[Poly, ...], ...]
 
 
-@lru_cache(maxsize=None)
 def structure_sums(nvars: int) -> StructureSums:
-    """The sums of `StructureSums` for N = nvars, written over tau.
+    """The sums of `StructureSums` for N = nvars, written over tau (not cached).
 
     Everything follows from the generating function
     E(t) = prod_k (1 + z_k t) = sum_m tau_m t^m, whose quotient by 1 + z_k t
@@ -206,10 +206,10 @@ def structure_sums(nvars: int) -> StructureSums:
     where E[0] holds because sigma^k(t) - sigma^l(t) = -(z_k - z_l) t times
     the product over the other N - 2 variables.  As sigma^k_0 = 1, P and D are
     the first entries of T and E.  Finally 1/((1+zt)(1+zu)) =
-    (t/(1+zt) - u/(1+zu))/(t - u) gives
+    (t/(1+zt) - u/(1+zu))/(t - u) gives, for i <= j, formed once and shared
+    with Q[r][j][i],
 
-        Q[r][i][j] = sum_{a=max(i,j)}^{i+j} T[r][a] tau_{i+j-a}
-                     - sum_{a<min(i,j)} T[r][a] tau_{i+j-a}.
+        Q[r][i][j] = sum_{a=j}^{i+j} T[r][a] tau_{i+j-a} - sum_{a<i} T[r][a] tau_{i+j-a}.
     """
     n = nvars
     zero = Poly.zero(n)
@@ -229,19 +229,20 @@ def structure_sums(nvars: int) -> StructureSums:
 
     def q_entry(row: list[Poly], i: int, j: int) -> Poly:
         out = zero
-        for a in range(max(i, j), min(i + j, n - 1) + 1):
+        for a in range(j, min(i + j, n - 1) + 1):
             out = out + row[a] * tau(i + j - a)
-        for a in range(min(i, j)):
+        for a in range(i):
             out = out - row[a] * tau(i + j - a)
         return out
+
+    def q_rows(row: list[Poly]) -> tuple[tuple[Poly, ...], ...]:
+        upper = [[q_entry(row, i, j) for j in range(i, n)] for i in range(n)]
+        return tuple(tuple(upper[min(i, j)][abs(i - j)] for j in range(n)) for i in range(n))
 
     return StructureSums(
         P=tuple(row[0] for row in t_rows),
         T=tuple(map(tuple, t_rows)),
-        Q=tuple(
-            tuple(tuple(q_entry(row, i, j) for j in range(n)) for i in range(n))
-            for row in t_rows
-        ),
+        Q=tuple(map(q_rows, t_rows)),
         D=tuple(row[0] for row in e_rows),
         E=tuple(map(tuple, e_rows)),
     )

@@ -485,6 +485,23 @@ def test_forming_a_wide_cell_sorts_its_contributions_without_a_pattern_bitmap():
     assert peak < 4 * 2**20
 
 
+def test_the_per_n_term_table_is_the_only_copy_of_the_structure_sums():
+    """Forming the term table of N = 20, which no other test builds, keeps its
+    int64 rows (about 0.5 MB) and nothing of the structure sums they are read
+    from, which would take 2 MB more."""
+    misses = matrices._term_entries.cache_info().misses
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrices._term_entries(20)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert matrices._term_entries.cache_info().misses == misses + 1
+    assert held < 1.5 * 2**20
+
+
 def test_the_b_dual_sector_has_the_same_matrix_and_the_same_mask_does_not():
     """(m, b, S) and (m + 3b - 3/2, 1 - b, S^c), S^c the complementary mask,
     have the same cutoff m + n_f (b - 1/2), the same matrix and the same
