@@ -12,14 +12,14 @@ mt = m + n_f * (b - 1/2) where n_f is the mask size.  A mask is usable only
 when mt is a non-negative integer, since mt is the top tau-degree of the
 preserved polynomial space.  Per-sector formulas read the integer view
 `ModelParams.ints` = (c, a c, b c, m c), c = lcm(den a, den b, den m), formed
-at first use and kept on the parameter set."""
+with the parameter set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
+from operator import index
 
 from .errors import InvalidDegree
 from .polynomials import RationalLike
@@ -100,8 +100,11 @@ def cubic_invariants(
 class ModelParams:
     """Exact parameter set: particle number, couplings, degree, cubic roots.
 
-    Rationals are given as int, Fraction or str (never float) and kept as
-    Fractions; the hash is formed once, at construction, and kept."""
+    N is an int (a bool, float, Fraction or str raises TypeError); rationals
+    are given as int, Fraction or str (never float) and kept as Fractions.
+    Construction forms `ints` = (c, a c, b c, m c), c = lcm(den a, den b, den m),
+    and the hash, of N, `ints` and the roots times the lcm of their denominators,
+    so equal values give one key however they were given."""
 
     nvars: int
     coupling_a: Fraction
@@ -110,27 +113,26 @@ class ModelParams:
     roots: tuple[Fraction, Fraction, Fraction] = (2, -1, -1)
 
     def __post_init__(self) -> None:
-        if self.nvars < 1:
-            raise ValueError(f"nvars must be >= 1, got {self.nvars}")
-        for name in ("coupling_a", "coupling_b", "degree_m"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name), name))
+        if isinstance(self.nvars, bool):
+            raise TypeError("nvars must be an int, not bool")
+        nvars = index(self.nvars)  # TypeError for a float, Fraction or str
+        if nvars < 1:
+            raise ValueError(f"nvars must be >= 1, got {nvars}")
+        a = _as_fraction(self.coupling_a, "coupling_a")
+        b = _as_fraction(self.coupling_b, "coupling_b")
+        m = _as_fraction(self.degree_m, "degree_m")
         if len(self.roots) != 3:
             raise ValueError(f"exactly three roots required, got {len(self.roots)}")
         e = tuple(_as_fraction(r, "root") for r in self.roots)
-        _integer_roots(e)
-        object.__setattr__(self, "roots", e)
-        object.__setattr__(self, "_hash", hash((self.nvars, self.coupling_a, self.coupling_b,
-                                                self.degree_m, e)))
+        c = lcm(a.denominator, b.denominator, m.denominator)
+        ints = (c, *(x.numerator * (c // x.denominator) for x in (a, b, m)))
+        for name, value in (("nvars", nvars), ("coupling_a", a), ("coupling_b", b),
+                            ("degree_m", m), ("roots", e), ("ints", ints),
+                            ("_hash", hash((nvars, ints, _integer_roots(e))))):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def ints(self) -> tuple[int, int, int, int]:
-        """(c, a c, b c, m c), c the lcm of the denominators of a, b and m."""
-        xs = (self.coupling_a, self.coupling_b, self.degree_m)
-        c = lcm(*(x.denominator for x in xs))
-        return (c, *(x.numerator * (c // x.denominator) for x in xs))
 
     def gauge_exponent(self) -> Fraction:
         """Exponent nu = 1/2 - b carried by every masked root factor."""
@@ -152,11 +154,10 @@ class ModelParams:
 
     def cutoff(self, mask: GaugeMask) -> int:
         """The sector's degree cutoff mt; InvalidDegree unless it is a non-negative integer."""
-        if not self.sector_is_valid(mask):
-            mt = self.shifted_degree(mask)
-            raise InvalidDegree(f"mask {mask} shifts the degree cutoff to {mt}, which is not a "
-                                "non-negative integer; no invariant space exists")
         top, den = self._twice_cutoff(mask)
+        if top < 0 or top % den:
+            raise InvalidDegree(f"mask {mask} shifts the degree cutoff to {Fraction(top, den)}, "
+                                "which is not a non-negative integer; no invariant space exists")
         return top // den
 
     def basis_dimension(self, mask: GaugeMask) -> int:

@@ -32,7 +32,6 @@ for the closed forms, and only `verify` and the tests call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -130,13 +129,14 @@ def _natural_gauge_polynomials(
     and w = 2 nu u are ints, and U = u^3 clears every denominator; zeros are
     left out of the maps.
     """
-    b = coupling_b
-    u = lcm(b.denominator // gcd(2, b.denominator), *(x.denominator for x in roots))
+    b, (x1, x2, x3), n_f, total, pairs = coupling_b, roots, mask.n_f, 0, 0
+    u = lcm(b.denominator // gcd(2, b.denominator), x1.denominator, x2.denominator, x3.denominator)
     w = u - 2 * b.numerator * u // b.denominator
     e = [x.numerator * (u // x.denominator) for x in roots]
-    n_f, total = mask.n_f, sum(e[i - 1] for i in mask.indices)
-    pairs = sum(e[i % 3] * e[(i + 1) % 3] for i in mask.indices)
-    cubic = {3: 4 * u**3, 1: 4 * u * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]), 0: -4 * prod(e)}
+    others = (e[1] * e[2], e[2] * e[0], e[0] * e[1])  # the product of the roots but e_i
+    for i in mask.indices:
+        total, pairs = total + e[i - 1], pairs + others[i - 1]
+    cubic = {3: 4 * u**3, 1: 4 * u * sum(others), 0: -4 * prod(e)}
     charge = {2: 2 * w * n_f * u * u, 1: 2 * w * total * u, 0: 2 * w * pairs}
     scalar = {1: w * n_f * u * (4 * u + w * (n_f - 3)), 0: w * (2 * u + w * (2 * n_f - 3)) * total}
     return u**3, *({r: x for r, x in coeffs.items() if x} for coeffs in (cubic, charge, scalar))
@@ -189,8 +189,9 @@ class GaugedOperator:
 
     The sector's data is held once, in ints: a scale U and the z-power -> int
     maps of U p, U q and U s (the cubic, the gauge charge and the gauge
-    scalar).  `weights` combines them with `ModelParams.ints` into the one
-    weight table that `apply` and `matrices.build_matrix` both read.
+    scalar).  At construction they are combined with `ModelParams.ints` into
+    `weights`, the one weight table that `apply` and `matrices.build_matrix`
+    both read; it is an attribute, not a field.
     """
 
     params: ModelParams
@@ -201,32 +202,32 @@ class GaugedOperator:
     charge: dict[int, int]
     scalar: dict[int, int]
 
+    def __post_init__(self) -> None:
+        """Form `weights`: D and the non-zero D c_j of each term of the operator.
+
+        The weights c_j are V = m (12b + 8a(N-1) + 4m + 2) and, per power r of
+        z, p_r, s_r, 2a p_r, 2a q_r and drift_r, drift = 2q + (b + 1/2) p'.  With
+        a, b, m = A, B, M over c (`ModelParams.ints`) and p, q, s over U, each
+        is an integer over 2 U c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c) / c^2;
+        the gcd leaves D, the lcm of the weights' denominators."""
+        c, a, b, m = self.params.ints
+        u, p, q = self.scale, self.cubic, self.charge
+        one, two_a, b_half = 2 * c * c, 4 * a * c, (2 * b + c) * c
+        weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (self.nvars - 1) + 4 * m + 2 * c),
+                   ("drift", 0): 2 * one * q.get(0, 0) + b_half * p.get(1, 0),
+                   ("drift", 1): 2 * one * q.get(1, 0) + 2 * b_half * p.get(2, 0),
+                   ("drift", 2): 2 * one * q.get(2, 0) + 3 * b_half * p.get(3, 0)}
+        for kind, coeffs, f in (("s", self.scalar, one), ("2a.q", q, two_a), ("2a.p", p, two_a),
+                                ("p", p, one)):
+            for r, x in coeffs.items():
+                weights[kind, r] = f * x
+        g = gcd(u * one, *weights.values())
+        object.__setattr__(self, "weights", (u * one // g, {term: w // g for term, w in
+                                                             weights.items() if w}))
+
     @property
     def nvars(self) -> int:
         return self.params.nvars
-
-    @cached_property
-    def weights(self) -> tuple[int, dict[Term, int]]:
-        """D and the non-zero D c_j of each term of the operator.
-
-        The weights c_j are V = m (12b + 8a(N-1) + 4m + 2) and, per power r of
-        z, p_r, s_r, 2a p_r, 2a q_r and drift_r, with drift = 2q + (b + 1/2) p'.
-        With a, b, m = A, B, M over c (`ModelParams.ints`) and p, q, s over U,
-        each is an integer over 2 U c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c)
-        / c^2; the gcd leaves D, the lcm of the weights' denominators.
-        """
-        c, a, b, m = self.params.ints
-        u, p, q = self.scale, self.cubic, self.charge
-        one, two_a = 2 * c * c, 4 * a * c
-        weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (self.nvars - 1) + 4 * m + 2 * c)}
-        for kind, coeffs, f in (("s", self.scalar, one), ("2a.q", q, two_a), ("2a.p", p, two_a),
-                                ("p", p, one)):
-            weights.update(((kind, r), f * x) for r, x in coeffs.items())
-        for r in range(3):  # the drift has degree 2
-            weights["drift", r] = (2 * one * q.get(r, 0)
-                                   + (2 * b + c) * c * (r + 1) * p.get(r + 1, 0))
-        g = gcd(u * one, *weights.values())
-        return u * one // g, {term: w // g for term, w in weights.items() if w}
 
     def apply(self, f: Poly) -> Poly:
         """Exact image of a tau-space polynomial under the gauged operator.
@@ -281,7 +282,10 @@ class GaugedOperator:
                     numer[exps] = numer.get(exps, 0) - c
                 for exps, c in _pair_quotient(numer, k, l).items():
                     out[exps] = out.get(exps, 0) - c
-        return z_to_tau(Poly(n, out)) * Fraction(1, scale * f_scale)
+        image = z_to_tau(Poly.from_terms(n, {exps: c for exps, c in out.items() if c}))
+        d = scale * f_scale
+        return Poly.from_terms(n, {exps: Fraction(c, d) if c % d else c // d
+                                   for exps, c in image.terms.items()})
 
 
 def build_gauged_operator(params: ModelParams, mask: GaugeMask) -> GaugedOperator:

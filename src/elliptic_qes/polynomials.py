@@ -102,6 +102,12 @@ class Poly:
         return result
 
     @classmethod
+    def from_terms(cls, nvars: int, terms: Mapping[Exponents, Coeff]) -> Poly:
+        """A polynomial from terms with exponent tuples of length ``nvars`` and no
+        zero coefficient, unchecked; coefficients become ``int`` where integral."""
+        return cls._wrap(nvars, {exps: _exact(coeff) for exps, coeff in terms.items()})
+
+    @classmethod
     def zero(cls, nvars: int) -> Poly:
         return cls(nvars)
 

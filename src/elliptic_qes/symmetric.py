@@ -160,7 +160,7 @@ def z_to_tau(p: Poly) -> Poly:
         return (0,) * n, coeff, _tau_monomial_in_z(n, tau_exps)
 
     p.reduce_leading(step)
-    return Poly(n, tau_terms)
+    return Poly.from_terms(n, tau_terms)
 
 
 # The cubic p, the gauge charge q and the gauge scalar s have degree <= 3, so
@@ -228,12 +228,18 @@ def structure_sums(nvars: int) -> StructureSums:
             rows.append([prev[0] * tau(m + 1) - prev[m + 1] for m in range(n)])
 
     def q_entry(row: list[Poly], i: int, j: int) -> Poly:
-        out = zero
-        for a in range(j, min(i + j, n - 1) + 1):
-            out = out + row[a] * tau(i + j - a)
-        for a in range(i):
-            out = out - row[a] * tau(i + j - a)
-        return out
+        # each product with tau_k (tau_0 = 1) is a shift of the row's exponents
+        out: dict[Exponents, int] = {}
+        for sign, span in ((1, range(j, min(i + j, n - 1) + 1)), (-1, range(max(0, i + j - n), i))):
+            for a in span:
+                k = i + j - a
+                for e, c in row[a].terms.items():
+                    key = e[: k - 1] + (e[k - 1] + 1,) + e[k:] if k else e
+                    if acc := out.get(key, 0) + sign * c:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return Poly.from_terms(n, out)
 
     def q_rows(row: list[Poly]) -> tuple[tuple[Poly, ...], ...]:
         upper = [[q_entry(row, i, j) for j in range(i, n)] for i in range(n)]

@@ -19,15 +19,16 @@ sectors from it: the reference matrices, the closure grid that `closure` and
 checks test, as exact identities of characteristic polynomials; only
 `eigensolver` diagonalizes, and it leaves the eigenvalue sum to the trace gate
 of `spectrum_of`.  The store builds a sector's operator and matrix at most
-once per run, keyed by (params, mask), whose hash the parameter set forms once
-and keeps, and no check builds a sector matrix outside it; a matrix keeps
-its characteristic polynomial, and an operator keeps the integer weight table
-that its matrix and `apply` both read.  Nothing outlives the run, so repeated
-runs in one process each do the full work.  `gauge-exponents` compares the oracle
-division `gauge_polynomials`, times the operator's scale U, with the integer
-maps of U q and U s of one-variable operators from `build_gauged_operator`,
-so it checks the engine's own path;
-exponent 1/3, at which the engine builds nothing, goes to the division alone.
+once per run, keyed by (params, mask), hashed by the parameter set's integer
+view at construction, and no check builds a sector matrix outside it; the
+grid's masks of one size share one parameter set, a matrix keeps its
+characteristic polynomial, and an operator forms, as it is built, the integer
+weight table that its matrix and `apply` both read.  Nothing outlives the run,
+so repeated runs in one process each do the full work.  `gauge-exponents`
+compares the oracle division `gauge_polynomials`, times the operator's scale
+U, with the integer maps of U q and U s of one-variable operators from
+`build_gauged_operator`, so it checks the engine's own path; exponent 1/3, at
+which the engine builds nothing, goes to the division alone.
 """
 
 from __future__ import annotations
@@ -132,20 +133,14 @@ class _SectorStore:
         return self._grid
 
 
-def _grid_entry(
-    store: _SectorStore,
-    nvars: int,
-    cutoff: int,
-    a: Fraction,
-    b: Fraction,
-    roots: tuple[Fraction, Fraction, Fraction],
-    mask: GaugeMask,
-) -> GridEntry:
-    """The sector of `mask` at the given cutoff, with the original degree
-    solved as m = cutoff + n_f (1/2 - b) so that it is valid."""
-    q, n_f = b.denominator, mask.n_f
-    m = Fraction((2 * cutoff + n_f) * q - 2 * n_f * b.numerator, 2 * q)
-    return store.sector(ModelParams(nvars, a, b, m, roots), mask)
+def _grid_entries(store: _SectorStore, nvars: int, cutoff: int, a: Fraction, b: Fraction,
+                  roots: tuple[Fraction, Fraction, Fraction]) -> list[GridEntry]:
+    """The eight mask sectors at the cutoff, each at m = cutoff + n_f (1/2 - b)
+    so that it is valid; the masks of one size n_f share one parameter set."""
+    q = b.denominator
+    params = [ModelParams(nvars, a, b, Fraction((2 * cutoff + n_f) * q - 2 * n_f * b.numerator,
+                                                2 * q), roots) for n_f in range(4)]
+    return [store.sector(params[mask.n_f], mask) for mask in ALL_MASKS]
 
 
 def _closure_grid(store: _SectorStore) -> list[GridEntry]:
@@ -158,9 +153,7 @@ def _closure_grid(store: _SectorStore) -> list[GridEntry]:
                 a = _random_fraction(rng, -2, 2, (1, 2))
                 b = _random_fraction(rng, -1, 2, (1, 2, 4))
                 roots = _random_roots(rng)
-                grid += [
-                    _grid_entry(store, nvars, cutoff, a, b, roots, mask) for mask in ALL_MASKS
-                ]
+                grid += _grid_entries(store, nvars, cutoff, a, b, roots)
     return grid
 
 
@@ -319,7 +312,7 @@ def _cross_check_sample(store: _SectorStore) -> list[GridEntry]:
         e = (h - g) / 3
         sign = rng.choice((-1, 1))
         roots = (sign * (e + g), sign * e, sign * (e - h))
-        sample += [_grid_entry(store, nvars, 2, a, b, roots, mask) for mask in ALL_MASKS]
+        sample += _grid_entries(store, nvars, 2, a, b, roots)
     return sample
 
 

@@ -1,8 +1,10 @@
 """Parameter sets, gauge masks, and sector bookkeeping."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,20 @@ def test_params_validation():
         ModelParams(2, 0, 0, 1, (1, 1, 1))  # roots must sum to zero
     with pytest.raises(TypeError):
         ModelParams(2, 0.5, 0, 1)  # binary floats are not exact
+
+
+@pytest.mark.parametrize("nvars", [2.0, 2.5, Fraction(2), "2", True, False])
+def test_nvars_that_is_not_an_int_is_refused_at_construction(nvars):
+    """A float, Fraction or str particle number, or a bool, used to pass and
+    fail deep in the matrix build (True with an IndexError)."""
+    with pytest.raises(TypeError, match="nvars|integer"):
+        ModelParams(nvars, 0, 0, 1)
+
+
+def test_nvars_takes_what_operator_index_takes():
+    params = ModelParams(np.int64(2), 0, 0, 1)
+    assert type(params.nvars) is int
+    assert params == ModelParams(2, 0, 0, 1) and hash(params) == hash(ModelParams(2, 0, 0, 1))
 
 
 def test_the_roots_sum_test_runs_in_ints_with_one_message(monkeypatch):
@@ -173,3 +189,30 @@ def test_params_from_int_str_and_fraction_inputs_are_one_key():
     assert half == ModelParams(1, Fraction(1, 2), "-1/2", Fraction(1, 4))
     assert half.ints == (4, 2, -2, 1) and half.ints is half.ints
     assert {half: 1}[ModelParams(1, Fraction(2, 4), "-0.5", Fraction(1, 4))] == 1
+
+
+def _forms(x: Fraction):
+    """x as a Fraction, as a str and, where integral, as an int."""
+    return st.sampled_from([x, str(x), *([x.numerator] if x.denominator == 1 else [])])
+
+
+@given(st.integers(1, 4), st.lists(rationals(-6, 6), min_size=5, max_size=5),
+       rationals(-6, 6), st.data())
+def test_equal_values_in_any_form_are_one_key_and_replace_re_forms_it(nvars, values, other,
+                                                                      data):
+    """Parameter sets of equal values, each given as int, str or Fraction,
+    compare and hash equal and share `ints`; `dataclasses.replace` forms the
+    integer view and the hash of the new values, as a fresh build does."""
+    a, b, m, e1, e2 = values
+    roots = (e1, e2, -e1 - e2)
+    built = [ModelParams(nvars, *(data.draw(_forms(x)) for x in (a, b, m)),
+                         tuple(data.draw(_forms(x)) for x in roots)) for _ in range(2)]
+    exact = ModelParams(nvars, a, b, m, roots)
+    for params in built:
+        assert params == exact and hash(params) == hash(exact) and params.ints == exact.ints
+    for field, value, fresh in (
+            ("coupling_a", other, ModelParams(nvars, other, b, m, roots)),
+            ("degree_m", other, ModelParams(nvars, a, b, other, roots)),
+            ("nvars", nvars + 1, ModelParams(nvars + 1, a, b, m, roots))):
+        moved = dataclasses.replace(built[0], **{field: value})
+        assert moved == fresh and hash(moved) == hash(fresh) and moved.ints == fresh.ints
