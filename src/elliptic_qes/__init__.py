@@ -39,9 +39,8 @@ from .operator import (
 )
 from .oracles import (
     counting_formula,
-    degenerate_closed_forms,
+    degenerate_levels,
     epsilon_roots,
-    oscillator_energy,
 )
 from .polynomials import Poly, parse_rational, weierstrass_cubic
 from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of
@@ -70,7 +69,7 @@ __all__ = [
     "build_matrix",
     "counting_formula",
     "cubic_invariants",
-    "degenerate_closed_forms",
+    "degenerate_levels",
     "eigenvalues",
     "eigenvector",
     "enumerate_basis",
@@ -79,7 +78,6 @@ __all__ = [
     "external_field_coupling",
     "gauge_polynomials",
     "list_valid_masks",
-    "oscillator_energy",
     "parse_rational",
     "raising_coefficient_check",
     "report_json",

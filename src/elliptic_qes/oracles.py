@@ -2,21 +2,21 @@
 through the operator engine.
 
 Hand-computed reference matrices for the N=2, m=2 sectors, the closed-form
-eigenvalue families for the degenerate root configuration (2, -1, -1), the
-levels of the decoupled-oscillator limit at a = b = 0, the algebraic-solution
-counting formula and the root family of the spectral-flow sweeps.  Nothing
-here builds a sector: the `verify` checks and the tests compare the sectors
-they build against this data, and it shares no code with the engine beyond
-scalar arithmetic.
+levels of every sector at the degenerate roots (2, -1, -1), where the model
+is trigonometric, the algebraic-solution counting formula and the root family
+of the spectral-flow sweeps.  Nothing here builds a sector: the `verify`
+checks and the tests compare the sectors they build against this data, and it
+shares no code with the engine beyond scalar arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
-from .model import GaugeMask, cubic_invariants
-from .polynomials import RationalLike
+from .model import GaugeMask, ModelParams, cubic_invariants
+from .polynomials import Coeff, RationalLike
 
 # Not called here: the benchmark's tracer wraps these names where each module
 # binds them, `oracles` included, so they stay bound.
@@ -127,37 +127,50 @@ def mask_for_unmasked_index(i: int) -> GaugeMask:
     return GaugeMask(tuple(sorted({1, 2, 3} - {i})))
 
 
-# -- degenerate closed forms ---------------------------------------------------
+# -- the trigonometric limit ---------------------------------------------------
 
 
-def degenerate_closed_forms(a: RationalLike) -> dict[str, tuple[Fraction, ...]]:
-    """Exact eigenvalue families at roots (2, -1, -1), b=0, N=m=2, sorted, by
-    mask name.
+def degenerate_levels(params: ModelParams, mask: GaugeMask) -> tuple[Coeff, ...]:
+    """Every eigenvalue E_lambda of a sector at roots (2, -1, -1), sorted, with
+    multiplicity; ValueError at any other roots.
 
-    All fifteen algebraic eigenvalues are linear in a.  The 6-dimensional
-    sector `none` splits into a triple of its own plus a triple shared with
-    the sector `23` that leaves root 1 unmasked; the two sectors `13` and `12`
-    that mask root 1 have one spectrum for every a (their matrices coincide
-    when e2 = e3).
+    With e2 = e3 the elliptic operator is the trigonometric one.  In y = z + 1
+    the cubic is 4 y^3 - 12 y^2, and every term of the gauged operator keeps
+    or raises the y-degree.  The part that keeps it acts on the monomial
+    symmetric functions m_lambda(y) as the trigonometric Calogero-Sutherland
+    operator does, triangularly in dominance order (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. VI).  So on the m_lambda(y), ordered by
+    degree and then by dominance, the sector matrix is triangular, and its
+    diagonal, over the partitions lambda_1 >= ... >= lambda_N >= 0 with
+    lambda_1 <= the cutoff, is
+
+        E_lambda = sum_i [12 lambda_i^2 + 24 (b + nu n23) lambda_i
+                          + 24 a (N - i) lambda_i]
+                   + N (12 nu^2 n23^2 + 24 b nu n23) + 12 a nu n23 N (N - 1)
+                   - N m (12 b + 8 a (N - 1) + 4 m + 2),
+
+    with nu = 1/2 - b and n23 the number of masked roots among e2 and e3 (a
+    masked e1 does not enter the diagonal).  Each level is formed in ints as
+    c^2 E_lambda from `ModelParams.ints` = (c, a c, b c, m c), with
+    2 nu c = c - 2 b c, and is an int where it is integral.
     """
-    a = Fraction(a)
-    shared = (-8 * (2 + a), 4 * (5 + 4 * a), 8 * (7 + 2 * a))
-    unshared = (-8 * (5 + 4 * a), -4 * (7 + 2 * a), 8 * (1 + 2 * a))
-    paired = tuple(sorted((-2 * (17 + 10 * a), -2 * (5 - 2 * a), 2 * (7 + 2 * a))))
-    return {
-        "none": tuple(sorted(unshared + shared)),
-        "23": tuple(sorted(shared)),
-        "13": paired,
-        "12": paired,
-    }
-
-
-# -- oscillator limit ----------------------------------------------------------
-
-
-def oscillator_energy(j1: int, j2: int) -> int:
-    """Energy 3(j1^2 + j2^2) - 40 of the decoupled-oscillator limit."""
-    return 3 * (j1 * j1 + j2 * j2) - 40
+    if params.roots != DEGENERATE_ROOTS:
+        raise ValueError(f"closed-form levels need roots {DEGENERATE_ROOTS}, "
+                         f"got {', '.join(map(str, params.roots))}")
+    cutoff, n = params.cutoff(mask), params.nvars
+    c, a, b, m = params.ints
+    n23 = (2 in mask) + (3 in mask)
+    v = n23 * (c - 2 * b)  # 2 nu n23 c
+    constant = (n * (3 * v * v + 12 * b * v) + 6 * a * v * n * (n - 1)
+                - n * m * (12 * b + 8 * a * (n - 1) + 4 * m + 2 * c))
+    linear = [24 * b + 12 * v + 24 * a * (n - i) for i in range(1, n + 1)]
+    d = c * c
+    levels = []
+    for parts in combinations_with_replacement(range(cutoff, -1, -1), n):
+        e = constant + c * sum(12 * c * x * x + w * x for x, w in zip(parts, linear))
+        q, r = divmod(e, d)
+        levels.append(Fraction(e, d) if r else q)
+    return tuple(sorted(levels))
 
 
 # -- root families -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Ten named checks compare the operator pipeline against the reference data
 of `oracles` and against structure it must have: hand-derived reference
-matrices, closed-form eigenvalue families, the oscillator limit, the counting
-formula, invariant-space closure, gauge pole cancellation, the degree-raising
+matrices, the closed-form levels at roots (2, -1, -1) on two sets of sectors
+(`closed-forms` and, at a = 0, `oscillator`), the counting formula,
+invariant-space closure, gauge pole cancellation, the degree-raising
 coefficient, two-particle decoupling, the spectral-flow degeneracy pattern,
 and eigensolver invariants.  A check returns the detail of its pass or
 raises `_Failed` with the detail of its failure; `_run_guarded` alone turns
@@ -58,10 +59,9 @@ from .operator import GaugedOperator, build_gauged_operator, gauge_polynomials
 from .oracles import (
     DEGENERATE_ROOTS,
     counting_formula,
-    degenerate_closed_forms,
+    degenerate_levels,
     epsilon_roots,
     mask_for_unmasked_index,
-    oscillator_energy,
     reference_double_mask_matrix,
     reference_empty_mask_matrix,
 )
@@ -158,8 +158,8 @@ def _closure_grid(store: _SectorStore) -> list[GridEntry]:
 
 
 # The parameter points of the exact checks on eigenvalues, which
-# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms` (whose
-# a = 0 sectors `oscillator` reads too), the (m, b) of `decoupling` and the
+# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms`, the
+# (m, b) of `decoupling` (whose sectors `oscillator` reads too) and the
 # (eps, a) of `figure-degeneracy`.
 _CLOSED_FORM_A = (Fraction(0), Fraction(1, 2), Fraction(5))
 _DECOUPLING = tuple((m, b) for m in (1, 2) for b in (Fraction(0), Fraction(1, 4)))
@@ -193,55 +193,42 @@ def _check_matrices(store: _SectorStore) -> str:
             "hand-derived references exactly")
 
 
-def _check_closed_forms(store: _SectorStore) -> str:
-    """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues follow
-    nine closed linear-in-a forms (three values shared between two sectors,
-    two sectors identical): each sector's characteristic polynomial equals
-    the product of (t - x) over its closed-form values."""
+def _match_levels(store: _SectorStore, points: list[tuple[ModelParams, GaugeMask]]) -> int:
+    """Each sector's characteristic polynomial equals the product of (t - E)
+    over its closed-form levels `degenerate_levels`; the number of levels."""
     count = 0
-    for a in _CLOSED_FORM_A:
-        params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        forms = degenerate_closed_forms(a)
-        for mask in list_valid_masks(params):
-            values = forms[str(mask)]
-            chi = store.sector(params, mask)[1].charpoly()
-            if chi != from_roots(values):
-                raise _Failed(f"a={a}, mask {mask}: characteristic polynomial {chi} is not "
-                              "the closed-form product")
-            count += len(values)
-    return (f"{count} eigenvalues at a in {{0, 1/2, 5}}: each sector's characteristic "
-            "polynomial equals the product of (t - x) over its closed forms")
+    for params, mask in points:
+        levels = degenerate_levels(params, mask)
+        chi = store.sector(params, mask)[1].charpoly()
+        if chi != from_roots(levels):
+            raise _Failed(f"N={params.nvars}, m={params.degree_m}, a={params.coupling_a}, "
+                          f"b={params.coupling_b}, mask {mask}: characteristic polynomial "
+                          f"{chi} is not the closed-form product")
+        count += len(levels)
+    return count
+
+
+def _check_closed_forms(store: _SectorStore) -> str:
+    """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues at each a
+    are the closed-form levels E_lambda, linear in a (three values shared
+    between two sectors, two sectors identical)."""
+    points = [(params, mask) for a in _CLOSED_FORM_A
+              for params in [ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)]
+              for mask in list_valid_masks(params)]
+    return (f"{_match_levels(store, points)} eigenvalues at a in {{0, 1/2, 5}}: each "
+            "sector's characteristic polynomial equals the product of (t - x) over its "
+            "closed forms")
 
 
 def _check_oscillator(store: _SectorStore) -> str:
-    """At a = b = 0, roots (2, -1, -1), every algebraic eigenvalue is an even
-    two-oscillator level 3(j1^2 + j2^2) - 40, j1 >= j2 >= 0 up to 5 with
-    j1 + j2 even: dividing (t - level) out of each sector's characteristic
-    polynomial as often as it divides exactly leaves 1.  The sectors land on
-    one parity of (j1, j2) each: the ungauged sector and the one leaving root
-    1 unmasked on even, the other two on odd."""
-    params = ModelParams(2, 0, 0, 2, DEGENERATE_ROOTS)
-    levels = [(j1, from_roots((oscillator_energy(j1, j2),)))
-              for j1 in range(6) for j2 in range(j1 % 2, j1 + 1, 2)]
-    count = 0
-    parities: dict[str, str] = {}
-    for mask in list_valid_masks(params):
-        chi = store.sector(params, mask)[1].charpoly()
-        kinds = set()
-        for j1, factor in levels:
-            try:
-                while True:
-                    chi = chi.divide_exact(factor)
-                    count += 1
-                    kinds.add("even" if j1 % 2 == 0 else "odd")
-            except NonZeroRemainder:
-                pass
-        if chi != Poly.constant(1, 1):
-            raise _Failed(f"mask {mask}: characteristic polynomial leaves {chi} after the levels")
-        parities[str(mask)] = kinds.pop() if len(kinds) == 1 else "mixed"
-    listed = ", ".join(f"{k}:{v}" for k, v in sorted(parities.items()))
-    return (f"all {count} eigenvalues are even oscillator levels, "
-            f"with multiplicity (sector parities {listed})")
+    """With the interaction off (a = 0) at roots (2, -1, -1) the ungauged
+    sectors of `decoupling` have the closed-form levels E_lambda, each the sum
+    of N one-particle oscillator levels."""
+    points = [(ModelParams(n, 0, b, m, DEGENERATE_ROOTS), _EMPTY)
+              for m, b in _DECOUPLING for n in (1, 2)]
+    return (f"{_match_levels(store, points)} eigenvalues at a = 0, N in {{1, 2}}, "
+            "m in {1, 2}, b in {0, 1/4}: each ungauged sector's characteristic "
+            "polynomial equals the product of (t - E_lambda) over its closed-form levels")
 
 
 def _sector_total(nvars: int, m: Fraction) -> int:

@@ -1188,9 +1188,9 @@ def test_verify_json_shape(capsys):
 
 
 # SHA-256 of the stdout of the nine exact checks, whose details print no float;
-# `eigensolver`, left out, prints float defects.  Recorded before the
-# oscillator, decoupling and counting checks moved from oracles into verify.
-EXACT_CHECKS_DIGEST = "a14ea8e4485f8f39535adfb7fc5c3b42a247e4fb80e852f458b14b2fb05a8301"
+# `eigensolver`, left out, prints float defects.  Recorded when `oscillator`
+# moved onto the closed-form levels of `decoupling`'s a = 0 sectors.
+EXACT_CHECKS_DIGEST = "5fe662528664e678ea6c36d9e7e3eb4336e3383774193826ff4f9ea1d1ba30ba"
 
 
 def test_verify_exact_check_text_is_pinned(capsys):

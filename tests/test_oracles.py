@@ -1,8 +1,11 @@
 """Closed-form reference data: counting, degenerate spectra, oscillator, decoupling."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from elliptic_qes import verify
 from elliptic_qes.matrices import build_matrix
@@ -11,9 +14,8 @@ from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import (
     DEGENERATE_ROOTS,
     counting_formula,
-    degenerate_closed_forms,
+    degenerate_levels,
     epsilon_roots,
-    oscillator_energy,
     reference_double_mask_matrix,
 )
 from elliptic_qes.polynomials import from_roots
@@ -84,28 +86,45 @@ def test_count_away_from_reference_coupling():
 # -- degenerate closed forms ----------------------------------------------------------
 
 
+def levels(a, nvars=2, m=2, b=0):
+    """Each valid sector's closed-form levels at roots (2, -1, -1), by mask name."""
+    params = ModelParams(nvars, a, b, m, DEGENERATE_ROOTS)
+    return {str(mask): degenerate_levels(params, mask) for mask in list_valid_masks(params)}
+
+
 def test_degenerate_closed_forms_at_zero_coupling():
-    forms = degenerate_closed_forms(0)
+    forms = levels(0)
     assert forms["none"] == (-40, -28, -16, 8, 20, 56)
     assert forms["23"] == (-16, 20, 56)
     assert forms["13"] == forms["12"] == (-34, -10, 14)
 
 
 def test_degenerate_closed_forms_linear_in_coupling():
-    forms = degenerate_closed_forms(1)
+    forms = levels(1)
     assert -8 * (5 + 4) in forms["none"] and -8 * (5 + 4) not in forms["23"]
     assert -8 * (2 + 1) in forms["23"]
     assert -2 * (17 + 10) in forms["13"]
 
 
 def test_sector_values_sharing_structure():
-    forms = degenerate_closed_forms(Fraction(1, 2))
+    forms = levels(Fraction(1, 2))
     assert set(forms) == {"none", "23", "13", "12"}
-    assert forms["13"] is forms["12"]
+    assert forms["13"] == forms["12"]
     assert len(forms["none"]) == 6
     assert set(forms["23"]) <= set(forms["none"])
     assert sum(len(values) for values in forms.values()) == 15
     assert all(list(values) == sorted(values) for values in forms.values())
+
+
+def test_levels_at_a_jordan_point():
+    """N = 2, m = 4, a = -3, mask none: fifteen levels on eight values."""
+    assert Counter(levels(-3, m=4)["none"]) == {
+        0: 3, -48: 3, 48: 2, -12: 2, -36: 2, 144: 1, 60: 1, -60: 1}
+
+
+def test_levels_refuse_other_roots():
+    with pytest.raises(ValueError, match="roots"):
+        degenerate_levels(ModelParams(2, 0, 0, 2, epsilon_roots(Fraction(1, 2))), GaugeMask(()))
 
 
 @pytest.mark.parametrize("a", ["-7/2", "-3", "-2", "-3/2", "-5/4", "-1", "-1/2"])
@@ -116,29 +135,70 @@ def test_closed_forms_hold_exactly_where_levels_cross(a):
     1e-9 fails at a = -3, -2 and -1.  The characteristic polynomials agree
     exactly in every sector."""
     params = ModelParams(2, Fraction(a), 0, 2, DEGENERATE_ROOTS)
-    forms = degenerate_closed_forms(Fraction(a))
     for mask in list_valid_masks(params):
         mat = build_matrix(build_gauged_operator(params, mask))
-        assert mat.charpoly() == from_roots(forms[str(mask)]), mask
+        assert mat.charpoly() == from_roots(degenerate_levels(params, mask)), mask
+
+
+def _rationals(lo, hi, dens):
+    return st.builds(Fraction, st.integers(lo, hi), st.sampled_from(dens))
+
+
+@given(nvars=st.integers(1, 4), a=_rationals(-12, 12, (1, 2, 3)),
+       b=_rationals(-8, 8, (1, 2, 4)), m=_rationals(0, 16, (1, 2, 4)))
+def test_characteristic_polynomial_is_the_product_over_the_levels(nvars, a, b, m):
+    """chi = prod (t - E_lambda) on every valid sector of dimension <= 40."""
+    params = ModelParams(nvars, a, b, m, DEGENERATE_ROOTS)
+    masks = [mask for mask in list_valid_masks(params) if params.basis_dimension(mask) <= 40]
+    assume(masks)
+    for mask in masks:
+        mat = build_matrix(build_gauged_operator(params, mask))
+        assert mat.charpoly() == from_roots(degenerate_levels(params, mask)), mask
+
+
+def test_power_sums_at_dimension_252():
+    """N = m = 5, a = -3, b = 0, mask none, where the float spectrum is far
+    off: tr K = D sum E and tr K^2 = D^2 sum E^2, in Python ints from the
+    matrix's flat entries."""
+    params = ModelParams(5, -3, 0, 5, DEGENERATE_ROOTS)
+    mask = GaugeMask(())
+    mat = build_matrix(build_gauged_operator(params, mask))
+    values = degenerate_levels(params, mask)
+    assert mat.dim == len(values) == 252
+    n, d = mat.dim, mat.denominator
+    entries = dict(zip(mat.positions.tolist(), mat.values.tolist()))
+    assert sum(entries.get(i * n + i, 0) for i in range(n)) == d * sum(values)
+    assert sum(k * entries.get((p % n) * n + p // n, 0) for p, k in entries.items()) == (
+        d * d * sum(e * e for e in values))
 
 
 # -- oscillator limit -------------------------------------------------------------------
 
 
 def test_oscillator_energy_examples():
-    assert oscillator_energy(0, 0) == -40
-    assert oscillator_energy(2, 2) == -16
-    assert oscillator_energy(1, 1) == -34
+    """At a = b = 0, N = m = 2 the levels are the two-oscillator energies
+    3(j1^2 + j2^2) - 40 with j_i = 2 lambda_i + n23, n23 the masked roots
+    among e2 and e3."""
+    forms = levels(0)
+    assert -40 in forms["none"]  # j = (0, 0)
+    assert -16 in forms["none"] and -16 in forms["23"]  # j = (2, 2)
+    assert -34 in forms["13"]  # j = (1, 1)
+    for mask, n23 in (("none", 0), ("12", 1), ("13", 1), ("23", 2)):
+        cutoff = 2 if mask == "none" else 1
+        assert forms[mask] == tuple(sorted(
+            3 * ((2 * l1 + n23) ** 2 + (2 * l2 + n23) ** 2) - 40
+            for l1 in range(cutoff + 1) for l2 in range(l1 + 1)))
 
 
 def test_oscillator_membership():
-    """The `oscillator` check divides all 15 eigenvalues out as even levels;
-    the sectors that mask root 1 land on odd (j1, j2), the others on even."""
+    """The `oscillator` check holds the 28 levels of `decoupling`'s a = 0
+    sectors to their characteristic polynomials."""
     [result] = verify.run_checks(only=["oscillator"])
     assert result.passed
     assert result.detail == (
-        "all 15 eigenvalues are even oscillator levels, with multiplicity "
-        "(sector parities 12:odd, 13:odd, 23:even, none:even)")
+        "28 eigenvalues at a = 0, N in {1, 2}, m in {1, 2}, b in {0, 1/4}: each ungauged "
+        "sector's characteristic polynomial equals the product of (t - E_lambda) over its "
+        "closed-form levels")
 
 
 # -- decoupled limit ----------------------------------------------------------------------

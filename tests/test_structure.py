@@ -10,7 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench")]
 
+import gate  # noqa: E402
+import metrics  # noqa: E402
 import tracing  # noqa: E402
+from elliptic_qes import verify  # noqa: E402
 from elliptic_qes.cli import main  # noqa: E402
 
 
@@ -64,6 +67,14 @@ def test_oracles_defines_no_class_and_uses_no_pipeline_function():
     found += [f"line {node.lineno} uses {node.id}" for node in ast.walk(tree)
               if isinstance(node, ast.Name) and node.id in pipeline]
     assert found == []
+
+
+def test_verify_runs_the_checks_the_benchmark_names():
+    """The benchmark's gate wants exactly `VERIFY_CHECKS` PASS lines and its
+    traced run selects each name of `metrics.CHECK_NAMES`, so a check added,
+    dropped or renamed fails here before it fails every verify operation."""
+    assert verify.CHECK_NAMES == metrics.CHECK_NAMES
+    assert len(verify.CHECK_NAMES) == gate.VERIFY_CHECKS
 
 
 # The span names one warm run of each command records.  Only verify checks
