@@ -6,7 +6,8 @@ levels of every sector at the degenerate roots (2, -1, -1), where the model
 is trigonometric, the algebraic-solution counting formula and the root family
 of the spectral-flow sweeps.  Nothing here builds a sector: the `verify`
 checks and the tests compare the sectors they build against this data, and it
-shares no code with the engine beyond scalar arithmetic.
+shares no code with the engine beyond scalar arithmetic and the parameter
+bookkeeping of `model`.
 """
 
 from __future__ import annotations

@@ -156,15 +156,16 @@ def test_characteristic_polynomial_is_the_product_over_the_levels(nvars, a, b, m
         assert mat.charpoly() == from_roots(degenerate_levels(params, mask)), mask
 
 
-def test_power_sums_at_dimension_252():
-    """N = m = 5, a = -3, b = 0, mask none, where the float spectrum is far
-    off: tr K = D sum E and tr K^2 = D^2 sum E^2, in Python ints from the
-    matrix's flat entries."""
-    params = ModelParams(5, -3, 0, 5, DEGENERATE_ROOTS)
+@pytest.mark.parametrize(("nvars", "a", "dim"), [(5, -3, 252), (6, 0, 924), (6, -3, 924)])
+def test_power_sums_where_the_floats_are_far_off(nvars, a, dim):
+    """N = m, b = 0, mask none, where the float spectra are off by up to 54:
+    tr K = D sum E and tr K^2 = D^2 sum E^2, in Python ints from the matrix's
+    flat entries."""
+    params = ModelParams(nvars, a, 0, nvars, DEGENERATE_ROOTS)
     mask = GaugeMask(())
     mat = build_matrix(build_gauged_operator(params, mask))
     values = degenerate_levels(params, mask)
-    assert mat.dim == len(values) == 252
+    assert mat.dim == len(values) == dim
     n, d = mat.dim, mat.denominator
     entries = dict(zip(mat.positions.tolist(), mat.values.tolist()))
     assert sum(entries.get(i * n + i, 0) for i in range(n)) == d * sum(values)
