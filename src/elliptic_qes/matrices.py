@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import OperatorNotClosed
 from .operator import GaugedOperator, Term, raising_ratio
-from .polynomials import Poly, parse_rational
+from .polynomials import Poly
 from .symmetric import BasisIndex, enumerate_basis, pack, structure_sums, unpack
 
 
@@ -91,10 +91,6 @@ class OperatorMatrix:
         for p, k in zip(self.positions.tolist(), self.values.tolist()):
             out[p] = convert(k, self.denominator)
         return [out[i : i + dim] for i in range(0, len(out), dim)]
-
-    def trace(self) -> Fraction:
-        diagonal = self.values[self.positions % (self.dim + 1) == 0]
-        return Fraction(sum(diagonal.tolist()), self.denominator)
 
     def determinant(self) -> Fraction:
         """Exact determinant, (-1)^n chi_M(0) from `charpoly`."""
@@ -348,41 +344,18 @@ def raising_coefficient_check(op: GaugedOperator, degree: int, matrix: OperatorM
 
 
 def export_matrix(mat: OperatorMatrix, fmt: str = "json") -> str:
-    """Serialize a matrix: exact JSON (round-trips bit-for-bit) or float CSV.
+    """Serialize a matrix: exact JSON, each entry K / D as a rational string, or float CSV.
 
     The CSV holds the doubles of `to_float`, which raises ValueError naming
     an entry that overflows."""
     if fmt == "json":
         payload = {
             "dim": mat.dim,
-            "basis": [list(exps) for exps in mat.basis],
+            "basis": list(map(list, mat.basis)),
             "entries": mat.dense(lambda k, d: str(Fraction(k, d)), "0"),
         }
         return json.dumps(payload, indent=2)
     if fmt == "csv":
-        return "\n".join(",".join(map(repr, row)) for row in to_float(mat).tolist())
+        return "\n".join(map(",".join, map(map, repeat(repr), to_float(mat).tolist())))
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
 
-
-def matrix_from_json(text: str) -> OperatorMatrix:
-    """Parse the JSON produced by `export_matrix` back into an exact matrix."""
-    payload = json.loads(text)
-    monomials = tuple(tuple(int(e) for e in exps) for exps in payload["basis"])
-    if not monomials:
-        raise ValueError("matrix JSON has an empty basis")
-    nvars = len(monomials[0])
-    cutoff = max(sum(exps) for exps in monomials)
-    basis = enumerate_basis(nvars, cutoff)
-    if basis.monomials != monomials:
-        raise ValueError("basis in JSON is not a canonical full basis listing")
-    rows = tuple(
-        tuple(_json_entry(i, j, x) for j, x in enumerate(row))
-        for i, row in enumerate(payload["entries"])
-    )
-    return OperatorMatrix(basis, rows)
-
-
-def _json_entry(i: int, j: int, x: object) -> Fraction:
-    if not isinstance(x, str):
-        raise ValueError(f"matrix JSON entry ({i},{j}) is {x!r}, not a rational string")
-    return parse_rational(x)

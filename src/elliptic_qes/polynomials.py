@@ -158,9 +158,6 @@ class Poly:
                 out.pop(exps, None)
         return Poly._wrap(self.nvars, out)
 
-    def __neg__(self) -> Poly:
-        return Poly._wrap(self.nvars, {exps: -coeff for exps, coeff in self.terms.items()})
-
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if not isinstance(other, Poly):
             c = _exact(other)

@@ -32,9 +32,6 @@ class Spectrum:
     iterations: int
     trace_defect: float
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _diagonalize(matrix: np.ndarray, vectors: bool) -> tuple[Spectrum, np.ndarray | None]:
     """Validate, diagonalize by LAPACK, sort by (real, imag) and gate on the trace.

@@ -123,18 +123,6 @@ def tau_to_z(tau_poly: Poly) -> Poly:
     return sum(images, Poly.zero(n))
 
 
-def is_symmetric(p: Poly) -> bool:
-    """True iff p is invariant under every adjacent transposition of variables."""
-    for i in range(p.nvars - 1):
-        swapped = {
-            exps[:i] + (exps[i + 1], exps[i]) + exps[i + 2 :]: coeff
-            for exps, coeff in p.terms.items()
-        }
-        if swapped != p.terms:
-            return False
-    return True
-
-
 def z_to_tau(p: Poly) -> Poly:
     """Write a symmetric z-polynomial over the elementary symmetric basis.
 

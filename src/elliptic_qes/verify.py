@@ -17,19 +17,21 @@ selected with ``only`` sees the same parameter tuples as a full run.
 Each `run_checks` call creates one sector store, and the checks take their
 sectors from it: the reference matrices, the closure grid that `closure` and
 `raising` share, the z-space sample and the sectors whose eigenvalues the
-checks test, as exact identities of characteristic polynomials; only
-`eigensolver` diagonalizes, and it leaves the eigenvalue sum to the trace gate
-of `spectrum_of`.  The store builds a sector's operator and matrix at most
-once per run, keyed by (params, mask), hashed by the parameter set's integer
-view at construction, and no check builds a sector matrix outside it; the
-grid's masks of one size share one parameter set, a matrix keeps its
-characteristic polynomial, and an operator forms, as it is built, the integer
-weight table that its matrix and `apply` both read.  Nothing outlives the run,
-so repeated runs in one process each do the full work.  `gauge-exponents`
-compares the oracle division `gauge_polynomials`, times the operator's scale
-U, with the integer maps of U q and U s of one-variable operators from
-`build_gauged_operator`, so it checks the engine's own path; exponent 1/3, at
-which the engine builds nothing, goes to the division alone.
+checks test as exact identities of characteristic polynomials, each set
+written once as a list (`_closed_form_sectors`, `_ungauged_sectors`,
+`_flow_sectors`) that `eigensolver`, the one check that diagonalizes, reads
+too; it leaves the eigenvalue sum to the trace gate of `spectrum_of`.  The
+store builds a sector's operator and matrix at most once per run, keyed by
+(params, mask), hashed by the parameter set's integer view at construction,
+and no check builds a sector matrix outside it; the grid's masks of one size
+share one parameter set, a matrix keeps its characteristic polynomial, and an
+operator forms, as it is built, the integer weight table that its matrix and
+`apply` both read.  Nothing outlives the run, so repeated runs in one process
+each do the full work.  `gauge-exponents` compares the oracle division
+`gauge_polynomials`, times the operator's scale U, with the integer maps of
+U q and U s of one-variable operators from `build_gauged_operator`, so it
+checks the engine's own path; exponent 1/3, at which the engine builds
+nothing, goes to the division alone.
 """
 
 from __future__ import annotations
@@ -157,13 +159,38 @@ def _closure_grid(store: _SectorStore) -> list[GridEntry]:
     return grid
 
 
-# The parameter points of the exact checks on eigenvalues, which
-# `_invariant_pool` also diagonalizes: the couplings a of `closed-forms`, the
-# (m, b) of `decoupling` (whose sectors `oscillator` reads too) and the
-# (eps, a) of `figure-degeneracy`.
+# The points of the sector lists below: the a of `closed-forms`, the (m, b) of
+# `oscillator` and `decoupling` and the (eps, a) of `figure-degeneracy`.
 _CLOSED_FORM_A = (Fraction(0), Fraction(1, 2), Fraction(5))
 _DECOUPLING = tuple((m, b) for m in (1, 2) for b in (Fraction(0), Fraction(1, 4)))
 _FLOW = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)), (Fraction(1, 2), Fraction(5)))
+
+
+def _closed_form_sectors() -> list[tuple[ModelParams, GaugeMask]]:
+    """Every valid mask (none, 12, 13, 23) at roots (2,-1,-1), b=0, N=m=2, for each a."""
+    return [(params, mask) for a in _CLOSED_FORM_A
+            for params in [ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)]
+            for mask in list_valid_masks(params)]
+
+
+def _ungauged_sectors() -> list[tuple[ModelParams, GaugeMask]]:
+    """The ungauged sectors at a = 0, roots (2, -1, -1): N = 1, then 2, for each (m, b)."""
+    return [(ModelParams(n, 0, b, m, DEGENERATE_ROOTS), _EMPTY)
+            for m, b in _DECOUPLING for n in (1, 2)]
+
+
+def _flow_sectors() -> list[tuple[ModelParams, GaugeMask]]:
+    """Every valid mask at b=0, N=m=2 on the roots (2, -1+eps, -1-eps), for each (eps, a)."""
+    return [(params, mask) for eps, a in _FLOW
+            for params in [ModelParams(2, a, 0, 2, epsilon_roots(eps))]
+            for mask in list_valid_masks(params)]
+
+
+def _sector_name(params: ModelParams, mask: GaugeMask) -> str:
+    """A sector as the failure details name it."""
+    roots = ",".join(map(str, params.roots))
+    return (f"mask {mask}, N={params.nvars}, m={params.degree_m}, a={params.coupling_a}, "
+            f"b={params.coupling_b}, roots {roots}")
 
 
 # -- individual checks -----------------------------------------------------------
@@ -179,30 +206,31 @@ def _check_matrices(store: _SectorStore) -> str:
         a = _random_fraction(rng, -3, 3, (1, 2, 3))
         b = _random_fraction(rng, -3, 3, (1, 2, 3))
         roots = _random_roots(rng)
-        _, built = store.sector(ModelParams(2, a, b, 2, roots), _EMPTY)
+        params = ModelParams(2, a, b, 2, roots)
+        _, built = store.sector(params, _EMPTY)
         if built != OperatorMatrix(built.basis, reference_empty_mask_matrix(a, b, roots)):
-            raise _Failed(f"6x6 mismatch at a={a}, b={b}, roots={roots}")
+            raise _Failed(f"{_sector_name(params, _EMPTY)}: 6x6 mismatch")
         compared += 1
         params0 = ModelParams(2, a, 0, 2, roots)
         for i in (1, 2, 3):
-            _, built3 = store.sector(params0, mask_for_unmasked_index(i))
+            mask = mask_for_unmasked_index(i)
+            _, built3 = store.sector(params0, mask)
             if built3 != OperatorMatrix(built3.basis, reference_double_mask_matrix(a, roots, i)):
-                raise _Failed(f"3x3 mismatch for unmasked root {i} at a={a}, roots={roots}")
+                raise _Failed(f"{_sector_name(params0, mask)}: 3x3 mismatch")
             compared += 1
     return (f"{compared} matrices over 5 random rational tuples match the "
             "hand-derived references exactly")
 
 
-def _match_levels(store: _SectorStore, points: list[tuple[ModelParams, GaugeMask]]) -> int:
+def _match_levels(store: _SectorStore, sectors: list[tuple[ModelParams, GaugeMask]]) -> int:
     """Each sector's characteristic polynomial equals the product of (t - E)
     over its closed-form levels `degenerate_levels`; the number of levels."""
     count = 0
-    for params, mask in points:
+    for params, mask in sectors:
         levels = degenerate_levels(params, mask)
         chi = store.sector(params, mask)[1].charpoly()
         if chi != from_roots(levels):
-            raise _Failed(f"N={params.nvars}, m={params.degree_m}, a={params.coupling_a}, "
-                          f"b={params.coupling_b}, mask {mask}: characteristic polynomial "
+            raise _Failed(f"{_sector_name(params, mask)}: characteristic polynomial "
                           f"{chi} is not the closed-form product")
         count += len(levels)
     return count
@@ -212,21 +240,16 @@ def _check_closed_forms(store: _SectorStore) -> str:
     """At roots (2,-1,-1), b=0, N=m=2 the fifteen sector eigenvalues at each a
     are the closed-form levels E_lambda, linear in a (three values shared
     between two sectors, two sectors identical)."""
-    points = [(params, mask) for a in _CLOSED_FORM_A
-              for params in [ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)]
-              for mask in list_valid_masks(params)]
-    return (f"{_match_levels(store, points)} eigenvalues at a in {{0, 1/2, 5}}: each "
-            "sector's characteristic polynomial equals the product of (t - x) over its "
-            "closed forms")
+    return (f"{_match_levels(store, _closed_form_sectors())} eigenvalues at a in "
+            "{0, 1/2, 5}: each sector's characteristic polynomial equals the product of "
+            "(t - x) over its closed forms")
 
 
 def _check_oscillator(store: _SectorStore) -> str:
     """With the interaction off (a = 0) at roots (2, -1, -1) the ungauged
     sectors of `decoupling` have the closed-form levels E_lambda, each the sum
     of N one-particle oscillator levels."""
-    points = [(ModelParams(n, 0, b, m, DEGENERATE_ROOTS), _EMPTY)
-              for m, b in _DECOUPLING for n in (1, 2)]
-    return (f"{_match_levels(store, points)} eigenvalues at a = 0, N in {{1, 2}}, "
+    return (f"{_match_levels(store, _ungauged_sectors())} eigenvalues at a = 0, N in {{1, 2}}, "
             "m in {1, 2}, b in {0, 1/4}: each ungauged sector's characteristic "
             "polynomial equals the product of (t - E_lambda) over its closed-form levels")
 
@@ -267,11 +290,8 @@ def _check_closure(store: _SectorStore) -> str:
     sample = _cross_check_sample(store)
     for op, mat in sample:
         if not matches_operator(op, mat):
-            params = op.params
-            roots = ",".join(map(str, params.roots))
-            raise _Failed(f"mask {op.mask}, N={params.nvars}, m={params.degree_m}, "
-                          f"a={params.coupling_a}, b={params.coupling_b}, roots {roots}: "
-                          "the tau-space matrix differs from the z-space images")
+            raise _Failed(f"{_sector_name(op.params, op.mask)}: the tau-space matrix "
+                          "differs from the z-space images")
     return (f"{len(grid)} sectors (all masks, N <= 3, cutoff <= 3, 5 random "
             "tuples per cell) closed on their invariant spaces; "
             f"{len(sample)} cutoff-2 sectors with a, g3 and 1/2 +- b non-zero "
@@ -358,9 +378,8 @@ def _check_raising(store: _SectorStore) -> str:
     for op, mat in store.closure_grid():
         for degree in range(op.cutoff + 1):
             if not raising_coefficient_check(op, degree, mat):
-                params = op.params
-                raise _Failed(f"coefficient mismatch at degree {degree}, mask {op.mask}, "
-                              f"N={params.nvars}, m={params.degree_m}, b={params.coupling_b}")
+                raise _Failed(f"{_sector_name(op.params, op.mask)}: coefficient mismatch "
+                              f"at degree {degree}")
             checked += 1
     return f"raising coefficient exact at {checked} (sector, degree) pairs"
 
@@ -385,17 +404,17 @@ def _check_decoupling(store: _SectorStore) -> str:
     two-particle power sums equal those of the pair sums,
     (1/2)[sum_r C(k, r) p_r p_(k-r) + 2^k p_k] in the one-particle p_r; over
     Q these fix the multiset, k = 0 its size."""
-    for m, b in _DECOUPLING:
-        m1, m2 = (store.sector(ModelParams(n, 0, b, m, DEGENERATE_ROOTS), _EMPTY)[1]
-                  for n in (1, 2))
+    sectors = iter(_ungauged_sectors())
+    for one, two in zip(sectors, sectors):  # N = 1 and N = 2 at one (m, b)
+        m1, m2 = (store.sector(*sector)[1] for sector in (one, two))
         count = m2.dim + 1
         p1, p2 = (_power_sums(mat.charpoly(), count) for mat in (m1, m2))
         for k in range(count):
             pair_sum = Fraction(sum(comb(k, r) * p1[r] * p1[k - r] for r in range(k + 1))
                              + 2**k * p1[k], 2)
             if p2[k] != pair_sum:
-                raise _Failed(f"m={m}, b={b}: power sum p_{k} of the two-particle spectrum "
-                              f"is {p2[k]}, of the pair sums {pair_sum}")
+                raise _Failed(f"{_sector_name(*two)}: power sum p_{k} of the spectrum "
+                              f"is {p2[k]}, of the one-particle pair sums {pair_sum}")
     return ("two-particle spectra are pairwise sums for m in {1,2}, b in {0,1/4}: "
             "power sums p_0..p_dim agree exactly")
 
@@ -417,21 +436,18 @@ def _check_figure_degeneracy(store: _SectorStore) -> str:
     characteristic polynomial of mask 23 divides that of the 6-dimensional
     sector and masks 13 and 12 have equal ones; at eps=1/2, a=5 both pairs
     are coprime, so every such coincidence is gone."""
-    for eps, a in _FLOW:
-        params = ModelParams(2, a, 0, 2, epsilon_roots(eps))
-        none, m23, m13, m12 = (store.sector(params, GaugeMask(mask))[1].charpoly()
-                               for mask in ((), (2, 3), (1, 3), (1, 2)))
-        if eps == 0:
+    sectors = iter(_flow_sectors())
+    for point in zip(sectors, sectors, sectors, sectors):  # masks none, 12, 13, 23
+        none, m12, m13, m23 = (store.sector(*sector)[1].charpoly() for sector in point)
+        if point[0][0].roots == DEGENERATE_ROOTS:  # eps = 0
             try:
                 none.divide_exact(m23)
             except NonZeroRemainder:
-                raise _Failed(f"eps=0, a={a}: mask 23 does not share its eigenvalues with the "
-                              "6x6 sector") from None
+                raise _Failed(f"{_sector_name(*point[3])}: spectrum not in mask none's") from None
             if m13 != m12:
-                raise _Failed(f"eps=0, a={a}: the two root-1 masked sectors have different "
-                              "spectra")
+                raise _Failed(f"{_sector_name(*point[2])}: spectrum differs from mask 12's")
         elif not (_coprime(none, m23) and _coprime(m13, m12)):
-            raise _Failed(f"eps={eps}, a={a}: a cross-sector coincidence survives")
+            raise _Failed(f"{_sector_name(*point[0])}: a cross-sector coincidence survives")
     return ("degeneracy pattern holds exactly at eps=0 (mask 23 divides none, 13 equals 12) "
             "and is fully broken at eps=1/2, a=5 (both pairs coprime)")
 
@@ -440,27 +456,11 @@ def _check_figure_degeneracy(store: _SectorStore) -> str:
 
 
 def _invariant_pool(store: _SectorStore) -> list[tuple[str, OperatorMatrix, Spectrum]]:
-    """Every matrix whose eigenvalues the exact checks read, deduplicated and
-    diagonalized here, for the eigensolver check."""
-    pool: dict[tuple[ModelParams, GaugeMask], tuple[str, OperatorMatrix, Spectrum]] = {}
-
-    def add(params: ModelParams, mask: GaugeMask, label: str) -> None:
-        if (params, mask) not in pool:
-            mat = store.sector(params, mask)[1]
-            pool[params, mask] = (label, mat, spectrum_of(mat))
-
-    for a in _CLOSED_FORM_A:
-        params = ModelParams(2, a, 0, 2, DEGENERATE_ROOTS)
-        for mask in list_valid_masks(params):
-            add(params, mask, f"degenerate a={a} mask {mask}")
-    for m, b in _DECOUPLING:
-        for nvars in (1, 2):
-            add(ModelParams(nvars, 0, b, m, DEGENERATE_ROOTS), _EMPTY, f"{nvars}-var m={m} b={b}")
-    for eps, a in _FLOW:
-        params = ModelParams(2, a, 0, 2, epsilon_roots(eps))
-        for mask in list_valid_masks(params):
-            add(params, mask, f"flow eps={eps} a={a} mask {mask}")
-    return list(pool.values())
+    """Every sector of the exact checks' lists, once, in first-seen order,
+    named and diagonalized here for the eigensolver check."""
+    sectors = dict.fromkeys(_closed_form_sectors() + _ungauged_sectors() + _flow_sectors())
+    return [(_sector_name(*sector), mat, spectrum_of(mat))
+            for sector in sectors for mat in [store.sector(*sector)[1]]]
 
 
 def _check_eigensolver(store: _SectorStore) -> str:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import elliptic_qes.cli as cli
 import elliptic_qes.verify as verify
 from elliptic_qes.cli import main
-from elliptic_qes.matrices import OperatorMatrix, build_matrix, matrix_from_json
+from elliptic_qes.matrices import OperatorMatrix, build_matrix
 from elliptic_qes.model import GaugeMask, ModelParams, list_valid_masks
 from elliptic_qes.errors import (
     InvalidDegree,
@@ -612,7 +612,8 @@ def test_a_point_on_the_weight_line_is_combined_exactly(nvars, b, m, e1, e2, a):
     """Each sector's weights, and so its matrix, are affine in a: the matrix
     combined from the builds at two couplings equals the build at a third, and
     so does its float image, bit for bit.  One unit of the scalar weight s_0,
-    whose term is -N times the identity, takes the third build off that line."""
+    whose term is -N times the identity, changes the third build, so no
+    combination stands in for a build; a sweep builds every point."""
     roots = (e1, e2, -e1 - e2)
     assume(len(set(roots)) == 3 and a[0] != a[1])
     params = [ModelParams(nvars, x, b, m, roots) for x in a]
@@ -633,10 +634,10 @@ def test_a_point_on_the_weight_line_is_combined_exactly(nvars, b, m, e1, e2, a):
 
 
 def test_sweep_builds_a_point_whose_table_leaves_the_line(capsys, monkeypatch):
-    """The ungauged sector has no scalar weight s_0 at any a; one unit of it at
-    a = 2 takes that point off the line through a = 0 and a = 1.  The sweep
-    builds every point, a = 2 from the nudged table, and its rows are the
-    spectrum of that build, not of the unnudged one."""
+    """A sweep builds every point from that point's own weight table: with one
+    unit of the scalar weight s_0, which the ungauged sector has at no a,
+    added at a = 2, it builds a = 0, 1, 2 and 3, and the rows at a = 2 are the
+    spectrum of the nudged build, not of the unnudged one."""
     builds = []
 
     def nudging(params, mask):
@@ -662,8 +663,8 @@ def test_sweep_builds_a_point_whose_table_leaves_the_line(capsys, monkeypatch):
 
 
 def test_a_sweep_whose_built_tables_are_equal_builds_every_point(capsys, monkeypatch):
-    """--range=1:1:3 builds the same table twice, so no line exists and the
-    third point is built too; every row equals a build of its own point."""
+    """--range=1:1:3 gives three equal points, and the sweep builds every one
+    of them; every row equals a build of its own point."""
     builds = []
 
     def counting(op):
@@ -882,10 +883,9 @@ def test_masks_half_integer_json(capsys):
 def test_matrix_json_round_trip(capsys):
     code, out, _ = run(capsys, "matrix", "--a", "1/3", "--b", "1/4", "--roots", "2,-3/2,-1/2")
     assert code == 0
-    parsed = matrix_from_json(out)
     params = ModelParams(2, "1/3", "1/4", 2, (2, "-3/2", "-1/2"))
     direct = build_matrix(build_gauged_operator(params, GaugeMask(())))
-    assert parsed == direct
+    assert json.loads(out)["entries"] == [[str(x) for x in row] for row in direct.rows]
 
 
 def test_matrix_default_known_entry(capsys):

@@ -445,7 +445,7 @@ def test_spectrum_of_exact_matrix():
         pytest.approx(-8.0),
         pytest.approx(28.0),
     )
-    assert len(spec) == 3
+    assert len(spec.values) == 3
 
 
 @pytest.mark.parametrize(

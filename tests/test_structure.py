@@ -33,6 +33,25 @@ def test_no_import_inside_a_function_and_no_private_name_across_modules():
     assert found == []
 
 
+def test_every_name_a_module_imports_is_read_there():
+    """No module of the package imports a name that it does not read, apart
+    from `__init__`'s re-exports and the three names `oracles` binds for the
+    tracer, which the oracles test below pins."""
+    exempt = {"oracles.py": {"build_gauged_operator", "build_matrix", "spectrum_of"}}
+    found = []
+    for path in sorted((ROOT / "src" / "elliptic_qes").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread = imported - read - exempt.get(path.name, set())
+        found += [f"{path.name} imports {name} and does not read it" for name in sorted(unread)]
+    assert found == []
+
+
 def _is_check_result(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
 

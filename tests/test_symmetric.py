@@ -14,7 +14,6 @@ from elliptic_qes.polynomials import Poly, listing_key
 from elliptic_qes.symmetric import (
     elementary_symmetric,
     enumerate_basis,
-    is_symmetric,
     structure_sums,
     tau_to_z,
     z_to_tau,
@@ -93,18 +92,6 @@ def test_elementary_symmetric_three_variables():
     assert elementary_symmetric(3, 0) == Poly.constant(3, 1)
 
 
-# -- symmetry detection --------------------------------------------------------------
-
-
-def test_is_symmetric_cases():
-    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    assert is_symmetric(z1 + z2)
-    assert is_symmetric(z1 * z2)
-    assert is_symmetric(Poly.constant(2, 7))
-    assert not is_symmetric(z1)
-    assert not is_symmetric(z1 * z1 + z2)
-
-
 # -- changes of variables ----------------------------------------------------------------
 
 
@@ -128,11 +115,6 @@ def test_round_trip_two_variables(t):
 @given(tau_polys(nvars=3, max_deg=2))
 def test_round_trip_three_variables(t):
     assert z_to_tau(tau_to_z(t)) == t
-
-
-@given(tau_polys(nvars=2))
-def test_expansion_is_symmetric(t):
-    assert is_symmetric(tau_to_z(t))
 
 
 def test_expansion_example():
