@@ -22,14 +22,13 @@ followed by the two medians of `setup_wall_s` and by each export's gc phase.
 
 The nominal `setup_s` scales the import by the machine speed sampled before
 and after it, so a garbage collection that falls into the last sample moves
-it while the wall time stays.  Two readings of where it falls are printed per
-export before the pairs.  The first is `gc.get_count()` at the end of the
-timed import, read in a fresh interpreter that enters `perfbench/probe.py`'s
-`ScaledTimer` and imports `elliptic_qes.cli` as the setup probe does, after a
-warm-up import.  That count can disagree with the probe itself, so the second
-is the probe's own: the median `setup_nominal_s / setup_s` of PROBES runs of
-`perfbench/probe.py setup`, about 1.0 when the collection falls into the last
-speed sample and about 1.9 when it falls inside the import.
+it while the wall time stays.  Where it falls is read from the setup probe
+itself: before the pairs, the two exports take turns at PROBES runs of
+`perfbench/probe.py setup`, and each export's median `setup_nominal_s /
+setup_s` is printed beside its median wall import time.  The ratio's level
+follows the CPU level (both exports read about 0.5 at the slow one), so it
+says nothing alone: a lost phase shows as one export's ratio at about 1.8 to
+1.9 times the other's.
 """
 
 from __future__ import annotations
@@ -50,17 +49,6 @@ PAIRS = 10
 # fresh setup probes per export whose median nominal-to-wall ratio is printed
 PROBES = 5
 END_TO_END = ("op_s_p50", "cold_op_s", "setup_s", "peak_rss_mb")
-WARM_UP = "import sys; sys.path.insert(0, 'src'); import elliptic_qes.cli"
-GC_COUNT = """\
-import gc, sys
-sys.path[:0] = ["perfbench"]
-from probe import SRC, ScaledTimer
-sys.path.insert(0, SRC)
-with ScaledTimer():
-    import elliptic_qes.cli
-    count = gc.get_count()
-print(count)
-"""
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -80,25 +68,23 @@ def _export(repo: Path, revision: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def _gc_count(checkout: Path) -> str:
-    """`gc.get_count()` at the end of the setup probe's timed import, read in a
-    fresh interpreter of `checkout` after a warm-up import."""
-    for code in (WARM_UP, GC_COUNT):
-        out = subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True,
-                             capture_output=True, text=True).stdout
-    return out.strip()
-
-
-def _probe_ratio(checkout: Path) -> float:
-    """Median `setup_nominal_s / setup_s` of PROBES fresh `perfbench/probe.py
-    setup` runs in `checkout`."""
-    ratios = []
-    for _ in range(PROBES):
-        out = subprocess.run([sys.executable, "perfbench/probe.py", "setup"], cwd=checkout,
-                             check=True, capture_output=True, text=True).stdout
-        record = json.loads(out)
-        ratios.append(record["setup_nominal_s"] / record["setup_s"])
-    return statistics.median(ratios)
+def _gc_phases(checkouts: dict[str, Path]) -> dict[str, str]:
+    """Each export's median `setup_nominal_s / setup_s` and median wall
+    `setup_s` over PROBES fresh `perfbench/probe.py setup` runs, the exports
+    taking turns and the one that goes first alternating."""
+    records: dict[str, list[dict]] = {rev: [] for rev in checkouts}
+    for probe in range(PROBES):
+        for rev in records if probe % 2 == 0 else list(records)[::-1]:
+            out = subprocess.run([sys.executable, "perfbench/probe.py", "setup"],
+                                 cwd=checkouts[rev], check=True, capture_output=True,
+                                 text=True).stdout
+            records[rev].append(json.loads(out))
+    phases = {}
+    for rev, runs in records.items():
+        ratio = statistics.median(r["setup_nominal_s"] / r["setup_s"] for r in runs)
+        wall = statistics.median(r["setup_s"] for r in runs)
+        phases[rev] = f"probe ratio {ratio:.3f} at wall {wall:.4g} s"
+    return phases
 
 
 def _run(checkout: Path, workload: str, seed: int) -> tuple[dict, float]:
@@ -166,14 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     out_path = repo / f"BENCH_{args.label}.json"
     records = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts, phases = {}, {}
-        for rev in revisions:
-            checkouts[rev] = Path(tmp) / rev
-            _export(repo, rev, checkouts[rev])
-            phases[rev] = (f"{_gc_count(checkouts[rev])}, probe ratio "
-                           f"{_probe_ratio(checkouts[rev]):.3f}")
-            print(f"{rev}: gc count {phases[rev]} (median setup_nominal_s / setup_s of "
-                  f"{PROBES} setup probes)", flush=True)
+        checkouts = {rev: Path(tmp) / rev for rev in revisions}
+        for rev, checkout in checkouts.items():
+            _export(repo, rev, checkout)
+        phases = _gc_phases(checkouts)
+        for rev, phase in phases.items():
+            print(f"{rev}: {phase} (medians of {PROBES} alternating setup probes)", flush=True)
         for workload in args.workload or WORKLOADS:
             for pair in range(PAIRS):
                 for rev in revisions if pair % 2 == 0 else revisions[::-1]:

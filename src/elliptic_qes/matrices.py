@@ -52,37 +52,31 @@ class OperatorMatrix:
     """Exact matrix M = K / D over an ordered tau-monomial basis.
 
     It stores a positive integer D, not always the least one, and the entries
-    k != 0 of K column by column as `positions` (row * dim + column) and
+    k != 0 of K, in no set order, as `positions` (row * dim + column) and
     `values` (int64 if D and every |k| are at most 2**53, else Python ints).
-    `OperatorMatrix(basis, rows)` derives D and K from rational rows."""
+    `OperatorMatrix(basis, rows, denominator=D)` is M = rows / D, for rows of
+    ints or Fractions: it stores D times the lcm of their denominators, and K
+    the rows times that lcm."""
 
-    def __init__(self, basis: BasisIndex, rows=None, *, denominator: int = 1, columns=(),
-                 entries=None):
+    def __init__(self, basis: BasisIndex, rows=None, *, denominator: int = 1, entries=None):
         dim = len(basis)
         if entries is None:
-            if ({len(columns)} if rows is None else {len(rows), *map(len, rows)}) != {dim}:
+            if rows is None or {len(rows), *map(len, rows)} != {dim}:
                 raise ValueError("matrix shape does not match basis size")
-            if rows is not None:
-                denominator = lcm(*(x.denominator for row in rows for x in row))
-                columns = tuple(tuple((i, x.numerator * (denominator // x.denominator))
-                                      for i, x in enumerate(col) if x) for col in zip(*rows))
-            positions = [i * dim + j for j, column in enumerate(columns) for i, _ in column]
-            values = [k for column in columns for _, k in column]
+            flat = [x for row in rows for x in row]
+            scale = lcm(*(x.denominator for x in flat))
+            denominator *= scale
+            positions = [p for p, x in enumerate(flat) if x]
+            values = [x.numerator * (scale // x.denominator) for x in flat if x]
             exact = max(0, denominator, *map(abs, values)) <= 2**53
             entries = np.array(positions, np.int64), np.array(values, np.int64 if exact else object)
         self.basis, self.dim, self.denominator = basis, dim, denominator
         self.positions, self.values = entries
 
     @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """K as columns of (row index, k) pairs, formed when first read."""
-        rows, cols = np.divmod(self.positions, self.dim)
-        pairs = list(zip(rows.tolist(), self.values.tolist()))
-        ends = np.searchsorted(cols, np.arange(1, self.dim + 1)).tolist()
-        return tuple(map(tuple, map(pairs.__getitem__, map(slice, [0, *ends], ends))))
-
-    @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """M as dense rows of `Fraction`, formed when first read; `perfbench/`
+        reads it, and nothing in the package does."""
         return tuple(map(tuple, self.dense(Fraction, Fraction(0))))
 
     def dense(self, convert, zero) -> list[list]:
@@ -185,16 +179,17 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     and C; every other column follows from them by the tau-space formula.
     So this checks the closed-form coefficients of a built matrix against
     the operator they were derived from, at C(N+2, 2) applications at most.
+    Their entries are gathered from `positions` and `values` in any order.
     Both read the same `GaugedOperator.weights`, so a wrong weight passes:
     this checks the term matrices and the assembly, not the weight table.
     """
-    basis, d = mat.basis, mat.denominator
-    return all(
-        op.apply(Poly.monomial(exps)) * d
-        == Poly(op.nvars, {basis[i]: k for i, k in mat.columns[j]})
-        for j, exps in enumerate(basis)
-        if sum(exps) <= 2
-    )
+    basis, dim, d = mat.basis, mat.dim, mat.denominator
+    images = {j: {} for j, exps in enumerate(basis) if sum(exps) <= 2}
+    for p, k in zip(mat.positions.tolist(), mat.values.tolist()):
+        if p % dim in images:
+            images[p % dim][basis[p // dim]] = k
+    return all(op.apply(Poly.monomial(basis[j])) * d == Poly(op.nvars, image)
+               for j, image in images.items())
 
 
 # A derivative index's (i, j) and delta, and the int64 rows of its entries'

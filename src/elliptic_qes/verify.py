@@ -498,8 +498,7 @@ def _check_eigensolver(store: _SectorStore) -> str:
             rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
             for row in rows:
                 row[s] -= c * row[t]
-        columns = tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows))
-        transformed = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
+        transformed = OperatorMatrix(mat.basis, rows, denominator=mat.denominator)
         moved = eigenvalues(to_float(transformed)).values
         scale = max(1.0, max(abs(v) for v in spec.values))
         defect = max(abs(x - y) for x, y in zip(moved, spec.values)) / scale

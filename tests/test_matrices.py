@@ -82,10 +82,14 @@ def test_reference_equality_one_tuple():
         assert built.rows == reference_double_mask_matrix(a, roots, i)
 
 
+def _k(mat: OperatorMatrix) -> list[list[int]]:
+    """K as dense rows of ints."""
+    return mat.dense(lambda k, _: k, 0)
+
+
 def _diagonal_sum(mat: OperatorMatrix) -> Fraction:
-    """The sum of K's diagonal over D, read from the columns."""
-    diagonal = (k for j, col in enumerate(mat.columns) for i, k in col if i == j)
-    return Fraction(sum(diagonal), mat.denominator)
+    """The sum of K's diagonal over D, read from the dense rows of K."""
+    return Fraction(sum(row[i] for i, row in enumerate(_k(mat))), mat.denominator)
 
 
 def test_entry_access_and_trace():
@@ -109,14 +113,13 @@ def test_a_matrix_keeps_its_characteristic_polynomial_and_a_transformed_copy_has
     mat = build_matrix(build_gauged_operator(ModelParams(2, F("1/3"), 0, 2), EMPTY))
     chi = mat.charpoly()
     assert mat.charpoly() is chi
-    rows = mat.dense(lambda k, _: k, 0)
+    rows = _k(mat)
     rows[1] = [x + y for x, y in zip(rows[1], rows[0])]  # E M E^-1, E = I + e_1 e_0^T
     for row in rows:
         row[0] -= row[1]
-    similar = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(
-        tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)))
-    doubled = OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(
-        tuple((i, 2 * k) for i, k in col) for col in mat.columns))
+    similar = OperatorMatrix(mat.basis, rows, denominator=mat.denominator)
+    doubled = OperatorMatrix(mat.basis, mat.dense(lambda k, _: 2 * k, 0),
+                             denominator=mat.denominator)
     assert similar != mat and similar.charpoly() is not chi and similar.charpoly() == chi
     n = mat.dim
     assert doubled.charpoly() == Poly(1, {(n - i,): 2**i * chi.coefficient((n - i,))
@@ -323,8 +326,8 @@ def test_every_weight_table_closes_and_one_more_v_does_not(nvars, cutoff, mask, 
 
 
 def _python_int_route(op: GaugedOperator):
-    """The columns of K and the float image of K / D by the previous engine's
-    route, kept as the reference for `build_matrix` and `to_float`: K summed
+    """The entries of K, as sorted (position, k) pairs, and the float image of
+    K / D by the previous engine's route, kept as the reference for `build_matrix` and `to_float`: K summed
     term by term in Python ints over the entries of the (N, cutoff) cell, its
     non-zero sums listed column by column, and k / D appended to three Python
     lists and scattered."""
@@ -350,16 +353,16 @@ def _python_int_route(op: GaugedOperator):
             cols.append(j)
     out = np.zeros((dim, dim))
     out[rows, cols] = values
-    return tuple(map(tuple, columns)), out
+    return sorted((i * dim + j, k) for j, column in enumerate(columns) for i, k in column), out
 
 
 def _assert_equals_the_python_int_route(op: GaugedOperator, dtype) -> OperatorMatrix:
-    """`build_matrix` sums K in ``dtype``; its columns equal the reference's,
+    """`build_matrix` sums K in ``dtype``; its entries equal the reference's,
     and `to_float` its doubles bit for bit, signs of zero included."""
     mat = build_matrix(op)
-    columns, floats = _python_int_route(op)
+    entries, floats = _python_int_route(op)
     assert mat.values.dtype == dtype
-    assert mat.columns == columns
+    assert sorted(zip(mat.positions.tolist(), mat.values.tolist())) == entries
     assert to_float(mat).tobytes() == floats.tobytes()
     return mat
 
@@ -571,8 +574,8 @@ def _large_sectors(nvars, cutoff):
             for mask in ALL_MASKS]
 
 
-# Equality compares columns as dicts and `to_float` keeps the last of two
-# values assigned to one entry, so neither would notice a repeated row index.
+# Equality compares entries as dicts and `to_float` keeps the last of two
+# values assigned to one entry, so neither would notice a repeated position.
 @pytest.mark.parametrize(
     "matrices",
     [lambda: [mat for _, mat in verify._SectorStore().closure_grid()],
@@ -582,10 +585,9 @@ def _large_sectors(nvars, cutoff):
 )
 def test_every_column_lists_each_row_once(matrices):
     for mat in matrices():
-        for column in mat.columns:
-            rows = [i for i, _ in column]
-            assert len(set(rows)) == len(rows)
-            assert all(k for _, k in column)
+        positions = mat.positions.tolist()
+        assert len(set(positions)) == len(positions)
+        assert all(mat.values.tolist())
 
 
 @pytest.mark.parametrize(
@@ -628,21 +630,21 @@ def test_matches_operator_applies_the_degree_two_columns(monkeypatch):
     mat = build_matrix(third)
     assert mat.denominator % 3 == 0 and matches_operator(third, _scaled(mat, 6))
     for j, exps in enumerate(mat.basis):
-        if sum(exps) <= 2 and mat.columns[j]:
+        if sum(exps) <= 2 and any(row[j] for row in mat.rows):
             assert not matches_operator(third, _bumped(mat, j))
 
 
 def _scaled(mat: OperatorMatrix, factor: int) -> OperatorMatrix:
     """The same matrix with K and D both multiplied by factor."""
-    columns = tuple(tuple((i, k * factor) for i, k in col) for col in mat.columns)
-    return OperatorMatrix(mat.basis, denominator=mat.denominator * factor, columns=columns)
+    return OperatorMatrix(mat.basis, mat.dense(lambda k, _: k * factor, 0),
+                          denominator=mat.denominator * factor)
 
 
 def _bumped(mat: OperatorMatrix, j: int) -> OperatorMatrix:
-    """The same matrix with the first stored entry of column j of K raised by one."""
-    (i, k), *rest = mat.columns[j]
-    columns = mat.columns[:j] + (((i, k + 1), *rest),) + mat.columns[j + 1 :]
-    return OperatorMatrix(mat.basis, denominator=mat.denominator, columns=columns)
+    """The same matrix with the first non-zero entry of column j of K raised by one."""
+    rows = _k(mat)
+    next(row for row in rows if row[j])[j] += 1
+    return OperatorMatrix(mat.basis, rows, denominator=mat.denominator)
 
 
 @pytest.mark.parametrize(
@@ -672,28 +674,62 @@ def test_equality_compares_values():
     assert OperatorMatrix(built.basis, tuple(map(tuple, rows))) != built
     assert OperatorMatrix(enumerate_basis(1, 5), built.rows) != built
     d = built.denominator
-    assert d > 1 and any(len(col) > 1 for col in built.columns)
-    reversed_pairs = tuple(col[::-1] for col in built.columns)
-    assert OperatorMatrix(built.basis, denominator=d, columns=reversed_pairs) == built
-    assert _bumped(built, next(j for j, col in enumerate(built.columns) if col)) != built
+    assert d > 1 and np.bincount(built.positions % built.dim).max() > 1
+    reversed_entries = built.positions[::-1], built.values[::-1]
+    assert OperatorMatrix(built.basis, denominator=d, entries=reversed_entries) == built
+    assert _bumped(built, int(built.positions[0]) % built.dim) != built
+
+
+@pytest.mark.parametrize(
+    ("op", "dtype"),
+    [(build_gauged_operator(ModelParams(2, Fraction(1, 3), Fraction(-1, 2), 3), EMPTY),
+      np.int64),
+     (sector(3, Fraction(5, 3), Fraction(-2, 7), (Fraction(9, 4), Fraction(-3, 5),
+                                                  Fraction(-33, 20)), GaugeMask((2,)), 3),
+      np.int64),
+     (build_gauged_operator(ModelParams(2, Fraction(2**52), 0, 2), EMPTY), object),
+     (build_gauged_operator(ModelParams(3, Fraction(1, 2**53 + 1), Fraction(1, 3), 2), EMPTY),
+      object)],
+    ids=["n2-int64", "n3-mask2-int64", "n2-object", "n3-object-d"],
+)
+def test_no_reader_of_k_depends_on_the_order_of_its_entries(op, dtype):
+    """`positions` and `values` permuted together are the same matrix to
+    every reader of K: equality, the float image, the dense rows, chi, the
+    raising check at each degree and the z-space check."""
+    mat = build_matrix(op)
+    assert mat.values.dtype == dtype
+    order = np.random.default_rng(0).permutation(len(mat.positions))
+    shuffled = OperatorMatrix(mat.basis, denominator=mat.denominator,
+                              entries=(mat.positions[order], mat.values[order]))
+    assert shuffled.positions.tolist() != mat.positions.tolist()
+    assert shuffled == mat and mat == shuffled
+    assert to_float(shuffled).tobytes() == to_float(mat).tobytes()
+    assert shuffled.dense(Fraction, 0) == mat.dense(Fraction, 0)
+    assert shuffled.charpoly() == mat.charpoly()
+    degrees = range(op.cutoff + 1)
+    assert [raising_coefficient_check(op, d, shuffled) for d in degrees] == [
+        raising_coefficient_check(op, d, mat) for d in degrees]
+    assert matches_operator(op, shuffled) and matches_operator(op, mat)
 
 
 def test_shape_of_the_rows_is_checked():
     basis = enumerate_basis(1, 1)
-    for rows in (((F(1),),), ((F(1), F(0)),), ((F(1),), (F(0), F(1)))):
+    wrong = (((F(1),),), ((F(1), F(0)),), ((F(1),), (F(0), F(1))), ((1, 0), (0,)),
+             ((1, 0), (0, 1), (0, 0)), ())
+    for rows in wrong:
+        for denominator in ({}, {"denominator": 3}):
+            with pytest.raises(ValueError, match="shape"):
+                OperatorMatrix(basis, rows, **denominator)
+    for denominator in ({}, {"denominator": 3}):
         with pytest.raises(ValueError, match="shape"):
-            OperatorMatrix(basis, rows)
-    with pytest.raises(ValueError, match="shape"):
-        OperatorMatrix(basis, columns=((),))
+            OperatorMatrix(basis, **denominator)
 
 
 def _tampered_k(mat: OperatorMatrix, i: int, j: int, delta: int) -> OperatorMatrix:
     """The matrix with delta added to K_ij, over the same D."""
-    column = dict(mat.columns[j])
-    column[i] = column.get(i, 0) + delta
-    columns = list(mat.columns)
-    columns[j] = tuple((r, k) for r, k in column.items() if k)
-    return OperatorMatrix(mat.basis, denominator=mat.denominator, columns=tuple(columns))
+    rows = _k(mat)
+    rows[i][j] += delta
+    return OperatorMatrix(mat.basis, rows, denominator=mat.denominator)
 
 
 def test_a_tampered_k_entry_fails_the_raising_and_z_space_checks():
@@ -721,9 +757,8 @@ def test_raising_check_reads_k_over_any_common_denominator():
     # K and D both times 6 are the same matrix: the check holds at every degree
     op = build_gauged_operator(ModelParams(3, Fraction(2, 3), Fraction(1, 6), 3), EMPTY)
     mat = build_matrix(op)
-    scaled = OperatorMatrix(mat.basis, denominator=6 * mat.denominator,
-                            columns=tuple(tuple((i, 6 * k) for i, k in column)
-                                          for column in mat.columns))
+    scaled = OperatorMatrix(mat.basis, mat.dense(lambda k, _: 6 * k, 0),
+                            denominator=6 * mat.denominator)
     assert scaled == mat
     assert all(raising_coefficient_check(op, d, scaled) for d in range(op.cutoff + 1))
     # a raising entry off by one fails at its own degree only
@@ -746,9 +781,8 @@ def test_raising_check_fails_when_d_times_the_coefficient_is_not_integral():
         coeff = Fraction(*raising_ratio(op.params, op.mask, degree))
         assert coeff.denominator > 1
         # over D = 1 no integer entry equals coeff, not even the nearest one
-        rounded = [tuple((i, round(Fraction(k, mat.denominator))) for i, k in column)
-                   for column in mat.columns]
-        coarse = OperatorMatrix(mat.basis, denominator=1, columns=tuple(rounded))
+        rounded = mat.dense(lambda k, d: round(Fraction(k, d)), 0)
+        coarse = OperatorMatrix(mat.basis, rounded, denominator=1)
         assert (coeff * coarse.denominator).denominator != 1
         assert not raising_coefficient_check(op, degree, coarse)
 

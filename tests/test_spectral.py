@@ -111,7 +111,7 @@ def test_to_float_overflow():
 def test_to_float_overflow_names_the_entry_of_k_over_d():
     basis = enumerate_basis(1, 1)
     # M = K / 3 with one entry 10**400 / 3 in row 1, column 0
-    mat = OperatorMatrix(basis, denominator=3, columns=(((0, 1), (1, 10**400)), ()))
+    mat = OperatorMatrix(basis, ((1, 0), (10**400, 0)), denominator=3)
     with pytest.raises(ValueError, match=r"entry \(1,0\)"):
         to_float(mat)
 

@@ -238,8 +238,7 @@ def test_eigensolver_check_fails_on_a_pair_that_is_conjugate_only_to_rounding(mo
     so a pair that is conjugate to 1e-12 fails, though its trace and
     determinant hold: the rotation [[0, -1], [1, 0]] with values -i and
     1e-12 + i."""
-    rotation = OperatorMatrix(enumerate_basis(1, 1), denominator=1,
-                              columns=(((1, 1),), ((0, -1),)))
+    rotation = OperatorMatrix(enumerate_basis(1, 1), ((0, -1), (1, 0)))
     near_pair = Spectrum((complex(0, -1), complex(1e-12, 1)), 0, 1e-12)
     original = verify._invariant_pool
 
@@ -272,10 +271,9 @@ def test_exact_checks_fail_on_a_near_miss_matrix(monkeypatch):
 
     def near_miss(op):
         mat = original(op)
-        columns = [{i: k * 10**12 for i, k in col} for col in mat.columns]
-        columns[0][0] = columns[0].get(0, 0) + 1
-        return OperatorMatrix(mat.basis, denominator=mat.denominator * 10**12,
-                              columns=tuple(tuple(col.items()) for col in columns))
+        rows = mat.dense(lambda k, _: k * 10**12, 0)
+        rows[0][0] += 1
+        return OperatorMatrix(mat.basis, rows, denominator=mat.denominator * 10**12)
 
     monkeypatch.setattr(verify, "build_matrix", near_miss)
     names = ["closed-forms", "oscillator", "decoupling", "figure-degeneracy"]
