@@ -10,7 +10,9 @@ of the run's store, which `closure` and `raising` share, and the z-space
 cross-check, the rest of `closure` with that grid already built.  The
 medians over the runs are printed in ms, one line per check in run order,
 the two closure parts indented below it, then the median of the run totals.
-A check that fails makes the script exit 1.
+Last comes the number of Fractions that one more warm `run_checks()` forms,
+counted as `tests/test_verify.py` counts them, by every call of
+`Fraction.__new__`.  A check that fails makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -42,6 +45,23 @@ def _run(verify) -> dict[str, float]:
     return times
 
 
+def _fractions(verify) -> int:
+    """The Fractions one `verify.run_checks()` forms."""
+    made, new = 0, Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting
+    try:
+        verify.run_checks()
+    finally:
+        Fraction.__new__ = new
+    return made
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=21, help="timed runs after one warm-up")
@@ -61,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label:<{width}}  {1e3 * statistics.median(run[key] for run in runs):7.2f}")
     total = statistics.median(sum(run[name] for name in verify.CHECK_NAMES) for run in runs)
     print(f"{'total':<{width}}  {1e3 * total:7.2f}")
+    print(f"Fractions per warm run: {_fractions(verify)}")
     return 0
 
 

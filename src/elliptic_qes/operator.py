@@ -26,19 +26,23 @@ scale; the operator's weight table (V, the drift and the products with 2a, all
 over one denominator D) is what both `apply` and the matrix assembly read.
 `gauge_polynomials` performs the divisions exactly for any exponent, so pole
 cancellation is decided by arithmetic rather than asserted; it is the oracle
-for the closed forms, and only `verify` and the tests call it.
+for the closed forms, and only `verify` and the tests call it.  It divides in
+Z[y], y = u z with u the lcm of the roots' denominators, by monic integer
+divisors, and forms the products that involve neither the exponent nor b once
+per (roots, mask).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import NonCancellingPole, NonZeroRemainder
-from .model import GaugeMask, ModelParams, cubic_invariants
-from .polynomials import Exponents, Poly, weierstrass_cubic
+from .model import GaugeMask, ModelParams
+from .polynomials import Exponents, Poly, from_roots
 from .symmetric import tau_to_z, z_to_tau
 
 # A term of the operator: its kind and the power r of z in its weight (0 for V).
@@ -66,6 +70,39 @@ def raising_ratio(params: ModelParams, mask: GaugeMask, degree: int | Fraction) 
     return -top * rest, half * half
 
 
+def _ratio(x: int | Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; a float raises TypeError."""
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"{x!r} is not an exact rational") from None
+
+
+@lru_cache(maxsize=1)
+def _gauge_products(e: tuple[int, int, int], mask: GaugeMask) -> tuple[Poly, ...]:
+    """The parts of the gauge division free of nu and b, at integer roots e:
+
+        P A0 / D, D^2, P A0^2, P (A0' D - A0 D'), P' A0 D ,
+
+    P = 4 prod_j (y - e_j), D = prod_{i in mask} (y - e_i) and A0 = D'.  A
+    check asks one (roots, mask) at several exponents in a row, so the last
+    key is kept."""
+    cubic, denom = from_roots(e) * 4, from_roots(e[i - 1] for i in mask.indices)
+    numer_a = denom.diff(0)
+    return ((cubic * numer_a).divide_exact(denom), denom * denom, cubic * numer_a * numer_a,
+            cubic * (numer_a.diff(0) * denom - numer_a * numer_a),
+            cubic.diff(0) * numer_a * denom)
+
+
+def _in_z(poly: Poly, num: int, den: int, u: int) -> Poly:
+    """num / den times poly(u z), for a polynomial poly in y = u z."""
+    terms = {}
+    for (r,), c in poly.terms.items():
+        if c := c * num * u**r:
+            terms[r,] = Fraction(c, den) if c % den else c // den
+    return Poly.from_terms(1, terms)
+
+
 def gauge_polynomials(
     roots: tuple[Fraction, Fraction, Fraction],
     mask: GaugeMask,
@@ -75,43 +112,44 @@ def gauge_polynomials(
     """Exact single-variable gauge polynomials (q, s) for any exponent.
 
     Works over the common denominator D(z) = prod_{i in mask} (z - e_i):
-    lambda = A/D with A = nu * sum_i prod_{j != i} (z - e_j), so
+    lambda = A/D with A = nu * sum_i prod_{j != i} (z - e_j) = nu D', so
 
         q = p A / D ,
         s = [ p (A^2 + A'D - AD') + (b + 1/2) p' A D ] / D^2 .
 
+    Both divisions run in Z[y], y = u z with u the lcm of the roots'
+    denominators, so that every u e_i is an int.  With P = u^3 p(y / u),
+    D = prod_{i in mask} (y - u e_i) and A0 = D', all in Z[y] and D monic,
+    nu = n/d and b + 1/2 = h/k,
+
+        q = n / (d u^2) * P A0 / D ,
+        s = [ n^2 k P A0^2 + n d k P (A0' D - A0 D') + h n d P' A0 D ] / (u d^2 k D^2) ,
+
+    and a coefficient c of y^r is c u^r at z^r.  The parts that do not
+    involve nu or b are formed once per (roots, mask) (`_gauge_products`).
     The q division is always exact.  The s division is exact precisely when
     every pole cancels; a stall raises NonCancellingPole.  Sectors are built at
     nu = 1/2 - b from closed forms, and this division is their oracle.
     """
-    g2, g3 = cubic_invariants(roots)
-    p = weierstrass_cubic(g2, g3)
-    dp = p.diff(0)
+    ratios = [_ratio(x) for x in roots]
+    u = lcm(*(den for _, den in ratios))
+    e = tuple(num * (u // den) for num, den in ratios)
+    if sum(e):
+        raise ValueError(f"roots must sum to zero, got {' + '.join(map(str, roots))}")
     if not mask.indices:
         return Poly.zero(1), Poly.zero(1)
-
-    z = Poly.variable(1, 0)
-    factors = [z - Poly.constant(1, roots[i - 1]) for i in mask.indices]
-    one = Poly.constant(1, 1)
-    denom = prod(factors, start=one)
-    partials = (prod(factors[:i] + factors[i + 1 :], start=one) for i in range(len(factors)))
-    numer_a = sum(partials, Poly.zero(1)) * exponent
-
-    charge = (p * numer_a).divide_exact(denom)
-
-    da = numer_a.diff(0)
-    dd = denom.diff(0)
-    scalar_numer = p * (numer_a * numer_a + da * denom - numer_a * dd) + (
-        (coupling_b + Fraction(1, 2)) * (dp * numer_a * denom)
-    )
+    (n, d), (h, k) = _ratio(exponent), _ratio(coupling_b)
+    h, k = 2 * h + k, 2 * k  # b + 1/2
+    charge, square, pa2, pw, dpad = _gauge_products(e, mask)
+    numer = pa2 * (n * n * k) + pw * (n * d * k) + dpad * (h * n * d)
     try:
-        scalar = scalar_numer.divide_exact(denom * denom)
+        scalar = numer.divide_exact(square)
     except NonZeroRemainder as exc:
         raise NonCancellingPole(
             f"gauge exponent {exponent} leaves an uncancelled pole at a root of "
             f"the cubic for mask {mask}; only exponents 0 and 1/2 - b cancel"
         ) from exc
-    return charge, scalar
+    return _in_z(charge, n, d * u * u, u), _in_z(scalar, 1, u * d * d * k, u)
 
 
 def _natural_gauge_polynomials(

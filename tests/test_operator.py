@@ -5,9 +5,10 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import elliptic_qes.operator as operator
@@ -32,6 +33,7 @@ from elliptic_qes.polynomials import Poly, weierstrass_cubic
 
 EMPTY = GaugeMask(())
 HALF = Fraction(1, 2)
+_DENS = (1, 2, 3, 4, 5, 6, 7, 9)
 
 
 def rationals(lo=-3, hi=3, dens=(1, 2, 4)):
@@ -81,6 +83,96 @@ def test_double_root_cancels_any_exponent():
     q, s = gauge_polynomials(roots, GaugeMask((2, 3)), Fraction(1, 3), Fraction(0))
     assert max(map(sum, q.terms)) == 2
     assert max(map(sum, s.terms)) >= 0
+
+
+def _assert_gauge_identities(roots, mask, nu, b, q, s):
+    """q D = p A and s D^2 = p (A^2 + A'D - AD') + (b + 1/2) p' A D, in
+    Fraction arithmetic over z, with D = prod_{i in mask} (z - e_i) and
+    A = nu sum_i prod_{j != i} (z - e_j)."""
+    z, one = Poly.variable(1, 0), Poly.constant(1, 1)
+    p = weierstrass_cubic(*cubic_invariants(roots))
+    factors = [z - Poly.constant(1, roots[i - 1]) for i in mask.indices]
+    d = prod(factors, start=one)
+    a = sum((prod(factors[:i] + factors[i + 1:], start=one) for i in range(len(factors))),
+            Poly.zero(1)) * nu
+    assert q * d == p * a
+    assert s * d * d == p * (a * a + a.diff(0) * d - a * d.diff(0)) + (b + HALF) * (
+        p.diff(0) * a * d)
+
+
+@given(rationals(-6, 6, _DENS), rationals(-6, 6, _DENS), st.sampled_from(ALL_MASKS),
+       rationals(-6, 6, _DENS) | st.sampled_from((Fraction(0), None)),
+       rationals(-6, 6, _DENS))
+def test_division_raises_exactly_where_a_residue_survives(e1, e2, mask, nu, b):
+    """At distinct roots the residue nu (nu - 1/2 + b) p'(e_i) vanishes only
+    for nu in {0, 1/2 - b}: every other exponent on a non-empty mask raises
+    NonCancellingPole, and every cancelling one gives q and s that satisfy the
+    defining identities."""
+    roots = (e1, e2, -e1 - e2)
+    assume(len(set(roots)) == 3)
+    nu = HALF - b if nu is None else nu
+    if mask.indices and nu not in (0, HALF - b):
+        with pytest.raises(NonCancellingPole):
+            gauge_polynomials(roots, mask, nu, b)
+        return
+    q, s = gauge_polynomials(roots, mask, nu, b)
+    _assert_gauge_identities(roots, mask, nu, b, q, s)
+
+
+def test_division_equals_sympy_div():
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    rng = random.Random(4242)
+    for _ in range(40):
+        e1, e2 = (Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for _ in range(2))
+        roots, b = (e1, e2, -e1 - e2), Fraction(rng.randint(-9, 9), rng.choice(_DENS))
+        mask = rng.choice(ALL_MASKS[1:])
+        nu = rng.choice((HALF - b, Fraction(0)))
+        e = [sp.Rational(x.numerator, x.denominator) for x in roots]
+        p = 4 * (z - e[0]) * (z - e[1]) * (z - e[2])
+        d = sp.prod([z - e[i - 1] for i in mask.indices])
+        a = sp.Rational(nu.numerator, nu.denominator) * sp.diff(d, z)
+        drift = sp.Rational((b + HALF).numerator, (b + HALF).denominator) * sp.diff(p, z)
+        s_numer = p * (a * a + sp.diff(a, z) * d - a * sp.diff(d, z)) + drift * a * d
+        expected = []
+        for numer, denom in ((p * a, d), (s_numer, d * d)):
+            quotient, remainder = sp.div(sp.expand(numer), sp.expand(denom), z)
+            assert remainder == 0
+            expected.append(Poly(1, {(r,): Fraction(int(c.p), int(c.q))
+                                     for (r,), c in sp.Poly(quotient, z).terms()}))
+        assert list(gauge_polynomials(roots, mask, nu, b)) == expected
+
+
+def test_roots_with_one_integer_image_keep_their_own_scale():
+    """(1, 2, -3) and (1/2, 1, -3/2) are the same ints over scales 1 and 2, so
+    they share one entry of the exponent-free products; q and s must still
+    differ, and consecutive calls on one (roots, mask) at another exponent or
+    b must each satisfy the identities."""
+    mask = GaugeMask((1, 2))
+    operator._gauge_products.cache_clear()
+    whole, halves = (Fraction(1), Fraction(2), Fraction(-3)), (HALF, Fraction(1), Fraction(-3, 2))
+    results = {}
+    for roots, b in itertools.product((whole, halves, whole), (Fraction(0), Fraction(-1, 3))):
+        for nu in (HALF - b, Fraction(0)):
+            q, s = gauge_polynomials(roots, mask, nu, b)
+            _assert_gauge_identities(roots, mask, nu, b, q, s)
+            assert results.setdefault((roots, b, nu), (q, s)) == (q, s)
+    assert operator._gauge_products.cache_info().misses == 1
+    b = Fraction(0)
+    assert results[whole, b, HALF][0] != results[halves, b, HALF][0]
+    assert results[whole, b, HALF][1] != results[halves, b, HALF][1]
+
+
+def test_float_exponent_coupling_or_masked_root_is_refused():
+    roots, mask = (Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4)), GaugeMask((1,))
+    with pytest.raises(TypeError):
+        gauge_polynomials(roots, mask, 0.5, Fraction(0))
+    with pytest.raises(TypeError):
+        gauge_polynomials(roots, mask, HALF, 0.0)
+    with pytest.raises(TypeError):
+        gauge_polynomials((0.5, Fraction(-1, 4), Fraction(-1, 4)), mask, HALF, Fraction(0))
+    with pytest.raises(ValueError, match="sum to zero"):
+        gauge_polynomials((Fraction(1), Fraction(1), Fraction(1)), mask, HALF, Fraction(0))
 
 
 @given(rationals())

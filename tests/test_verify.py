@@ -58,13 +58,14 @@ def test_every_sector_is_built_once_per_run_across_modules(monkeypatch):
     assert sum(builds.values()) == 547
 
 
-def test_a_warm_run_forms_at_most_7454_fractions(monkeypatch):
-    """Sector validity, cutoffs, weight tables, hashes and the closed-form
-    levels are formed in ints, and the grid's masks of one size share a
-    parameter set, so a warm run forms 7,454 Fractions (7,546 while two
-    hand-written oracles formed the levels, 8,059 while each mask had its own
-    parameter set, `apply` scaled its image by a Fraction and the hash read
-    seven of them); per-sector Fractions would add hundreds."""
+def test_a_warm_run_forms_at_most_3747_fractions(monkeypatch):
+    """Sector validity, cutoffs, weight tables, hashes, the closed-form
+    levels and the gauge oracle's divisions are formed in ints, and the
+    grid's masks of one size share a parameter set, so a warm run forms 3,747
+    Fractions (7,454 while the gauge oracle divided in Fractions, 7,546 while
+    two hand-written oracles formed the levels, 8,059 while each mask had its
+    own parameter set, `apply` scaled its image by a Fraction and the hash
+    read seven of them); per-sector Fractions would add hundreds."""
     verify.run_checks()
     made = []
     new = Fraction.__new__
@@ -77,7 +78,20 @@ def test_a_warm_run_forms_at_most_7454_fractions(monkeypatch):
     results = verify.run_checks()
     monkeypatch.undo()
     assert all(r.passed for r in results)
-    assert len(made) <= 7454
+    assert len(made) <= 3747
+
+
+def test_gauge_check_forms_the_exponent_free_products_once_per_roots_and_mask():
+    """The check asks each of its 21 (roots, non-empty mask) pairs at 1/2 - b,
+    0 and 1/3 in a row, and the double-root cubic at two masks, so one run
+    forms the products that involve neither the exponent nor b 23 times and
+    reuses them 42 times."""
+    products = operator._gauge_products
+    before = products.cache_info()
+    verify._check_gauge_exponents()
+    after = products.cache_info()
+    assert after.misses - before.misses <= 23
+    assert after.hits - before.hits >= 42
 
 
 def test_closure_cross_check_names_a_sector_that_differs_from_z_space():
