@@ -123,7 +123,7 @@ def test_division_equals_sympy_div():
     sp = pytest.importorskip("sympy")
     z = sp.Symbol("z")
     rng = random.Random(4242)
-    for _ in range(40):
+    for _ in range(20):
         e1, e2 = (Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for _ in range(2))
         roots, b = (e1, e2, -e1 - e2), Fraction(rng.randint(-9, 9), rng.choice(_DENS))
         mask = rng.choice(ALL_MASKS[1:])
