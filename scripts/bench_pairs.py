@@ -29,6 +29,18 @@ setup_s` is printed beside its median wall import time.  The ratio's level
 follows the CPU level (both exports read about 0.5 at the slow one), so it
 says nothing alone: a lost phase shows as one export's ratio at about 1.8 to
 1.9 times the other's.
+
+The same turns also read the phase exactly, PROBES times per export: the
+timed import of `probe.py setup`, run through the export's own
+`probe.ScaledTimer`, reports the gen-0 and gen-1 counters of the collector at
+the end of the import, and a gc callback reports the generation of every
+collection that starts inside the timer's last speed sample.  Each export
+prints its distinct readings with how often each came.  The phase is kept
+where a gen-1 collection falls in the last sample, as after an import that
+ends at (666, 11): with 11 young collections pending, the next collection is
+a gen-1 one, and the sample's own allocations start it.  An alarm sample
+that lands elsewhere in the import can move a reading, so a revision may
+read both ways.
 """
 
 from __future__ import annotations
@@ -49,6 +61,38 @@ PAIRS = 10
 # fresh setup probes per export whose median nominal-to-wall ratio is printed
 PROBES = 5
 END_TO_END = ("op_s_p50", "cold_op_s", "setup_s", "peak_rss_mb")
+# Run in an export by `python3 -c`: the timed import of `probe.py setup` through
+# the export's `probe.ScaledTimer`, printing the gen-0 and gen-1 counters at its
+# end and then the generation of each collection that starts in the last speed
+# sample.  Before the import it makes only a few objects more than `probe.py`
+# does (json is imported after), and the callback goes in once the import is
+# over, so the reading is the probe's own collection state.
+GC_READING = """
+import gc, sys
+sys.path.insert(0, "perfbench")
+import probe
+
+starts = []
+
+
+def started(phase, info):
+    if phase == "start":
+        starts.append((info["generation"], probe.perf_counter()))
+
+
+class Timer(probe.ScaledTimer):
+    def __exit__(self, *exc):
+        self.counts = gc.get_count()
+        gc.callbacks.append(started)
+        super().__exit__(*exc)
+
+
+sys.path.insert(0, probe.SRC)
+with Timer() as timer:
+    from elliptic_qes.cli import main
+start, took = timer._samples[-1]
+print(*timer.counts[:2], *(g for g, t in starts if start <= t <= start + took))
+"""
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -68,22 +112,36 @@ def _export(repo: Path, revision: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
+def _gc_reading(checkout: Path) -> str:
+    """One `GC_READING` run: the import-end counters and the collections of
+    the last speed sample, as text."""
+    out = subprocess.run([sys.executable, "-c", GC_READING], cwd=checkout, check=True,
+                         capture_output=True, text=True).stdout.split()
+    gens = ", ".join(f"gen-{g}" for g in out[2:]) or "no"
+    return f"({out[0]}, {out[1]}), {gens} collection in the last sample"
+
+
 def _gc_phases(checkouts: dict[str, Path]) -> dict[str, str]:
     """Each export's median `setup_nominal_s / setup_s` and median wall
-    `setup_s` over PROBES fresh `perfbench/probe.py setup` runs, the exports
-    taking turns and the one that goes first alternating."""
+    `setup_s` over PROBES fresh `perfbench/probe.py setup` runs, and its
+    distinct `GC_READING`s over PROBES more, the exports taking turns and the
+    one that goes first alternating."""
     records: dict[str, list[dict]] = {rev: [] for rev in checkouts}
+    readings: dict[str, list[str]] = {rev: [] for rev in checkouts}
     for probe in range(PROBES):
         for rev in records if probe % 2 == 0 else list(records)[::-1]:
             out = subprocess.run([sys.executable, "perfbench/probe.py", "setup"],
                                  cwd=checkouts[rev], check=True, capture_output=True,
                                  text=True).stdout
             records[rev].append(json.loads(out))
+            readings[rev].append(_gc_reading(checkouts[rev]))
     phases = {}
     for rev, runs in records.items():
         ratio = statistics.median(r["setup_nominal_s"] / r["setup_s"] for r in runs)
         wall = statistics.median(r["setup_s"] for r in runs)
-        phases[rev] = f"probe ratio {ratio:.3f} at wall {wall:.4g} s"
+        counted = "; ".join(f"{reading} in {readings[rev].count(reading)}/{PROBES}"
+                            for reading in dict.fromkeys(readings[rev]))
+        phases[rev] = f"probe ratio {ratio:.3f} at wall {wall:.4g} s; gc at import end {counted}"
     return phases
 
 

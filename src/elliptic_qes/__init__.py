@@ -42,7 +42,7 @@ from .oracles import (
     degenerate_levels,
     epsilon_roots,
 )
-from .polynomials import Poly, parse_rational, weierstrass_cubic
+from .polynomials import Poly, parse_rational
 from .spectral import Spectrum, eigenvalues, eigenvector, spectrum_of
 from .symmetric import BasisIndex, enumerate_basis, tau_to_z, z_to_tau
 from .verify import CheckResult, report_json, run_checks
@@ -85,6 +85,5 @@ __all__ = [
     "spectrum_of",
     "tau_to_z",
     "to_float",
-    "weierstrass_cubic",
     "z_to_tau",
 ]

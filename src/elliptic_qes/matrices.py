@@ -179,17 +179,21 @@ def matches_operator(op: GaugedOperator, mat: OperatorMatrix) -> bool:
     and C; every other column follows from them by the tau-space formula.
     So this checks the closed-form coefficients of a built matrix against
     the operator they were derived from, at C(N+2, 2) applications at most.
-    Their entries are gathered from `positions` and `values` in any order.
-    Both read the same `GaugedOperator.weights`, so a wrong weight passes:
-    this checks the term matrices and the assembly, not the weight table.
+    Each is applied to D tau^l, D the operator's own denominator
+    (`GaugedOperator.weights`), so its image D L(tau^l) comes back in ints,
+    and the image times the matrix's denominator d must equal the column of
+    K times D, entry by entry; the entries of K are gathered from
+    `positions` and `values` in any order.  Both read the same weights, so a
+    wrong weight passes: this checks the term matrices and the assembly, not
+    the weight table.
     """
-    basis, dim, d = mat.basis, mat.dim, mat.denominator
+    basis, dim, d, scale = mat.basis, mat.dim, mat.denominator, op.weights[0]
     images = {j: {} for j, exps in enumerate(basis) if sum(exps) <= 2}
     for p, k in zip(mat.positions.tolist(), mat.values.tolist()):
         if p % dim in images:
-            images[p % dim][basis[p // dim]] = k
-    return all(op.apply(Poly.monomial(basis[j])) * d == Poly(op.nvars, image)
-               for j, image in images.items())
+            images[p % dim][basis[p // dim]] = k * scale
+    return all({e: c * d for e, c in op.apply(Poly.monomial(basis[j], scale)).terms.items()}
+               == image for j, image in images.items())
 
 
 # A derivative index's (i, j) and delta, and the int64 rows of its entries'

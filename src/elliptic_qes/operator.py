@@ -282,8 +282,9 @@ class GaugedOperator:
         2a (p_l F_l + q_l F), and its quotient a synthetic division in z_k
         (`_pair_quotient`).  For symmetric F the remainder is identically zero
         (the numerators are antisymmetric in z_k, z_l), so a non-zero
-        remainder, or a stall in the final reduction, reports NonCancellingPole
-        or NotSymmetric respectively: the input or engine broke an invariant.
+        remainder, or an image that `z_to_tau` finds asymmetric, reports
+        NonCancellingPole or NotSymmetric respectively: the input or engine
+        broke an invariant.
 
         It runs in integer arithmetic on the weight table D c_j (`weights`):
         with f_s the lcm of the denominators of f, the image of f_s f scaled

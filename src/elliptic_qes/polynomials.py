@@ -328,11 +328,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def weierstrass_cubic(g2: Coeff, g3: Coeff) -> Poly:
-    """The univariate cubic 4x^3 - g2*x - g3 whose roots are the half-period values."""
-    return Poly(1, {(3,): 4, (1,): -g2, (0,): -g3})
-
-
 def from_roots(roots: Iterable[Coeff]) -> Poly:
     """The monic univariate product of (x - r) over the roots, with repetition."""
     return prod((Poly(1, {(1,): 1, (0,): -r}) for r in roots), start=Poly.constant(1, 1))

@@ -17,6 +17,10 @@ tau-space coefficients are built from, by two-term recurrences in E(t) =
 sum_m tau_m t^m, without a trip through z-space.  Its one engine caller,
 `matrices._term_entries`, forms them once per N and keeps only int64 rows;
 `tau_to_z` and `z_to_tau` remain the exact conversions that check them.
+`z_to_tau` tests symmetry in one pass (every orbit of exponents complete, on
+one coefficient) and then reduces the dominant terms z^a, a1 >= ... >= aN,
+alone, each by the dominant part of a tau-monomial's expansion, which is
+cached beside the expansion itself.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .errors import NotSymmetric
@@ -123,31 +127,57 @@ def tau_to_z(tau_poly: Poly) -> Poly:
     return sum(images, Poly.zero(n))
 
 
+@lru_cache(maxsize=None)
+def _dominant_in_z(lead: Exponents) -> tuple[int, Exponents, tuple[tuple[Exponents, int], ...]]:
+    """For z^a with a1 >= ... >= aN: the size N! / prod m_i! of its orbit (m_i
+    the multiplicities of the distinct a_i), the tau-monomial
+    tau_1^(a1-a2) ... tau_N^(aN) whose expansion it leads, and the terms c z^e
+    of that expansion with e1 >= ... >= eN."""
+    n = len(lead)
+    exponents = tuple(lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n))
+    terms = _tau_monomial_in_z(n, exponents).terms.items()
+    return (factorial(n) // prod(map(factorial, map(lead.count, set(lead)))), exponents,
+            tuple((e, c) for e, c in terms if list(e) == sorted(e, reverse=True)))
+
+
 def z_to_tau(p: Poly) -> Poly:
     """Write a symmetric z-polynomial over the elementary symmetric basis.
 
-    Leading-term reduction (`Poly.reduce_leading`): the graded-lex leading
-    monomial z^(a1,..,aN) of a symmetric polynomial has a1 >= ... >= aN, and
-    is matched by the monic expansion of tau_1^(a1-a2) ... tau_N^(aN), so
-    integer coefficients stay ``int``.  Subtracting it strictly lowers the
-    leading monomial, so the loop ends with the unique tau-form.  A stall
-    (decreasing-exponent condition broken) proves the input was not symmetric.
+    One pass tests symmetry exactly: each term's exponents sorted descending
+    name its orbit, whose dominant term z^(a1,..,aN), a1 >= ... >= aN, must
+    carry the same coefficient, and each orbit must hold all its
+    N! / prod m_i! members (m_i the multiplicities of its distinct
+    exponents); otherwise NotSymmetric is raised.  Then leading-term
+    reduction (Sturmfels, Algorithms in Invariant Theory, 1.1) runs on the
+    dominant terms alone.  The lex-largest dominant monomial z^a left is
+    matched by the monic expansion of tau_1^(a1-a2) ... tau_N^(aN), so
+    integer coefficients stay ``int``, and the dominant part of that
+    expansion (`_dominant_in_z`, cached) holds z^a and lex-smaller monomials
+    of its degree only.  Subtracting it keeps the remainder the dominant part
+    of a symmetric polynomial and lowers its lex-largest monomial, so the
+    loop ends with the unique tau-form.
     """
-    n = p.nvars
+    n, terms = p.nvars, p.terms
+    orbits: dict[Exponents, int] = {}
+    for exps, coeff in terms.items():
+        lead = tuple(sorted(exps, reverse=True))
+        if terms.get(lead) != coeff:
+            raise NotSymmetric(f"z^{exps} and z^{lead} have different coefficients")
+        orbits[lead] = orbits.get(lead, 0) + 1
+    for lead, count in orbits.items():
+        if count != _dominant_in_z(lead)[0]:
+            raise NotSymmetric(f"the orbit of z^{lead} lacks some of its terms")
+    remainder = {lead: terms[lead] for lead in orbits}
     tau_terms: dict[Exponents, Coeff] = {}
-
-    def step(exps: Exponents, coeff: Coeff) -> tuple[Exponents, Coeff, Poly]:
-        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
-            raise NotSymmetric(
-                f"leading monomial z^{exps} cannot come from a symmetric polynomial"
-            )
-        tau_exps = tuple(
-            exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
-        tau_terms[tau_exps] = coeff
-        return (0,) * n, coeff, _tau_monomial_in_z(n, tau_exps)
-
-    p.reduce_leading(step)
+    while remainder:
+        exps = max(remainder)
+        _, tau_exps, dominant = _dominant_in_z(exps)
+        coeff = tau_terms[tau_exps] = remainder[exps]
+        for e, c in dominant:
+            if acc := remainder.get(e, 0) - coeff * c:
+                remainder[e] = acc
+            else:
+                del remainder[e]
     return Poly.from_terms(n, tau_terms)
 
 

@@ -29,7 +29,7 @@ from elliptic_qes.operator import (
     gauge_polynomials,
     raising_ratio,
 )
-from elliptic_qes.polynomials import Poly, weierstrass_cubic
+from elliptic_qes.polynomials import Poly
 
 EMPTY = GaugeMask(())
 HALF = Fraction(1, 2)
@@ -43,6 +43,11 @@ def rationals(lo=-3, hi=3, dens=(1, 2, 4)):
 def _poly(coeffs):
     """The one-variable Poly of a z-power -> coefficient map."""
     return Poly(1, {(r,): x for r, x in coeffs.items()})
+
+
+def _cubic(g2, g3):
+    """The Weierstrass cubic p(z) = 4z^3 - g2 z - g3."""
+    return _poly({3: 4, 1: -g2, 0: -g3})
 
 
 # -- gauge polynomials ----------------------------------------------------------
@@ -90,7 +95,7 @@ def _assert_gauge_identities(roots, mask, nu, b, q, s):
     Fraction arithmetic over z, with D = prod_{i in mask} (z - e_i) and
     A = nu sum_i prod_{j != i} (z - e_j)."""
     z, one = Poly.variable(1, 0), Poly.constant(1, 1)
-    p = weierstrass_cubic(*cubic_invariants(roots))
+    p = _cubic(*cubic_invariants(roots))
     factors = [z - Poly.constant(1, roots[i - 1]) for i in mask.indices]
     d = prod(factors, start=one)
     a = sum((prod(factors[:i] + factors[i + 1:], start=one) for i in range(len(factors))),
@@ -213,7 +218,7 @@ def test_closed_form_gauge_equals_the_division_at_the_natural_exponent():
         scale, cubic, charge, scalar = _natural_gauge_polynomials(e, mask, b)
         q, s = gauge_polynomials(e, mask, HALF - b, b)
         assert (q * scale, s * scale) == (_poly(charge), _poly(scalar))
-        assert weierstrass_cubic(*cubic_invariants(e)) * scale == _poly(cubic)
+        assert _cubic(*cubic_invariants(e)) * scale == _poly(cubic)
         assert all(type(x) is int and x for c in (cubic, charge, scalar) for x in c.values())
 
 
@@ -223,8 +228,7 @@ def test_cubic_equals_the_symmetric_function_formulas():
         g2, g3 = -4 * (e1 * e2 + e1 * e3 + e2 * e3), 4 * e1 * e2 * e3
         assert cubic_invariants((e1, e2, e3)) == (g2, g3)
         assert all(type(g) is Fraction for g in cubic_invariants((e1, e2, e3)))
-        p = weierstrass_cubic(g2, g3)
-        assert p == Poly(1, {(3,): 4, (1,): -g2, (0,): -g3})
+        p = _cubic(g2, g3)
         z = Poly.variable(1, 0)
         factored = Poly.constant(1, 4)
         for e in (e1, e2, e3):
@@ -360,7 +364,7 @@ def test_weights_equal_the_fraction_formulas(a, b, cutoff, n_f, nvars, e1, e2):
     # m puts the masks of size n_f at the drawn cutoff
     params = ModelParams(nvars, a, b, cutoff - n_f * (b - HALF), (e1, e2, -e1 - e2))
     m = params.degree_m
-    p = weierstrass_cubic(*cubic_invariants(params.roots))
+    p = _cubic(*cubic_invariants(params.roots))
     masks = list_valid_masks(params)
     assert masks
     for mask in masks:

@@ -12,7 +12,6 @@ from elliptic_qes.polynomials import (
     grlex_key,
     listing_key,
     parse_rational,
-    weierstrass_cubic,
 )
 
 
@@ -130,19 +129,6 @@ def test_cubic_difference_quotient():
     quotient = (p1 - p2).divide_exact(z1 - z2)
     expected = (z1 * z1 + z1 * z2 + z2 * z2) * Fraction(4) - Poly.constant(2, 12)
     assert quotient == expected
-
-
-# -- the cubic ---------------------------------------------------------------------
-
-
-def test_weierstrass_cubic_matches_factored_form():
-    # roots (2, -1, -1) give g2 = 12, g3 = 8
-    p = weierstrass_cubic(Fraction(12), Fraction(8))
-    z = Poly.variable(1, 0)
-    factored = (z - Poly.constant(1, 2)) * (z + Poly.constant(1, 1)) ** 2 * Fraction(4)
-    assert p == factored
-    assert p.coefficient((3,)) == 4
-    assert p.coefficient((2,)) == 0
 
 
 # -- parsing and formatting ----------------------------------------------------------

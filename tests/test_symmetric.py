@@ -107,6 +107,63 @@ def test_z_to_tau_rejects_asymmetric():
         z_to_tau(Poly.variable(2, 0))
 
 
+# Each input breaks symmetry in one way that the one-pass test must see:
+@pytest.mark.parametrize(
+    ("nvars", "terms"),
+    [
+        (2, {(2, 1): 1, (1, 2): 2}),  # a differing coefficient inside an orbit
+        (2, {(2, 1): 1}),  # an incomplete orbit whose only term is dominant
+        (3, {(2, 0, 0): 1, (1, 1, 0): 5, (1, 0, 1): 5}),  # (0, 1, 1) missing
+        (2, {(1, 2): 1}),  # a lone non-dominant term
+        (3, {(0, 0, 1): 1, (1, 1, 1): 2}),  # one beside a complete orbit
+    ],
+    ids=["differing-coefficient", "incomplete-dominant-orbit", "incomplete-orbit-n3",
+         "lone-non-dominant", "non-dominant-beside-an-orbit"],
+)
+def test_z_to_tau_rejects_each_kind_of_asymmetry(nvars, terms):
+    with pytest.raises(NotSymmetric):
+        z_to_tau(Poly(nvars, terms))
+
+
+def _full_reduction(p: Poly) -> Poly:
+    """Leading-term reduction over every term, as z_to_tau once ran: a
+    non-dominant leading monomial raises NotSymmetric, and every term of the
+    expansion of the matching tau-monomial is subtracted."""
+    n, tau_terms = p.nvars, {}
+
+    def step(exps, coeff):
+        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
+            raise NotSymmetric(f"leading monomial z^{exps}")
+        tau_exps = tuple(exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n))
+        tau_terms[tau_exps] = coeff
+        return (0,) * n, coeff, tau_to_z(Poly.monomial(tau_exps))
+
+    p.reduce_leading(step)
+    return Poly(n, tau_terms)
+
+
+@st.composite
+def near_symmetric(draw):
+    """tau_to_z of a random tau-polynomial in 1..4 variables, plus at most two
+    random z-space terms, which mostly break its symmetry."""
+    nvars = draw(st.integers(1, 4))
+    t = draw(tau_polys(nvars=nvars, max_deg=3 if nvars < 4 else 2))
+    extra = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                                 st.integers(-3, 3), max_size=2))
+    return tau_to_z(t) + Poly(nvars, extra)
+
+
+@given(near_symmetric())
+def test_dominant_reduction_equals_the_full_reduction(p):
+    try:
+        expected = _full_reduction(p)
+    except NotSymmetric:
+        with pytest.raises(NotSymmetric):
+            z_to_tau(p)
+    else:
+        assert z_to_tau(p) == expected
+
+
 @given(tau_polys(nvars=2))
 def test_round_trip_two_variables(t):
     assert z_to_tau(tau_to_z(t)) == t

@@ -58,14 +58,17 @@ def test_every_sector_is_built_once_per_run_across_modules(monkeypatch):
     assert sum(builds.values()) == 547
 
 
-def test_a_warm_run_forms_at_most_3747_fractions(monkeypatch):
+def test_a_warm_run_forms_at_most_2777_fractions(monkeypatch):
     """Sector validity, cutoffs, weight tables, hashes, the closed-form
-    levels and the gauge oracle's divisions are formed in ints, and the
-    grid's masks of one size share a parameter set, so a warm run forms 3,747
-    Fractions (7,454 while the gauge oracle divided in Fractions, 7,546 while
-    two hand-written oracles formed the levels, 8,059 while each mask had its
-    own parameter set, `apply` scaled its image by a Fraction and the hash
-    read seven of them); per-sector Fractions would add hundreds."""
+    levels, the gauge oracle's divisions and the z-space cross-check (which
+    applies the operator to D tau^l, so its images come back integral) are
+    formed in ints, and the grid's masks of one size share a parameter set,
+    so a warm run forms 2,777 Fractions (3,747 while the cross-check divided
+    its images into Fractions, 7,454 while the gauge oracle divided in
+    Fractions, 7,546 while two hand-written oracles formed the levels, 8,059
+    while each mask had its own parameter set, `apply` scaled its image by a
+    Fraction and the hash read seven of them); per-sector Fractions would add
+    hundreds."""
     verify.run_checks()
     made = []
     new = Fraction.__new__
@@ -78,7 +81,7 @@ def test_a_warm_run_forms_at_most_3747_fractions(monkeypatch):
     results = verify.run_checks()
     monkeypatch.undo()
     assert all(r.passed for r in results)
-    assert len(made) <= 3747
+    assert len(made) <= 2777
 
 
 def test_gauge_check_forms_the_exponent_free_products_once_per_roots_and_mask():
