@@ -17,10 +17,8 @@ tau-space coefficients are built from, by two-term recurrences in E(t) =
 sum_m tau_m t^m, without a trip through z-space.  Its one engine caller,
 `matrices._term_entries`, forms them once per N and keeps only int64 rows;
 `tau_to_z` and `z_to_tau` remain the exact conversions that check them.
-`z_to_tau` tests symmetry in one pass (every orbit of exponents complete, on
-one coefficient) and then reduces the dominant terms z^a, a1 >= ... >= aN,
-alone, each by the dominant part of a tau-monomial's expansion, which is
-cached beside the expansion itself.
+`z_to_tau` tests symmetry in one pass, then reduces only the dominant terms
+z^a (a1 >= ... >= aN), by the cached dominant parts of tau-monomials.
 """
 
 from __future__ import annotations
@@ -143,19 +141,15 @@ def _dominant_in_z(lead: Exponents) -> tuple[int, Exponents, tuple[tuple[Exponen
 def z_to_tau(p: Poly) -> Poly:
     """Write a symmetric z-polynomial over the elementary symmetric basis.
 
-    One pass tests symmetry exactly: each term's exponents sorted descending
-    name its orbit, whose dominant term z^(a1,..,aN), a1 >= ... >= aN, must
-    carry the same coefficient, and each orbit must hold all its
-    N! / prod m_i! members (m_i the multiplicities of its distinct
-    exponents); otherwise NotSymmetric is raised.  Then leading-term
-    reduction (Sturmfels, Algorithms in Invariant Theory, 1.1) runs on the
-    dominant terms alone.  The lex-largest dominant monomial z^a left is
-    matched by the monic expansion of tau_1^(a1-a2) ... tau_N^(aN), so
-    integer coefficients stay ``int``, and the dominant part of that
-    expansion (`_dominant_in_z`, cached) holds z^a and lex-smaller monomials
-    of its degree only.  Subtracting it keeps the remainder the dominant part
-    of a symmetric polynomial and lowers its lex-largest monomial, so the
-    loop ends with the unique tau-form.
+    One pass tests symmetry exactly: every term's sorted exponents name its
+    orbit, whose dominant term z^a (a1 >= ... >= aN) must carry the same
+    coefficient, and every orbit must hold all its N! / prod m_i! terms;
+    else NotSymmetric is raised.  Leading-term reduction (Sturmfels,
+    Algorithms in Invariant Theory, 1.1) then reads the dominant terms
+    alone: the lex-largest z^a left leads tau_1^(a1-a2) ... tau_N^(aN),
+    whose monic expansion keeps integer coefficients ``int``, and
+    subtracting that expansion's dominant part (`_dominant_in_z`) lowers
+    it, so the loop ends with the unique tau-form.
     """
     n, terms = p.nvars, p.terms
     orbits: dict[Exponents, int] = {}
