@@ -11,7 +11,10 @@ term cells of N = 5 and 6 at cutoffs up to 6, and one in fifty at N in
 builds (it refuses N = 33); both output formats; a- and
 epsilon-sweeps of 0 to 5 points; conflicting flags, negative values spaced or
 joined, values such as --a=1e400 or --m=x, and now and then a rational such as
-1/9007199254740993, whose numerator or denominator exceeds 2**53.  Each argv
+1/9007199254740993, whose numerator or denominator exceeds 2**53.  `misuse`
+then changes about one argv in twenty to take one of the parser's own paths:
+-h or --help before or after the command, an unknown flag, a stray
+positional, a flag cut to a prefix, an unknown command or an empty argv.  Each argv
 runs once in each tree, as `python -m elliptic_qes.cli` in a fresh process
 with OPENBLAS_NUM_THREADS=1, since the printed digits of large sectors depend
 on the BLAS thread count.  The two runs must give the same exit code, the same
@@ -80,6 +83,31 @@ def _roots(rng: random.Random) -> str:
     return f"{e1},{e2},{-e1 - e2}"
 
 
+def _misuse(rng: random.Random, argv: list[str]) -> list[str]:
+    """``argv`` with -h or --help before or after the command, an unknown
+    flag, a stray positional, a flag cut to a prefix (``--ma none``, or an
+    ambiguous one such as ``--r``), an unknown command, or nothing at all."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        flag = rng.choice(("-h", "--help"))
+        return [flag, *argv] if rng.random() < 0.5 else [*argv, flag]
+    if kind == 1:
+        return argv + [rng.choice(("--foo", "--mask-all", "-x", "--n2"))]
+    if kind == 2:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("extra", "1", "none", "--")))
+        return argv
+    if kind == 3:
+        flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+        if flags:
+            i = rng.choice(flags)
+            name, eq, value = argv[i].partition("=")
+            argv[i] = name[:rng.randint(3, len(name))] + eq + value
+        return argv
+    if kind == 4:
+        return [rng.choice(("bogus", "spectra", "", "Spectrum", "help")), *argv[1:]]
+    return []
+
+
 def draw_argv(rng: random.Random) -> list[str]:
     """One command line: a subcommand and a random subset of its flags."""
     command = rng.choice(SUBCOMMANDS)
@@ -135,6 +163,14 @@ def generate(count: int, seed: int) -> list[list[str]]:
     return [draw_argv(rng) for _ in range(count)]
 
 
+def misuse(argvs: list[list[str]], seed: int) -> list[list[str]]:
+    """``argvs`` with about one in twenty, drawn from ``seed``, changed to take
+    one of the parser's own paths (`_misuse`); the others are left as they
+    are, so `generate`'s lines for a seed keep their order and values."""
+    rng = random.Random(f"diff_cli:misuse:{seed}")
+    return [_misuse(rng, list(argv)) if rng.random() < 0.05 else argv for argv in argvs]
+
+
 def _run(tree: Path, argv: list[str]) -> tuple[int | str, str, str]:
     """Exit code, stdout SHA-256 and stderr of one fresh run of ``argv`` in
     ``tree``."""
@@ -156,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     revision = _git(ROOT, "rev-parse", "--short", args.base)
-    argvs = generate(args.count, args.seed)
+    argvs = misuse(generate(args.count, args.seed), args.seed)
     with tempfile.TemporaryDirectory(prefix="diff-cli-") as tmp:
         base = Path(tmp) / revision
         _export(ROOT, revision, base)

@@ -25,7 +25,10 @@ spectrum and sweep make their `SectorRecord`s, one per sector and parameter
 point, in one loop (`_sector_records`), which refuses an eigenvalue that is NaN
 or infinite as it makes the record, and write them by one CSV renderer or a
 JSON template.
-The flags that several subcommands share are declared once, in `build_parser`.
+Each subcommand's flags are declared once, in `build_parser`, and a command line
+that names a subcommand is parsed by that subcommand's parser alone; the full
+parser is built only for top-level help, an unknown or missing command, or
+arguments that the subcommand's parser leaves over.
 Exit codes: 0 success, 1 a verification or convergence failure (such an
 eigenvalue included), 2 a parameter error or a refused size.
 """
@@ -90,8 +93,7 @@ def _parse_roots(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ValueError(f"--roots needs three comma-separated rationals, got {text!r}")
-    e1, e2, e3 = (_rational(p, "--roots") for p in parts)
-    return (e1, e2, e3)
+    return tuple(_rational(p, "--roots") for p in parts)
 
 
 def _grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
@@ -390,7 +392,7 @@ def cmd_masks(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         payload = {"nvars": params.nvars, "a": str(params.coupling_a), "b": str(params.coupling_b),
-                   "m": str(params.degree_m), "roots": [str(e) for e in params.roots]}
+                   "m": str(params.degree_m), "roots": list(map(str, params.roots))}
         _emit(json.dumps({"params": payload, "masks": records}, indent=2), args.out)
     else:
         lines = ["mask  cutoff  dimension  valid"]
@@ -483,16 +485,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
     results = run_checks(only=only)
+    ok = all(r.passed for r in results)
     if args.format == "json":
         _emit(json.dumps(report_json(results), indent=2), args.out)
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
         ]
-        ok = all(r.passed for r in results)
         lines.append(f"{len(results)} checks, {'all passed' if ok else 'FAILURES PRESENT'}")
         _emit("\n".join(lines), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if ok else 1
 
 
 # -- parser ------------------------------------------------------------------------
@@ -515,39 +517,58 @@ _HELP = {
 _MODEL = {"n": 2, "m": "2", "b": "0", "roots": "2,-1,-1", "a": "0"}
 
 
+# The subcommands, which `main` parses each with its own parser.
+_COMMANDS = ("matrix", "spectrum", "sweep", "masks", "eigenfunctions", "verify")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
-        prog="elliptic-qes",
-        description="Exact sector matrices and spectra of a quasi-exactly-solvable "
-        "elliptic many-body operator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command``, or with no command the full CLI
+    parser of all six; each is built on its first call and shared by every
+    later one.
+
+    Both read a subcommand's flags from one table, written here so that
+    importing the module builds none of it, so the parser of ``command``,
+    with prog "elliptic-qes ``command``", is the full parser's subparser of
+    that name, help text included.  A subcommand states only its defaults and
+    its --format choices; the help of each flag it shares is `_HELP`'s.
+    """
     json_csv, text_json = ("json", "csv"), ("text", "json")
-    for func, help_, formats, defaults in (
-        (cmd_matrix, "print one sector matrix, checked against the z-space operator", json_csv,
-         {**_MODEL, "mask": "none", "format": "json"}),
-        (cmd_spectrum, "eigenvalues of one or all sectors", json_csv,
-         {**_MODEL, "mask": "all", "format": "json"}),
-        (cmd_sweep, "spectra along an exact parameter grid", json_csv,
-         {**_MODEL, "roots": None, "a": None, "mask": "all", "format": "csv"}),
-        (cmd_masks, "list the eight gauge sectors", text_json, {**_MODEL, "format": "text"}),
-        (cmd_eigenfunctions, "gauge prefactor and polynomial factor per eigenvalue", None,
-         {**_MODEL, "mask": "none"}),
-        (cmd_verify, "run the verification suite", text_json, {"format": "text"}),
-    ):
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help_)
+    table = {
+        "matrix": (cmd_matrix, "print one sector matrix, checked against the z-space operator",
+                   json_csv, {**_MODEL, "mask": "none", "format": "json"}),
+        "spectrum": (cmd_spectrum, "eigenvalues of one or all sectors", json_csv,
+                     {**_MODEL, "mask": "all", "format": "json"}),
+        "sweep": (cmd_sweep, "spectra along an exact parameter grid", json_csv,
+                  {**_MODEL, "roots": None, "a": None, "mask": "all", "format": "csv"}),
+        "masks": (cmd_masks, "list the eight gauge sectors", text_json,
+                  {**_MODEL, "format": "text"}),
+        "eigenfunctions": (cmd_eigenfunctions,
+                           "gauge prefactor and polynomial factor per eigenvalue", None,
+                           {**_MODEL, "mask": "none"}),
+        "verify": (cmd_verify, "run the verification suite", text_json, {"format": "text"}),
+    }
+    parser = argparse.ArgumentParser(
+        prog=f"elliptic-qes {command}" if command else "elliptic-qes",
+        description=None if command else "Exact sector matrices and spectra of a "
+        "quasi-exactly-solvable elliptic many-body operator.",
+    )
+    if not command:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command else table:
+        func, help_, formats, defaults = table[name]
+        p = parser if command else sub.add_parser(name, help=help_)
         for dest, default in {**defaults, "out": None}.items():
             p.add_argument(f"--{dest}", type=int if dest == "n" else None, default=default,
                            choices=formats if dest == "format" else None, help=_HELP[dest])
+        if name == "sweep":
+            p.add_argument("--sweep-var", choices=("epsilon", "a"), required=True,
+                           help="the swept parameter")
+            p.add_argument("--range", required=True, help="grid as lo:hi:steps")
+        elif name == "verify":
+            p.add_argument("--only", default=None,
+                           help="comma-separated subset of checks: " + ", ".join(CHECK_NAMES))
         p.set_defaults(func=func)
-    sweep, verify = sub.choices["sweep"], sub.choices["verify"]
-    sweep.add_argument("--sweep-var", choices=("epsilon", "a"), required=True,
-                       help="the swept parameter")
-    sweep.add_argument("--range", required=True, help="grid as lo:hi:steps")
-    verify.add_argument("--only", default=None,
-                        help="comma-separated subset of checks: " + ", ".join(CHECK_NAMES))
     return parser
 
 
@@ -570,8 +591,18 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    """Run the subcommand that ``argv`` (default the process's arguments) names.
+
+    A command line that starts with a subcommand is parsed by that command's
+    own parser.  The full parser is built only for any other line, or when
+    that parser leaves arguments over; it then parses the whole line again,
+    so that every usage, help and error text is the one it gives."""
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args, rest = None, argv
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NoConvergence, OperatorNotClosed) as exc:

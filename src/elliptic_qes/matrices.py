@@ -251,7 +251,7 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.nda
     rise = {}
     for t, parts in enumerate(terms.values()):
         for idx, factor, poly in parts:
-            shift = pack(map(idx.count, range(n)))
+            shift = pack(tuple(map(idx.count, range(n))))
             for e, c in poly.terms.items():
                 offset = pack(e) - shift
                 groups.setdefault(idx, []).append((t, offset, factor * c))

@@ -23,6 +23,7 @@ z^a (a1 >= ... >= aN), by the cached dominant parts of tau-monomials.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -34,13 +35,15 @@ from .polynomials import Coeff, Exponents, Poly
 
 
 # A tau-monomial packed into one int, BITS bits per exponent, so that an
-# exponent shift is one integer addition.  Exponents stay far below 2**BITS:
-# a basis that reached it could not be stored.
+# exponent shift is one integer addition: its exponents written as unsigned
+# little-endian 32-bit words and read back as one int.  Exponents stay far
+# below 2**BITS, as a basis that reached it could not be stored; one outside
+# [0, 2**BITS) raises struct.error.
 BITS = 32
 
 
 def pack(exps: Exponents) -> int:
-    return sum(e << (BITS * k) for k, e in enumerate(exps))
+    return int.from_bytes(struct.pack(f"<{len(exps)}I", *exps), "little")
 
 
 def unpack(code: int, nvars: int) -> Exponents:
@@ -74,16 +77,23 @@ class BasisIndex:
 
     def index_of(self, exponents: Exponents) -> int:
         """Position of a tau-monomial; KeyError if it lies outside the basis.
-        A code can stand for more than one tuple (an exponent of 2**BITS or
-        more, or a wrong length), so a hit is confirmed against `monomials`."""
-        row = self.row_of.get(pack(exponents), -1)
+        A tuple with an exponent outside [0, 2**BITS) has no code, and a code
+        stands for more than one tuple (trailing zeros, a wrong length), so a
+        hit is confirmed against `monomials`."""
+        try:
+            row = self.row_of.get(pack(exponents), -1)
+        except struct.error:
+            row = -1
         if row < 0 or self.monomials[row] != exponents:
             raise KeyError(exponents)
         return row
 
     def __contains__(self, exponents: Exponents) -> bool:
-        row = self.row_of.get(pack(exponents), -1)
-        return row >= 0 and self.monomials[row] == exponents
+        try:
+            self.index_of(exponents)
+        except KeyError:
+            return False
+        return True
 
 
 @lru_cache(maxsize=32)

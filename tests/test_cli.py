@@ -1108,28 +1108,42 @@ CLI_SURFACE = {
 }
 
 
+def _surface(parser, name):
+    """The option strings with their dests, choices, required flags and types,
+    and the value of every dest whose flag is left out, of subcommand
+    ``name``'s ``parser``."""
+    options = {flag: (action.dest, action.choices, action.required, action.type)
+               for action in parser._actions for flag in action.option_strings
+               if action.dest != "help"}
+    required = ["--sweep-var", "a", "--range", "0:1:2"] if name == "sweep" else []
+    defaults = vars(parser.parse_args(required))
+    for dest in ("sweep_var", "range"):
+        defaults.pop(dest, None)
+    defaults["func"] = defaults["func"].__name__
+    return options, defaults
+
+
 def test_the_command_line_surface_is_pinned():
     """Every subcommand keeps its option strings, their dests, choices,
-    required flags and types, and the default of each dest."""
+    required flags and types, and the default of each dest, in the full
+    parser and in its own parser, whose help is the full parser's subparser
+    text."""
     [commands] = [action for action in cli.build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
-    assert list(commands.choices) == list(CLI_SURFACE)
+    assert list(commands.choices) == list(CLI_SURFACE) == list(cli._COMMANDS)
     for name, sub in commands.choices.items():
-        options = {flag: (action.dest, action.choices, action.required, action.type)
-                   for action in sub._actions for flag in action.option_strings
-                   if action.dest != "help"}
-        required = ["--sweep-var", "a", "--range", "0:1:2"] if name == "sweep" else []
-        defaults = vars(sub.parse_args(required))
-        for dest in ("sweep_var", "range"):
-            defaults.pop(dest, None)
-        defaults["func"] = defaults["func"].__name__
-        assert (options, defaults) == CLI_SURFACE[name], name
+        own = cli.build_parser(name)
+        assert _surface(sub, name) == _surface(own, name) == CLI_SURFACE[name], name
+        assert own.prog == f"elliptic-qes {name}"
+        assert own.format_help() == sub.format_help(), name
 
 
 def test_one_parser_serves_every_call_without_carrying_state(capsys):
-    """The parser is built once per process; a parse error and a one-mask
-    spectrum leave a later default spectrum printing every valid sector."""
+    """Each parser, the full one and each subcommand's, is built once per
+    process; a parse error and a one-mask spectrum leave a later default
+    spectrum printing every valid sector."""
     assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser("spectrum") is cli.build_parser("spectrum")
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--format", "xml"])
     assert info.value.code == 2
@@ -1139,6 +1153,48 @@ def test_one_parser_serves_every_call_without_carrying_state(capsys):
     valid = [str(mask) for mask in list_valid_masks(ModelParams(2, 0, 0, 2))]
     assert code == 0 and [s["mask"] for s in json.loads(out)["sectors"]] == valid
     assert len(valid) > 1
+
+
+def test_a_command_line_that_names_a_subcommand_builds_one_parser(capsys, monkeypatch):
+    """With no parser built yet, a spectrum call constructs one
+    `ArgumentParser`, its own, and not the full parser's seven."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        code, _, _ = run(capsys, "spectrum", "--mask", "none", "--format", "csv")
+        assert code == 0 and built == ["elliptic-qes spectrum"]
+        built.clear()
+        cli.build_parser()
+        assert len(built) == 7
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def _exit(capsys, call, argv):
+    """The exit code, stdout and stderr of ``call(argv)``, which exits."""
+    with pytest.raises(SystemExit) as info:
+        call(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--foo"], ["spectrum", "--n", "2", "extra"], ["sweep"], ["-h", "spectrum"],
+     ["bogus"], [], ["spectrum", "-h"], ["masks", "--", "x"], ["spectrum", "--format", "xml"]],
+)
+def test_a_line_the_subcommand_parser_cannot_take_exits_as_the_full_parser_does(capsys, argv):
+    """Help, an unknown flag, a stray positional, a missing required flag, an
+    unknown or missing command: `main` exits with the code, stdout and stderr
+    of the full parser's `parse_args`."""
+    assert _exit(capsys, main, argv) == _exit(capsys, cli.build_parser().parse_args, argv)
 
 
 def test_the_differential_argv_are_seeded_and_reach_every_subcommand_and_exit_code(capsys):
@@ -1155,6 +1211,26 @@ def test_the_differential_argv_are_seeded_and_reach_every_subcommand_and_exit_co
             codes.add(exc.code)
     capsys.readouterr()
     assert {0, 2} <= codes
+
+
+def test_the_differential_misuse_is_seeded_and_takes_the_parser_paths(capsys):
+    """`scripts/diff_cli.py` changes about one argv in twenty, the same ones
+    for a seed, and among 1000 of seed 0 puts -h or --help before and after
+    the command, an unknown command and an empty argv; each of those exits
+    with the full parser's code."""
+    argvs = diff_cli.generate(1000, 0)
+    changed = diff_cli.misuse(argvs, 0)
+    assert changed == diff_cli.misuse(argvs, 0) != diff_cli.misuse(argvs, 1)
+    assert argvs == diff_cli.generate(1000, 0)
+    moved = [b for a, b in zip(argvs, changed) if a != b]
+    assert 25 <= len(moved) <= 80
+    helps = ("-h", "--help")
+    parser_paths = [[], next(b for b in moved if b and b[0] in helps),
+                    next(b for b in moved if b and b[-1] in helps and b[0] not in helps),
+                    next(b for b in moved if b and b[0] not in diff_cli.SUBCOMMANDS + helps)]
+    assert [] in moved
+    for argv in map(cli._join_negative_values, parser_paths):
+        assert _exit(capsys, main, argv) == _exit(capsys, cli.build_parser().parse_args, argv)
 
 
 # -- verify ----------------------------------------------------------------------------------

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from elliptic_qes.errors import NotSymmetric
 from elliptic_qes.polynomials import Poly, listing_key
 from elliptic_qes.symmetric import (
+    BITS,
     elementary_symmetric,
     enumerate_basis,
+    pack,
     structure_sums,
     tau_to_z,
+    unpack,
     z_to_tau,
 )
 
@@ -79,6 +82,26 @@ def test_basis_lookup_confirms_a_packed_code_against_the_monomial(alias, monomia
     assert alias not in basis
     with pytest.raises(KeyError):
         basis.index_of(alias)
+
+
+@pytest.mark.parametrize("outside", [(-1, 1), (0, -1), (2**32, 0), (0, 2**32), (2**40, 1)])
+def test_basis_lookup_refuses_an_exponent_that_has_no_32_bit_word(outside):
+    basis = enumerate_basis(2, 2)
+    assert outside not in basis
+    with pytest.raises(KeyError):
+        basis.index_of(outside)
+
+
+def test_packed_codes_are_the_shifted_sums_of_the_exponents():
+    """`pack` writes each exponent in [0, 2**32) as one 32-bit field, low
+    field first, and `unpack` reads the fields back."""
+    rng = random.Random(32)
+    cases = [(), (0,), (2**32 - 1,), (1, 0, 2**32 - 1), tuple(range(32))]
+    cases += [tuple(rng.randrange(2**32) for _ in range(rng.randint(1, 33))) for _ in range(50)]
+    for exps in cases:
+        code = pack(exps)
+        assert code == sum(e << (BITS * k) for k, e in enumerate(exps))
+        assert unpack(code, len(exps)) == exps
 
 
 # -- elementary symmetric polynomials ---------------------------------------------
