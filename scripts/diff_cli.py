@@ -14,8 +14,8 @@ joined, values such as --a=1e400 or --m=x, and now and then a rational such as
 1/9007199254740993, whose numerator or denominator exceeds 2**53.  `misuse`
 then changes about one argv in twenty to take one of the parser's own paths:
 -h or --help before or after the command, an unknown flag, a stray
-positional, a flag cut to a prefix, an unknown command or an empty argv.  Each argv
-runs once in each tree, as `python -m elliptic_qes.cli` in a fresh process
+positional, a flag cut to a prefix, an unknown command or an empty argv.
+Each argv runs once in each tree, as `python -m elliptic_qes.cli` in a fresh process
 with OPENBLAS_NUM_THREADS=1, since the printed digits of large sectors depend
 on the BLAS thread count.  The two runs must give the same exit code, the same
 stdout (compared by SHA-256) and the same stderr, with each tree's path

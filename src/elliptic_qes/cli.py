@@ -527,11 +527,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser of all six; each is built on its first call and shared by every
     later one.
 
-    Both read a subcommand's flags from one table, written here so that
-    importing the module builds none of it, so the parser of ``command``,
-    with prog "elliptic-qes ``command``", is the full parser's subparser of
-    that name, help text included.  A subcommand states only its defaults and
-    its --format choices; the help of each flag it shares is `_HELP`'s.
+    Both read a subcommand's flags from the one table below, which is written
+    here so that importing the module builds none of it.  So the parser of
+    ``command``, with prog "elliptic-qes ``command``", is the full parser's
+    subparser of that name, help text included.  A subcommand states only its
+    defaults and its --format choices; the help of each flag it shares is
+    `_HELP`'s.
     """
     json_csv, text_json = ("json", "csv"), ("text", "json")
     table = {
