@@ -19,18 +19,18 @@ MAX_TOTAL_DIMENSION (`_check_budget`), and matrix alone refuses its z-space
 self-check above MAX_CHECK_WORK (`_check_z_space`).  A rational flag value,
 sector dimension or sweep total with more digits than Python will print is
 refused by an error that names the flag behind it (--m and --b for a masked
-sector), and so is a sweep grid value that its output format cannot write
-(--range).
+sector; `_printed`), and so is a sweep grid value that its output format cannot
+write (--range).
 spectrum and sweep make their `SectorRecord`s, one per sector and parameter
-point, in one loop (`_sector_records`), which refuses an eigenvalue that is NaN
-or infinite as it makes the record, and write them by one CSV renderer or a
-JSON template.
+point, in one loop (`_sector_records`), and write them by one CSV renderer or a
+JSON template.  A NaN or infinite eigenvalue fails `spectral`'s trace gate before
+anything is printed, in these two commands and in eigenfunctions alike.
 Each subcommand's flags are declared once, in `build_parser`, and a command line
 that names a subcommand is parsed by that subcommand's parser alone; the full
 parser is built only for top-level help, an unknown or missing command, or
 arguments that the subcommand's parser leaves over.
-Exit codes: 0 success, 1 a verification or convergence failure (such an
-eigenvalue included), 2 a parameter error or a refused size.
+Exit codes: 0 success, 1 a verification or convergence failure (a NaN or
+infinite eigenvalue included), 2 a parameter error or a refused size.
 """
 
 from __future__ import annotations
@@ -78,14 +78,19 @@ MAX_PARTICLES = 32
 MAX_CHECK_WORK = 50_000
 
 
-def _rational(text, flag):
-    """The exact value of ``flag``'s ``text``, refused when Python will not
-    write it in decimal (more digits than `sys.get_int_max_str_digits`)."""
-    value = parse_rational(text)
+def _printed(x, what: str) -> str:
+    """``str(x)``, refused by "``what`` too many digits to print" when Python
+    will not write x in decimal (more digits than `sys.get_int_max_str_digits`)."""
     try:
-        str(value)
+        return str(x)
     except ValueError:
-        raise ValueError(f"{flag} has too many digits to print") from None
+        raise ValueError(f"{what} too many digits to print") from None
+
+
+def _rational(text, flag):
+    """The exact value of ``flag``'s ``text``, refused when it will not print."""
+    value = parse_rational(text)
+    _printed(value, f"{flag} has")
     return value
 
 
@@ -121,12 +126,8 @@ def _dimension(params: ModelParams, mask: GaugeMask) -> int:
     decimal.  The message names --m, and --b too when the mask is not empty,
     its cutoff being m + n_f (b - 1/2)."""
     dimension = params.basis_dimension(mask)
-    try:
-        str(dimension)
-    except ValueError:
-        b = f", with --b = {params.coupling_b}," if mask.indices else ""
-        raise ValueError(f"--m = {params.degree_m}{b} gives a sector dimension with too many "
-                         "digits to print") from None
+    b = f", with --b = {params.coupling_b}," if mask.indices else ""
+    _printed(dimension, f"--m = {params.degree_m}{b} gives a sector dimension with")
     return dimension
 
 
@@ -138,12 +139,8 @@ def _check_budget(params: ModelParams, masks: list[GaugeMask], points: int = 1) 
         raise ValueError(f"N = {params.nvars} is above the limit of {MAX_PARTICLES} particles")
     total = points * sum(_dimension(params, mask) for mask in masks)
     if total > MAX_TOTAL_DIMENSION:
-        try:
-            text = str(total)
-        except ValueError:
-            flag = "--range" if points > 1 else f"--m = {params.degree_m}"
-            raise ValueError(f"{flag} gives a total dimension with too many digits to "
-                             "print") from None
+        flag = "--range" if points > 1 else f"--m = {params.degree_m}"
+        text = _printed(total, f"{flag} gives a total dimension with")
         raise ValueError(f"the requested sectors have total dimension {text}, above the limit "
                          f"{MAX_TOTAL_DIMENSION}")
 
@@ -205,28 +202,18 @@ class SectorRecord(NamedTuple):
     values: tuple[complex, ...]
 
 
-def _finite_values(mask: GaugeMask, values: tuple[complex, ...]) -> tuple[complex, ...]:
-    """The eigenvalues ``values`` of sector ``mask``; a NaN or infinite one
-    raises NoConvergence naming the sector and its index."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NoConvergence(f"sector {mask}: eigenvalue {i} is {values[i]}, not finite")
-    return values
-
-
 def _sector_records(points: list[tuple[str, ModelParams]],
                     masks: list[GaugeMask]) -> list[tuple[str, SectorRecord]]:
     """A (label, record) pair for each mask at each (label, parameter point)
     of the list ``points``, in point-then-mask order, each from its own build.
-    Every record's eigenvalues are finite (`_finite_values`), so no renderer
-    prints nan, inf, NaN or Infinity."""
+    Every record's eigenvalues have passed `spectral`'s trace gate, which a NaN
+    or infinite one fails, so no renderer prints nan, inf, NaN or Infinity."""
     rows = []
     for label, params in points:
         for mask in masks:
             op = build_gauged_operator(params, mask)
             mat = build_matrix(op)
-            values = _finite_values(mask, spectrum_of(mat).values)
+            values = spectrum_of(mat).values
             rows.append((label, SectorRecord(str(mask), op.cutoff, mat.dim, values)))
     return rows
 
@@ -359,11 +346,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_budget(params, masks, steps)
     grid = _grid(lo, hi, steps)
     try:
-        labels = [f"{float(v)!r}," if args.format == "csv" else _json_text(v) for v in grid]
+        labels = [f"{float(v)!r}," if args.format == "csv" else
+                  json.dumps(_printed(v, "--range gives a grid value with")) for v in grid]
     except OverflowError:
         raise ValueError("--range gives a grid value too large for a double") from None
-    except ValueError:
-        raise ValueError("--range gives a grid value with too many digits to print") from None
     field, at = ("coupling_a", Fraction) if args.sweep_var == "a" else ("roots", epsilon_roots)
     points = [(label, dataclasses.replace(params, **{field: at(v)}))
               for label, v in zip(labels, grid)]

@@ -31,4 +31,5 @@ class OperatorNotClosed(RuntimeError):
 
 class NoConvergence(RuntimeError):
     """An eigenvalue computation failed, or gave values that cannot be trusted or
-    printed: a LAPACK failure, a trace-gate defect, a NaN or infinite value."""
+    printed: a LAPACK failure or a trace-gate defect, which a NaN or infinite
+    eigenvalue always gives, since it makes the eigenvalue sum NaN or infinite."""

@@ -252,10 +252,12 @@ class Poly:
     def divide_exact(self, divisor: Poly) -> Poly:
         """Return q with ``self == q * divisor`` exactly.
 
-        Single-divisor reduction by the graded-lex leading term
-        (`reduce_leading`); each quotient coefficient is formed exactly, an
-        ``int`` for a monic divisor and integral dividend.  If the division is
-        not exact the reduction stalls and NonZeroRemainder is raised; a
+        Single-divisor reduction by the graded-lex leading term, in one
+        remainder map updated in place whose monomials leave a heap in
+        descending graded-lex order; each quotient coefficient is formed
+        exactly, an ``int`` for a monic divisor and integral dividend.  If the
+        division is not exact the reduction stalls at the first leading term
+        that the divisor's does not divide and NonZeroRemainder is raised; a
         non-zero remainder is never returned silently.
         """
         self._check_same_space(divisor)
@@ -263,8 +265,14 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         lead_exps, lead_coeff = divisor.leading()
         quotient: dict[Exponents, Coeff] = {}
-
-        def step(rexps: Exponents, rcoeff: Coeff) -> tuple[Exponents, Coeff, Poly]:
+        remainder = dict(self.terms)
+        heap = [(-sum(e), [-x for x in e], e) for e in remainder]
+        heapify(heap)
+        while heap:
+            rexps = heappop(heap)[2]
+            rcoeff = remainder.get(rexps)
+            if rcoeff is None:
+                continue
             texps = tuple(r - d for r, d in zip(rexps, lead_exps))
             if any(e < 0 for e in texps):
                 raise NonZeroRemainder(
@@ -272,38 +280,17 @@ class Poly:
                 )
             tcoeff = _exact(rcoeff if lead_coeff == 1 else Fraction(rcoeff) / lead_coeff)
             quotient[texps] = tcoeff
-            return texps, tcoeff, divisor
-
-        self.reduce_leading(step)
-        return Poly._wrap(self.nvars, quotient)
-
-    def reduce_leading(self, step: Callable[[Exponents, Coeff], tuple]) -> None:
-        """Reduce self to zero by leading terms, in one remainder map updated in
-        place whose monomials leave a heap in descending graded-lex order.
-
-        ``step(exps, coeff)`` gets each leading term and returns (shift, scale,
-        reducer), whose product scale * x^shift * reducer leads with
-        coeff * x^exps and is subtracted; ``step`` raises on a stall.
-        """
-        remainder = dict(self.terms)
-        heap = [(-sum(e), [-x for x in e], e) for e in remainder]
-        heapify(heap)
-        while heap:
-            exps = heappop(heap)[2]
-            coeff = remainder.get(exps)
-            if coeff is None:
-                continue
-            shift, scale, reducer = step(exps, coeff)
-            for e, c in reducer.terms.items():
-                key = tuple(map(add, e, shift))
+            for e, c in divisor.terms.items():
+                key = tuple(map(add, e, texps))
                 old = remainder.get(key)
                 if old is None:
-                    remainder[key] = -scale * c
+                    remainder[key] = -tcoeff * c
                     heappush(heap, (-sum(key), [-x for x in key], key))
-                elif acc := old - scale * c:
+                elif acc := old - tcoeff * c:
                     remainder[key] = acc
                 else:
                     del remainder[key]
+        return Poly._wrap(self.nvars, quotient)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -818,23 +818,31 @@ _SWEEP = ("sweep", "--sweep-var", "a", "--range", "0:1:2")
 @pytest.mark.parametrize(
     "argv",
     [("spectrum", "--format", "json"), ("spectrum", "--format", "csv"),
-     _SWEEP + ("--format", "csv"), _SWEEP + ("--format", "json")],
-    ids=["spectrum-json", "spectrum-csv", "sweep-csv", "sweep-json"],
+     _SWEEP + ("--format", "csv"), _SWEEP + ("--format", "json"), ("eigenfunctions",)],
+    ids=["spectrum-json", "spectrum-csv", "sweep-csv", "sweep-json", "eigenfunctions"],
 )
-def test_a_non_finite_eigenvalue_exits_1_naming_its_sector_and_index(capsys, monkeypatch, argv,
-                                                                     bad):
-    """Every eigenvalue renderer refuses NaN and infinity; nothing is printed."""
+def test_a_non_finite_eigenvalue_from_lapack_fails_the_trace_gate(capsys, monkeypatch, argv,
+                                                                  bad):
+    """A NaN or infinite eigenvalue where LAPACK returns it makes the eigenvalue
+    sum NaN or infinite, so the trace gate refuses it: exit 1, nothing printed."""
+    eigvals, eig = np.linalg.eigvals, np.linalg.eig
 
-    def corrupted(mat):
-        values = list(spectrum_of(mat).values)
-        values[2] = complex(bad)
-        return Spectrum(tuple(values), 0, 0.0)
+    def corrupted(values):
+        values = values.astype(complex)
+        values[2] = bad
+        return values
 
-    monkeypatch.setattr(cli, "spectrum_of", corrupted)
+    def corrupted_eig(a):
+        values, vectors = eig(a)
+        return corrupted(values), vectors
+
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: corrupted(eigvals(a)))
+    monkeypatch.setattr(np.linalg, "eig", corrupted_eig)
     # one sector, "13" at cutoff 1, of dimension 3
     code, out, err = run(capsys, *argv, "--n", "2", "--m", "1", "--b", "1/2", "--mask", "13")
     assert (code, out) == (1, "")
-    assert "sector 13: eigenvalue 2 is" in err and "not finite" in err
+    by = "nan" if np.isnan(bad) else "inf"
+    assert err.startswith(f"error: eigenvalue sum deviates from trace by {by} (allowed ")
 
 
 def test_eigenvalue_json_does_not_use_the_pure_python_encoder(capsys, monkeypatch):

@@ -150,18 +150,16 @@ def test_z_to_tau_rejects_each_kind_of_asymmetry(nvars, terms):
 
 def _full_reduction(p: Poly) -> Poly:
     """Leading-term reduction over every term, as z_to_tau once ran: a
-    non-dominant leading monomial raises NotSymmetric, and every term of the
-    expansion of the matching tau-monomial is subtracted."""
+    non-dominant leading monomial raises NotSymmetric, and its coefficient
+    times the whole expansion of the matching tau-monomial is subtracted."""
     n, tau_terms = p.nvars, {}
-
-    def step(exps, coeff):
+    while p:
+        exps, coeff = p.leading()
         if any(exps[i] < exps[i + 1] for i in range(n - 1)):
             raise NotSymmetric(f"leading monomial z^{exps}")
         tau_exps = tuple(exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n))
         tau_terms[tau_exps] = coeff
-        return (0,) * n, coeff, tau_to_z(Poly.monomial(tau_exps))
-
-    p.reduce_leading(step)
+        p = p - coeff * tau_to_z(Poly.monomial(tau_exps))
     return Poly(n, tau_terms)
 
 
