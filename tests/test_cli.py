@@ -31,7 +31,7 @@ from elliptic_qes.errors import (
 from elliptic_qes.operator import build_gauged_operator
 from elliptic_qes.oracles import epsilon_roots
 from elliptic_qes.polynomials import Poly
-from elliptic_qes.spectral import Spectrum, spectrum_of, to_float
+from elliptic_qes.spectral import spectrum_of, to_float
 from elliptic_qes.symmetric import enumerate_basis, tau_to_z
 
 ROOT = Path(__file__).resolve().parent.parent
