@@ -43,7 +43,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import OperatorNotClosed
-from .operator import GaugedOperator, Term, raising_ratio
+from .operator import TERM_POWERS, GaugedOperator, Term, raising_ratio
 from .polynomials import Poly
 from .symmetric import BasisIndex, enumerate_basis, pack, structure_sums, unpack
 
@@ -204,10 +204,10 @@ _Group = tuple[tuple[int, int], bool, np.ndarray]
 @lru_cache(maxsize=None)
 def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.ndarray,
                                        tuple[_Group, ...]]:
-    """The integer terms S_j, keyed like `GaugedOperator.weights`, the sorted
-    distinct packed offsets of their entries (6, 13, 25, 42, 67 and 102 of
-    them for N = 1..6) with each one's rise in degree, and their entries
-    grouped by derivative index.
+    """The integer terms S_j of `operator.TERM_POWERS`, keyed like
+    `GaugedOperator.weights`, the sorted distinct packed offsets of their
+    entries (4, 9, 18, 33, 56 and 89 of them for N = 1..6) with each one's
+    rise in degree, and their entries grouped by derivative index.
 
     An entry is one monomial of a term's coefficient of d_idx, idx being (),
     (i,) or (i, j) with i <= j.  As d_i d_j tau^l = l_i (l_j - delta_ij)
@@ -247,6 +247,7 @@ def _term_entries(nvars: int) -> tuple[tuple[Term, ...], tuple[int, ...], np.nda
         terms["2a.p", r] = [((i,), -1, sums.E[r][i]) for i in range(n)]
         terms["p", r] = [((i, j), -1 if i == j else -2, sums.Q[r][i][j])
                          for i in range(n) for j in range(i, n)]
+    terms = {(kind, r): parts for (kind, r), parts in terms.items() if r <= TERM_POWERS[kind]}
     groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     rise = {}
     for t, parts in enumerate(terms.values()):

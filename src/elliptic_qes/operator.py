@@ -48,6 +48,11 @@ from .symmetric import tau_to_z, z_to_tau
 # A term of the operator: its kind and the power r of z in its weight (0 for V).
 Term = tuple[str, int]
 
+# The operator's terms (kind, 0..top), declared once: p has degree 3, q and the
+# drift 2q + (b + 1/2) p' degree 2, and s degree <= 1.  p_2 and 2a.p_2 are zero
+# while the roots sum to zero; they stay for a build at translated roots.
+TERM_POWERS = {"V": 0, "s": 1, "p": 3, "drift": 2, "2a.p": 3, "2a.q": 2}
+
 
 def raising_ratio(params: ModelParams, mask: GaugeMask, degree: int | Fraction) -> tuple[int, int]:
     """Predicted degree-raising coefficient as ints (num, den), den > 0, unreduced.
@@ -241,23 +246,26 @@ class GaugedOperator:
     scalar: dict[int, int]
 
     def __post_init__(self) -> None:
-        """Form `weights`: D and the non-zero D c_j of each term of the operator.
+        """Form `weights`: D and the non-zero D c_j of each term of `TERM_POWERS`.
 
         The weights c_j are V = m (12b + 8a(N-1) + 4m + 2) and, per power r of
         z, p_r, s_r, 2a p_r, 2a q_r and drift_r, drift = 2q + (b + 1/2) p'.  With
         a, b, m = A, B, M over c (`ModelParams.ints`) and p, q, s over U, each
         is an integer over 2 U c^2, e.g. V = M (12B + 8A(N-1) + 4M + 2c) / c^2;
-        the gcd leaves D, the lcm of the weights' denominators."""
+        the gcd leaves D, the lcm of the weights' denominators.  A power of z
+        that no term carries raises ValueError."""
         c, a, b, m = self.params.ints
-        u, p, q = self.scale, self.cubic, self.charge
+        u, p, q, s = self.scale, self.cubic, self.charge, self.scalar
         one, two_a, b_half = 2 * c * c, 4 * a * c, (2 * b + c) * c
         weights = {("V", 0): 2 * u * m * (12 * b + 8 * a * (self.nvars - 1) + 4 * m + 2 * c),
                    ("drift", 0): 2 * one * q.get(0, 0) + b_half * p.get(1, 0),
                    ("drift", 1): 2 * one * q.get(1, 0) + 2 * b_half * p.get(2, 0),
                    ("drift", 2): 2 * one * q.get(2, 0) + 3 * b_half * p.get(3, 0)}
-        for kind, coeffs, f in (("s", self.scalar, one), ("2a.q", q, two_a), ("2a.p", p, two_a),
-                                ("p", p, one)):
+        for kind, name, coeffs, f in (("s", "scalar", s, one), ("2a.q", "charge", q, two_a),
+                                      ("2a.p", "cubic", p, two_a), ("p", "cubic", p, one)):
             for r, x in coeffs.items():
+                if not 0 <= r <= TERM_POWERS[kind]:
+                    raise ValueError(f"the {name} has a z^{r} term, which no term carries")
                 weights[kind, r] = f * x
         g = gcd(u * one, *weights.values())
         object.__setattr__(self, "weights", (u * one // g, {term: w // g for term, w in
@@ -298,9 +306,8 @@ class GaugedOperator:
         f_scale = lcm(*(c.denominator for c in f.terms.values()))
         big_f = tau_to_z(f * f_scale).terms
 
-        # z_k^e goes to w(e) z_k^(e+t), w(e) = -p_(t+2) e(e-1) - drift_(t+1) e
-        # - s_t, plus V at t = 1; p has degree 3, the drift and q degree 2 and s
-        # degree <= 1, and every w vanishes where e + t < 0
+        # z_k^e goes to w(e) z_k^(e+t), w(e) = -p_(t+2) e(e-1) - drift_(t+1) e - s_t,
+        # plus V at t = 1, for t over the powers of `TERM_POWERS`; w = 0 where e + t < 0
         single = [(t, -table.get(("p", t + 2), 0), -table.get(("drift", t + 1), 0),
                    table.get(("V", 0), 0) * (t == 1) - table.get(("s", t), 0))
                   for t in range(-2, 2)]

@@ -185,8 +185,8 @@ def z_to_tau(p: Poly) -> Poly:
     return Poly.from_terms(n, tau_terms)
 
 
-# The cubic p, the gauge charge q and the gauge scalar s have degree <= 3, so
-# the operator only ever needs the sums below for z-powers r = 0..3.
+# The sums below are needed for z-powers r = 0..3: the highest power of z in
+# the operator's terms, `operator.TERM_POWERS` (this module cannot import it).
 _MAX_POWER = 3
 
 

@@ -32,6 +32,7 @@ from elliptic_qes.model import (
     list_valid_masks,
 )
 from elliptic_qes.operator import (
+    TERM_POWERS,
     GaugedOperator,
     build_gauged_operator,
     raising_ratio,
@@ -261,9 +262,9 @@ def test_matrix_equals_applied_images(nvars, cutoff, mask, a, b, e1, e2):
 
 # The terms that `GaugedOperator.apply` reads; it reads the pair terms 2a.p and
 # 2a.q only at a != 0.
-_SINGLE_TERMS = [("V", 0), ("s", 0), ("s", 1), *(("p", r) for r in range(4)),
-                 *(("drift", r) for r in range(3))]
-_PAIR_TERMS = [*(("2a.p", r) for r in range(4)), *(("2a.q", r) for r in range(3))]
+_TERMS = [(kind, r) for kind, top in TERM_POWERS.items() for r in range(top + 1)]
+_PAIR_TERMS = [term for term in _TERMS if term[0].startswith("2a.")]
+_SINGLE_TERMS = [term for term in _TERMS if term not in _PAIR_TERMS]
 
 
 @given(
@@ -477,7 +478,7 @@ def test_a_dropped_matrix_leaves_nothing_allocated():
 
 
 def test_forming_a_wide_cell_sorts_its_contributions_without_a_pattern_bitmap():
-    """The cell of N = 32, cutoff 2 (dim 561, 11,074 offsets) is formed by one
+    """The cell of N = 32, cutoff 2 (dim 561, 11,009 offsets) is formed by one
     sort of its contributions and peaks below 4 MB; a dim x width bitmap of
     the pattern alone would take 6.2 MB."""
     matrices._term_entries(32)
@@ -508,6 +509,17 @@ def test_the_per_n_term_table_is_the_only_copy_of_the_structure_sums():
         tracemalloc.stop()
     assert matrices._term_entries.cache_info().misses == misses + 1
     assert held < 1.5 * 2**20
+
+
+def test_the_term_table_holds_the_declared_terms_and_each_is_weighted_somewhere():
+    """For N = 1..6 the per-N table holds exactly the terms of `TERM_POWERS`,
+    and each of them but p_2 and 2a.p_2, which are zero while the roots sum to
+    zero, has a non-zero weight in some sector of verify's closure grid, so no
+    term whose weight is always zero is carried."""
+    for n in range(1, 7):
+        assert set(matrices._term_entries(n)[0]) == set(_TERMS)
+    weighted = {term for op, _ in verify._SectorStore().closure_grid() for term in op.weights[1]}
+    assert weighted == set(_TERMS) - {("p", 2), ("2a.p", 2)}
 
 
 def test_the_b_dual_sector_has_the_same_matrix_and_the_same_mask_does_not():

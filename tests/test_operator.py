@@ -324,6 +324,19 @@ def test_forced_exponent_reaches_pole_check():
         gauge_polynomials(params.roots, mask, Fraction(1, 3), params.coupling_b)
 
 
+@pytest.mark.parametrize(("field", "power"),
+                         [("cubic", 4), ("charge", 3), ("scalar", 2), ("cubic", -1)])
+def test_an_operator_with_a_power_of_z_that_no_term_carries_is_refused(field, power):
+    """A hand-built operator whose cubic, charge or scalar has a power of z
+    outside `TERM_POWERS` is refused, naming the map and the power, rather
+    than built with that term dropped."""
+    op = build_gauged_operator(ModelParams(2, Fraction(1, 3), -HALF, 2), GaugeMask((1, 2)))
+    assert op.cubic and op.charge and op.scalar
+    with pytest.raises(ValueError, match=rf"^the {field} has a z\^{power} term, which no term "
+                                         r"carries$"):
+        dataclasses.replace(op, **{field: {**getattr(op, field), power: 1}})
+
+
 def test_cutoff_and_coupling_fields():
     op = build_gauged_operator(ModelParams(2, 1, 0, 2), GaugeMask((2, 3)))
     assert op.cutoff == 1

@@ -13,8 +13,9 @@ sys.path[:0] = [str(ROOT / "perfbench")]
 import gate  # noqa: E402
 import metrics  # noqa: E402
 import tracing  # noqa: E402
-from elliptic_qes import verify  # noqa: E402
+from elliptic_qes import symmetric, verify  # noqa: E402
 from elliptic_qes.cli import main  # noqa: E402
+from elliptic_qes.operator import TERM_POWERS  # noqa: E402
 
 
 def test_no_import_inside_a_function_and_no_private_name_across_modules():
@@ -50,6 +51,13 @@ def test_every_name_a_module_imports_is_read_there():
         unread = imported - read - exempt.get(path.name, set())
         found += [f"{path.name} imports {name} and does not read it" for name in sorted(unread)]
     assert found == []
+
+
+def test_the_structure_sums_reach_the_highest_power_of_the_operator_terms():
+    """`symmetric` forms its sums up to the highest power of z in the
+    operator's terms; it cannot import `operator.TERM_POWERS`, which imports
+    it, so the two are held equal here."""
+    assert symmetric._MAX_POWER == max(TERM_POWERS.values())
 
 
 def _is_check_result(node: ast.AST) -> bool:
